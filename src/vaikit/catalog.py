@@ -154,16 +154,11 @@ def parse_theta(data: dict, g: LieAlgebra, where: str = "theta") -> RatMat:
             raise InputError(f"{where}: matrix must be {g.dim} x {g.dim}")
         return m
     if data.get("kind") == "negative-transpose":
-        return negative_transpose_matrix(g)
+        try:
+            return negative_transpose_involution(g)
+        except InvariantViolation as exc:
+            raise InputError(f"{where}: {exc}") from None
     raise InputError(f"{where}: need 'matrix' or kind 'negative-transpose'")
-
-
-def negative_transpose_matrix(g: LieAlgebra) -> RatMat:
-    """Coordinate matrix of X -> -X^T, via the realization."""
-    try:
-        return negative_transpose_involution(g)
-    except InvariantViolation as exc:
-        raise InputError(str(exc)) from None
 
 
 def load_json(path) -> dict:

@@ -20,6 +20,8 @@ code  meaning
 3     check: verdict ``fails``; witness: obstruction or unbounded
       projection, with the obstruction payload in the report
 4     check: verdict ``no-invariant-measure``
+5     internal error: an unexpected exception, reported as one
+      ``error: <Type>: <message>`` line on stderr
 ====  =========================================================
 """
 
@@ -110,17 +112,23 @@ def _input_entry(path) -> dict:
     return {"path": str(path), "sha256": _sha256(path)}
 
 
-# ---------------------------------------------------------------------------
-# check
-
-
-def cmd_check(args) -> tuple[dict, int]:
+def _load_pair(args):
+    """The algebra and subalgebra files of ``check``/``witness``."""
     g = load_algebra_file(args.algebra)
     h = load_subalgebra_file(args.subalgebra, g)
     inputs = {
         "algebra": _input_entry(args.algebra),
         "subalgebra": _input_entry(args.subalgebra),
     }
+    return g, h, inputs
+
+
+# ---------------------------------------------------------------------------
+# check
+
+
+def cmd_check(args) -> tuple[dict, int]:
+    g, h, inputs = _load_pair(args)
     cartan = None
     if args.theta is not None:
         theta = parse_theta(load_json(args.theta), g)
@@ -156,12 +164,7 @@ def _triple_payload(triple) -> dict | None:
 
 
 def cmd_witness(args) -> tuple[dict, int]:
-    g = load_algebra_file(args.algebra)
-    h = load_subalgebra_file(args.subalgebra, g)
-    inputs = {
-        "algebra": _input_entry(args.algebra),
-        "subalgebra": _input_entry(args.subalgebra),
-    }
+    g, h, inputs = _load_pair(args)
     verdict = vai_verdict(g, h)
     if verdict.vai != VAI_FAILS:
         raise InputError(
@@ -445,15 +448,13 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = list(argv)
     try:
         report, code = args.func(args)
-    except InputError as exc:
+    except (VaikitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VaikitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # the top-level boundary: never let a traceback exit 1 (MISMATCH)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return code

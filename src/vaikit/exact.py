@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-Rat = Fraction
-
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -254,10 +252,6 @@ def rref(m: RatMat) -> tuple[RatMat, list[int]]:
     return RatMat(rows), pivots
 
 
-def rank(m: RatMat) -> int:
-    return len(rref(m)[1])
-
-
 def kernel(m: RatMat) -> list[Vec]:
     """Basis of the null space in the standard parametrization.
 
@@ -373,16 +367,6 @@ def poly_monic(p: Poly) -> Poly:
         return p
     lead = p[-1]
     return tuple(c / lead for c in p)
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    out = [ZERO] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return poly(out)
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:

@@ -269,11 +269,6 @@ class BilinearForm:
     def value(self, x: Vec, y: Vec) -> Fraction:
         return sum((xi * e for xi, e in zip(x, self.gram.apply(y), strict=True)), ZERO)
 
-    def is_invariant(self, x: Vec, y: Vec, z: Vec) -> bool:
-        """Check kappa([x,y],z) + kappa(y,[x,z]) = 0 for given vectors."""
-        g = self.algebra
-        return self.value(g.bracket(x, y), z) + self.value(y, g.bracket(x, z)) == 0
-
     def is_positive_definite(self) -> bool:
         """Sylvester criterion: all leading principal minors positive."""
         n = self.gram.nrows
@@ -296,12 +291,11 @@ class Subspace:
                 raise InvariantViolation("basis vector has wrong length")
         self.dim = len(self.basis)
         if self.dim:
+            # raises on a linearly dependent basis
             self._coord = _Coordinatizer(RatMat.from_cols(self.basis), self.dim)
         else:
             self._coord = None
         self._span = IncrementalSpan(algebra.dim, self.basis)
-        if self._span.rank != self.dim:
-            raise InvariantViolation("subspace basis is linearly dependent")
 
     def contains(self, v: Vec) -> bool:
         return self._span.contains(v)
@@ -427,10 +421,7 @@ def is_unimodular_pair(g: LieAlgebra, h: Subalgebra) -> bool:
     if not g.is_reductive():
         raise NotReductive(
             f"ambient algebra {g.name or '?'} is not reductive: radical exceeds center")
-    for x in h.basis:
-        if h.restriction_matrix(g.ad(x)).trace() != 0:
-            return False
-    return True
+    return unimodular_trace_witness(g, h) is None
 
 
 def unimodular_trace_witness(g: LieAlgebra, h: Subalgebra) -> Vec | None:

@@ -7,10 +7,11 @@ ball is B_r = {g in SL(2,R): ||g - 1||_F <= r}; for determinant-one
 2x2 matrices ||g^{-1} - 1||_F = ||g - 1||_F, so B_r is automatically
 inverse-closed and membership is symmetric in (z, w).
 
-Estimation is hit-or-miss: sample the box uniformly, weight hits by the
-invariant density of the chart, multiply by box measure.  Sampling is
-batched with substreams keyed by (seed, point index, batch index), so
-results are bit-identical for a fixed seed at any thread count.
+Estimation is hit-or-miss: every chart carries the invariant measure
+as Lebesgue measure, so sample the box uniformly, count hits and
+multiply the hit rate by box measure.  Sampling is batched with
+substreams keyed by (seed, point index, batch index), so results are
+bit-identical for a fixed seed at any thread count.
 """
 
 from __future__ import annotations
@@ -78,12 +79,6 @@ class SpaceModel:
 
     def chart_box(self, z, radius: float):
         raise NotImplementedError
-
-    def from_chart(self, coords: np.ndarray):
-        return coords
-
-    def density_chart(self, coords: np.ndarray) -> np.ndarray:
-        return np.ones(len(coords))
 
     def membership_chart(self, z, coords: np.ndarray, radius: float) -> np.ndarray:
         raise NotImplementedError
@@ -192,9 +187,6 @@ class SPD2Model(SpaceModel):
     def to_chart(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return np.array([p[0, 1], math.log(p[1, 1])])
-
-    def from_chart(self, coords):
-        return coords
 
     def chart_box(self, z, radius: float):
         p = np.asarray(z, dtype=float)
@@ -408,9 +400,6 @@ class HyperboloidModel(SpaceModel):
         beta = rho * np.sin(psi)
         return np.column_stack([a, beta + delta, beta - delta])
 
-    def density_chart(self, coords):
-        return np.ones(len(coords))
-
     def membership_chart(self, z, coords, radius):
         return self._membership_points(z, self.from_chart(coords), radius)
 
@@ -509,10 +498,7 @@ def _batch_partial(model, z, lo, hi, radius, seed, point_index, batch_index,
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, point_index, batch_index]))
     coords = rng.uniform(lo, hi, size=(count, model.chart_dim))
-    weights = model.density_chart(coords)
-    hits = model.membership_chart(z, coords, radius)
-    vals = weights * hits
-    return float(vals.sum()), float((vals * vals).sum())
+    return int(np.count_nonzero(model.membership_chart(z, coords, radius)))
 
 
 def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
@@ -520,12 +506,14 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
                     point_index: int = 0) -> tuple[float, float]:
     """Hit-or-miss volume of the orbit patch B_r . z.
 
-    Returns (estimate, stderr).  Estimate = box measure times the mean
-    of density * hit over uniform box samples; stderr propagates the
-    sample variance of that weighted indicator.
+    Returns (estimate, stderr).  Estimate = box measure times the hit
+    rate of uniform box samples; stderr propagates the sample variance
+    of the hit indicator.
     """
-    if radius <= 0.0:
-        raise InputError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise InputError("radius must be positive and finite")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if samples < 1000:
         raise InputError("need at least 1000 samples")
     lo, hi = model.chart_box(z, radius)
@@ -540,21 +528,16 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
     threads = _thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(
+            hits = list(pool.map(
                 lambda job: _batch_partial(model, z, lo, hi, radius, seed,
                                            point_index, job[0], job[1]),
                 jobs))
     else:
-        partials = [_batch_partial(model, z, lo, hi, radius, seed,
-                                   point_index, bi, n) for bi, n in jobs]
-    # fixed-order reduction keeps float results independent of thread count
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in partials:
-        total += s
-        total_sq += s2
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
+        hits = [_batch_partial(model, z, lo, hi, radius, seed,
+                               point_index, bi, n) for bi, n in jobs]
+    # each sample scores 0 or 1, so its second moment equals the mean
+    mean = sum(hits) / samples
+    var = max(mean - mean * mean, 0.0)
     estimate = box_measure * mean
     stderr = box_measure * math.sqrt(var / samples)
     return estimate, stderr
@@ -583,11 +566,11 @@ class VolumeSeries:
         return "\n".join(lines) + "\n"
 
 
-def fit_log_slope(series: VolumeSeries) -> tuple[float, float]:
-    """OLS slope of log(estimate) against t, over positive estimates.
+def fit_log_slope(series: VolumeSeries) -> tuple[float, float, float]:
+    """OLS fit of log(estimate) against t, over positive estimates.
 
-    Returns (slope, half_width) with half_width twice the standard
-    error of the fitted slope.
+    Returns (slope, intercept, half_width) with half_width twice the
+    standard error of the fitted slope.
     """
     pts = [(t, math.log(v)) for t, v in zip(series.t_values, series.estimates)
            if v > 0.0]
@@ -605,7 +588,7 @@ def fit_log_slope(series: VolumeSeries) -> tuple[float, float]:
     resid = ys - (intercept + slope * ts)
     dof = max(len(pts) - 2, 1)
     se = math.sqrt(float((resid ** 2).sum()) / dof / s_tt)
-    return slope, 2.0 * se
+    return slope, intercept, 2.0 * se
 
 
 def volume_along_curve(model: SpaceModel, curve=None, t_grid=(),
@@ -628,11 +611,8 @@ def volume_along_curve(model: SpaceModel, curve=None, t_grid=(),
     series = VolumeSeries(t_values, estimates, stderrs, samples, seed,
                           radius, model.name)
     try:
-        series.slope, series.slope_half_width = fit_log_slope(series)
-        pts = [(t, math.log(v)) for t, v in zip(t_values, estimates) if v > 0]
-        series.intercept = float(
-            np.mean([y for _, y in pts])
-            - series.slope * np.mean([t for t, _ in pts]))
+        (series.slope, series.intercept,
+         series.slope_half_width) = fit_log_slope(series)
     except TooFewPoints:
         pass
     return series

@@ -24,7 +24,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     GammaNotPositive,
@@ -432,14 +431,18 @@ def phi_jacobian_sandwich(witness: DecayWitness, q_box=0.1, t_grid=None,
                      np.zeros((g.dim, g.dim)))
         a_plus = sum((y[a + b + i] * ad_cols[a + b + i] for i in range(m - a - b)),
                      np.zeros((g.dim, g.dim)))
-        exp_plus = expm(-a_plus)
+        # exp(-A) = 1 - beta(A) A, with beta(A) = (1 - exp(-A)) / A
+        beta_plus = _beta_float(a_plus)
+        beta_zero = _beta_float(a_zero)
+        exp_plus = np.eye(g.dim) - beta_plus @ a_plus
         s = np.empty((g.dim, m))
         if a:
-            s[:, :a] = exp_plus @ expm(-a_zero) @ _beta_float(a_minus) @ v_f[:, :a]
+            exp_zero = np.eye(g.dim) - beta_zero @ a_zero
+            s[:, :a] = exp_plus @ exp_zero @ _beta_float(a_minus) @ v_f[:, :a]
         if b:
-            s[:, a:a + b] = exp_plus @ _beta_float(a_zero) @ v_f[:, a:a + b]
+            s[:, a:a + b] = exp_plus @ beta_zero @ v_f[:, a:a + b]
         if m - a - b:
-            s[:, a + b:] = _beta_float(a_plus) @ v_f[:, a + b:]
+            s[:, a + b:] = beta_plus @ v_f[:, a + b:]
         return abs(np.linalg.det(ext @ t_inv @ s))
 
     batch = 512

@@ -7,6 +7,7 @@ import pytest
 from vaikit import catalog
 from vaikit.errors import InputError
 from vaikit.exact import RatMat, vec
+from vaikit.lie import LieAlgebra, negative_transpose_involution
 
 
 def test_bundled_files_match_builders(tmp_path):
@@ -78,18 +79,21 @@ def test_load_json_errors(tmp_path):
 
 
 def test_negative_transpose_matrix(sl2):
-    theta = catalog.negative_transpose_matrix(sl2)
+    theta = catalog.parse_theta({"kind": "negative-transpose"}, sl2)
     # H -> -H, E -> -F, F -> -E
     assert theta.apply(vec([1, 0, 0])) == vec([-1, 0, 0])
     assert theta.apply(vec([0, 1, 0])) == vec([0, 0, -1])
     assert theta.apply(vec([0, 0, 1])) == vec([0, -1, 0])
     assert theta @ theta == RatMat.identity(3)
+    bare = LieAlgebra(sl2.sc, name="bare")
+    with pytest.raises(InputError, match="^theta: .*realization"):
+        catalog.parse_theta({"kind": "negative-transpose"}, bare)
 
 
 def test_theta_file_parses(sl2):
     data = catalog.load_json(catalog.data_path("theta-negative-transpose.json"))
     theta = catalog.parse_theta(data, sl2)
-    assert theta == catalog.negative_transpose_matrix(sl2)
+    assert theta == negative_transpose_involution(sl2)
 
 
 def test_parse_parabolic_fields(sl3):

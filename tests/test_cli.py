@@ -303,16 +303,19 @@ class TestEstimate:
         assert "sl2-mod-n" in err
 
     def test_bad_radius_and_samples(self, capsys):
-        code, _, err = run_cli(
-            capsys, "estimate", "--space", "sl2-mod-n",
-            "--t-range", "0:1:0.25", "--radius", "-1",
-            "--samples", "2000", "--seed", "1")
-        assert code == 2
-        code, _, err = run_cli(
-            capsys, "estimate", "--space", "sl2-mod-n",
-            "--t-range", "0:1:0.25", "--radius", "0.3",
-            "--samples", "10", "--seed", "1")
-        assert code == 2
+        for radius, samples, seed, named in [
+                ("-1", "2000", "1", "radius"),
+                ("nan", "2000", "1", "radius"),
+                ("inf", "2000", "1", "radius"),
+                ("0.3", "10", "1", "samples"),
+                ("0.3", "2000", "-1", "seed")]:
+            code, out, err = run_cli(
+                capsys, "estimate", "--space", "sl2-mod-n",
+                "--t-range", "0:1:0.25", "--radius", radius,
+                "--samples", samples, "--seed", seed)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and named in err
 
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -335,6 +338,53 @@ class TestEstimate:
         first_rep["result"]["csv"] = second_rep["result"]["csv"] = None
         first_rep["argv"] = second_rep["argv"] = None
         assert first_rep == second_rep
+
+
+def test_unexpected_error_exits_five(capsys, monkeypatch):
+    import vaikit.cli as cli_mod
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "cmd_check", broken)
+    code, out, err = run_cli(capsys, "check", "--algebra", d("sl2.json"),
+                             "--subalgebra", d("sl2-so2.json"))
+    assert code == 5
+    assert out == ""
+    assert err == "error: RuntimeError: boom\n"
+
+
+# sha256 of each catalog report's canonical ``result`` payload; reports
+# must stay byte-identical across refactors of the exact layer
+GOLDEN_RESULTS = {
+    "check sl2 sl2-so2": "fd228759a9a365b38bbec0fd5ed4a3ad618b90bff911fb65bc8374e24887f9ba",
+    "check sl2 sl2-so11": "824615814acc5d362ef462e1d8701d5198b84fa31dfd69dff477bdbe79d9583b",
+    "check sl2 sl2-n": "e54ba20900654a237865e29dd89dd7a48e68b1885475d7763041393557f75e8f",
+    "check sl2 sl2-borel": "3d31ed7704ec8d714462bc7ba19319bdac8dab27cb3082dcb0c83adb1cabe8ed",
+    "check sl3 sl3-so3": "68c15084884be17884fa910c405424860e6bed747e34133078e1e7e8833db723",
+    "check sl3 sl3-e12": "d3e982ef65cc13909cf9d1096633f5168f71de1e88518db27e71b5c459a4e066",
+    "check sl5 sl5-nilpair": "554feecb90e214061b90c2102df1b8e2cb42040a25dd0128944db966e7bb7da0",
+    "check sl3 sl3-so3 --theta theta-negative-transpose": "68c15084884be17884fa910c405424860e6bed747e34133078e1e7e8833db723",
+    "witness sl2 sl2-n": "90ad7ef969c88600b8e6f35cd5827cef78e18f42ff74fecbd7f2261291b2ee8b",
+    "witness sl2 sl2-n --parabolic sl2-borel-parabolic": "4a9a37486f8f02a3d157c651e40ebadfe1580b8864ac3a246892e3ab442a0502",
+    "witness sl3 sl3-e12": "c2404c497007f8a038933f911a35186843f5bcfdf68b595e26995e7c20a06695",
+    "witness sl3 sl3-e12 --parabolic sl3-flag-parabolic": "112908d3aa45c92bc0dd17c3ec233f2c2cb1680be4fac0fe00591bd03da0d3f3",
+    "witness sl5 sl5-nilpair": "647b203547d3e26f7d7571eaab485933d2707a7312b88188e08740733889be1a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_RESULTS))
+def test_golden_report(capsys, command):
+    kind, algebra, subalgebra, *option = command.split()
+    argv = [kind, "--algebra", d(f"{algebra}.json"),
+            "--subalgebra", d(f"{subalgebra}.json")]
+    if option:
+        argv += [option[0], d(f"{option[1]}.json")]
+    _, report = run_report(capsys, *argv)
+    canonical = json.dumps(report["result"], sort_keys=True,
+                           separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    assert digest == GOLDEN_RESULTS[command]
 
 
 class TestTRangeParsing:

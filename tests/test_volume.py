@@ -387,8 +387,10 @@ class TestFitLogSlope:
 
     def test_exact_exponential(self):
         ts = [0.0, 0.5, 1.0, 1.5, 2.0]
-        slope, half = fit_log_slope(self.make(ts, [math.exp(2 * t) for t in ts]))
+        slope, intercept, half = fit_log_slope(
+            self.make(ts, [math.exp(2 * t) for t in ts]))
         assert slope == pytest.approx(2.0, abs=1e-12)
+        assert intercept == pytest.approx(0.0, abs=1e-12)
         assert half < 1e-10
 
     def test_noisy_decay(self):
@@ -396,12 +398,12 @@ class TestFitLogSlope:
         ts = [0.25 * i for i in range(12)]
         vols = [7.0 * math.exp(-3.0 * t) * (1.0 + 0.01 * rng.uniform(-1, 1))
                 for t in ts]
-        slope, _ = fit_log_slope(self.make(ts, vols))
+        slope, _, _ = fit_log_slope(self.make(ts, vols))
         assert abs(slope - (-3.0)) < 0.05
 
     def test_constant_series(self):
         ts = [0.0, 1.0, 2.0, 3.0]
-        slope, _ = fit_log_slope(self.make(ts, [5.0] * 4))
+        slope, _, _ = fit_log_slope(self.make(ts, [5.0] * 4))
         assert slope == pytest.approx(0.0, abs=1e-14)
 
     def test_too_few_positive_points(self):
@@ -411,7 +413,7 @@ class TestFitLogSlope:
     def test_zero_estimates_are_dropped_not_fatal(self):
         ts = [0.0, 1.0, 2.0, 3.0, 4.0]
         vols = [math.exp(t) for t in ts[:4]] + [0.0]
-        slope, _ = fit_log_slope(self.make(ts, vols))
+        slope, _, _ = fit_log_slope(self.make(ts, vols))
         assert slope == pytest.approx(1.0, abs=1e-12)
 
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from vaikit import catalog
 from vaikit.errors import (
@@ -223,6 +222,7 @@ class TestBetaMap:
         assert abs(b[0, 0] - 1.0) < 1e-12
 
     def test_defining_identity(self, sl2):
+        expm = pytest.importorskip("scipy.linalg").expm
         rng = np.random.default_rng(5)
         for _ in range(5):
             t = vec([F(int(c), 8) for c in rng.integers(-20, 20, size=3)])
@@ -289,6 +289,7 @@ class TestUnipotentWitness:
 
     def test_rate_is_log_derivative_of_jacobian(self, sl3):
         # det Ad(exp(tx))|_n = e^{t gamma}: check at t = 1 in floats
+        expm = pytest.importorskip("scipy.linalg").expm
         n = Subalgebra(sl3, [sl3.basis_vector(2), sl3.basis_vector(3)])
         x = vec([2, 1, 0, 0, 0, 0, 0, 0])
         w = unipotent_witness(sl3, n, x=x)
