@@ -65,6 +65,15 @@ def _quartic_roots(a4, a3, a2, a1, a0):
     return np.where(real, roots.real, np.nan)
 
 
+def _require_finite(model_name, coefs):
+    """The membership coefficients, or InputError if any is not finite."""
+    if not all(np.isfinite(c).all() for c in coefs):
+        raise InputError(
+            f"{model_name}: the base point is outside the model's float "
+            "range (membership coefficients are not finite)")
+    return coefs
+
+
 class SpaceModel:
     """Shared plumbing; concrete models fill in the geometry."""
 
@@ -168,6 +177,14 @@ class SPD2Model(SpaceModel):
     the real roots of a quartic in tan(phi/2), so the global minimum is
     found exactly; grid search misses the razor-thin valleys that appear
     once the base point is strongly stretched.
+
+    With f = k0 + p2 cos 2phi + q2 sin 2phi + p1 cos phi + q1 sin phi,
+    every value of f is at least k0 - |(p2, q2)| - |(p1, q1)|.  A sample
+    whose floor exceeds r^2 by 1e-9 (|k0| + |(p2, q2)| + |(p1, q1)|) is
+    a miss without a root solve: the float values the root path compares
+    carry rounding of order 1e-15 times that same sum, six orders below
+    the margin, so no skipped sample could have been a hit.  Only the
+    remaining samples reach the quartic.
     """
 
     name = "spd2"
@@ -208,7 +225,9 @@ class SPD2Model(SpaceModel):
         hi = np.array([p[0, 1] + 2.0 * u_half, math.log(w22_hi)])
         return lo, hi
 
-    def _min_distance(self, z, coords):
+    def _angle_coefficients(self, z, coords):
+        """(k0, p2, q2, p1, q1) of the distance as a trig polynomial,
+        f(phi) = k0 + p2 cos 2phi + q2 sin 2phi + p1 cos phi + q1 sin phi."""
         p = np.asarray(z, dtype=float)
         p_inv = np.linalg.inv(self._sqrt_spd(p))
         big_p_inv = np.linalg.inv(p)
@@ -217,25 +236,30 @@ class SPD2Model(SpaceModel):
         b2 = big_p_inv[0, 1]
 
         u, tau = coords[:, 0], coords[:, 1]
-        w22 = np.exp(tau)
-        w11 = (1.0 + u * u) / w22
-        alpha = (w11 + w22) / 2.0
-        a1 = (w11 - w22) / 2.0
-        a2 = u
-        # q = sqrt(W) = (W + I)/sqrt(tr W + 2); C = p^{-1/2-inv} q
-        s = np.sqrt(w11 + w22 + 2.0)
-        q11, q12, q22 = (w11 + 1.0) / s, u / s, (w22 + 1.0) / s
-        c11 = p_inv[0, 0] * q11 + p_inv[0, 1] * q12
-        c12 = p_inv[0, 0] * q12 + p_inv[0, 1] * q22
-        c21 = p_inv[1, 0] * q11 + p_inv[1, 1] * q12
-        c22 = p_inv[1, 0] * q12 + p_inv[1, 1] * q22
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w22 = np.exp(tau)
+            w11 = (1.0 + u * u) / w22
+            alpha = (w11 + w22) / 2.0
+            a1 = (w11 - w22) / 2.0
+            a2 = u
+            # q = sqrt(W) = (W + I)/sqrt(tr W + 2); C = p^{-1/2-inv} q
+            s = np.sqrt(w11 + w22 + 2.0)
+            q11, q12, q22 = (w11 + 1.0) / s, u / s, (w22 + 1.0) / s
+            c11 = p_inv[0, 0] * q11 + p_inv[0, 1] * q12
+            c12 = p_inv[0, 0] * q12 + p_inv[0, 1] * q22
+            c21 = p_inv[1, 0] * q11 + p_inv[1, 1] * q12
+            c22 = p_inv[1, 0] * q12 + p_inv[1, 1] * q22
 
-        k0 = 2.0 * alpha * beta + 2.0
-        p2 = 2.0 * (a1 * b1 + a2 * b2)
-        q2 = 2.0 * (a2 * b1 - a1 * b2)
-        p1 = -2.0 * (c11 + c22)
-        q1 = -2.0 * (c12 - c21)
+            k0 = 2.0 * alpha * beta + 2.0
+            p2 = 2.0 * (a1 * b1 + a2 * b2)
+            q2 = 2.0 * (a2 * b1 - a1 * b2)
+            p1 = -2.0 * (c11 + c22)
+            q1 = -2.0 * (c12 - c21)
+        return _require_finite(self.name, (k0, p2, q2, p1, q1))
 
+    @staticmethod
+    def _angle_minimum(k0, p2, q2, p1, q1):
+        """Global minimum over phi of the trig polynomial, per sample."""
         # critical points: with t = tan(phi/2), f'(phi)(1+t^2)^2 is the
         # quartic below; phi = pi is the one point the substitution misses
         roots = _quartic_roots(2.0 * q2 - q1, 8.0 * p2 - 2.0 * p1,
@@ -249,8 +273,21 @@ class SPD2Model(SpaceModel):
         at_pi = k0 + p2 - p1
         return np.minimum(vals.min(axis=1), at_pi)
 
+    def _min_distance(self, z, coords):
+        return self._angle_minimum(*self._angle_coefficients(z, coords))
+
     def membership_chart(self, z, coords, radius):
-        return self._min_distance(z, coords) <= radius * radius
+        coefs = self._angle_coefficients(z, coords)
+        k0, p2, q2, p1, q1 = coefs
+        r2 = radius * radius
+        amp2, amp1 = np.hypot(p2, q2), np.hypot(p1, q1)
+        # f >= k0 - amp2 - amp1 at every phi, so a floor clear of r^2 by
+        # the margin is a certified miss; only the rest need the roots
+        undecided = k0 - amp2 - amp1 <= r2 + 1e-9 * (np.abs(k0) + amp2 + amp1)
+        hit = np.zeros(len(coords), dtype=bool)
+        hit[undecided] = self._angle_minimum(
+            *(c[undecided] for c in coefs)) <= r2
+        return hit
 
     def membership(self, z, w, radius):
         w = np.asarray(w, dtype=float)
@@ -336,6 +373,13 @@ class HyperboloidModel(SpaceModel):
     + E sinh s) is minimized over s on both sign components; with
     u = e^s the critical points are positive real roots of a quartic,
     so the global minimum is exact.
+
+    The quartic of the -1 component is the +1 quartic at -u, so one
+    solve serves both: positive real roots for +1, negated negative real
+    roots for -1.  The eigensolver does not return bitwise-negated roots
+    for the negated quartic, so a sample whose minimum lies within
+    1e-9 (1 + P) of r^2 is decided by solving both quartics, as the
+    separate-solve minimum it must reproduce.
     """
 
     name = "sl2-orbit-hyperboloid"
@@ -362,7 +406,9 @@ class HyperboloidModel(SpaceModel):
         p = np.column_stack([v_plus, v_minus])
         det = float(np.linalg.det(p))
         if det == 0.0:
-            raise EmptyBox("point is not on the a > 0 sheet")
+            raise EmptyBox(
+                "eigenvector determinant of the point cancels to 0 in float; "
+                "the point is too far out along the orbit")
         if det < 0.0:
             p[:, 1] = -p[:, 1]
             det = -det
@@ -403,67 +449,94 @@ class HyperboloidModel(SpaceModel):
     def membership_chart(self, z, coords, radius):
         return self._membership_points(z, self.from_chart(coords), radius)
 
-    def _membership_points(self, z, points, radius):
+    def _stabilizer_coefficients(self, z, points):
+        """(P, Q, R, tr G, tr H) of ||g0 exp(s X_z) - 1||_F^2 per point,
+        and the mask of points whose eigenvector matrix is usable."""
         p_z = self._diagonalizer(z)
         p_z_inv = np.linalg.inv(p_z)
         x_z = _orbit_matrix(z)
 
         a, b, c = points[:, 0], points[:, 1], points[:, 2]
-        # per-sample eigenvector matrix q with w = q H q^{-1}, det 1
-        pos = a >= 0.0
-        v1x = np.where(pos, 1.0 + a, b)
-        v1y = np.where(pos, c, 1.0 - a)
-        v2x = np.where(pos, b, 1.0 - a)
-        v2y = np.where(pos, -(1.0 + a), -c)
-        det = v1x * v2y - v1y * v2x
-        flip = det < 0.0
-        v2x = np.where(flip, -v2x, v2x)
-        v2y = np.where(flip, -v2y, v2y)
-        det = np.abs(det)
-        good = det > 1e-300
-        scale = 1.0 / np.sqrt(np.where(good, det, 1.0))
-        v1x, v1y, v2x, v2y = (v * scale for v in (v1x, v1y, v2x, v2y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # per-sample eigenvector matrix q with w = q H q^{-1}, det 1
+            pos = a >= 0.0
+            v1x = np.where(pos, 1.0 + a, b)
+            v1y = np.where(pos, c, 1.0 - a)
+            v2x = np.where(pos, b, 1.0 - a)
+            v2y = np.where(pos, -(1.0 + a), -c)
+            det = v1x * v2y - v1y * v2x
+            flip = det < 0.0
+            v2x = np.where(flip, -v2x, v2x)
+            v2y = np.where(flip, -v2y, v2y)
+            det = np.abs(det)
+            good = det > 1e-300
+            scale = 1.0 / np.sqrt(np.where(good, det, 1.0))
+            v1x, v1y, v2x, v2y = (v * scale for v in (v1x, v1y, v2x, v2y))
 
-        # g0 = q p_z^{-1}; G' = g0 X_z
-        i11, i12, i21, i22 = p_z_inv.ravel()
-        g11 = v1x * i11 + v2x * i21
-        g12 = v1x * i12 + v2x * i22
-        g21 = v1y * i11 + v2y * i21
-        g22 = v1y * i12 + v2y * i22
-        x11, x12, x21, x22 = x_z.ravel()
-        h11 = g11 * x11 + g12 * x21
-        h12 = g11 * x12 + g12 * x22
-        h21 = g21 * x11 + g22 * x21
-        h22 = g21 * x12 + g22 * x22
+            # g0 = q p_z^{-1}; G' = g0 X_z
+            i11, i12, i21, i22 = p_z_inv.ravel()
+            g11 = v1x * i11 + v2x * i21
+            g12 = v1x * i12 + v2x * i22
+            g21 = v1y * i11 + v2y * i21
+            g22 = v1y * i12 + v2y * i22
+            x11, x12, x21, x22 = x_z.ravel()
+            h11 = g11 * x11 + g12 * x21
+            h12 = g11 * x12 + g12 * x22
+            h21 = g21 * x11 + g22 * x21
+            h22 = g21 * x12 + g22 * x22
 
-        norm_g = g11 ** 2 + g12 ** 2 + g21 ** 2 + g22 ** 2
-        norm_h = h11 ** 2 + h12 ** 2 + h21 ** 2 + h22 ** 2
-        cross = g11 * h11 + g12 * h12 + g21 * h21 + g22 * h22
-        tr_g = g11 + g22
-        tr_h = h11 + h22
+            norm_g = g11 ** 2 + g12 ** 2 + g21 ** 2 + g22 ** 2
+            norm_h = h11 ** 2 + h12 ** 2 + h21 ** 2 + h22 ** 2
+            cross = g11 * h11 + g12 * h12 + g21 * h21 + g22 * h22
+            tr_g = g11 + g22
+            tr_h = h11 + h22
 
-        p_co = (norm_g + norm_h) / 2.0
-        q_co = cross
-        r_co = (norm_g - norm_h) / 2.0 + 2.0
+            p_co = (norm_g + norm_h) / 2.0
+            q_co = cross
+            r_co = (norm_g - norm_h) / 2.0 + 2.0
+        coefs = (p_co, q_co, r_co, tr_g, tr_h)
+        return _require_finite(self.name, coefs), good
 
-        best = np.full(len(points), np.inf)
-        for sign in (1.0, -1.0):
-            # with u = e^s, f'(s) * 2u^2 is the quartic below; only
-            # positive real roots correspond to real s
-            roots = _quartic_roots(p_co + q_co,
-                                   -sign * (tr_g + tr_h),
-                                   np.zeros_like(p_co),
-                                   sign * (tr_g - tr_h),
-                                   q_co - p_co)
-            ok_root = ~np.isnan(roots) & (roots > 0.0)
-            s = np.log(np.where(ok_root, roots, 1.0))
-            vals = (p_co[:, None] * np.cosh(2.0 * s)
-                    + q_co[:, None] * np.sinh(2.0 * s) + r_co[:, None]
-                    - 2.0 * sign * (tr_g[:, None] * np.cosh(s)
-                                    + tr_h[:, None] * np.sinh(s)))
-            vals = np.where(ok_root, vals, np.inf)
-            best = np.minimum(best, vals.min(axis=1))
-        return good & (best <= radius * radius)
+    @staticmethod
+    def _stabilizer_roots(sign, p_co, q_co, r_co, tr_g, tr_h):
+        # with u = e^s, f'(s) * 2u^2 is the quartic below; only
+        # positive real roots correspond to real s
+        return _quartic_roots(p_co + q_co, -sign * (tr_g + tr_h),
+                              np.zeros_like(p_co), sign * (tr_g - tr_h),
+                              q_co - p_co)
+
+    @staticmethod
+    def _sign_minimum(sign, roots, p_co, q_co, r_co, tr_g, tr_h):
+        """Minimum over the critical points u = e^s among `roots` of the
+        sign component."""
+        ok_root = ~np.isnan(roots) & (roots > 0.0)
+        s = np.log(np.where(ok_root, roots, 1.0))
+        vals = (p_co[:, None] * np.cosh(2.0 * s)
+                + q_co[:, None] * np.sinh(2.0 * s) + r_co[:, None]
+                - 2.0 * sign * (tr_g[:, None] * np.cosh(s)
+                                + tr_h[:, None] * np.sinh(s)))
+        return np.where(ok_root, vals, np.inf).min(axis=1)
+
+    def _two_solve_minimum(self, coefs):
+        """The minimum over both components, one quartic solve each."""
+        plus, minus = (
+            self._sign_minimum(sign, self._stabilizer_roots(sign, *coefs),
+                               *coefs) for sign in (1.0, -1.0))
+        return np.minimum(plus, minus)
+
+    def _membership_points(self, z, points, radius):
+        coefs, good = self._stabilizer_coefficients(z, points)
+        r2 = radius * radius
+        # the sign -1 quartic is the sign +1 quartic at -u: one solve
+        # gives both components
+        roots = self._stabilizer_roots(1.0, *coefs)
+        best = np.minimum(self._sign_minimum(1.0, roots, *coefs),
+                          self._sign_minimum(-1.0, -roots, *coefs))
+        # eigvals does not return bitwise-negated roots for the negated
+        # quartic, so decisions near r^2 take the two-solve minimum
+        near = np.abs(best - r2) <= 1e-9 * (1.0 + coefs[0])
+        best[near] = self._two_solve_minimum(tuple(c[near] for c in coefs))
+        return good & (best <= r2)
 
     def membership(self, z, w, radius):
         pt = np.asarray(w, dtype=float)[None, :]

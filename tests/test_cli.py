@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -303,19 +304,29 @@ class TestEstimate:
         assert "sl2-mod-n" in err
 
     def test_bad_radius_and_samples(self, capsys):
-        for radius, samples, seed, named in [
-                ("-1", "2000", "1", "radius"),
-                ("nan", "2000", "1", "radius"),
-                ("inf", "2000", "1", "radius"),
-                ("0.3", "10", "1", "samples"),
-                ("0.3", "2000", "-1", "seed")]:
-            code, out, err = run_cli(
-                capsys, "estimate", "--space", "sl2-mod-n",
-                "--t-range", "0:1:0.25", "--radius", radius,
-                "--samples", samples, "--seed", seed)
+        plane = ("sl2-mod-n", "0:1:0.25")
+        for (space, t_range), radius, samples, seed, named in [
+                (plane, "-1", "2000", "1", "radius"),
+                (plane, "nan", "2000", "1", "radius"),
+                (plane, "inf", "2000", "1", "radius"),
+                (plane, "0.3", "10", "1", "samples"),
+                (plane, "0.3", "2000", "-1", "seed"),
+                # far out on the curve the float models give up cleanly
+                (("spd2", "100:101:1"), "0.3", "2000", "1",
+                 "spd2: the base point is outside the model's float range"),
+                (("sl2-orbit-hyperboloid", "100:101:1"), "0.3", "2000", "1",
+                 "cancels to 0 in float")]:
+            # a numpy warning would turn into an exception and exit 5
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(
+                    capsys, "estimate", "--space", space,
+                    "--t-range", t_range, "--radius", radius,
+                    "--samples", samples, "--seed", seed)
             assert code == 2
             assert out == ""
             assert err.startswith("error:") and named in err
+            assert err.count("\n") == 1
 
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -412,15 +423,17 @@ class TestConsoleEntryPoint:
         report = json.loads(proc.stdout)
         assert report["result"]["vai"] == "fails"
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path):
+    # two batches per grid point, so the workers share one model
+    @pytest.mark.parametrize("space", ["spd2", "sl2-orbit-hyperboloid"])
+    def test_thread_env_does_not_change_bytes(self, tmp_path, space):
         outputs = []
         for threads in ("1", "4"):
             env = dict(os.environ, VAI_THREADS=threads)
             csv_path = tmp_path / f"threads-{threads}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "vaikit.cli", "estimate",
-                 "--space", "spd2", "--t-range", "0:1:0.25",
-                 "--radius", "0.3", "--samples", "4000", "--seed", "2",
+                 "--space", space, "--t-range", "0:1:0.25",
+                 "--radius", "0.3", "--samples", "20000", "--seed", "2",
                  "--out", str(csv_path)],
                 capture_output=True, text=True, env=env)
             assert proc.returncode == 0

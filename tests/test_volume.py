@@ -16,6 +16,7 @@ from vaikit.volume import (
     PlaneModel,
     SPD2Model,
     VolumeSeries,
+    _quartic_roots,
     chi_partial,
     estimate_volume,
     fit_log_slope,
@@ -175,6 +176,27 @@ class TestSPD2Model:
         # every grid-certified hit is found
         assert ((mine_val <= R03 * R03) | (best > R03 * R03)).all()
 
+    @pytest.mark.parametrize("t", [0.0, 2.0, 4.0])
+    def test_floor_keeps_every_decision(self, t):
+        # membership skips the root solve where the coefficient floor
+        # already proves a miss; no decision may change
+        z = self.model.curve(t)
+        lo, hi = self.model.chart_box(z, R03)
+        coords = np.random.default_rng(31).uniform(lo, hi, size=(16384, 2))
+        mins = self.model._min_distance(z, coords)
+        hits = self.model.membership_chart(z, coords, R03)
+        assert (hits == (mins <= R03 * R03)).all()
+        assert hits.any()
+
+        k0, p2, q2, p1, q1 = self.model._angle_coefficients(z, coords)
+        amp2, amp1 = np.hypot(p2, q2), np.hypot(p1, q1)
+        size = np.abs(k0) + amp2 + amp1
+        floor = k0 - amp2 - amp1
+        assert (mins >= floor - 1e-12 * size).all()
+        rejected = floor > R03 * R03 + 1e-9 * size
+        assert rejected.any()
+        assert (mins[rejected] > R03 * R03).all()
+
     def test_estimate_at_identity_frozen(self):
         est, err = estimate_volume(self.model, self.model.base_point(),
                                    R03, 100_000, 42)
@@ -265,6 +287,31 @@ class TestHyperboloidModel:
                                          R03)
         assert self.model.membership(z, self.model.apply(rotation(0.1), z),
                                      R03)
+
+    @pytest.mark.parametrize("t", [0.0, 2.0, 4.0])
+    def test_single_solve_keeps_every_decision(self, t):
+        z = self.model.curve(t)
+        lo, hi = self.model.chart_box(z, R03)
+        coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
+        points = self.model.from_chart(coords)
+        (p_co, q_co, r_co, tr_g, tr_h), good = \
+            self.model._stabilizer_coefficients(z, points)
+        # reference: one quartic per sign component of the stabilizer
+        best = np.full(len(coords), np.inf)
+        for sign in (1.0, -1.0):
+            roots = _quartic_roots(p_co + q_co, -sign * (tr_g + tr_h),
+                                   np.zeros_like(p_co), sign * (tr_g - tr_h),
+                                   q_co - p_co)
+            ok = ~np.isnan(roots) & (roots > 0.0)
+            s = np.log(np.where(ok, roots, 1.0))
+            vals = (p_co[:, None] * np.cosh(2.0 * s)
+                    + q_co[:, None] * np.sinh(2.0 * s) + r_co[:, None]
+                    - 2.0 * sign * (tr_g[:, None] * np.cosh(s)
+                                    + tr_h[:, None] * np.sinh(s)))
+            best = np.minimum(best, np.where(ok, vals, np.inf).min(axis=1))
+        reference = good & (best <= R03 * R03)
+        assert reference.any()
+        assert (self.model.membership_chart(z, coords, R03) == reference).all()
 
     def test_estimate_frozen(self):
         est, err = estimate_volume(self.model, self.model.base_point(),
