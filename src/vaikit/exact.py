@@ -5,6 +5,12 @@ kernels in the standard free-variable parametrization, minimal and
 characteristic polynomials, and eigenspace decompositions restricted to
 rational eigenvalues.
 
+Eliminations hold rows as primitive integer vectors (each row scaled by
+the lcm of its denominators, then divided by the gcd of its entries) and
+combine them fraction-free; determinants and characteristic polynomials
+are division-free (Bareiss, Berkowitz).  Fractions appear only at the
+boundary, and results equal Fraction arithmetic's entry for entry.
+
 Everything here is deterministic.  Pivots are chosen leftmost-first and
 rows are scanned top to bottom, kernel bases set each free variable to 1
 in index order, and eigenvalues are reported in ascending order.  The
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 Vec = tuple[Fraction, ...]
 
@@ -79,7 +85,9 @@ class RatMat:
     __slots__ = ("rows", "nrows", "ncols", "_integral")
 
     def __init__(self, rows, ncols: int | None = None):
-        self.rows: tuple[Vec, ...] = tuple(tuple(rat(e) for e in r) for r in rows)
+        self.rows: tuple[Vec, ...] = tuple(
+            r if isinstance(r, tuple) and all(isinstance(e, Fraction) for e in r)
+            else tuple(rat(e) for e in r) for r in rows)
         self.nrows = len(self.rows)
         if self.rows:
             self.ncols = len(self.rows[0])
@@ -141,7 +149,8 @@ class RatMat:
             a = [[e.numerator for e in r] for r in self.rows]
             bt = [[other.rows[i][j].numerator for i in range(other.nrows)]
                   for j in range(other.ncols)]
-            out = [[Fraction(sum(x * y for x, y in zip(ar, bc))) for bc in bt] for ar in a]
+            out = [tuple(Fraction(sum(x * y for x, y in zip(ar, bc))) for bc in bt)
+                   for ar in a]
             return RatMat(out)
         bt = list(zip(*other.rows)) if other.rows else []
         return RatMat([[vec_dot(r, c) for c in bt] for r in self.rows])
@@ -187,40 +196,109 @@ class RatMat:
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        aug = RatMat([list(self.rows[i]) + list(RatMat.identity(n).rows[i])
-                      for i in range(n)])
-        r, pivots = rref(aug)
+        rows = _augmented(self.rows)
+        pivots = _gauss_jordan(rows, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMat([row[n:] for row in r.rows])
+        return RatMat([_fraction_row(row[n:], row[i]) for i, row in enumerate(rows)])
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free style Gaussian elimination."""
+        """Determinant by fraction-free Bareiss elimination with row exchanges."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        n = self.nrows
-        m = [list(r) for r in self.rows]
-        det = ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = ONE / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return det
+        rows = [_integer_row(r) for r in self.rows]
+        det, sign = 1, 1
+        for det, sign in _bareiss([ints for ints, _ in rows]):
+            pass
+        return Fraction(sign * det, prod(d for _, d in rows))
 
     def to_floats(self) -> list[list[float]]:
         return [[float(e) for e in r] for r in self.rows]
 
     def __repr__(self):
         return f"RatMat({[list(map(str, r)) for r in self.rows]})"
+
+
+# ---------------------------------------------------------------------------
+# integer elimination; Fractions only enter and leave at the boundary
+
+
+def _integer_row(r) -> tuple[list[int], int]:
+    """Row of Fractions times the lcm d of its denominators, and d."""
+    d = lcm(*[e.denominator for e in r])
+    return [e.numerator * (d // e.denominator) for e in r], d
+
+
+def _augmented(rows) -> list[list[int]]:
+    """Integer rows of ``[rows | I]``, each row's scale on its unit entry."""
+    n, out = len(rows), []
+    for i, r in enumerate(rows):
+        ints, d = _integer_row(r)
+        out.append(ints + [0] * i + [d] + [0] * (n - i - 1))
+    return out
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [e // g for e in row] if g > 1 else row
+
+
+def _fraction_row(row: list[int], den: int) -> Vec:
+    return tuple(Fraction(e, den) if e else ZERO for e in row)
+
+
+def _gauss_jordan(rows: list[list[int]], nc: int) -> list[int]:
+    """Integer Gauss-Jordan in place, with the pivoting rule of ``rref``.
+
+    Returns the pivot columns; row i divided by its entry in column
+    ``pivots[i]`` is row i of the RREF, and rows past the rank are zero.
+    """
+    nr, rank = len(rows), 0
+    pivots: list[int] = []
+    rows[:] = [_primitive(r) for r in rows]
+    for c in range(nc):
+        piv = next((r for r in range(rank, nr) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        a = prow[c]
+        for r in range(nr):
+            f = rows[r][c]
+            if f and r != rank:
+                g = gcd(a, f)
+                rows[r] = _primitive([a // g * x - f // g * y for x, y in zip(rows[r], prow)])
+        pivots.append(c)
+        rank += 1
+        if rank == nr:
+            break
+    return pivots
+
+
+def _bareiss(rows: list[list[int]]):
+    """Fraction-free elimination of a square integer matrix (Bareiss 1968).
+
+    Yields ``(pivot, sign)`` per column, sign the parity of the row
+    exchanges so far, and stops after a zero pivot; the last pivot times
+    its sign is the determinant.  Before the first exchange the k-th
+    pivot is the k-th leading principal minor.
+    """
+    n = len(rows)
+    prev, sign = 1, 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if piv is None:
+                yield 0, sign
+                return
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pk, tail = rows[k][k], rows[k][k + 1:]
+        for ri in rows[k + 1:]:
+            f = ri[k]
+            ri[k + 1:] = [(pk * x - f * y) // prev for x, y in zip(ri[k + 1:], tail)]
+        prev = pk
+        yield pk, sign
 
 
 def rref(m: RatMat) -> tuple[RatMat, list[int]]:
@@ -230,26 +308,11 @@ def rref(m: RatMat) -> tuple[RatMat, list[int]]:
     entry scanning rows top to bottom.  The RREF itself is unique; the
     rule only fixes the arithmetic path.
     """
-    rows = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    pivots: list[int] = []
-    rank = 0
-    for c in range(nc):
-        piv = next((r for r in range(rank, nr) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ONE / rows[rank][c]
-        rows[rank] = [e * inv for e in rows[rank]]
-        for r in range(nr):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == nr:
-            break
-    return RatMat(rows), pivots
+    rows = [_integer_row(r)[0] for r in m.rows]
+    pivots = _gauss_jordan(rows, m.ncols)
+    out = [_fraction_row(rows[i], rows[i][p]) for i, p in enumerate(pivots)]
+    out += [(ZERO,) * m.ncols] * (m.nrows - len(pivots))
+    return RatMat(out, ncols=m.ncols), pivots
 
 
 def kernel(m: RatMat) -> list[Vec]:
@@ -292,52 +355,65 @@ def solve(m: RatMat, b: Vec) -> Vec | None:
 class IncrementalSpan:
     """Row space under incremental insertion, with membership queries.
 
-    Maintains rows in reduced echelon form.  ``add`` returns True when
-    the vector enlarged the span.  Used for greedy basis extension and
-    for cheap repeated membership tests.
+    Maintains rows in reduced echelon form, each a primitive integer
+    vector with a positive pivot entry; ``basis()`` and ``_reduce``
+    divide by it only on the way out, so their Fractions are those of
+    Fraction arithmetic.  ``add`` returns True when the vector enlarged
+    the span.  Used for greedy basis extension and membership tests.
     """
 
     def __init__(self, dim: int, vectors=()):
         self.dim = dim
-        self.rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
         self.pivots: list[int] = []
         for v in vectors:
             self.add(v)
 
+    def _residual(self, v) -> tuple[list[int], int]:
+        """``v`` minus its part along the rows, as integers over a denominator."""
+        w, den = _integer_row(v)
+        for row, p in zip(self._rows, self.pivots):
+            if w[p]:
+                g = gcd(row[p], w[p])
+                a, f = row[p] // g, w[p] // g
+                w = [a * x - f * y for x, y in zip(w, row)]
+                g = gcd(den * a, *w)
+                den, w = den * a // g, [x // g for x in w]
+        return w, den
+
     def _reduce(self, v) -> list[Fraction]:
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
+        w, den = self._residual(v)
+        return list(_fraction_row(w, den))
 
     def contains(self, v: Vec) -> bool:
-        return all(e == 0 for e in self._reduce(v))
+        return not any(self._residual(v)[0])
 
     def add(self, v) -> bool:
-        w = self._reduce(v)
-        p = next((i for i, e in enumerate(w) if e != 0), None)
+        return self._insert(self._residual(v)[0])
+
+    def _insert(self, w: list[int]) -> bool:
+        """Add a residual of ``_residual``; False when it is zero."""
+        p = next((i for i, e in enumerate(w) if e), None)
         if p is None:
             return False
-        inv = ONE / w[p]
-        w = [e * inv for e in w]
-        for row in self.rows:
-            if row[p] != 0:
-                f = row[p]
-                row[:] = [a - f * b for a, b in zip(row, w)]
+        w = _primitive([-e for e in w] if w[p] < 0 else w)
+        for i, row in enumerate(self._rows):
+            if row[p]:
+                g = gcd(w[p], row[p])
+                a, f = w[p] // g, row[p] // g
+                self._rows[i] = _primitive([a * x - f * y for x, y in zip(row, w)])
         # keep rows sorted by pivot column
         idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(idx, w)
+        self._rows.insert(idx, w)
         self.pivots.insert(idx, p)
         return True
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def basis(self) -> list[Vec]:
-        return [tuple(r) for r in self.rows]
+        return [_fraction_row(r, r[p]) for r, p in zip(self._rows, self.pivots)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +508,32 @@ def is_squarefree(p: Poly) -> bool:
 
 
 def char_poly(m: RatMat) -> Poly:
-    """Monic characteristic polynomial det(xI - m), Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(xI - m), by Berkowitz (1984).
+
+    The algorithm is division-free, so it runs on the integer matrix d m
+    (d the lcm of all denominators); its coefficient k is d^(n-k) times
+    coefficient k of the answer.
+    """
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.nrows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = RatMat.zeros(n, n)
-    ident = RatMat.identity(n)
-    for k in range(1, n + 1):
-        mk = m @ mk + ident.scale(coeffs[n - k + 1])
-        prod = m @ mk
-        coeffs[n - k] = -prod.trace() / k
-    return tuple(coeffs)
+    d = lcm(*[e.denominator for r in m.rows for e in r])
+    a = [[e.numerator * (d // e.denominator) for e in r] for r in m.rows]
+    # desc: det(xI - a_r), descending, for the leading r x r block a_r.
+    # Bordering by row R and column C multiplies it by the lower triangular
+    # Toeplitz matrix with first column 1, -a[r][r], -R C, ..., -R a_r^(r-1) C
+    desc = [1]
+    for r in range(n):
+        block = [a[i][:r] for i in range(r)]
+        row = a[r][:r]
+        col = [a[i][r] for i in range(r)]
+        toeplitz = [1, -a[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+            col = [sum(x * y for x, y in zip(b, col)) for b in block]
+        desc = [sum(toeplitz[i - j] * desc[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+                for i in range(r + 2)]
+    return tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(reversed(desc)))
 
 
 def minimal_polynomial(m: RatMat) -> Poly:
@@ -468,12 +557,11 @@ def minimal_polynomial(m: RatMat) -> Poly:
         flat = [e for row in power.rows for e in row]
         tail = [ZERO] * (n + 1)
         tail[k] = ONE
-        w = span._reduce(flat + tail)
-        if all(e == 0 for e in w[: n * n]):
+        w, _ = span._residual(flat + tail)
+        if not any(w[: n * n]):
             coeffs = w[n * n:]
-            lead = coeffs[k]
-            return poly([c / lead for c in coeffs[: k + 1]])
-        span.add(flat + tail)
+            return poly([Fraction(c, coeffs[k]) for c in coeffs[: k + 1]])
+        span._insert(w)
         power = power @ m
         k += 1
 
@@ -508,13 +596,7 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
         roots[ZERO] = m0
     if len(work) <= 1:
         return dict(sorted(roots.items()))
-    denom = lcm(*[c.denominator for c in work])
-    ints = [int(c * denom) for c in work]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
+    ints = _primitive(_integer_row(work)[0])
     a0, an = ints[0], ints[-1]
     candidates = set()
     for pnum in _divisors(a0):

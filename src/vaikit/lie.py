@@ -16,6 +16,7 @@ derived subalgebras, radicals, Killing forms) is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvariantViolation, NotReductive
 from .exact import (
@@ -24,9 +25,12 @@ from .exact import (
     IncrementalSpan,
     RatMat,
     Vec,
+    _augmented,
+    _bareiss,
+    _gauss_jordan,
+    _integer_row,
     kernel,
     rat,
-    rref,
     vec,
     vec_is_zero,
     zero_vec,
@@ -55,6 +59,7 @@ class LieAlgebra:
                                for row in plane) for plane in sc)
         self._ad_cache: dict[int, RatMat] = {}
         self._killing = None
+        self._cartan: tuple = ()  # (default_cartan(self),) once computed
         self._reductive = None
         self._full = None
         self._realization_coord = None
@@ -93,7 +98,9 @@ class LieAlgebra:
                 structure[j][i] = tuple(-e for e in c)
         # commutators of actual matrices satisfy antisymmetry and Jacobi,
         # so the tensor read off here needs no re-validation
-        return cls(structure, realization=mats, name=name, _validate=False)
+        alg = cls(structure, realization=mats, name=name, _validate=False)
+        alg._realization_coord = coord  # eliminated once, reused by realization_coords
+        return alg
 
     # -- validation --------------------------------------------------------
 
@@ -227,32 +234,39 @@ class LieAlgebra:
 
 
 class _Coordinatizer:
-    """Solve columns-of-B coordinates repeatedly via one precomputed elimination."""
+    """Solve columns-of-B coordinates repeatedly via one precomputed elimination.
+
+    The integer RREF of ``[B | I]`` gives E with E B = [I; 0]: the first
+    ``ncols`` entries of E v are the coordinates of v, and v lies in the
+    column span exactly when the remaining entries vanish.
+    """
 
     def __init__(self, b: RatMat, ncols: int):
         n = b.nrows
-        aug = RatMat([list(b.rows[i]) + list(RatMat.identity(n).rows[i]) for i in range(n)])
-        r, pivots = rref(aug)
+        rows = _augmented(b.rows)
+        pivots = _gauss_jordan(rows, b.ncols + n)
         if [p for p in pivots if p < ncols] != list(range(ncols)):
             raise InvariantViolation("basis vectors are linearly dependent")
         self.ncols = ncols
         self.nrows = n
-        elim = [row[b.ncols:] for row in r.rows]
+        # row i of E is rows[i][b.ncols:] divided by its pivot entry
+        self._pivot = [rows[i][p] for i, p in enumerate(pivots[:ncols])]
         # column-sparse view; inputs are typically sparse, so coords costs
         # nnz(v) * nnz(column) instead of a dense n^2 sweep
-        self._cols_nz = [tuple((i, elim[i][j]) for i in range(n) if elim[i][j] != 0)
-                         for j in range(n)]
+        self._cols_nz = [tuple((i, rows[i][b.ncols + j]) for i in range(n)
+                               if rows[i][b.ncols + j]) for j in range(n)]
 
     def coords(self, v: Vec) -> Vec | None:
-        u = [ZERO] * self.nrows
-        for j, vj in enumerate(v):
-            if vj == 0:
-                continue
-            for i, e in self._cols_nz[j]:
-                u[i] += vj * e
-        if any(e != 0 for e in u[self.ncols:]):
+        nz = [(j, e) for j, e in enumerate(v) if e]
+        den = lcm(*[e.denominator for _, e in nz])
+        u = [0] * self.nrows
+        for j, e in nz:
+            x = e.numerator * (den // e.denominator)
+            for i, c in self._cols_nz[j]:
+                u[i] += x * c
+        if any(u[self.ncols:]):
             return None
-        return tuple(u[: self.ncols])
+        return tuple(Fraction(x, den * p) if x else ZERO for x, p in zip(u, self._pivot))
 
 
 class BilinearForm:
@@ -270,13 +284,13 @@ class BilinearForm:
         return sum((xi * e for xi, e in zip(x, self.gram.apply(y), strict=True)), ZERO)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester criterion: all leading principal minors positive."""
-        n = self.gram.nrows
-        for k in range(1, n + 1):
-            sub = RatMat([row[:k] for row in self.gram.rows[:k]])
-            if sub.det() <= 0:
-                return False
-        return True
+        """Sylvester criterion: all leading principal minors positive.
+
+        They are the pivots of one Bareiss pass (times positive row
+        scales); a row exchange means a zero minor.
+        """
+        rows = [_integer_row(r)[0] for r in self.gram.rows]
+        return all(sign > 0 and pivot > 0 for pivot, sign in _bareiss(rows))
 
 
 class Subspace:
@@ -295,10 +309,9 @@ class Subspace:
             self._coord = _Coordinatizer(RatMat.from_cols(self.basis), self.dim)
         else:
             self._coord = None
-        self._span = IncrementalSpan(algebra.dim, self.basis)
 
     def contains(self, v: Vec) -> bool:
-        return self._span.contains(v)
+        return self.coords(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
@@ -332,10 +345,10 @@ class Subspace:
         """
         cols = []
         for b in self.basis:
-            image = op.apply(b)
-            if not self.contains(image):
+            c = self.coords(op.apply(b))
+            if c is None:
                 raise InvariantViolation("subspace not invariant under operator")
-            cols.append(self.coords_strict(image))
+            cols.append(c)
         return RatMat.from_cols(cols) if cols else RatMat.zeros(0, 0)
 
     def __repr__(self):

@@ -176,13 +176,17 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra, cartan: CartanData) -> bool:
 
 
 def default_cartan(g: LieAlgebra) -> CartanData | None:
-    """Negative-transpose involution when a realization permits one."""
-    if g.realization is None:
-        return None
-    try:
-        return CartanData.negative_transpose(g)
-    except InvariantViolation:
-        return None
+    """Negative-transpose involution when a realization permits one.
+
+    Cached on the algebra, None included, like its Killing form.
+    """
+    if not g._cartan:
+        try:
+            cartan = None if g.realization is None else CartanData.negative_transpose(g)
+        except InvariantViolation:
+            cartan = None
+        g._cartan = (cartan,)
+    return g._cartan[0]
 
 
 def vai_verdict(g: LieAlgebra, h: Subalgebra,

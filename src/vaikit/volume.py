@@ -590,7 +590,8 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
     if samples < 1000:
         raise InputError("need at least 1000 samples")
     lo, hi = model.chart_box(z, radius)
-    box_measure = float(np.prod(hi - lo))
+    with np.errstate(over="ignore"):
+        box_measure = float(np.prod(hi - lo))
     if not (box_measure > 0.0 and np.isfinite(box_measure)):
         raise EmptyBox("sampling box has no volume")
 
@@ -677,7 +678,12 @@ def volume_along_curve(model: SpaceModel, curve=None, t_grid=(),
     estimates = []
     stderrs = []
     for i, t in enumerate(t_values):
-        est, err = estimate_volume(model, curve(t), radius=radius,
+        try:
+            z = curve(t)
+        except OverflowError:
+            raise InputError(
+                f"{model.name}: t = {t:g} is outside the model's float range") from None
+        est, err = estimate_volume(model, z, radius=radius,
                                    samples=samples, seed=seed, point_index=i)
         estimates.append(est)
         stderrs.append(err)

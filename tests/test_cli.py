@@ -315,7 +315,18 @@ class TestEstimate:
                 (("spd2", "100:101:1"), "0.3", "2000", "1",
                  "spd2: the base point is outside the model's float range"),
                 (("sl2-orbit-hyperboloid", "100:101:1"), "0.3", "2000", "1",
-                 "cancels to 0 in float")]:
+                 "cancels to 0 in float"),
+                # past t = 355 the curve itself overflows
+                (("spd2", "400:401:1"), "0.3", "2000", "1",
+                 "spd2: t = 400 is outside the model's float range"),
+                (("sl2-orbit-cone", "400:401:1"), "0.3", "2000", "1",
+                 "sl2-orbit-cone: t = 400 is outside the model's float range"),
+                (("sl2-orbit-hyperboloid", "400:401:1"), "0.3", "2000", "1",
+                 "sl2-orbit-hyperboloid: t = 400 is outside"),
+                (("sl2-mod-n", "710:711:1"), "0.3", "2000", "1",
+                 "sl2-mod-n: t = 710 is outside"),
+                (("sl2-mod-n", "400:401:1"), "0.3", "2000", "1",
+                 "sampling box has no volume")]:
             # a numpy warning would turn into an exception and exit 5
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -25,6 +25,7 @@ from vaikit.exact import (
     solve,
     vec,
 )
+from vaikit.lie import BilinearForm, LieAlgebra
 
 
 def test_rref_frozen_example():
@@ -200,3 +201,174 @@ def test_empty_kernel_shape():
     m = RatMat.zeros(0, 3)
     assert m.ncols == 3
     assert len(kernel(m)) == 3
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer core against Fraction reference algorithms
+# (Fraction Gauss-Jordan, a Fraction IncrementalSpan, Faddeev-LeVerrier and
+# Sylvester's minors), entry for entry on a seeded random set
+
+
+def _ref_rref(rows, nc):
+    """Fraction Gauss-Jordan with the pivoting rule ``rref`` documents."""
+    rows = [list(r) for r in rows]
+    pivots, rank = [], 0
+    for c in range(nc):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][c]
+        rows[rank] = [e * inv for e in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(c)
+        rank += 1
+    return [tuple(r) for r in rows], pivots
+
+
+class _RefSpan:
+    """Reduced echelon rows held as Fractions, pivot entries 1."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def reduce(self, v):
+        w = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            if w[p] != 0:
+                f = w[p]
+                w = [a - f * b for a, b in zip(w, row)]
+        return w
+
+    def add(self, v):
+        w = self.reduce(v)
+        p = next((i for i, e in enumerate(w) if e != 0), None)
+        if p is None:
+            return False
+        w = [e / w[p] for e in w]
+        for i, row in enumerate(self.rows):
+            if row[p] != 0:
+                f = row[p]
+                self.rows[i] = [a - f * b for a, b in zip(row, w)]
+        idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        self.rows.insert(idx, w)
+        self.pivots.insert(idx, p)
+        return True
+
+
+def _ref_char_poly(rows):
+    """Faddeev-LeVerrier on Fraction lists, ascending coefficients."""
+    n = len(rows)
+    coeffs = [F(0)] * n + [F(1)]
+    mk = [[F(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum((rows[i][l] * mk[l][j] for l in range(n)), F(0)) for j in range(n)]
+                for i in range(n)]
+        mk = [[prod[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
+              for i in range(n)]
+        trace = sum((rows[i][l] * mk[l][i] for i in range(n) for l in range(n)), F(0))
+        coeffs[n - k] = -trace / k
+    return tuple(coeffs)
+
+
+def _ref_det(rows):
+    """Fraction Gaussian elimination with row exchanges."""
+    m = [list(r) for r in rows]
+    n, det = len(m), F(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def _ref_positive_definite(rows):
+    """Sylvester: every leading principal minor is positive."""
+    return all(_ref_det([r[:k] for r in rows[:k]]) > 0 for k in range(1, len(rows) + 1))
+
+
+def _random_rows(rng, nr, nc):
+    """Sparse entries, some with denominators, some duplicate or zero rows."""
+    dens = rng.choice([(1,), (1, 2, 3), (1, 2, 4, 6, 9)])
+    density = rng.choice([0.3, 0.6, 1.0])
+    rows = [[F(rng.randint(-6, 6), rng.choice(dens)) if rng.random() < density else F(0)
+             for _ in range(nc)] for _ in range(nr)]
+    for i in range(nr):
+        if i and rng.random() < 0.15:  # a multiple of an earlier row
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[i] = [c * e for e in rows[rng.randrange(i)]]
+        elif rng.random() < 0.1:
+            rows[i] = [F(0)] * nc
+    return rows
+
+
+def _random_matrices(seed, count, square=False):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nr = rng.randint(0, 6)
+        nc = nr if square else rng.randint(0, 7)
+        yield RatMat(_random_rows(rng, nr, nc), ncols=nc)
+
+
+def test_rref_matches_fraction_gauss_jordan():
+    shapes = set()
+    for m in _random_matrices(101, 1200):
+        shapes.add((m.nrows == 0, m.ncols == 0))
+        r, pivots = rref(m)
+        ref_rows, ref_pivots = _ref_rref(m.rows, m.ncols)
+        assert list(r.rows) == ref_rows and pivots == ref_pivots
+        if m.nrows == m.ncols and len(pivots) == m.nrows:
+            assert m.inverse() @ m == RatMat.identity(m.nrows)
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_incremental_span_matches_fraction_span():
+    rng = random.Random(103)
+    for m in _random_matrices(107, 1200):
+        span, ref = IncrementalSpan(m.ncols), _RefSpan()
+        for row in m.rows:
+            assert span.add(row) == ref.add(row)
+        assert span.basis() == [tuple(r) for r in ref.rows]
+        assert span.pivots == ref.pivots and span.rank == len(ref.rows)
+        probes = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.ncols))]
+        if m.rows:  # a combination of the rows lies in the span
+            coeffs = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in m.rows]
+            probes.append(tuple(sum((c * row[j] for c, row in zip(coeffs, m.rows)), F(0))
+                                for j in range(m.ncols)))
+        for v in probes:
+            w = ref.reduce(v)
+            assert span._reduce(v) == w
+            assert span.contains(v) == all(e == 0 for e in w)
+
+
+def test_char_poly_and_det_match_fraction_references():
+    for m in _random_matrices(109, 1000, square=True):
+        assert char_poly(m) == _ref_char_poly(m.rows)
+        assert m.det() == _ref_det(m.rows)
+
+
+def test_positive_definite_matches_sylvester():
+    rng = random.Random(113)
+    verdicts = []
+    for n in [0] + [rng.randint(1, 5) for _ in range(1000)]:
+        b = _random_rows(rng, n, n)
+        # B^T B plus a diagonal shift of either sign: positive definite,
+        # semidefinite, indefinite and negative definite all occur
+        shift = F(rng.randint(-3, 3), rng.randint(1, 2))
+        gram = [[sum((b[k][i] * b[k][j] for k in range(n)), F(0)) + (shift if i == j else 0)
+                 for j in range(n)] for i in range(n)]
+        algebra = LieAlgebra([[[0] * n] * n] * n, _validate=False)
+        verdict = BilinearForm(algebra, RatMat(gram, ncols=n)).is_positive_definite()
+        assert verdict == _ref_positive_definite(gram)
+        verdicts.append(verdict)
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 100

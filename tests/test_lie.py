@@ -11,7 +11,7 @@ import pytest
 
 from vaikit import catalog
 from vaikit.errors import InvariantViolation, NotReductive
-from vaikit.exact import RatMat, rat, vec
+from vaikit.exact import IncrementalSpan, RatMat, rat, vec
 from vaikit.lie import (
     BilinearForm,
     LieAlgebra,
@@ -158,6 +158,24 @@ def test_unimodular_requires_reductive_ambient():
     g = LieAlgebra([[[rat(c) for c in r] for r in p] for p in sc], name="aff1")
     with pytest.raises(NotReductive):
         is_unimodular_pair(g, g.full_subalgebra())
+
+
+@pytest.mark.parametrize("algebra", ["sl3", "sl4"])
+def test_subspace_contains_agrees_with_incremental_span(algebra, request):
+    g = request.getfixturevalue(algebra)
+    rng = random.Random(17)
+    for _ in range(40):
+        span = IncrementalSpan(g.dim)
+        for _ in range(rng.randint(0, g.dim)):
+            span.add(vec([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                          if rng.random() < 0.3 else 0 for _ in range(g.dim)]))
+        sub = Subspace(g, span.basis())
+        inside = sub.from_coords(vec([rng.randint(-3, 3) for _ in range(sub.dim)]))
+        probes = [inside, vec([rng.randint(-1, 1) for _ in range(g.dim)]),
+                  g.bracket(inside, g.basis_vector(rng.randrange(g.dim)))]
+        for v in probes:
+            assert sub.contains(v) == span.contains(v)
+        assert sub.contains(inside)
 
 
 def test_bilinear_form_positive_definite():
