@@ -649,7 +649,10 @@ def rational_eigen_decomposition(m: RatMat) -> EigenDecomposition:
     rational_factor: Poly = (ONE,)
     for lam, mult in roots.items():
         shifted = m - ident.scale(lam)
-        basis = kernel(shifted ** mult)
+        # a full-dimension eigenspace is the generalized one: same RREF basis
+        basis = kernel(shifted)
+        if len(basis) < mult:
+            basis = kernel(shifted ** mult)
         spaces[lam] = tuple(basis)
         for _ in range(mult):
             rational_factor = poly_mul(rational_factor, poly([-lam, ONE]))

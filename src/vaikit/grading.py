@@ -97,9 +97,6 @@ class Grading:
     def positive_part(self) -> Subspace:
         return self._aggregate(lambda lam: lam > 0, "g^+")
 
-    def negative_part(self) -> Subspace:
-        return self._aggregate(lambda lam: lam < 0, "g^-")
-
     def nonnegative_part(self) -> Subspace:
         return self._aggregate(lambda lam: lam >= 0, "g^(>=0)")
 

@@ -67,10 +67,8 @@ class CartanData:
                 if lhs != g.bracket(ti, theta.col(j)):
                     raise InvariantViolation(
                         f"involution is not an automorphism at basis pair ({i}, {j})")
-        kappa = g.killing_form()
-        gram = RatMat([[-(kappa.value(theta.col(i), g.basis_vector(j)))
-                        for j in range(n)] for i in range(n)])
-        inner = BilinearForm(g, gram)
+        # <x, y> = -kappa(theta x, y): the Gram matrix is -(theta^T K)
+        inner = BilinearForm(g, -(theta.transpose() @ g.killing_form().gram))
         if not inner.is_positive_definite():
             raise InvariantViolation("twisted Killing pairing is not positive definite")
         self.algebra = g

@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,22 +48,80 @@ def _quartic_roots(a4, a3, a2, a1, a0):
     """
     stack = np.stack([a4, a3, a2, a1, a0])
     scale = np.abs(stack).max(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    a4, a3, a2, a1, a0 = (c / scale for c in stack)
+    a4, a3, a2, a1, a0 = stack / np.where(scale > 0.0, scale, 1.0)
     lead = np.where(np.abs(a4) < 1e-13, np.where(a4 >= 0, 1e-13, -1e-13), a4)
-    b3, b2, b1, b0 = a3 / lead, a2 / lead, a1 / lead, a0 / lead
-    n = len(b3)
-    comp = np.zeros((n, 4, 4))
-    comp[:, 0, 0] = -b3
-    comp[:, 0, 1] = -b2
-    comp[:, 0, 2] = -b1
-    comp[:, 0, 3] = -b0
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    comp[:, 3, 2] = 1.0
+    comp = np.zeros((len(lead), 4, 4))
+    comp[:, 0] = -np.stack([a3, a2, a1, a0], axis=1) / lead[:, None]
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
     roots = np.linalg.eigvals(comp)
     real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
     return np.where(real, roots.real, np.nan)
+
+
+def _symmetric(v, im2):
+    """Elementary symmetric functions of four roots (real parts v, squared
+    imaginary parts im2), paired (0, 1), (2, 3)."""
+    sa, sb, pa, pb = v[0] + v[1], v[2] + v[3], v[0] * v[1] + im2[0], v[2] * v[3] + im2[2]
+    return sa + sb, pa + pb + sa * sb, pa * sb + pb * sa, pa * pb
+
+
+@np.errstate(all="ignore")
+def _quartic_candidates(a4, a3, a2, a1, a0):
+    """Real parts x (4, N) of all four roots of batched quartics, and the
+    mask of samples settled in closed form; the rest need `_quartic_roots`.
+
+    Ferrari in real arithmetic on the monic quartic, reversed (roots 1/x)
+    where |a0| > |a4|: the largest real root of the resolvent cubic is
+    never negative (Cardano or the trigonometric form, then one Newton
+    step).  Unsettled: a leading coefficient at most 1e-3 after
+    normalization, a Vieta relation missed by more than 1e-7 times the
+    same function of the root moduli, or a root that is not finite.
+    Two Newton steps polish each real part; a step is kept only where |f|
+    drops, since from between two near-double roots it jumps far away.
+    """
+    c = np.stack([a4, a3, a2, a1, a0])
+    c = c / np.where(c.any(axis=0), np.abs(c).max(axis=0), 1.0)
+    flip = np.abs(c[4]) > np.abs(c[0])
+    solved = np.where(flip, c[::-1], c)
+    settled = np.abs(solved[0]) > 1e-3
+    b3, b2, b1, b0 = solved[1:] / np.where(settled, solved[0], 1.0)
+    # depressed y^4 + p y^2 + q y + r, x = y - h; resolvent cubic
+    # z^3 + 2p z^2 + e z - q^2 in z = s^2, depressed at z = w - 2p/3
+    h = b3 / 4.0
+    p = b2 - 6.0 * h * h
+    q = b1 - 2.0 * b2 * h + 8.0 * h * h * h
+    r = b0 - b1 * h + b2 * h * h - 3.0 * h * h * h * h
+    e, big_p = p * p - 4.0 * r, -p * p / 3.0 - 4.0 * r
+    big_q = -2.0 * p * p * p / 27.0 + 8.0 * p * r / 3.0 - q * q
+    disc = big_q * big_q / 4.0 + big_p * big_p * big_p / 27.0
+    u = np.cbrt(-big_q / 2.0 - np.copysign(np.sqrt(disc), big_q))
+    m = np.sqrt(-big_p / 3.0)
+    trig = 2.0 * m * np.cos(np.arccos(np.clip(-big_q / (2.0 * m * m * m), -1.0, 1.0)) / 3.0)
+    z = np.where(disc >= 0.0, u - big_p / (3.0 * u), trig) - 2.0 * p / 3.0
+    z = z - (((z + 2.0 * p) * z + e) * z - q * q) / ((3.0 * z + 4.0 * p) * z + e)
+    roots, im2 = [], []
+    for b in (np.sqrt(z), -np.sqrt(z)):
+        # y^2 + b y + k, the larger root first; a complex pair has real
+        # parts -b/2 and squared imaginary parts -dd/4
+        k = (p + z - q / b) / 2.0
+        dd = z - 4.0 * k
+        y1 = -(b + np.copysign(np.sqrt(dd * (dd >= 0.0)), b)) / 2.0
+        roots += [y1 - h, np.where(dd >= 0.0, k / y1, y1) - h]
+        im2 += [np.maximum(-dd, 0.0) / 4.0] * 2
+    x, im2 = np.stack(roots), np.stack(im2)
+    size = _symmetric(np.sqrt(x * x + im2), np.zeros_like(im2))
+    for got, want, bound in zip(_symmetric(x, im2), (-b3, b2, -b1, b0), size):
+        settled &= np.abs(got - want) < 1e-7 * bound  # false for inf, nan
+    # the real part of 1/(x + i im) is x / (x^2 + im^2)
+    x = np.where(flip, x / (x * x + im2), x)
+    settled &= np.isfinite(x + im2).all(axis=0)
+    fx, slope = np.polyval(c, x), c[:4] * np.array([[4.0], [3.0], [2.0], [1.0]])
+    for _ in range(2):
+        step = x - fx / np.polyval(slope, x)
+        f_step = np.polyval(c, step)
+        better = np.abs(f_step) < np.abs(fx)
+        x, fx = np.where(better, step, x), np.where(better, f_step, fx)
+    return x, settled
 
 
 def _require_finite(model_name, coefs):
@@ -185,6 +244,12 @@ class SPD2Model(SpaceModel):
     carry rounding of order 1e-15 times that same sum, six orders below
     the margin, so no skipped sample could have been a hit.  Only the
     remaining samples reach the quartic.
+
+    The quartic is solved in closed form and f, rational in tan(phi/2), is
+    taken at the real parts of all four roots and at phi = pi: actual
+    angles, so never below the true minimum, and a near-double root split
+    into a complex pair keeps its real part.  Unsettled samples, non-finite
+    values and minima within the margin of r^2 go to `_angle_minimum`.
     """
 
     name = "spd2"
@@ -258,13 +323,15 @@ class SPD2Model(SpaceModel):
         return _require_finite(self.name, (k0, p2, q2, p1, q1))
 
     @staticmethod
-    def _angle_minimum(k0, p2, q2, p1, q1):
+    def _angle_quartic(p2, q2, p1, q1):
+        # critical points: with t = tan(phi/2), f'(phi)(1+t^2)^2 is this
+        # quartic; phi = pi is the one point the substitution misses
+        return (2.0 * q2 - q1, 8.0 * p2 - 2.0 * p1, -12.0 * q2,
+                -8.0 * p2 - 2.0 * p1, 2.0 * q2 + q1)
+
+    def _angle_minimum(self, k0, p2, q2, p1, q1):
         """Global minimum over phi of the trig polynomial, per sample."""
-        # critical points: with t = tan(phi/2), f'(phi)(1+t^2)^2 is the
-        # quartic below; phi = pi is the one point the substitution misses
-        roots = _quartic_roots(2.0 * q2 - q1, 8.0 * p2 - 2.0 * p1,
-                               -12.0 * q2, -8.0 * p2 - 2.0 * p1,
-                               2.0 * q2 + q1)
+        roots = _quartic_roots(*self._angle_quartic(p2, q2, p1, q1))
         phi = 2.0 * np.arctan(np.where(np.isnan(roots), 0.0, roots))
         vals = (k0[:, None] + p2[:, None] * np.cos(2.0 * phi)
                 + q2[:, None] * np.sin(2.0 * phi)
@@ -283,10 +350,20 @@ class SPD2Model(SpaceModel):
         amp2, amp1 = np.hypot(p2, q2), np.hypot(p1, q1)
         # f >= k0 - amp2 - amp1 at every phi, so a floor clear of r^2 by
         # the margin is a certified miss; only the rest need the roots
-        undecided = k0 - amp2 - amp1 <= r2 + 1e-9 * (np.abs(k0) + amp2 + amp1)
+        margin = 1e-9 * (np.abs(k0) + amp2 + amp1)
+        undecided = k0 - amp2 - amp1 <= r2 + margin
+        k0, p2, q2, p1, q1 = coefs = tuple(c[undecided] for c in coefs)
+        x, settled = _quartic_candidates(*self._angle_quartic(p2, q2, p1, q1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cos1, sin1 = (1.0 - x * x) / (1.0 + x * x), 2.0 * x / (1.0 + x * x)
+            vals = (k0 + p2 * (cos1 * cos1 - sin1 * sin1)
+                    + q2 * (2.0 * sin1 * cos1) + p1 * cos1 + q1 * sin1)
+        best = np.minimum(vals.min(axis=0), k0 + p2 - p1)
+        refer = ~(settled & np.isfinite(vals).all(axis=0)
+                  & (np.abs(best - r2) > margin[undecided]))
+        best[refer] = self._angle_minimum(*(c[refer] for c in coefs))
         hit = np.zeros(len(coords), dtype=bool)
-        hit[undecided] = self._angle_minimum(
-            *(c[undecided] for c in coefs)) <= r2
+        hit[undecided] = best <= r2
         return hit
 
     def membership(self, z, w, radius):
@@ -374,12 +451,12 @@ class HyperboloidModel(SpaceModel):
     u = e^s the critical points are positive real roots of a quartic,
     so the global minimum is exact.
 
-    The quartic of the -1 component is the +1 quartic at -u, so one
-    solve serves both: positive real roots for +1, negated negative real
-    roots for -1.  The eigensolver does not return bitwise-negated roots
-    for the negated quartic, so a sample whose minimum lies within
-    1e-9 (1 + P) of r^2 is decided by solving both quartics, as the
-    separate-solve minimum it must reproduce.
+    The -1 quartic is the +1 quartic at -u, so x = +-u runs over both
+    components; f = ((P+Q) x^2 + (P-Q) / x^2) / 2 + R - (D+E) x - (D-E) / x
+    is taken at the real parts of all four closed-form roots as in SPD2Model,
+    and `_two_solve_minimum` decides the samples SPD2Model would refer, with
+    margin 1e-9 (1 + P).  The float range is |a| <= 9.0e6 (t <= 8.35): there
+    the eigenvector determinant rounds by eps (1 + |a|) / 2 < 1e-9 relative.
     """
 
     name = "sl2-orbit-hyperboloid"
@@ -409,6 +486,9 @@ class HyperboloidModel(SpaceModel):
             raise EmptyBox(
                 "eigenvector determinant of the point cancels to 0 in float; "
                 "the point is too far out along the orbit")
+        if np.finfo(float).eps * (1.0 + abs(a)) / 2.0 > 1e-9:  # det's rounding
+            raise EmptyBox(f"{HyperboloidModel.name}: the point is outside the model's "
+                           "float range |a| <= 9.0e6 (t <= 8.35 on the curve)")
         if det < 0.0:
             p[:, 1] = -p[:, 1]
             det = -det
@@ -498,12 +578,10 @@ class HyperboloidModel(SpaceModel):
         return _require_finite(self.name, coefs), good
 
     @staticmethod
-    def _stabilizer_roots(sign, p_co, q_co, r_co, tr_g, tr_h):
-        # with u = e^s, f'(s) * 2u^2 is the quartic below; only
-        # positive real roots correspond to real s
-        return _quartic_roots(p_co + q_co, -sign * (tr_g + tr_h),
-                              np.zeros_like(p_co), sign * (tr_g - tr_h),
-                              q_co - p_co)
+    def _stabilizer_quartic(sign, p_co, q_co, r_co, tr_g, tr_h):
+        # with u = e^s, f'(s) * 2u^2 is this quartic; real s <-> u > 0
+        return (p_co + q_co, -sign * (tr_g + tr_h), np.zeros_like(p_co),
+                sign * (tr_g - tr_h), q_co - p_co)
 
     @staticmethod
     def _sign_minimum(sign, roots, p_co, q_co, r_co, tr_g, tr_h):
@@ -520,31 +598,31 @@ class HyperboloidModel(SpaceModel):
     def _two_solve_minimum(self, coefs):
         """The minimum over both components, one quartic solve each."""
         plus, minus = (
-            self._sign_minimum(sign, self._stabilizer_roots(sign, *coefs),
-                               *coefs) for sign in (1.0, -1.0))
+            self._sign_minimum(
+                sign, _quartic_roots(*self._stabilizer_quartic(sign, *coefs)),
+                *coefs) for sign in (1.0, -1.0))
         return np.minimum(plus, minus)
 
     def _membership_points(self, z, points, radius):
         coefs, good = self._stabilizer_coefficients(z, points)
+        p_co, q_co, r_co, tr_g, tr_h = coefs
         r2 = radius * radius
-        # the sign -1 quartic is the sign +1 quartic at -u: one solve
-        # gives both components
-        roots = self._stabilizer_roots(1.0, *coefs)
-        best = np.minimum(self._sign_minimum(1.0, roots, *coefs),
-                          self._sign_minimum(-1.0, -roots, *coefs))
-        # eigvals does not return bitwise-negated roots for the negated
-        # quartic, so decisions near r^2 take the two-solve minimum
-        near = np.abs(best - r2) <= 1e-9 * (1.0 + coefs[0])
-        best[near] = self._two_solve_minimum(tuple(c[near] for c in coefs))
+        x, settled = _quartic_candidates(*self._stabilizer_quartic(1.0, *coefs))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            inv = 1.0 / x
+            vals = (((p_co + q_co) * x * x + (p_co - q_co) * inv * inv) / 2.0
+                    + r_co - (tr_g + tr_h) * x - (tr_g - tr_h) * inv)
+        best = vals.min(axis=0)
+        refer = ~(settled & np.isfinite(vals).all(axis=0)
+                  & (np.abs(best - r2) > 1e-9 * (1.0 + p_co)))
+        best[refer] = self._two_solve_minimum(tuple(c[refer] for c in coefs))
         return good & (best <= r2)
 
     def membership(self, z, w, radius):
         pt = np.asarray(w, dtype=float)[None, :]
         return bool(self._membership_points(z, pt, radius)[0])
 
-    def apply(self, g, point):
-        g = np.asarray(g, dtype=float)
-        return _orbit_coords(g @ _orbit_matrix(point) @ np.linalg.inv(g))
+    apply = ConeModel.apply
 
 
 SPACES = {
@@ -595,20 +673,14 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
     if not (box_measure > 0.0 and np.isfinite(box_measure)):
         raise EmptyBox("sampling box has no volume")
 
-    counts = [BATCH] * (samples // BATCH)
-    if samples % BATCH:
-        counts.append(samples % BATCH)
-    jobs = list(enumerate(counts))
+    counts = [BATCH] * (samples // BATCH) + ([samples % BATCH] if samples % BATCH else [])
+    batch = partial(_batch_partial, model, z, lo, hi, radius, seed, point_index)
     threads = _thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = list(pool.map(
-                lambda job: _batch_partial(model, z, lo, hi, radius, seed,
-                                           point_index, job[0], job[1]),
-                jobs))
+            hits = list(pool.map(batch, range(len(counts)), counts))
     else:
-        hits = [_batch_partial(model, z, lo, hi, radius, seed,
-                               point_index, bi, n) for bi, n in jobs]
+        hits = list(map(batch, range(len(counts)), counts))
     # each sample scores 0 or 1, so its second moment equals the mean
     mean = sum(hits) / samples
     var = max(mean - mean * mean, 0.0)

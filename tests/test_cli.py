@@ -316,6 +316,14 @@ class TestEstimate:
                  "spd2: the base point is outside the model's float range"),
                 (("sl2-orbit-hyperboloid", "100:101:1"), "0.3", "2000", "1",
                  "cancels to 0 in float"),
+                # past t = 8.35 the hyperboloid's determinant rounds by
+                # more than the membership margin
+                (("sl2-orbit-hyperboloid", "10:11:1"), "0.3", "2000", "1",
+                 "sl2-orbit-hyperboloid: the point is outside the model's "
+                 "float range"),
+                (("sl2-orbit-hyperboloid", "19:20:1"), "0.3", "2000", "1",
+                 "sl2-orbit-hyperboloid: the point is outside the model's "
+                 "float range"),
                 # past t = 355 the curve itself overflows
                 (("spd2", "400:401:1"), "0.3", "2000", "1",
                  "spd2: t = 400 is outside the model's float range"),

@@ -16,6 +16,7 @@ from vaikit.volume import (
     PlaneModel,
     SPD2Model,
     VolumeSeries,
+    _quartic_candidates,
     _quartic_roots,
     chi_partial,
     estimate_volume,
@@ -197,6 +198,17 @@ class TestSPD2Model:
         assert rejected.any()
         assert (mins[rejected] > R03 * R03).all()
 
+    @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
+    def test_closed_form_keeps_every_decision(self, t):
+        # the closed-form quartic must decide as the eigvals-only path
+        z = self.model.curve(t)
+        lo, hi = self.model.chart_box(z, R03)
+        coords = np.random.default_rng(43).uniform(lo, hi, size=(16384, 2))
+        reference = self.model._min_distance(z, coords) <= R03 * R03
+        assert reference.any()
+        assert (self.model.membership_chart(z, coords, R03)
+                == reference).all()
+
     def test_estimate_at_identity_frozen(self):
         est, err = estimate_volume(self.model, self.model.base_point(),
                                    R03, 100_000, 42)
@@ -313,6 +325,27 @@ class TestHyperboloidModel:
         assert reference.any()
         assert (self.model.membership_chart(z, coords, R03) == reference).all()
 
+    @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
+    def test_closed_form_keeps_every_decision(self, t):
+        # the closed-form quartic must decide as the eigvals-only path:
+        # one companion solve per sign component
+        z = self.model.curve(t)
+        lo, hi = self.model.chart_box(z, R03)
+        coords = np.random.default_rng(41).uniform(lo, hi, size=(16384, 2))
+        coefs, good = self.model._stabilizer_coefficients(
+            z, self.model.from_chart(coords))
+        reference = good & (self.model._two_solve_minimum(coefs) <= R03 * R03)
+        assert reference.any()
+        assert (self.model.membership_chart(z, coords, R03)
+                == reference).all()
+
+    def test_float_range_is_declared(self):
+        assert self.model.membership(self.model.curve(8.3),
+                                     self.model.curve(8.3), R03)
+        with pytest.raises(EmptyBox, match="float range"):
+            self.model.membership(self.model.curve(8.4),
+                                  self.model.curve(8.4), R03)
+
     def test_estimate_frozen(self):
         est, err = estimate_volume(self.model, self.model.base_point(),
                                    R03, 100_000, 42)
@@ -336,6 +369,68 @@ class TestHyperboloidModel:
                                     R03, 20_000, 42)
         assert min(series.estimates) >= 0.5 * series.estimates[0]
         assert series.estimates[-1] > series.estimates[0]
+
+
+def _adversarial_quartics(rng, n=200):
+    """family -> (coefficient rows (5, n), relative root tolerance)."""
+    def signed(lo, hi, k):
+        return rng.uniform(lo, hi, k) * rng.choice([-1.0, 1.0], k)
+
+    def from_roots(make):
+        return np.array([np.poly(make()).real for _ in range(n)]).T
+
+    def near_double(d):
+        def make():
+            a = rng.uniform(-3.0, 3.0)
+            return [a, a + d, a + rng.uniform(0.5, 2.0),
+                    a - rng.uniform(0.5, 2.0)]
+        return make
+
+    def complex_pairs():
+        z1, z2 = complex(*signed(0.05, 3.0, 2)), complex(*signed(0.05, 3.0, 2))
+        return [z1, z1.conjugate(), z2, z2.conjugate()]
+
+    zero_a2 = rng.normal(size=(5, n))
+    zero_a2[2] = 0.0
+    families = {f"near-double {d:g}": (from_roots(near_double(d)), 1e-6)
+                for d in (0.0, 1e-10, 1e-7, 1e-4)}
+    families.update({
+        # rounded coefficients fix a root of multiplicity 4 only to about
+        # eps^(1/4), for the companion matrix as for the closed form
+        "quadruple": (from_roots(lambda: [rng.uniform(-3.0, 3.0)] * 4), 1e-3),
+        # all roots large: |a4| / |a0| near 1e-12, above the nudge of
+        # _quartic_roots, so its roots stay a valid reference
+        "|a4| << |a0|": (from_roots(lambda: signed(0.5, 1.5, 4) * 1e3), 1e-6),
+        "|a0| << |a4|": (from_roots(lambda: signed(0.5, 1.5, 4) * 1e-3), 1e-6),
+        "zero a2": (zero_a2, 1e-6),
+        "all complex": (from_roots(complex_pairs), 1e-6),
+        "1e5 beside 1": (from_roots(lambda: np.r_[signed(1.0, 5.0, 1) * 1e5,
+                                                  signed(0.05, 3.0, 3)]), 1e-6),
+        "two 1e5 beside 1": (from_roots(lambda: np.r_[signed(1.0, 5.0, 2) * 1e5,
+                                                      signed(0.05, 3.0, 2)]),
+                             1e-6),
+    })
+    return families
+
+
+class TestClosedFormQuartic:
+    def test_every_real_root_is_a_candidate_or_referred(self):
+        # each real companion-matrix root lies within the relative
+        # tolerance of a closed-form candidate, or the sample is
+        # unsettled and membership refers it to the companion matrix
+        shares = []
+        for family, (coefs, tol) in _adversarial_quartics(
+                np.random.default_rng(2024)).items():
+            x, settled = _quartic_candidates(*coefs)
+            roots = _quartic_roots(*coefs)
+            assert settled.any(), family
+            shares.append(settled.mean())
+            for i in np.flatnonzero(settled):
+                for root in roots[i][~np.isnan(roots[i])]:
+                    gap = np.abs(x[:, i] - root).min()
+                    assert gap <= tol * abs(root), (family, i, root, x[:, i])
+        # most samples stay on the closed form
+        assert np.mean(shares) >= 0.8
 
 
 class TestEstimator:
