@@ -39,7 +39,7 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def str_to_rat(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise InputError(f"rational entries must be strings, got {type(s).__name__}")
@@ -67,6 +67,8 @@ def _mat_to_json(m: RatMat) -> list[list[str]]:
 def _mat_from_json(data, where: str) -> RatMat:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise InputError(f"{where}: expected a matrix (list of rows)")
+    if any(len(r) != len(data[0]) for r in data):
+        raise InputError(f"{where}: rows have different lengths")
     return RatMat([[str_to_rat(e) for e in row] for row in data])
 
 

@@ -4,9 +4,10 @@ A ``LieAlgebra`` stores the full structure tensor c[i][j][k] with
 ``[e_i, e_j] = sum_k c[i][j][k] e_k`` and, optionally, a matrix
 realization used for building catalogs and for transpose-based
 involutions.  Hand-entered tensors are checked exactly (antisymmetry
-and Jacobi) at construction; tensors read off from a realization
-inherit both properties from the matrix commutator, so only span
-closure is checked there.
+and Jacobi) at construction.  Only ``from_realization`` sets a
+realization: one matrix per basis element, with the tensor read off
+their commutators, so it agrees with the tensor and inherits both
+properties; only span closure is checked there.
 
 Subspaces and subalgebras remember their ambient algebra and their
 spanning vectors in ambient coordinates.  All derived data (centers,
@@ -32,7 +33,6 @@ from .exact import (
     kernel,
     rat,
     vec,
-    vec_is_zero,
     zero_vec,
 )
 
@@ -48,12 +48,7 @@ class LieAlgebra:
             raise InvariantViolation("structure tensor must be dim x dim x dim")
         self.sc = sc
         self.name = name
-        self.realization = None
-        if realization is not None:
-            self.realization = tuple(m if isinstance(m, RatMat) else RatMat(m)
-                                     for m in realization)
-            if len(self.realization) != self.dim:
-                raise InvariantViolation("one realization matrix per basis element")
+        self.realization = None if realization is None else tuple(realization)
         # sparse view: _nz[i][j] lists (k, c) with c != 0
         self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c != 0)
                                for row in plane) for plane in sc)
@@ -122,18 +117,6 @@ class LieAlgebra:
                     if any(e != 0 for e in acc):
                         raise InvariantViolation(
                             f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
-        if self.realization is not None:
-            for i in range(n):
-                for j in range(n):
-                    comm = (self.realization[i] @ self.realization[j]
-                            - self.realization[j] @ self.realization[i])
-                    expect = RatMat.zeros(comm.nrows, comm.ncols)
-                    for k, c in self._nz[i][j]:
-                        expect = expect + self.realization[k].scale(c)
-                    if comm != expect:
-                        raise InvariantViolation(
-                            f"realization commutator disagrees with structure "
-                            f"constants at pair ({i}, {j})")
 
     def _jacobi_term(self, i: int, j: int, k: int, acc: list):
         # acc += [e_i, [e_j, e_k]]

@@ -76,7 +76,8 @@ def _as_subspace(g, data, name):
 class ParabolicData:
     """A parabolic p0 = l0 + n0 with grading element x and opposite n̄0.
 
-    Validated exactly: the Levi/nilradical split, the ideal property of
+    Validated exactly: the length of x, the Levi/nilradical split (the
+    ``_split`` subspace rejects an l0/n0 overlap), the ideal property of
     n0, centrality of x in l0, the full split g = n̄0 + l0 + n0, and a
     semisimple positive ad-x spectrum on n0.
     """
@@ -89,11 +90,12 @@ class ParabolicData:
         self.nbar0 = _as_subspace(g, nbar0, "nbar0")
         self.x = vec(x)
 
+        if len(self.x) != g.dim:
+            raise InvariantViolation(
+                f"x has {len(self.x)} entries, the algebra has dimension {g.dim}")
         if self.l0.dim + self.n0.dim != self.p0.dim:
             raise InvariantViolation("p0 dimension is not dim l0 + dim n0")
-        span = IncrementalSpan(g.dim, self.l0.basis)
-        if not all(span.add(b) for b in self.n0.basis):
-            raise InvariantViolation("l0 and n0 overlap")
+        self._split = Subspace(g, self.l0.basis + self.n0.basis, name="l0|n0")
         if not all(self.p0.contains(b) for b in self.l0.basis + self.n0.basis):
             raise InvariantViolation("l0 + n0 does not lie in p0")
         for a in self.p0.basis:
@@ -111,7 +113,6 @@ class ParabolicData:
                 raise InvariantViolation("nbar0 overlaps l0 + n0")
         if full.rank != g.dim:
             raise InvariantViolation("nbar0 + l0 + n0 does not fill the algebra")
-        self._split = Subspace(g, self.l0.basis + self.n0.basis, name="l0|n0")
 
         m = self.n0.restriction_matrix(g.ad(self.x))
         if not is_squarefree(minimal_polynomial(m)):
@@ -136,9 +137,10 @@ class ParabolicData:
 class DecayWitness:
     """Certificate that ball volumes decay like e^{t gamma} on the curve.
 
-    All structural invariants are verified exactly at construction:
-    p0 = l1 + h + n1 and g = h + v as direct sums, n1 a proper ad-x
-    stable subspace of n0, and gamma equal to the trace gap.
+    Verified exactly at construction: p0 = l1 + h + n1 as a direct sum,
+    n1 a proper ad-x stable subspace of n0, and gamma the positive trace
+    gap.  ParabolicData gives g = n̄0 + p0, so g = h + v is direct for
+    v = n̄0 + l1 + n1 and the (v | h) coordinate matrix is invertible.
     """
 
     def __init__(self, g: LieAlgebra, h: Subalgebra, parabolic: ParabolicData,
@@ -174,9 +176,6 @@ class DecayWitness:
 
         self.v = Subspace(
             g, p.nbar0.basis + self.l1.basis + self.n1.basis, name="v")
-        whole = IncrementalSpan(g.dim, self.v.basis)
-        if not all(whole.add(b) for b in h.basis) or whole.rank != g.dim:
-            raise InvariantViolation("h + v does not split the algebra")
         # coordinates (v | h); the v block realizes the projection along h
         self._vh = RatMat.from_cols(list(self.v.basis) + list(h.basis))
         self._vh_inv = self._vh.inverse()

@@ -325,7 +325,7 @@ def _random_nilpotent(rng, n, g):
     return tuple(coords)
 
 
-def test_criterion_10_randomized_instances():
+def test_criterion_10_randomized_instances(assert_bracket_compatible):
     """1000 random (nilpotent, basis change) instances in sl3/sl4:
     transformed structure constants pass Jacobi validation, the Killing
     form transforms by congruence, the triple grading stays bracket
@@ -360,7 +360,7 @@ def test_criterion_10_randomized_instances():
         base = grading_of(g, triple.x)
         parts2 = {lam: Subspace(g2, [sinv.apply(b) for b in part.basis])
                   for lam, part in base.parts.items()}
-        Grading(g2, sinv.apply(triple.x), parts2)  # brackets validated
+        assert_bracket_compatible(Grading(g2, sinv.apply(triple.x), parts2))
         checks += 1
 
         ad2 = g2.ad(nu2)

@@ -118,6 +118,27 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag,payload,named", [
+        # ragged rows in an explicit involution matrix
+        ("--theta", {"matrix": [["-1", "0", "0"], ["0", "0"],
+                                ["0", "-1", "0"]]}, "matrix: rows"),
+        # JSON booleans are not rationals, though Python counts them as ints
+        ("--subalgebra", {"name": "b", "basis": [[True, False, False]]},
+         "got bool"),
+    ], ids=["ragged-theta", "bool-entry"])
+    def test_bad_json_entries_are_input_errors(self, capsys, tmp_path,
+                                               flag, payload, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        # a repeated --subalgebra overrides the first one
+        code, out, err = run_cli(
+            capsys, "check", "--algebra", d("sl2.json"),
+            "--subalgebra", d("sl2-so2.json"), flag, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+        assert err.count("\n") == 1
+
     def test_report_roundtrips(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--algebra", d("sl2.json"),
                             "--subalgebra", d("sl2-n.json"))
@@ -169,6 +190,19 @@ class TestWitness:
         assert result["averaged"] is True
         assert result["gamma"] == "2"
         assert len(result["n1"]) == 1
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_parabolic_x_of_wrong_length(self, capsys, tmp_path, length):
+        fields = json.loads(data_path("sl3-flag-parabolic.json").read_text())
+        fields["x"] = (fields["x"] + ["0"])[:length]
+        bad = tmp_path / "parabolic.json"
+        bad.write_text(json.dumps(fields))
+        code, out, err = run_cli(
+            capsys, "witness", "--algebra", d("sl3.json"),
+            "--subalgebra", d("sl3-e12.json"), "--parabolic", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: x has {length} entries, the algebra has dimension 8\n"
 
     def test_requires_fails_verdict(self, capsys):
         code, out, err = run_cli(

@@ -29,8 +29,9 @@ from vaikit.grading import (
 from vaikit.lie import Subalgebra, Subspace
 
 
-def test_grading_sl2_by_h(sl2):
+def test_grading_sl2_by_h(sl2, assert_bracket_compatible):
     gr = grading_of(sl2, vec([1, 0, 0]))
+    assert_bracket_compatible(gr)
     assert gr.eigenvalues() == [-2, 0, 2]
     assert gr.part(2).same_span(Subspace(sl2, [vec([0, 1, 0])]))
     assert gr.part(0).same_span(Subspace(sl2, [vec([1, 0, 0])]))
@@ -39,10 +40,11 @@ def test_grading_sl2_by_h(sl2):
     assert gr.nonnegative_part().dim == 2
 
 
-def test_grading_sl3_by_block_element(sl3):
+def test_grading_sl3_by_block_element(sl3, assert_bracket_compatible):
     # x = diag(2, -1, -1): eigenvalue 3 on the first row, -3 on the first column
     x = vec([2, 1, 0, 0, 0, 0, 0, 0])
     gr = grading_of(sl3, x)
+    assert_bracket_compatible(gr)
     assert gr.eigenvalues() == [-3, 0, 3]
     e12, e13 = sl3.basis_vector(2), sl3.basis_vector(3)
     assert gr.part(3).same_span(Subspace(sl3, [e12, e13]))
@@ -50,8 +52,9 @@ def test_grading_sl3_by_block_element(sl3):
     assert gr.part(-3).dim == 2
 
 
-def test_grading_by_zero(sl2):
+def test_grading_by_zero(sl2, assert_bracket_compatible):
     gr = grading_of(sl2, vec([0, 0, 0]))
+    assert_bracket_compatible(gr)
     assert gr.eigenvalues() == [0]
     assert gr.part(0).dim == 3
 
@@ -78,8 +81,9 @@ def test_grading_validates_labels(sl2):
         Grading(sl2, vec([1, 0, 0]), parts)
 
 
-def test_components_of(sl2):
+def test_components_of(sl2, assert_bracket_compatible):
     gr = grading_of(sl2, vec([1, 0, 0]))
+    assert_bracket_compatible(gr)
     comps = gr.components_of(vec([5, -1, 7]))
     assert comps[Fraction(0)] == vec([5, 0, 0])
     assert comps[Fraction(2)] == vec([0, -1, 0])
@@ -150,11 +154,12 @@ def test_verify_nonnegative_grading_sl2(sl2, sl2_subs):
     assert verify_nonnegative_grading(sl2, sl2_subs["n"], t)
 
 
-def test_verify_nonnegative_grading_sl5(sl5):
+def test_verify_nonnegative_grading_sl5(sl5, assert_bracket_compatible):
     h = catalog.sl5_nilpotent_pair(sl5)
     t = jacobson_morozov(sl5, h.basis[0])
     assert verify_nonnegative_grading(sl5, h, t)
     gr = grading_of(sl5, t.x)
+    assert_bracket_compatible(gr)
     comps = gr.components_of(h.basis[1])
     assert sorted(comps) == [4, 6]
     assert sorted(gr.components_of(h.basis[0])) == [2]

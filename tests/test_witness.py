@@ -97,8 +97,18 @@ class TestParabolicData:
 
     def test_rejects_overlapping_split(self, sl2):
         h, e, f = (sl2.basis_vector(i) for i in range(3))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="nbar0 overlaps"):
             ParabolicData(sl2, [h, e], [h], [e], [e], x=h)
+        # l0 meets n0 in span(E); the dimensions still add up to dim p0
+        with pytest.raises(InvariantViolation, match="linearly dependent"):
+            ParabolicData(sl2, [h, e, f], [h, e], [e], [f], x=h)
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_rejects_x_of_wrong_length(self, sl3, length):
+        d = catalog.sl3_flag_parabolic()
+        x = (d["x"] + (F(0),))[:length]
+        with pytest.raises(InvariantViolation, match=f"x has {length} entries"):
+            ParabolicData(sl3, d["p0"], d["l0"], d["n0"], d["nbar0"], x=x)
 
 
 class TestBuildN1:
