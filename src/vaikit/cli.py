@@ -56,7 +56,6 @@ from .reductivity import (
     default_cartan,
     vai_verdict,
 )
-from .volume import get_model, volume_along_curve
 from .witness import (
     ParabolicData,
     build_n1,
@@ -314,6 +313,9 @@ def _min_volume_check(series) -> str:
 
 
 def cmd_estimate(args) -> tuple[dict, int]:
+    # imported here: numpy is the estimator's cost, and check/witness never need it
+    from .volume import get_model, volume_along_curve
+
     model = get_model(args.space)
     grid = _parse_t_range(args.t_range)
     if args.fit and len(grid) < 4:

@@ -5,11 +5,12 @@ kernels in the standard free-variable parametrization, minimal and
 characteristic polynomials, and eigenspace decompositions restricted to
 rational eigenvalues.
 
-Eliminations hold rows as primitive integer vectors (each row scaled by
-the lcm of its denominators, then divided by the gcd of its entries) and
-combine them fraction-free; determinants and characteristic polynomials
-are division-free (Bareiss, Berkowitz).  Fractions appear only at the
-boundary, and results equal Fraction arithmetic's entry for entry.
+A ``RatMat`` holds Fractions, but the algorithms scale a matrix or row
+to integers over the lcm of its denominators: products and powers
+multiply integer matrices, eliminations combine primitive integer rows
+fraction-free, determinants and characteristic polynomials are
+division-free (Bareiss, Berkowitz), and each divides once on the way
+out, so results equal Fraction arithmetic's entry for entry.
 
 Everything here is deterministic.  Pivots are chosen leftmost-first and
 rows are scanned top to bottom, kernel bases set each free variable to 1
@@ -26,6 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import mul
+
+from .errors import InputError
 
 Vec = tuple[Fraction, ...]
 
@@ -55,11 +59,7 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
 
 
 def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
-
-
-def vec_dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
+    return tuple(c * x if x else ZERO for x in a)
 
 
 def vec_is_zero(a: Vec) -> bool:
@@ -75,14 +75,9 @@ def unit_vec(n: int, i: int) -> Vec:
 
 
 class RatMat:
-    """Immutable dense matrix over the rationals.
+    """Immutable dense matrix over the rationals; rows are tuples of Fraction."""
 
-    Rows are tuples of Fraction.  Multiplication takes an integer fast
-    path when both operands have denominator 1 throughout, which is the
-    common case for structure constants and adjoint matrices.
-    """
-
-    __slots__ = ("rows", "nrows", "ncols", "_integral")
+    __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
         self.rows: tuple[Vec, ...] = tuple(
@@ -95,7 +90,6 @@ class RatMat:
             self.ncols = 0 if ncols is None else ncols
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
-        self._integral = None
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "RatMat":
@@ -117,11 +111,6 @@ class RatMat:
 
     def cols(self) -> list[Vec]:
         return [self.col(j) for j in range(self.ncols)]
-
-    def is_integral(self) -> bool:
-        if self._integral is None:
-            self._integral = all(e.denominator == 1 for r in self.rows for e in r)
-        return self._integral
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMat) and self.rows == other.rows
@@ -145,15 +134,12 @@ class RatMat:
     def __matmul__(self, other: "RatMat") -> "RatMat":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        if self.is_integral() and other.is_integral():
-            a = [[e.numerator for e in r] for r in self.rows]
-            bt = [[other.rows[i][j].numerator for i in range(other.nrows)]
-                  for j in range(other.ncols)]
-            out = [tuple(Fraction(sum(x * y for x, y in zip(ar, bc))) for bc in bt)
-                   for ar in a]
-            return RatMat(out)
-        bt = list(zip(*other.rows)) if other.rows else []
-        return RatMat([[vec_dot(r, c) for c in bt] for r in self.rows])
+        if not self.ncols:
+            return RatMat.zeros(self.nrows, other.ncols)
+        a, da = _integer_matrix(self.rows)
+        b, db = _integer_matrix(other.rows)
+        return RatMat([_fraction_row(r, da * db) for r in _int_matmul(a, b)],
+                      ncols=other.ncols)
 
     def apply(self, v: Vec) -> Vec:
         """Matrix times column vector; skips zero entries of v."""
@@ -183,14 +169,13 @@ class RatMat:
     def __pow__(self, k: int) -> "RatMat":
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
-        out = RatMat.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return out
+        a, d = _integer_matrix(self.rows)
+        out = [[int(i == j) for j in range(self.nrows)] for i in range(self.nrows)]
+        for bit in bin(k)[2:]:  # left-to-right binary powering of d m
+            out = _int_matmul(out, out)
+            if bit == "1":
+                out = _int_matmul(out, a)
+        return RatMat([_fraction_row(r, d ** k) for r in out], ncols=self.ncols)
 
     def inverse(self) -> "RatMat":
         if self.nrows != self.ncols:
@@ -226,7 +211,23 @@ class RatMat:
 def _integer_row(r) -> tuple[list[int], int]:
     """Row of Fractions times the lcm d of its denominators, and d."""
     d = lcm(*[e.denominator for e in r])
+    if d == 1:
+        return [e.numerator for e in r], 1
     return [e.numerator * (d // e.denominator) for e in r], d
+
+
+def _integer_matrix(rows) -> tuple[list[list[int]], int]:
+    """Rows of Fractions times the lcm d of all their denominators, and d."""
+    d = lcm(*[e.denominator for r in rows for e in r])
+    if d == 1:
+        return [[e.numerator for e in r] for r in rows], 1
+    return [[e.numerator * (d // e.denominator) for e in r] for r in rows], d
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of integer matrices given as row lists; b needs at least one row."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, r, c)) for c in bt] for r in a]
 
 
 def _augmented(rows) -> list[list[int]]:
@@ -369,9 +370,8 @@ class IncrementalSpan:
         for v in vectors:
             self.add(v)
 
-    def _residual(self, v) -> tuple[list[int], int]:
-        """``v`` minus its part along the rows, as integers over a denominator."""
-        w, den = _integer_row(v)
+    def _residual(self, w: list[int], den: int) -> tuple[list[int], int]:
+        """``w / den`` minus its part along the rows, as integers over a denominator."""
         for row, p in zip(self._rows, self.pivots):
             if w[p]:
                 g = gcd(row[p], w[p])
@@ -382,14 +382,14 @@ class IncrementalSpan:
         return w, den
 
     def _reduce(self, v) -> list[Fraction]:
-        w, den = self._residual(v)
+        w, den = self._residual(*_integer_row(v))
         return list(_fraction_row(w, den))
 
     def contains(self, v: Vec) -> bool:
-        return not any(self._residual(v)[0])
+        return not any(self._residual(*_integer_row(v))[0])
 
     def add(self, v) -> bool:
-        return self._insert(self._residual(v)[0])
+        return self._insert(self._residual(*_integer_row(v))[0])
 
     def _insert(self, w: list[int]) -> bool:
         """Add a residual of ``_residual``; False when it is zero."""
@@ -517,8 +517,7 @@ def char_poly(m: RatMat) -> Poly:
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.nrows
-    d = lcm(*[e.denominator for r in m.rows for e in r])
-    a = [[e.numerator * (d // e.denominator) for e in r] for r in m.rows]
+    a, d = _integer_matrix(m.rows)
     # desc: det(xI - a_r), descending, for the leading r x r block a_r.
     # Bordering by row R and column C multiplies it by the lower triangular
     # Toeplitz matrix with first column 1, -a[r][r], -R C, ..., -R a_r^(r-1) C
@@ -539,50 +538,115 @@ def char_poly(m: RatMat) -> Poly:
 def minimal_polynomial(m: RatMat) -> Poly:
     """Monic minimal polynomial via the first linear dependence of powers.
 
-    Powers I, m, m^2, ... are flattened and fed to an incremental
-    echelon reduction; the first power that fails to enlarge the span
-    yields the dependence coefficients.
+    Powers I, a, a^2, ... of the integer matrix a = d m (d the lcm of
+    all denominators) are flattened and fed to an incremental echelon
+    reduction; the first power that fails to enlarge the span yields a
+    dependence sum_j b_j a^j = 0, so m's coefficients are b_j d^j.
     """
     if m.nrows != m.ncols:
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.nrows
     if n == 0:
         return (ONE,)
-    # Each inserted row is [flat(m^k) | e_k]; a dependence shows up as a
+    a, d = _integer_matrix(m.rows)
+    # Each inserted row is [flat(a^k) | e_k]; a dependence shows up as a
     # zero flat part whose tail holds the combination coefficients.
     span = IncrementalSpan(n * n + n + 1)
-    power = RatMat.identity(n)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
     k = 0
     while True:
-        flat = [e for row in power.rows for e in row]
-        tail = [ZERO] * (n + 1)
-        tail[k] = ONE
-        w, _ = span._residual(flat + tail)
+        tail = [0] * (n + 1)
+        tail[k] = 1
+        w, _ = span._residual([e for row in power for e in row] + tail, 1)
         if not any(w[: n * n]):
-            coeffs = w[n * n:]
-            return poly([Fraction(c, coeffs[k]) for c in coeffs[: k + 1]])
+            b = w[n * n:]
+            return tuple(Fraction(c, b[k] * d ** (k - j)) for j, c in enumerate(b[: k + 1]))
         span._insert(w)
-        power = power @ m
+        power = _int_matmul(power, a)
         k += 1
 
 
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+# Miller-Rabin on the first 13 primes is exact below this (Sorenson and Webster 2015)
+_MR_LIMIT = 3317044064679887385961981
+_RHO_STEPS = 1 << 18
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of an n with no prime factor below 1000; never a probable answer."""
+    if n < 10 ** 6:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    if any(pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(s))
+           for a in _SMALL_PRIMES[:13]):
+        return False
+    if n >= _MR_LIMIT:
+        raise InputError(f"cannot certify {n} prime: it exceeds the exact Miller-Rabin range")
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n by Pollard-Brent rho (Brent 1980)."""
+    for c in (1, 2, 3):
+        y, r, g = 2, 1, 1
+        while g == 1 and r <= _RHO_STEPS:
+            x = y  # compare the next r steps with x
+            for _ in range(r):
+                y = (y * y + c) % n
+                if (g := gcd(x - y, n)) != 1:
+                    break
+            r *= 2
+        if g == 1:
+            break
+        if g < n:
+            return g
+    raise InputError(f"cannot factor {n}: Pollard-Brent rho found no factor within its bound")
+
+
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1."""
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n, out[p] = n // p, out.get(p, 0) + 1
+    stack = [(n, 1)] if n > 1 else []
+    while stack:
+        m, e = stack.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + e
+            continue
+        k = 2  # m's prime factors exceed 1000, so an exact k-th root does too
+        while (r := _iroot(m, k)) >= 1000 and r ** k != m:
+            k += 1
+        stack += [(r, e * k)] if r >= 1000 else [(d := _rho(m), e), (m // d, e)]
+    return out
+
+
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    """Positive divisors of a nonzero n, ascending."""
+    out = [1]
+    for p, e in _factor(abs(n)).items():
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def rational_roots(p: Poly) -> dict[Fraction, int]:
     """Rational roots with multiplicities, by the rational root theorem.
 
     The polynomial is scaled to integer coefficients; candidates are
-    +-(divisor of constant)/(divisor of leading).  Multiplicity comes
-    from repeated exact division.
+    +-(divisor of constant)/(divisor of leading), the divisors read off
+    prime factorizations.  Multiplicity comes from repeated exact
+    division.  A coefficient that cannot be factored within a fixed
+    bound is an ``InputError``.
     """
     if poly_is_zero(p):
         raise ValueError("zero polynomial")
@@ -644,11 +708,10 @@ def rational_eigen_decomposition(m: RatMat) -> EigenDecomposition:
     n = m.nrows
     cp = char_poly(m)
     roots = rational_roots(cp)
-    ident = RatMat.identity(n)
     spaces: dict[Fraction, tuple[Vec, ...]] = {}
     rational_factor: Poly = (ONE,)
     for lam, mult in roots.items():
-        shifted = m - ident.scale(lam)
+        shifted = RatMat([r[:i] + (r[i] - lam,) + r[i + 1:] for i, r in enumerate(m.rows)])
         # a full-dimension eigenspace is the generalized one: same RREF basis
         basis = kernel(shifted)
         if len(basis) < mult:

@@ -135,14 +135,8 @@ def grading_of(g: LieAlgebra, x: Vec) -> Grading:
 
 
 def is_ad_nilpotent(g: LieAlgebra, u: Vec) -> bool:
-    """Does some power of ad u vanish?  Engel bound: dim g powers."""
-    m = g.ad(u)
-    p = m
-    for _ in range(g.dim):
-        if p.is_zero():
-            return True
-        p = p @ m
-    return p.is_zero()
+    """Does some power of ad u vanish?  Then (ad u)^dim g does."""
+    return (g.ad(u) ** g.dim).is_zero()
 
 
 def acts_nilpotently(g: LieAlgebra, n) -> bool:

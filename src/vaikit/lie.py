@@ -9,6 +9,11 @@ realization: one matrix per basis element, with the tensor read off
 their commutators, so it agrees with the tensor and inherits both
 properties; only span closure is checked there.
 
+The public tensor ``sc`` holds Fractions, but all arithmetic runs on a
+sparse integer view of it over one common denominator; brackets, ``ad``,
+the Killing form and the realization's commutators divide once on the
+way out, so they equal Fraction arithmetic's results entry for entry.
+
 Subspaces and subalgebras remember their ambient algebra and their
 spanning vectors in ambient coordinates.  All derived data (centers,
 derived subalgebras, radicals, Killing forms) is exact.
@@ -28,7 +33,10 @@ from .exact import (
     Vec,
     _augmented,
     _bareiss,
+    _fraction_row,
     _gauss_jordan,
+    _int_matmul,
+    _integer_matrix,
     _integer_row,
     kernel,
     rat,
@@ -40,7 +48,7 @@ from .exact import (
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q with a fixed ordered basis."""
 
-    def __init__(self, structure, realization=None, name: str = "", _validate: bool = True):
+    def __init__(self, structure, name: str = "", _validate: bool = True):
         sc = tuple(tuple(tuple(rat(c) for c in row) for row in plane) for plane in structure)
         self.dim = len(sc)
         if any(len(plane) != self.dim or any(len(row) != self.dim for row in plane)
@@ -48,16 +56,16 @@ class LieAlgebra:
             raise InvariantViolation("structure tensor must be dim x dim x dim")
         self.sc = sc
         self.name = name
-        self.realization = None if realization is None else tuple(realization)
-        # sparse view: _nz[i][j] lists (k, c) with c != 0
-        self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c != 0)
+        self.realization = self._realization_coord = None  # set by from_realization
+        # integer view: _nz[i][j] lists (k, c[i][j][k] * _den) for c[i][j][k] != 0
+        self._den = den = lcm(*[c.denominator for plane in sc for row in plane for c in row])
+        self._nz = tuple(tuple(tuple((k, c.numerator * (den // c.denominator))
+                                     for k, c in enumerate(row) if c)
                                for row in plane) for plane in sc)
-        self._ad_cache: dict[int, RatMat] = {}
         self._killing = None
         self._cartan: tuple = ()  # (default_cartan(self),) once computed
         self._reductive = None
         self._full = None
-        self._realization_coord = None
         if _validate:
             self._validate()
 
@@ -79,13 +87,15 @@ class LieAlgebra:
         n = len(mats)
         flat_cols = [[m.rows[a][b] for m in mats] for a in range(d) for b in range(d)]
         coord = _Coordinatizer(RatMat(flat_cols), n)
+        # commutators of the integer matrices den * m_i are den^2 times the true ones
+        stacked, den = _integer_matrix([r for m in mats for r in m.rows])
+        ints = [stacked[i * d:(i + 1) * d] for i in range(n)]
         structure: list[list] = [[zero_vec(n)] * n for _ in range(n)]
-        for i, mi in enumerate(mats):
+        for i, ai in enumerate(ints):
             for j in range(i):
-                mj = mats[j]
-                comm = mi @ mj - mj @ mi
-                flat = tuple(comm.rows[a][b] for a in range(d) for b in range(d))
-                c = coord.coords(flat)
+                ab, ba = _int_matmul(ai, ints[j]), _int_matmul(ints[j], ai)
+                flat = [x - y for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
+                c = coord.int_coords(flat, den * den)
                 if c is None:
                     raise InvariantViolation(
                         f"span not closed under brackets at basis pair ({i}, {j})")
@@ -93,24 +103,25 @@ class LieAlgebra:
                 structure[j][i] = tuple(-e for e in c)
         # commutators of actual matrices satisfy antisymmetry and Jacobi,
         # so the tensor read off here needs no re-validation
-        alg = cls(structure, realization=mats, name=name, _validate=False)
-        alg._realization_coord = coord  # eliminated once, reused by realization_coords
+        alg = cls(structure, name=name, _validate=False)
+        alg.realization, alg._realization_coord = tuple(mats), coord
         return alg
 
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        n = self.dim
+        n, nz = self.dim, self._nz
         for i in range(n):
             for j in range(i, n):
-                for k in range(n):
-                    if self.sc[i][j][k] != -self.sc[j][i][k]:
-                        raise InvariantViolation(
-                            f"antisymmetry fails at c[{i}][{j}][{k}]")
+                neg = tuple((k, -c) for k, c in nz[j][i])
+                if nz[i][j] != neg:
+                    k = min(set(nz[i][j]) ^ set(neg))[0]
+                    raise InvariantViolation(
+                        f"antisymmetry fails at c[{i}][{j}][{k}]")
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc = [ZERO] * n
+                    acc = [0] * n
                     self._jacobi_term(i, j, k, acc)
                     self._jacobi_term(j, k, i, acc)
                     self._jacobi_term(k, i, j, acc)
@@ -130,28 +141,31 @@ class LieAlgebra:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
+        xs, dx = _integer_row(x)
+        ys, dy = _integer_row(y)
+        out = [0] * self.dim
+        for i, xi in enumerate(xs):
+            if not xi:
                 continue
             nzi = self._nz[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
+            for j, yj in enumerate(ys):
+                if not yj:
                     continue
                 f = xi * yj
                 for k, c in nzi[j]:
                     out[k] += f * c
-        return tuple(out)
+        return _fraction_row(out, dx * dy * self._den)
 
     def ad(self, x: Vec) -> RatMat:
-        """Matrix of y -> [x, y] in the fixed basis."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return RatMat.from_cols(cols)
-
-    def ad_basis(self, i: int) -> RatMat:
-        if i not in self._ad_cache:
-            self._ad_cache[i] = self.ad(self.basis_vector(i))
-        return self._ad_cache[i]
+        """Matrix of y -> [x, y] in the fixed basis; column j is [x, e_j]."""
+        xs, dx = _integer_row(x)
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for i, xi in enumerate(xs):
+            if xi:
+                for j, nzij in enumerate(self._nz[i]):
+                    for k, c in nzij:
+                        rows[k][j] += xi * c
+        return RatMat([_fraction_row(r, dx * self._den) for r in rows])
 
     def realize(self, x: Vec) -> RatMat:
         if self.realization is None:
@@ -166,34 +180,27 @@ class LieAlgebra:
         """Coordinates of a matrix in the realized basis; None if outside."""
         if self.realization is None:
             raise InvariantViolation(f"{self.name or 'algebra'} has no matrix realization")
-        d = self.realization[0].nrows
-        if self._realization_coord is None:
-            flat_cols = [[mat.rows[a][b] for mat in self.realization]
-                         for a in range(d) for b in range(d)]
-            self._realization_coord = _Coordinatizer(RatMat(flat_cols), self.dim)
-        flat = tuple(m.rows[a][b] for a in range(d) for b in range(d))
-        return self._realization_coord.coords(flat)
+        return self._realization_coord.coords([e for row in m.rows for e in row])
 
     def killing_form(self) -> "BilinearForm":
-        """Killing form kappa(x, y) = tr(ad x ad y), computed once."""
+        """Killing form kappa(x, y) = tr(ad x ad y), computed once.
+
+        On the basis, tr(ad e_i ad e_j) = sum_{k,l} c[i][k][l] c[j][l][k],
+        summed on the integer view and divided by _den^2 at the end.
+        """
         if self._killing is None:
-            ads = [self.ad_basis(i) for i in range(self.dim)]
-            n = self.dim
-            gram = []
+            n, nz = self.dim, self._nz
+            # entry[j][(k, l)] = c[j][l][k] * _den, the (k, l) entry of ad e_j
+            entry = [{(k, l): c for l, row in enumerate(nz[j]) for k, c in row}
+                     for j in range(n)]
+            gram = [[0] * n for _ in range(n)]
             for i in range(n):
-                a = ads[i]
-                row = []
-                for j in range(n):
-                    b = ads[j]
-                    t = ZERO
-                    for p in range(n):
-                        ap = a.rows[p]
-                        for q in range(n):
-                            if ap[q] != 0 and b.rows[q][p] != 0:
-                                t += ap[q] * b.rows[q][p]
-                    row.append(t)
-                gram.append(row)
-            self._killing = BilinearForm(self, RatMat(gram))
+                terms = [((k, l), c) for k, row in enumerate(nz[i]) for l, c in row]
+                for j in range(i, n):
+                    ej = entry[j]
+                    gram[i][j] = gram[j][i] = sum(c * ej.get(kl, 0) for kl, c in terms)
+            den = self._den * self._den
+            self._killing = BilinearForm(self, RatMat([_fraction_row(r, den) for r in gram]))
         return self._killing
 
     def full_subalgebra(self) -> "Subalgebra":
@@ -240,13 +247,15 @@ class _Coordinatizer:
                                if rows[i][b.ncols + j]) for j in range(n)]
 
     def coords(self, v: Vec) -> Vec | None:
-        nz = [(j, e) for j, e in enumerate(v) if e]
-        den = lcm(*[e.denominator for _, e in nz])
+        return self.int_coords(*_integer_row(v))
+
+    def int_coords(self, w: list[int], den: int) -> Vec | None:
+        """Coordinates of the vector ``w / den``, w integers."""
         u = [0] * self.nrows
-        for j, e in nz:
-            x = e.numerator * (den // e.denominator)
-            for i, c in self._cols_nz[j]:
-                u[i] += x * c
+        for j, x in enumerate(w):
+            if x:
+                for i, c in self._cols_nz[j]:
+                    u[i] += x * c
         if any(u[self.ncols:]):
             return None
         return tuple(Fraction(x, den * p) if x else ZERO for x, p in zip(u, self._pivot))

@@ -15,15 +15,15 @@ Three certificate families live here:
   exact eigenvalue sums give the cosh-type lower bound and, for
   symmetric pairs, the exact two-sided growth exponent.
 
-Exact claims are exact rationals; only the sampling checks use floats.
+Exact claims are exact rationals; only the sampling checks use floats,
+and they import numpy when called, so the exact paths never load it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     GammaNotPositive,
@@ -59,6 +59,9 @@ from .grading import (
     verify_nonnegative_grading,
 )
 from .lie import LieAlgebra, Subalgebra, Subspace, center
+
+if TYPE_CHECKING:  # annotations only; the float checks import numpy when called
+    import numpy as np
 
 # the base point's escape along the contracted direction is a geometric
 # fact about the group, not decidable from structure constants; every
@@ -275,6 +278,7 @@ def check_mt_bounded(witness: DecayWitness, t_min: int = -40,
     require the whole sequence to stay below ``factor`` times its
     maximum over the deepest ``tail_window`` points.
     """
+    import numpy as np
     g = witness.algebra
     p = witness.parabolic
     grading = grading_of(g, p.x)
@@ -332,6 +336,7 @@ def beta_map(g: LieAlgebra, t_vec: Vec):
     summed until terms drop below 1e-14 (hard cap 60 terms), guarding
     against divergence for badly scaled input.
     """
+    import numpy as np
     t_vec = vec(t_vec)
     ad_t = g.ad(t_vec)
     n = g.dim
@@ -349,6 +354,7 @@ def beta_map(g: LieAlgebra, t_vec: Vec):
 
 
 def _beta_float(ad_t: np.ndarray) -> np.ndarray:
+    import numpy as np
     n = ad_t.shape[0]
     acc = np.eye(n)
     term = np.eye(n)
@@ -368,6 +374,7 @@ class _AdFlow:
     """Float Ad(exp(t x))^{-1} from the exact eigenstructure of ad x."""
 
     def __init__(self, g: LieAlgebra, x: Vec):
+        import numpy as np
         grading = grading_of(g, x)
         cols = [b for part in grading.parts.values() for b in part.basis]
         self.lams = np.array([float(lam) for lam, part in grading.parts.items()
@@ -377,6 +384,7 @@ class _AdFlow:
         self.c_inv_f = np.array(c.inverse().to_floats())
 
     def inverse_at(self, t: float) -> np.ndarray:
+        import numpy as np
         return (self.c_f * np.exp(-t * self.lams)) @ self.c_inv_f
 
 
@@ -396,6 +404,7 @@ def phi_jacobian_sandwich(witness: DecayWitness, q_box=0.1, t_grid=None,
     Sampling is batched with substreams seeded by (seed, t-index,
     batch-index), so results do not depend on evaluation order.
     """
+    import numpy as np
     g = witness.algebra
     p = witness.parabolic
     if t_grid is None:

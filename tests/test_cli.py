@@ -286,15 +286,15 @@ class TestEstimate:
         assert fit["min_volume_check"] == "PASS"
 
     def test_fit_mismatch_exits_one(self, capsys, monkeypatch):
-        import vaikit.cli as cli_mod
-        real = cli_mod.volume_along_curve
+        import vaikit.volume as volume_mod
+        real = volume_mod.volume_along_curve
 
         def skewed(model, t_grid=(), **kw):
             series = real(model, t_grid=t_grid, **kw)
             series.slope = 5.0
             return series
 
-        monkeypatch.setattr(cli_mod, "volume_along_curve", skewed)
+        monkeypatch.setattr(volume_mod, "volume_along_curve", skewed)
         code, report = run_report(
             capsys, "estimate", "--space", "sl2-mod-n",
             "--t-range", "-2:0:0.5", "--radius", "0.3",
@@ -451,6 +451,82 @@ def test_golden_report(capsys, command):
     assert digest == GOLDEN_RESULTS[command]
 
 
+# sl2 given by ``sc`` in the basis H, E, F/2, so [E, F/2] = H/2 puts
+# constants +-1/2 in the tensor; the catalog realizations are all integral
+SL2_HALF_SC = [
+    [["0", "0", "0"], ["0", "2", "0"], ["0", "0", "-2"]],
+    [["0", "-2", "0"], ["0", "0", "0"], ["1/2", "0", "0"]],
+    [["0", "0", "2"], ["-1/2", "0", "0"], ["0", "0", "0"]],
+]
+
+# (argv after the algebra, exit code, sha256 of the canonical ``result``)
+GOLDEN_HALF = {
+    "check span(H)": (
+        ["check", "--subalgebra", "h.json"], 0,
+        "4b422e3972b1d7de82032c24b5f331e6b136ba9c54a84947da7f6571a4db1623"),
+    "check span(E)": (
+        ["check", "--subalgebra", "e.json"], 3,
+        "e54ba20900654a237865e29dd89dd7a48e68b1885475d7763041393557f75e8f"),
+    "witness span(E)": (
+        ["witness", "--subalgebra", "e.json"], 0,
+        "8cae0df2e50f1a74ad91923a9d4fe0463a7768f73a02a4b8b481ce16c3de7e30"),
+    "witness span(E) --parabolic": (
+        ["witness", "--subalgebra", "e.json", "--parabolic", "borel.json"], 0,
+        "4a9a37486f8f02a3d157c651e40ebadfe1580b8864ac3a246892e3ab442a0502"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_HALF))
+def test_golden_report_non_integral_constants(capsys, tmp_path, case):
+    files = {
+        "sl2-half.json": {"name": "sl2", "dim": 3, "sc": SL2_HALF_SC},
+        "h.json": {"name": "span(H)", "basis": [["1", "0", "0"]]},
+        "e.json": {"name": "span(E)", "basis": [["0", "1", "0"]]},
+        "borel.json": {"p0": [["1", "0", "0"], ["0", "1", "0"]],
+                       "l0": [["1", "0", "0"]], "n0": [["0", "1", "0"]],
+                       "nbar0": [["0", "0", "1"]], "x": ["1", "0", "0"]},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    argv, expected_code, expected_digest = GOLDEN_HALF[case]
+    argv = [a if not a.endswith(".json") else str(tmp_path / a) for a in argv]
+    code, report = run_report(capsys, argv[0], "--algebra",
+                              str(tmp_path / "sl2-half.json"), *argv[1:])
+    assert code == expected_code
+    canonical = json.dumps(report["result"], sort_keys=True,
+                           separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == expected_digest
+
+
+@pytest.mark.parametrize("x,gamma", [
+    ("1000000000000", "2000000000000"),  # ad x has char poly l^3 - 4 10^24 l
+    ("1000000000039", "2000000000078"),  # a prime grading entry
+])
+def test_parabolic_with_large_grading_element(capsys, tmp_path, x, gamma):
+    fields = json.loads(data_path("sl2-borel-parabolic.json").read_text())
+    fields["x"] = [x, "0", "0"]
+    path = tmp_path / "parabolic.json"
+    path.write_text(json.dumps(fields))
+    code, report = run_report(
+        capsys, "witness", "--algebra", d("sl2.json"),
+        "--subalgebra", d("sl2-n.json"), "--parabolic", str(path))
+    assert code == 0
+    assert report["result"]["gamma"] == gamma
+
+
+def test_unfactorable_grading_element_is_an_input_error(capsys, tmp_path):
+    fields = json.loads(data_path("sl2-borel-parabolic.json").read_text())
+    fields["x"] = [str((2 ** 61 - 1) * (2 ** 89 - 1)), "0", "0"]
+    path = tmp_path / "parabolic.json"
+    path.write_text(json.dumps(fields))
+    code, out, err = run_cli(
+        capsys, "witness", "--algebra", d("sl2.json"),
+        "--subalgebra", d("sl2-n.json"), "--parabolic", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot factor ") and err.count("\n") == 1
+
+
 class TestTRangeParsing:
     def test_negative_start(self):
         grid = _parse_t_range("-4:0:0.5")
@@ -475,6 +551,20 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 3
         report = json.loads(proc.stdout)
         assert report["result"]["vai"] == "fails"
+
+    def test_check_never_loads_numpy(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import vaikit.cli\n"
+            "assert 'numpy' not in sys.modules, 'import vaikit.cli'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = vaikit.cli.main(['check', '--algebra', {d('sl5.json')!r},\n"
+            f"                            '--subalgebra', {d('sl5-nilpair.json')!r}])\n"
+            "assert code == 3\n"
+            "assert 'numpy' not in sys.modules, 'check sl5'\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     # two batches per grid point, so the workers share one model
     @pytest.mark.parametrize("space", ["spd2", "sl2-orbit-hyperboloid"])

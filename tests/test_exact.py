@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
+from vaikit import exact
+from vaikit.errors import InputError
 from vaikit.exact import (
     IncrementalSpan,
     RatMat,
@@ -75,7 +78,7 @@ def test_solve_particular_and_inconsistent():
     assert solve(m, vec([0, 1])) is None
 
 
-def test_matmul_integer_fast_path_matches_generic():
+def test_matmul_small_cases():
     rng = random.Random(3)
     a = RatMat([[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)])
     b = RatMat([[rng.randint(-9, 9) for _ in range(2)] for _ in range(4)])
@@ -85,6 +88,8 @@ def test_matmul_integer_fast_path_matches_generic():
     assert prod == slow
     c = a.scale(F(1, 2))
     assert (c @ b) == (a @ b).scale(F(1, 2))
+    empty = RatMat.zeros(3, 0) @ RatMat.zeros(0, 2)
+    assert empty == RatMat.zeros(3, 2) and empty.ncols == 2
 
 
 def test_det_and_charpoly_agree():
@@ -372,3 +377,113 @@ def test_positive_definite_matches_sylvester():
         assert verdict == _ref_positive_definite(gram)
         verdicts.append(verdict)
     assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+
+def _ref_matmul(a, b):
+    return [tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+                  for j in range(len(b[0]) if b else 0)) for i in range(len(a))]
+
+
+def _ref_minimal_polynomial(rows):
+    """First dependence among the Fraction powers I, m, m^2, ..."""
+    n = len(rows)
+    span, power = _RefSpan(), [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n + 1):
+        tail = [F(0)] * (n + 1)
+        tail[k] = F(1)
+        row = [e for r in power for e in r] + tail
+        w = span.reduce(row)
+        if all(e == 0 for e in w[:n * n]):
+            return tuple(c / w[n * n + k] for c in w[n * n:n * n + k + 1])
+        span.add(row)
+        power = _ref_matmul(power, rows)
+    raise AssertionError("no dependence among n + 1 powers")
+
+
+def test_matmul_and_powers_match_fraction_references():
+    rng = random.Random(127)
+    for m in _random_matrices(131, 300, square=True):
+        other = RatMat(_random_rows(rng, m.ncols, rng.randint(1, 5)))
+        assert list((m @ other).rows) == _ref_matmul(m.rows, other.rows)
+        k = rng.randint(0, 4)
+        ref = [tuple(F(int(i == j)) for j in range(m.nrows)) for i in range(m.nrows)]
+        for _ in range(k):
+            ref = _ref_matmul(ref, m.rows)
+        assert list((m ** k).rows) == ref
+
+
+def test_minimal_polynomial_matches_fraction_powers():
+    dens = []
+    for m in _random_matrices(137, 300, square=True):
+        assert minimal_polynomial(m) == (_ref_minimal_polynomial(m.rows) if m.nrows
+                                         else (F(1),))
+        dens.append(max((e.denominator for r in m.rows for e in r), default=1))
+    assert sum(d > 1 for d in dens) > 50
+
+
+# ---------------------------------------------------------------------------
+# divisors from factorizations, against the trial-division loop they replaced
+
+
+def _ref_divisors(n):
+    n = abs(n)
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+def _random_integer(rng):
+    """Products of small primes, primes above the trial bound and powers."""
+    big = [1009, 1013, 7919, 65537, 999983]
+    n = rng.choice([1, 2, 6, 360, rng.randint(1, 10 ** 6)])
+    for _ in range(rng.randint(0, 2)):
+        n *= rng.choice(big) ** rng.randint(1, 2)
+    return n if n < 10 ** 12 else rng.randint(1, 10 ** 6)
+
+
+def test_divisors_match_trial_division():
+    rng = random.Random(139)
+    for _ in range(300):
+        n = _random_integer(rng)
+        assert exact._divisors(n) == _ref_divisors(n) == exact._divisors(-n)
+
+
+def test_rational_roots_match_trial_division_divisors(monkeypatch):
+    rng = random.Random(149)
+    polys = []
+    for _ in range(200):
+        p = (F(rng.choice([1, -3, 1009])),)
+        for _ in range(rng.randint(1, 3)):  # rational roots, some repeated
+            root = F(rng.choice([1, 2, 7, 1013]) * rng.choice([-1, 1]),
+                     rng.choice([1, 2, 9, 1009]))
+            p = poly_mul(p, (-root, F(1)))
+        if rng.random() < 0.5:  # x^2 + c with c > 0 has no rational root
+            p = poly_mul(p, (F(rng.randint(1, 50), rng.randint(1, 4)), F(0), F(1)))
+        polys.append(p)
+    new = [rational_roots(p) for p in polys]
+    monkeypatch.setattr(exact, "_divisors", _ref_divisors)
+    assert new == [rational_roots(p) for p in polys]
+
+
+def test_divisors_of_large_coefficients():
+    n = 4 * 10 ** 24  # 2^26 5^24: far beyond trial division up to sqrt(n)
+    divisors = exact._divisors(n)
+    assert len(divisors) == 27 * 25 and all(n % d == 0 for d in divisors)
+    assert rational_roots(poly([0, -n, 0, 1])) == {F(-2 * 10 ** 12): 1, F(0): 1,
+                                                    F(2 * 10 ** 12): 1}
+    p = 10 ** 12 + 39  # a prime, reached through the square 4 p^2
+    assert exact._divisors(4 * p * p) == [1, 2, 4, p, 2 * p, 4 * p, p * p,
+                                          2 * p * p, 4 * p * p]
+
+
+@pytest.mark.parametrize("n", [
+    2 ** 89 - 1,  # prime above the exact Miller-Rabin range
+    (2 ** 61 - 1) * (2 ** 89 - 1),  # both factors far beyond Pollard rho's bound
+])
+def test_unfactorable_coefficient_is_an_input_error(n):
+    with pytest.raises(InputError):
+        exact._divisors(n)

@@ -232,3 +232,102 @@ def test_from_realization_rejects_non_closed_span():
     f = RatMat([[0, 0], [1, 0]])
     with pytest.raises(InvariantViolation):
         LieAlgebra.from_realization([e, f])  # [E, F] = H escapes the span
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer structure constants against Fraction
+# references (bracket from the dense tensor, Killing form as the trace of
+# ad products, structure constants from Fraction commutators)
+
+
+def _ref_bracket(sc, x, y):
+    out = [Fraction(0)] * len(sc)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                for k, c in enumerate(sc[i][j]):
+                    out[k] += xi * yj * c
+    return tuple(out)
+
+
+def _ref_ad(sc, x):
+    n = len(sc)
+    cols = [_ref_bracket(sc, x, tuple(Fraction(int(i == j)) for i in range(n)))
+            for j in range(n)]
+    return [[cols[j][k] for j in range(n)] for k in range(n)]
+
+
+def _ref_killing(sc):
+    n = len(sc)
+    ads = [_ref_ad(sc, tuple(Fraction(int(i == j)) for j in range(n))) for i in range(n)]
+    return [tuple(sum((a[p][q] * b[q][p] for p in range(n) for q in range(n) if a[p][q]),
+                      Fraction(0)) for b in ads) for a in ads]
+
+
+def _ref_structure(mats):
+    """Structure constants from Fraction commutators and Fraction solves."""
+    n, d = len(mats), mats[0].nrows
+
+    def mul(a, b):
+        return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(d)), Fraction(0))
+                 for j in range(d)] for i in range(d)]
+
+    # Fraction Gauss-Jordan on [B | I], B's columns the flattened basis
+    rows = [[m.rows[r // d][r % d] for m in mats] + [Fraction(int(r == c)) for c in range(d * d)]
+            for r in range(d * d)]
+    for c in range(n):
+        piv = next(r for r in range(c, d * d) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for r in range(d * d):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [e - f * g for e, g in zip(rows[r], rows[c])]
+
+    def coords(v):  # row k < n of the right block gives coordinate k
+        out = [sum((a * b for a, b in zip(row[n:], v) if a), Fraction(0)) for row in rows]
+        assert all(e == 0 for e in out[n:])
+        return tuple(out[:n])
+
+    return tuple(tuple(coords([x - y for ra, rb in zip(mul(mi, mj), mul(mj, mi))
+                               for x, y in zip(ra, rb)]) for mj in mats) for mi in mats)
+
+
+@pytest.fixture(scope="module")
+def sheared_sl3():
+    """sl3 in the basis M_i + M_{i+1}/2 + M_{i+2}/3 of its catalog matrices."""
+    mats = catalog.sl_basis_matrices(3)
+    g = LieAlgebra.from_realization(
+        [mats[i] + mats[(i + 1) % 8].scale(Fraction(1, 2))
+         + mats[(i + 2) % 8].scale(Fraction(1, 3)) for i in range(8)], name="sl3-sheared")
+    assert g._den > 1
+    return g
+
+
+@pytest.mark.parametrize("algebra", ["sl2", "sl3", "sl4", "sl5", "sheared_sl3"])
+def test_integer_constants_match_fraction_references(algebra, request):
+    g = request.getfixturevalue(algebra)
+    assert g.sc == _ref_structure(list(g.realization))
+    assert list(g.killing_form().gram.rows) == _ref_killing(g.sc)
+    rng = random.Random(g.dim)
+    for _ in range(10):
+        x, y = (tuple(Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7]))
+                      if rng.random() < 0.6 else Fraction(0) for _ in range(g.dim))
+                for _ in range(2))
+        assert g.bracket(x, y) == _ref_bracket(g.sc, x, y)
+        assert list(g.ad(x).rows) == [tuple(r) for r in _ref_ad(g.sc, x)]
+
+
+def test_hand_entered_non_integral_tensor(sheared_sl3):
+    g = LieAlgebra(sheared_sl3.sc)
+    assert g._den == sheared_sl3._den > 1
+    assert g.killing_form().gram == sheared_sl3.killing_form().gram
+    i, j, k = next((i, j, k) for i in range(8) for j in range(i + 1, 8)
+                   for k in range(8) if g.sc[i][j][k].denominator > 1)
+    broken = [[list(row) for row in plane] for plane in g.sc]
+    broken[i][j][k] += Fraction(1, 3)  # antisymmetry off by 1/3
+    with pytest.raises(InvariantViolation, match=rf"antisymmetry fails at c\[{i}\]\[{j}\]\[{k}\]"):
+        LieAlgebra(broken)
+    broken[j][i][k] -= Fraction(1, 3)  # antisymmetric again, Jacobi off by 1/3
+    with pytest.raises(InvariantViolation, match="Jacobi"):
+        LieAlgebra(broken)
