@@ -2,8 +2,8 @@
 
 Dense matrices with ``Fraction`` entries, reduced row echelon form,
 kernels in the standard free-variable parametrization, minimal and
-characteristic polynomials, and eigenspace decompositions restricted to
-rational eigenvalues.
+characteristic polynomials, and eigenspaces of semisimple matrices with
+rational spectrum.
 
 A ``RatMat`` holds Fractions, but the algorithms scale a matrix or row
 to integers over the lcm of its denominators: products and powers
@@ -24,12 +24,11 @@ the usual dense convention; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from .errors import InputError
+from .errors import InputError, IrrationalSpectrum, NotSemisimple
 
 Vec = tuple[Fraction, ...]
 
@@ -445,18 +444,6 @@ def poly_monic(p: Poly) -> Poly:
     return tuple(c / lead for c in p)
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly(out)
-
-
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
@@ -486,14 +473,6 @@ def poly_eval(p: Poly, x: Fraction) -> Fraction:
     acc = ZERO
     for c in reversed(p):
         acc = acc * x + c
-    return acc
-
-
-def poly_eval_matrix(p: Poly, m: RatMat) -> RatMat:
-    acc = RatMat.zeros(m.nrows, m.ncols)
-    ident = RatMat.identity(m.nrows)
-    for c in reversed(p):
-        acc = acc @ m + ident.scale(c)
     return acc
 
 
@@ -681,51 +660,23 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
     return dict(sorted(roots.items()))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Rational-eigenvalue decomposition of a square matrix.
+def rational_eigen_decomposition(m: RatMat) -> dict[Fraction, tuple[Vec, ...]]:
+    """Eigenspaces of a semisimple matrix with rational spectrum.
 
-    ``eigenspaces`` maps each rational eigenvalue, in ascending order,
-    to a basis of the maximal invariant subspace on which (m - lambda)
-    is nilpotent.  For a matrix with squarefree minimal polynomial these
-    are exactly the eigenspaces.  ``residual`` spans the invariant
-    complement on which no rational eigenvalue exists.  The pieces
-    always sum directly to the whole space.
+    Each root lambda of the minimal polynomial, ascending, maps to the
+    kernel basis of m - lambda.  Raises ``NotSemisimple`` when the
+    minimal polynomial has a repeated root, and ``IrrationalSpectrum``
+    when the rational eigenspaces do not fill the space.
     """
-
-    eigenspaces: dict[Fraction, tuple[Vec, ...]]
-    residual: tuple[Vec, ...]
-
-    def all_parts(self) -> list[Vec]:
-        out = [v for basis in self.eigenspaces.values() for v in basis]
-        out.extend(self.residual)
-        return out
-
-
-def rational_eigen_decomposition(m: RatMat) -> EigenDecomposition:
-    if m.nrows != m.ncols:
-        raise ValueError("eigen decomposition of non-square matrix")
-    n = m.nrows
-    cp = char_poly(m)
-    roots = rational_roots(cp)
+    mp = minimal_polynomial(m)
+    if not is_squarefree(mp):
+        raise NotSemisimple("not semisimple: the minimal polynomial has a repeated root")
     spaces: dict[Fraction, tuple[Vec, ...]] = {}
-    rational_factor: Poly = (ONE,)
-    for lam, mult in roots.items():
+    for lam in rational_roots(mp):
         shifted = RatMat([r[:i] + (r[i] - lam,) + r[i + 1:] for i, r in enumerate(m.rows)])
-        # a full-dimension eigenspace is the generalized one: same RREF basis
-        basis = kernel(shifted)
-        if len(basis) < mult:
-            basis = kernel(shifted ** mult)
-        spaces[lam] = tuple(basis)
-        for _ in range(mult):
-            rational_factor = poly_mul(rational_factor, poly([-lam, ONE]))
-    q, rem = poly_divmod(cp, rational_factor)
-    assert poly_is_zero(rem)
-    if poly_degree(q) <= 0:
-        residual: tuple[Vec, ...] = ()
-    else:
-        residual = tuple(kernel(poly_eval_matrix(q, m)))
-    total = sum(len(b) for b in spaces.values()) + len(residual)
-    if total != n:
-        raise AssertionError("eigen decomposition does not fill the space")
-    return EigenDecomposition(spaces, residual)
+        spaces[lam] = tuple(kernel(shifted))
+    filled = sum(len(b) for b in spaces.values())
+    if filled < m.nrows:
+        raise IrrationalSpectrum(
+            f"irrational spectrum: rational eigenvectors span {filled} of {m.nrows} dimensions")
+    return spaces

@@ -12,19 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    InvariantViolation,
-    IrrationalSpectrum,
-    NotNilpotent,
-    NotSemisimple,
-)
+from .errors import InvariantViolation, NotNilpotent
 from .exact import (
     IncrementalSpan,
     RatMat,
     Vec,
-    is_squarefree,
     kernel,
-    minimal_polynomial,
     rational_eigen_decomposition,
     solve,
     vec,
@@ -117,20 +110,14 @@ class SL2Triple:
 
 
 def grading_of(g: LieAlgebra, x: Vec) -> Grading:
-    """Exact eigenspace decomposition of g under ad x.
+    """The ad-x eigenspaces of g as a Grading.
 
-    Requires ad x semisimple (squarefree minimal polynomial) with fully
-    rational spectrum; raises NotSemisimple / IrrationalSpectrum
-    otherwise.
+    ad x must be semisimple with rational spectrum: the eigenspaces of
+    ``rational_eigen_decomposition``, which raises NotSemisimple or
+    IrrationalSpectrum otherwise.
     """
-    adx = g.ad(x)
-    if not is_squarefree(minimal_polynomial(adx)):
-        raise NotSemisimple("ad x has a repeated minimal-polynomial factor")
-    decomp = rational_eigen_decomposition(adx)
-    if decomp.residual:
-        raise IrrationalSpectrum("ad x has irrational eigenvalues")
     parts = {lam: Subspace(g, basis, name=f"g^{lam}")
-             for lam, basis in decomp.eigenspaces.items()}
+             for lam, basis in rational_eigen_decomposition(g.ad(x)).items()}
     return Grading(g, x, parts)
 
 

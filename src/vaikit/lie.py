@@ -141,6 +141,9 @@ class LieAlgebra:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise InvariantViolation(
+                f"bracket of vectors with {len(x)} and {len(y)} entries in dimension {self.dim}")
         xs, dx = _integer_row(x)
         ys, dy = _integer_row(y)
         out = [0] * self.dim
@@ -158,6 +161,9 @@ class LieAlgebra:
 
     def ad(self, x: Vec) -> RatMat:
         """Matrix of y -> [x, y] in the fixed basis; column j is [x, e_j]."""
+        if len(x) != self.dim:
+            raise InvariantViolation(
+                f"ad of a vector with {len(x)} entries in dimension {self.dim}")
         xs, dx = _integer_row(x)
         rows = [[0] * self.dim for _ in range(self.dim)]
         for i, xi in enumerate(xs):

@@ -41,9 +41,7 @@ from .exact import (
     IncrementalSpan,
     RatMat,
     Vec,
-    is_squarefree,
     kernel,
-    minimal_polynomial,
     rat,
     rational_eigen_decomposition,
     vec,
@@ -51,6 +49,7 @@ from .exact import (
     vec_scale,
 )
 from .grading import (
+    Grading,
     SL2Triple,
     acts_nilpotently,
     grading_of,
@@ -118,17 +117,12 @@ class ParabolicData:
             raise InvariantViolation("nbar0 + l0 + n0 does not fill the algebra")
 
         m = self.n0.restriction_matrix(g.ad(self.x))
-        if not is_squarefree(minimal_polynomial(m)):
-            raise NotSemisimple("ad x is not semisimple on n0")
-        decomp = rational_eigen_decomposition(m)
-        if decomp.residual:
-            raise IrrationalSpectrum("ad x has irrational eigenvalues on n0")
-        if any(lam <= 0 for lam in decomp.eigenspaces):
+        eigen = rational_eigen_decomposition(m)
+        if any(lam <= 0 for lam in eigen):
             raise InvariantViolation("ad x must be positive on n0")
         # eigenbasis of n0 in ambient coordinates, rref order per eigenvalue
         self.n0_eigen: dict[Fraction, list[Vec]] = {
-            lam: [self.n0.from_coords(c) for c in basis]
-            for lam, basis in decomp.eigenspaces.items()
+            lam: [self.n0.from_coords(c) for c in basis] for lam, basis in eigen.items()
         }
         self.n0_trace = m.trace()
 
@@ -219,22 +213,34 @@ def build_n1(g: LieAlgebra, h: Subalgebra, parabolic: ParabolicData) -> DecayWit
     p = parabolic
     if not all(p.p0.contains(b) for b in h.basis):
         raise InvariantViolation("h does not lie in p0")
-    span = IncrementalSpan(g.dim, h.basis)
-    chosen: list[Vec] = []
-    chosen_trace = Fraction(0)
-    for lam in sorted(p.n0_eigen, reverse=True):
-        for b in p.n0_eigen[lam]:
-            if span.add(b):
-                chosen.append(b)
-                chosen_trace += lam
+    chosen, lams = _greedy_complement(g, h, p.n0_eigen)
     if len(chosen) == p.n0.dim:
         proj = _levi_projection(g, h, p)
         raise GammaNotPositive(
             "h meets the nilradical trivially; recurse on the Levi factor",
             payload={"levi": p.l0.basis, "h_projected": proj})
-    gamma = p.n0_trace - chosen_trace
+    gamma = p.n0_trace - sum(lams, Fraction(0))
     l1 = _levi_complement(g, h, p)
     return DecayWitness(g, h, p, chosen, l1, gamma)
+
+
+def _greedy_complement(g: LieAlgebra, h: Subalgebra,
+                       eigen) -> tuple[list[Vec], list[Fraction]]:
+    """Eigenvectors extending h to a direct sum, with their eigenvalues.
+
+    Walks the eigenvalues of ``eigen`` (eigenvalue to basis) from the
+    largest down and each basis in order, and takes a vector exactly
+    when it enlarges the span of h and the vectors already taken.
+    """
+    span = IncrementalSpan(g.dim, h.basis)
+    chosen: list[Vec] = []
+    lams: list[Fraction] = []
+    for lam in sorted(eigen, reverse=True):
+        for b in eigen[lam]:
+            if span.add(b):
+                chosen.append(b)
+                lams.append(lam)
+    return chosen, lams
 
 
 def _levi_projection(g: LieAlgebra, h: Subalgebra, p: ParabolicData) -> list[Vec]:
@@ -263,6 +269,27 @@ def _levi_complement(g: LieAlgebra, h: Subalgebra, p: ParabolicData) -> list[Vec
 # boundedness of the conjugated projection
 
 
+class _AdFlow:
+    """Float Ad(exp(t x))^{-1} from the exact eigenstructure of ad x.
+
+    ``c`` has the ad-x eigenvectors as columns and ``lams`` their exact
+    eigenvalues, so Ad(exp(t x))^{-1} = c diag(e^(-t lam)) c^{-1}.
+    """
+
+    def __init__(self, grading: Grading):
+        import numpy as np
+        self.lams = [lam for lam, part in grading.parts.items() for _ in part.basis]
+        self.c = RatMat.from_cols([b for part in grading.parts.values() for b in part.basis])
+        self.c_inv = self.c.inverse()
+        self.c_f = np.array(self.c.to_floats())
+        self.c_inv_f = np.array(self.c_inv.to_floats())
+        self._lams_f = np.array([float(lam) for lam in self.lams])
+
+    def inverse_at(self, t: float) -> np.ndarray:
+        import numpy as np
+        return (self.c_f * np.exp(-t * self._lams_f)) @ self.c_inv_f
+
+
 def check_mt_bounded(witness: DecayWitness, t_min: int = -40,
                      tail_window: int = 10, factor: float = 2.0) -> bool:
     """Is the conjugated projection uniformly bounded for t <= 0?
@@ -280,8 +307,7 @@ def check_mt_bounded(witness: DecayWitness, t_min: int = -40,
     """
     import numpy as np
     g = witness.algebra
-    p = witness.parabolic
-    grading = grading_of(g, p.x)
+    grading = grading_of(g, witness.parabolic.x)
 
     for y in witness.h.basis:
         comps = grading.components_of(y)
@@ -297,25 +323,19 @@ def check_mt_bounded(witness: DecayWitness, t_min: int = -40,
 
     # numeric sampling in the exact eigenbasis; entries that would grow
     # are exactly zero by the structural rule, so mask them first
-    cols = [b for part in grading.parts.values() for b in part.basis]
-    lams = [lam for lam, part in grading.parts.items() for _ in part.basis]
-    c = RatMat.from_cols(cols)
-    c_inv = c.inverse()
-    pv_eig = c_inv @ witness.projection_matrix() @ c
-    c_f = np.array(c.to_floats())
-    c_inv_f = np.array(c_inv.to_floats())
-    pv_f = np.array(pv_eig.to_floats())
+    flow = _AdFlow(grading)
+    pv_f = np.array((flow.c_inv @ witness.projection_matrix() @ flow.c).to_floats())
     mask = pv_f != 0.0
     n = g.dim
     diff = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if mask[i, j]:
-                diff[i, j] = float(lams[i] - lams[j])
+                diff[i, j] = float(flow.lams[i] - flow.lams[j])
     norms = []
     for t in range(0, t_min - 1, -1):
         b_t = np.where(mask, pv_f * np.exp(t * diff), 0.0)
-        norms.append(np.linalg.norm(c_f @ b_t @ c_inv_f, 2))
+        norms.append(np.linalg.norm(flow.c_f @ b_t @ flow.c_inv_f, 2))
     tail = norms[len(norms) - tail_window - 1:]
     return max(norms) <= factor * max(tail)
 
@@ -370,24 +390,6 @@ def _beta_float(ad_t: np.ndarray) -> np.ndarray:
     return acc
 
 
-class _AdFlow:
-    """Float Ad(exp(t x))^{-1} from the exact eigenstructure of ad x."""
-
-    def __init__(self, g: LieAlgebra, x: Vec):
-        import numpy as np
-        grading = grading_of(g, x)
-        cols = [b for part in grading.parts.values() for b in part.basis]
-        self.lams = np.array([float(lam) for lam, part in grading.parts.items()
-                              for _ in part.basis])
-        c = RatMat.from_cols(cols)
-        self.c_f = np.array(c.to_floats())
-        self.c_inv_f = np.array(c.inverse().to_floats())
-
-    def inverse_at(self, t: float) -> np.ndarray:
-        import numpy as np
-        return (self.c_f * np.exp(-t * self.lams)) @ self.c_inv_f
-
-
 def phi_jacobian_sandwich(witness: DecayWitness, q_box=0.1, t_grid=None,
                           samples: int = 2000, seed: int = 7,
                           claimed_gamma=None):
@@ -425,7 +427,7 @@ def phi_jacobian_sandwich(witness: DecayWitness, q_box=0.1, t_grid=None,
     v_f = np.array([[float(e) for e in col] for col in witness.v.basis]).T
     ext = np.array(RatMat([list(r) for r in witness._vh_inv.rows[:m]]).to_floats())
     ad_cols = [np.array(g.ad(col).to_floats()) for col in witness.v.basis]
-    flow = _AdFlow(g, p.x)
+    flow = _AdFlow(grading_of(g, p.x))
 
     # chart sanity at the origin: dPhi_0(0) is the identity on v
     probe = ext @ flow.inverse_at(0.0) @ v_f
@@ -516,12 +518,11 @@ def _normalizing_rate(g: LieAlgebra, n: Subalgebra, x: Vec) -> Fraction | None:
         if not n.contains(g.bracket(x, b)):
             return None
     m = n.restriction_matrix(g.ad(x))
-    if not is_squarefree(minimal_polynomial(m)):
+    try:
+        eigen = rational_eigen_decomposition(m)
+    except (NotSemisimple, IrrationalSpectrum):
         return None
-    decomp = rational_eigen_decomposition(m)
-    if decomp.residual or any(lam <= 0 for lam in decomp.eigenspaces):
-        return None
-    return m.trace()
+    return m.trace() if all(lam > 0 for lam in eigen) else None
 
 
 def unipotent_witness(g: LieAlgebra, n: Subalgebra,
@@ -613,15 +614,7 @@ def predict_lower_bound(g: LieAlgebra, h: Subalgebra, cartan,
         raise InputError("direction must be flipped by the involution")
     if any(cartan.inner.value(x, b) != 0 for b in h.basis):
         raise InputError("direction must be orthogonal to h")
-    grading = grading_of(g, x)
-    span = IncrementalSpan(g.dim, h.basis)
-    chosen: list[Vec] = []
-    eigenvalues: list[Fraction] = []
-    for lam in sorted(grading.parts, reverse=True):
-        for b in grading.parts[lam].basis:
-            if span.add(b):
-                chosen.append(b)
-                eigenvalues.append(lam)
+    chosen, eigenvalues = _greedy_complement(g, h, rational_eigen_decomposition(g.ad(x)))
     vx = Subspace(g, chosen, name="vx")
     return LowerBoundCert(g, h, x, vx, eigenvalues)
 

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from vaikit import catalog
+
+# pytest puts src/ on this process's path (pyproject.toml); the tests that
+# run `python -m vaikit.cli` in a subprocess need it there too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from math import isqrt
 import pytest
 
 from vaikit import exact
-from vaikit.errors import InputError
+from vaikit.errors import InputError, IrrationalSpectrum, NotSemisimple
 from vaikit.exact import (
     IncrementalSpan,
     RatMat,
@@ -19,9 +19,7 @@ from vaikit.exact import (
     poly_degree,
     poly_divmod,
     poly_eval,
-    poly_eval_matrix,
     poly_gcd,
-    poly_mul,
     rational_eigen_decomposition,
     rational_roots,
     rref,
@@ -29,6 +27,25 @@ from vaikit.exact import (
     vec,
 )
 from vaikit.lie import BilinearForm, LieAlgebra
+
+# polynomial product and evaluation at a matrix, for the identities below
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly(out)
+
+
+def poly_eval_matrix(p, m):
+    acc = RatMat.zeros(m.nrows, m.ncols)
+    for c in reversed(p):
+        acc = acc @ m + RatMat.identity(m.nrows).scale(c)
+    return acc
 
 
 def test_rref_frozen_example():
@@ -148,41 +165,45 @@ def test_rational_roots_none():
 
 def test_eigen_decomposition_diagonalizable():
     m = RatMat([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
-    dec = rational_eigen_decomposition(m)
-    assert list(dec.eigenspaces) == [F(-2), F(0), F(2)]
-    assert dec.eigenspaces[F(2)] == ((F(0), F(1), F(0)),)
-    assert dec.residual == ()
-    for lam, basis in dec.eigenspaces.items():
+    spaces = rational_eigen_decomposition(m)
+    assert list(spaces) == [F(-2), F(0), F(2)]
+    assert spaces[F(2)] == ((F(0), F(1), F(0)),)
+    for lam, basis in spaces.items():
         for v in basis:
             assert m.apply(v) == tuple(lam * e for e in v)
 
 
 def test_eigen_decomposition_zero_matrix():
-    dec = rational_eigen_decomposition(RatMat.zeros(3, 3))
-    assert list(dec.eigenspaces) == [F(0)]
-    assert len(dec.eigenspaces[F(0)]) == 3
+    spaces = rational_eigen_decomposition(RatMat.zeros(3, 3))
+    assert list(spaces) == [F(0)]
+    assert len(spaces[F(0)]) == 3
+    assert rational_eigen_decomposition(RatMat.zeros(0, 0)) == {}
 
 
 def test_eigen_decomposition_residual():
     # rotation-like block: no rational eigenvalues at all
-    m = RatMat([[0, -1], [1, 0]])
-    dec = rational_eigen_decomposition(m)
-    assert dec.eigenspaces == {}
-    assert len(dec.residual) == 2
+    with pytest.raises(IrrationalSpectrum):
+        rational_eigen_decomposition(RatMat([[0, -1], [1, 0]]))
+    # a Jordan block is not semisimple, whatever its spectrum
+    with pytest.raises(NotSemisimple):
+        rational_eigen_decomposition(RatMat([[1, 1], [0, 1]]))
 
 
 def test_eigen_parts_fill_space_randomized():
     rng = random.Random(41)
-    for _ in range(25):
+    filled = 0
+    for _ in range(60):
         n = rng.randint(1, 4)
         m = RatMat([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
-        dec = rational_eigen_decomposition(m)
+        try:
+            spaces = rational_eigen_decomposition(m)
+        except (NotSemisimple, IrrationalSpectrum):
+            continue
         span = IncrementalSpan(n)
-        count = 0
-        for v in dec.all_parts():
-            assert span.add(v)
-            count += 1
-        assert count == n
+        assert all(span.add(v) for basis in spaces.values() for v in basis)
+        assert span.rank == n
+        filled += 1
+    assert filled > 10
 
 
 def test_incremental_span():
@@ -419,6 +440,101 @@ def test_minimal_polynomial_matches_fraction_powers():
                                          else (F(1),))
         dens.append(max((e.denominator for r in m.rows for e in r), default=1))
     assert sum(d > 1 for d in dens) > 50
+
+
+# ---------------------------------------------------------------------------
+# eigenspaces of semisimple matrices, against the general algorithm they
+# replaced: generalized eigenspaces of the characteristic polynomial's
+# rational roots and a residual where the spectrum is irrational
+
+
+def _ref_eigen_decomposition(m):
+    """Generalized eigenspaces kernel((m - lam)^mult) and the residual kernel q(m)."""
+    cp = char_poly(m)
+    spaces, rational_factor = {}, (F(1),)
+    for lam, mult in rational_roots(cp).items():
+        shifted = m - RatMat.identity(m.nrows).scale(lam)
+        basis = kernel(shifted)
+        if len(basis) < mult:
+            basis = kernel(shifted ** mult)
+        spaces[lam] = tuple(basis)
+        for _ in range(mult):
+            rational_factor = poly_mul(rational_factor, poly([-lam, 1]))
+    q, rem = poly_divmod(cp, rational_factor)
+    assert rem == ()
+    residual = kernel(poly_eval_matrix(q, m)) if poly_degree(q) > 0 else []
+    assert sum(len(b) for b in spaces.values()) + len(residual) == m.nrows
+    return spaces, residual
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    rows, lo = [], 0
+    for b in blocks:
+        rows += [[F(0)] * lo + list(r) + [F(0)] * (n - lo - len(b)) for r in b]
+        lo += len(b)
+    return RatMat(rows, ncols=n)
+
+
+def _conjugate(rng, m):
+    """S m S^-1 for a random invertible S with denominators."""
+    while True:
+        s = RatMat([[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(m.nrows)]
+                    for _ in range(m.nrows)])
+        if s.det() != 0:
+            return s @ m @ s.inverse()
+
+
+def _spectral_matrices(seed, count):
+    """(family, expected outcome, matrix) for each family, ``count`` times."""
+    rng = random.Random(seed)
+
+    def diagonal(k, pool):
+        return [[[lam]] for lam in rng.choices(pool, k=k)]
+
+    def jordan(lam, k):
+        return [[lam if i == j else F(int(j == i + 1)) for j in range(k)] for i in range(k)]
+
+    def irrational():  # companion matrix of x^2 - c, c not a rational square
+        c = rng.choice((F(2), F(3), F(-1), F(1, 2)))
+        return [[F(0), c], [F(1), F(0)]]
+
+    root_two = [[F(0), F(2)], [F(1), F(0)]]  # A^2 = 2
+    for _ in range(count):
+        pool = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 3))]
+        lam = rng.choice(pool)
+        families = [
+            ("diagonal", "spaces", diagonal(rng.randint(1, 5), pool)),
+            ("jordan", NotSemisimple, [jordan(lam, rng.randint(2, 3))] + diagonal(
+                rng.randint(0, 2), pool)),
+            ("companion", IrrationalSpectrum, [irrational() for _ in range(rng.randint(1, 2))]
+             + diagonal(rng.randint(0, 2), pool)),
+            ("double", IrrationalSpectrum, [root_two, root_two]),
+            ("jordan-irrational", NotSemisimple, [jordan(lam, 2), irrational()]),
+        ]
+        for family, outcome, blocks in families:
+            yield family, outcome, _conjugate(rng, _block_diagonal(blocks))
+    for n in range(5):
+        yield "zero", "spaces", RatMat.zeros(n, n)
+
+
+def test_eigen_decomposition_matches_general_algorithm():
+    seen = set()
+    for family, outcome, m in _spectral_matrices(151, 30):
+        spaces, residual = _ref_eigen_decomposition(m)
+        if not is_squarefree(minimal_polynomial(m)):
+            assert outcome is NotSemisimple, family
+        elif residual:
+            assert outcome is IrrationalSpectrum, family
+        else:
+            assert outcome == "spaces", family
+            assert list(rational_eigen_decomposition(m).items()) == list(spaces.items())
+            seen.add((family, outcome))
+            continue
+        with pytest.raises(outcome):
+            rational_eigen_decomposition(m)
+        seen.add((family, outcome))
+    assert len(seen) == 6
 
 
 # ---------------------------------------------------------------------------

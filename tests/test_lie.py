@@ -12,6 +12,7 @@ import pytest
 from vaikit import catalog
 from vaikit.errors import InvariantViolation, NotReductive
 from vaikit.exact import IncrementalSpan, RatMat, rat, vec
+from vaikit.grading import grading_of
 from vaikit.lie import (
     BilinearForm,
     LieAlgebra,
@@ -22,6 +23,7 @@ from vaikit.lie import (
     is_unimodular_pair,
     radical,
 )
+from vaikit.witness import unipotent_witness
 
 H, E, F = 0, 1, 2  # catalog sl2 basis order
 
@@ -65,6 +67,16 @@ def test_ad_matrix_eigenvectors(sl2):
     assert ad_h.apply(sl2.basis_vector(E)) == vec([0, 2, 0])
     assert ad_h.apply(sl2.basis_vector(F)) == vec([0, 0, -2])
     assert ad_h.apply(sl2.basis_vector(H)) == vec([0, 0, 0])
+
+
+@pytest.mark.parametrize("x", [vec([1]), vec([1, 0, 0, 5])])
+def test_bracket_and_ad_reject_wrong_length(sl2, x):
+    e = sl2.basis_vector(E)
+    for call in (lambda: sl2.bracket(x, e), lambda: sl2.bracket(e, x), lambda: sl2.ad(x),
+                 lambda: grading_of(sl2, x),
+                 lambda: unipotent_witness(sl2, Subalgebra(sl2, [e]), x)):
+        with pytest.raises(InvariantViolation, match="entries in dimension 3"):
+            call()
 
 
 def test_validation_rejects_broken_antisymmetry():
