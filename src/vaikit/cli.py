@@ -282,10 +282,8 @@ def _fit_prediction(space: str):
     if space == "spd2":
         sub_path = data_path("sl2-so2.json")
         sub = load_subalgebra_file(sub_path, g)
-        cartan = default_cartan(g)
         raising = Subspace(g, [g.basis_vector(1)], name="u")
-        exponent = predict_symmetric_exponent(g, sub, cartan, raising,
-                                              g.basis_vector(0))
+        exponent = predict_symmetric_exponent(g, sub, raising, g.basis_vector(0))
         inputs["exponent-subalgebra"] = _input_entry(sub_path)
         return exponent, "symmetric-exponent", inputs, {}
     if space == "sl2-orbit-hyperboloid":

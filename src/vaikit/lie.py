@@ -65,7 +65,6 @@ class LieAlgebra:
         self._killing = None
         self._cartan: tuple = ()  # (default_cartan(self),) once computed
         self._reductive = None
-        self._full = None
         if _validate:
             self._validate()
 
@@ -210,19 +209,21 @@ class LieAlgebra:
         return self._killing
 
     def full_subalgebra(self) -> "Subalgebra":
-        if self._full is None:
-            self._full = Subalgebra(self, [self.basis_vector(i) for i in range(self.dim)],
-                                    name=self.name or "g")
-        return self._full
+        return Subalgebra(self, [self.basis_vector(i) for i in range(self.dim)],
+                          name=self.name or "g")
 
     def is_reductive(self) -> bool:
-        """Exact test: the radical equals the center."""
+        """Exact test: the kernel of the Killing form is the center.
+
+        The center z and the nilradical N lie in ker kappa: for y in N,
+        ad x ad y raises the filtration by the ideals [N, ...], so it is
+        nilpotent.  If ker kappa = z then N = z; as [g, rad g] lies in N,
+        ad is nilpotent on rad g, which by Engel lies in N = z.  Conversely
+        a reductive g = z + s has ker kappa = z (Cartan's criterion on s).
+        """
         if self._reductive is None:
-            g = self.full_subalgebra()
-            r = radical(g)
-            # the center is an abelian ideal, hence inside the radical;
-            # a zero radical therefore forces a zero center
-            self._reductive = True if r.dim == 0 else r.same_span(center(g))
+            self._reductive = all(self.ad(k).is_zero()
+                                  for k in kernel(self.killing_form().gram))
         return self._reductive
 
     def __repr__(self):
@@ -383,8 +384,6 @@ class Subalgebra(Subspace):
 def center(h: Subalgebra) -> Subalgebra:
     """Elements of h commuting with all of h."""
     g = h.algebra
-    if h.dim == 0:
-        return Subalgebra(g, [], name=f"z({h.name})")
     rows = []
     brackets = [[g.bracket(bi, bj) for bj in h.basis] for bi in h.basis]
     for j in range(h.dim):
@@ -409,18 +408,14 @@ def radical(h: Subalgebra) -> Subalgebra:
 
     Characteristic zero criterion: the radical is the orthogonal
     complement of [h, h] with respect to the Killing form of h itself.
+    [h, h] is spanned by the abstract structure tensor's entries c[i][j].
     """
-    g = h.algebra
-    if h.dim == 0:
-        return Subalgebra(g, [], name=f"rad({h.name})")
     habs = h.abstract()
-    kappa = habs.killing_form()
-    derived = derived_subalgebra(habs.full_subalgebra())
-    if derived.dim == 0:
-        return Subalgebra(g, h.basis, name=f"rad({h.name})")
-    rows = [kappa.gram.apply(d) for d in derived.basis]
+    derived = IncrementalSpan(h.dim, [habs.sc[i][j] for i in range(h.dim)
+                                      for j in range(i + 1, h.dim)]).basis()
+    rows = [habs.killing_form().gram.apply(d) for d in derived]
     coeffs = kernel(RatMat(rows, ncols=h.dim))
-    return Subalgebra(g, [h.from_coords(c) for c in coeffs], name=f"rad({h.name})")
+    return Subalgebra(h.algebra, [h.from_coords(c) for c in coeffs], name=f"rad({h.name})")
 
 
 def is_unimodular_pair(g: LieAlgebra, h: Subalgebra) -> bool:

@@ -8,9 +8,9 @@ quotient space:
   question is void),
 * is h reductive in g (radical(h) = center(h) and the center acts
   semisimply on g),
-* is h stable under a Cartan involution, which yields an invariant
-  complement q with [h, q] in q, and detects symmetric pairs via
-  [q, q] in h.
+* is the pair symmetric, decided by the Killing form alone through
+  q = h-perp; a Cartan involution theta only names the complement in
+  the theta-stable certificate.
 
 The verdict is "holds" exactly when the pair is unimodular and h is
 reductive in g; every verdict ships a checkable certificate.
@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InvariantViolation, NotReductive
+from .errors import InvariantViolation, NotReductive
 from .exact import (
+    ZERO,
     RatMat,
     Vec,
     is_squarefree,
@@ -34,7 +35,6 @@ from .lie import (
     Subalgebra,
     Subspace,
     center,
-    is_unimodular_pair,
     negative_transpose_involution,
     radical,
     unimodular_trace_witness,
@@ -46,7 +46,7 @@ VAI_NO_MEASURE = "no-invariant-measure"
 
 
 class CartanData:
-    """A Cartan involution with its eigenspace split and inner product.
+    """A Cartan involution of g.
 
     theta must be an involutive automorphism whose twisted Killing
     pairing <x, y> = -kappa(theta x, y) is positive definite; all three
@@ -72,18 +72,10 @@ class CartanData:
             raise InvariantViolation("twisted Killing pairing is not positive definite")
         self.algebra = g
         self.theta = theta
-        self.inner = inner
-        eye = RatMat.identity(n)
-        self.k_part = Subspace(g, kernel(theta - eye), name="k")
-        self.p_part = Subspace(g, kernel(theta + eye), name="p")
 
     @classmethod
     def negative_transpose(cls, g: LieAlgebra) -> "CartanData":
         return cls(g, negative_transpose_involution(g))
-
-    def __repr__(self):
-        return (f"CartanData(dim k = {self.k_part.dim}, "
-                f"dim p = {self.p_part.dim})")
 
 
 @dataclass
@@ -136,41 +128,45 @@ def is_reductive_in_g(g: LieAlgebra, h: Subalgebra) -> tuple[bool, dict | None]:
     return True, None
 
 
+def killing_complement(g: LieAlgebra, h: Subalgebra) -> Subspace | None:
+    """q = h-perp under kappa if kappa is nondegenerate on h, else None.
+
+    Then g = h + q is direct, and [h, q] lies in q as kappa is invariant.
+    """
+    gram = g.killing_form().gram
+    rows = [gram.apply(b) for b in h.basis]
+    on_h = RatMat([[sum((x * y for x, y in zip(r, b)), ZERO) for b in h.basis]
+                   for r in rows], ncols=h.dim)
+    if kernel(on_h):
+        return None
+    return Subspace(g, kernel(RatMat(rows, ncols=g.dim)), name="q")
+
+
 def check_theta_stable(g: LieAlgebra, h: Subalgebra,
                        cartan: CartanData) -> tuple[bool, Subspace | None]:
     """Is h preserved by the involution?  If so, split off q = h-perp.
 
-    q is orthogonal to h under B(x, y) = -kappa(theta x, y), positive
-    definite by CartanData, so g = h + q is direct and
-    dim q = dim g - dim h.  [h, q] in q follows: theta is an
-    automorphism (CartanData) with theta h = h, and kappa is
-    ad-invariant, so B([x, y], z) = -B(y, [theta x, z]) = 0 for
-    x, z in h and y in q.
+    Then q exists: kappa(x, theta x) = -B(x, x) < 0 on h for the positive
+    definite B(x, y) = -kappa(theta x, y) of CartanData.
     """
-    theta = cartan.theta
-    if not all(h.contains(theta.apply(b)) for b in h.basis):
+    if not all(h.contains(cartan.theta.apply(b)) for b in h.basis):
         return False, None
-    if h.dim == 0:
-        return True, Subspace(g, [g.basis_vector(i) for i in range(g.dim)], name="q")
-    rows = [cartan.inner.gram.apply(b) for b in h.basis]
-    return True, Subspace(g, kernel(RatMat(rows, ncols=g.dim)), name="q")
+    return True, killing_complement(g, h)
 
 
-def _brackets_into(g: LieAlgebra, q: Subspace, h: Subalgebra) -> bool:
-    """Does [q, q] lie in h?"""
-    for i, x in enumerate(q.basis):
-        for y in q.basis[i + 1:]:
-            if not h.contains(g.bracket(x, y)):
-                return False
-    return True
+def is_symmetric_pair(g: LieAlgebra, h: Subalgebra) -> bool:
+    """Is h the fixed algebra of an involutive automorphism sigma of g?
 
-
-def is_symmetric_pair(g: LieAlgebra, h: Subalgebra, cartan: CartanData) -> bool:
-    """Does the invariant complement bracket back into h?"""
-    stable, q = check_theta_stable(g, h, cartan)
-    if not stable:
-        raise InputError("subalgebra is not stable under the given involution")
-    return _brackets_into(g, q, h)
+    Decided as: kappa is nondegenerate on h and q = h-perp has [q, q] in h.
+    Sound for every g (sigma = +1 on h, -1 on q); complete when kappa is
+    nondegenerate, as every such sigma preserves kappa.  With a center it
+    can miss a pair: so(2) + center in gl2 is fixed by Ad(J), but kappa
+    vanishes on the center.
+    """
+    q = killing_complement(g, h)
+    return q is not None and all(h.contains(g.bracket(x, y))
+                                 for i, x in enumerate(q.basis)
+                                 for y in q.basis[i + 1:])
 
 
 def default_cartan(g: LieAlgebra) -> CartanData | None:
@@ -204,7 +200,8 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
             f"ambient algebra {g.name or '?'} is not reductive")
     if cartan is None:
         cartan = default_cartan(g)
-    unimodular = is_unimodular_pair(g, h)
+    trace_witness = unimodular_trace_witness(g, h)
+    unimodular = trace_witness is None
     reductive, failure_cert = is_reductive_in_g(g, h)
     if not unimodular:
         vai = VAI_NO_MEASURE
@@ -214,12 +211,10 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
         vai = VAI_FAILS
 
     certificate = None
-    symmetric = False
     if cartan is not None:
         stable, q = check_theta_stable(g, h, cartan)
         if stable:
             certificate = {"kind": "theta-stable", "q": q.basis}
-            symmetric = _brackets_into(g, q, h)
     if vai != VAI_HOLDS and failure_cert is not None:
         certificate = failure_cert
 
@@ -230,6 +225,6 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
         reductive_in_g=reductive,
         vai=vai,
         certificate=certificate,
-        symmetric_pair=symmetric,
-        trace_witness=None if unimodular else unimodular_trace_witness(g, h),
+        symmetric_pair=is_symmetric_pair(g, h),
+        trace_witness=trace_witness,
     )

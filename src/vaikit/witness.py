@@ -606,20 +606,22 @@ def predict_lower_bound(g: LieAlgebra, h: Subalgebra, cartan,
     """Exact cosh-type lower-bound exponent in the direction x.
 
     Requires x in the (-1)-eigenspace of the involution and orthogonal
-    to h under the twisted pairing; the complement vx is assembled from
-    ad-x eigenvectors in descending eigenvalue order.
+    to h under the twisted pairing B(x, b) = -kappa(theta x, b), which
+    for such x is kappa(x, b); the complement vx is assembled from ad-x
+    eigenvectors in descending eigenvalue order.
     """
     x = vec(x)
     if cartan.theta.apply(x) != vec_scale(Fraction(-1), x):
         raise InputError("direction must be flipped by the involution")
-    if any(cartan.inner.value(x, b) != 0 for b in h.basis):
+    kappa = g.killing_form()
+    if any(kappa.value(x, b) != 0 for b in h.basis):
         raise InputError("direction must be orthogonal to h")
     chosen, eigenvalues = _greedy_complement(g, h, rational_eigen_decomposition(g.ad(x)))
     vx = Subspace(g, chosen, name="vx")
     return LowerBoundCert(g, h, x, vx, eigenvalues)
 
 
-def predict_symmetric_exponent(g: LieAlgebra, h: Subalgebra, cartan,
+def predict_symmetric_exponent(g: LieAlgebra, h: Subalgebra,
                                u_sub: Subspace, x: Vec) -> Fraction:
     """Two-sided growth exponent for a symmetric pair: tr(ad x | u).
 
@@ -629,6 +631,6 @@ def predict_symmetric_exponent(g: LieAlgebra, h: Subalgebra, cartan,
     """
     from .reductivity import is_symmetric_pair
 
-    if not is_symmetric_pair(g, h, cartan):
+    if not is_symmetric_pair(g, h):
         raise NotSymmetric("the pair is not symmetric")
     return u_sub.restriction_matrix(g.ad(vec(x))).trace()

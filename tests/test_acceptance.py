@@ -37,7 +37,6 @@ from vaikit.reductivity import (
     VAI_HOLDS,
     CartanData,
     check_theta_stable,
-    default_cartan,
     vai_verdict,
 )
 from vaikit.volume import chi_partial, get_model, volume_along_curve
@@ -209,10 +208,8 @@ def test_criterion_06_symmetric_exponent(sl2):
     """Two-sided exponent 2 exactly; measured slope on the positive
     curve within 2.0 +/- 0.2 and no volume collapse, in < 90s."""
     h = catalog.load_subalgebra_file(d("sl2-so2.json"), sl2)
-    cartan = default_cartan(sl2)
     raising = Subspace(sl2, [sl2.basis_vector(1)], name="u")
-    exponent = predict_symmetric_exponent(sl2, h, cartan, raising,
-                                          sl2.basis_vector(0))
+    exponent = predict_symmetric_exponent(sl2, h, raising, sl2.basis_vector(0))
     exact_ok = exponent == 2
 
     start = time.monotonic()

@@ -102,6 +102,17 @@ class TestCheck:
         assert "theta" in report["inputs"]
         assert report["result"]["certificate"]["kind"] == "theta-stable"
 
+    def test_symmetric_pair_without_theta_certificate(self, capsys, tmp_path):
+        # span(E - 2F) is elliptic, conjugate to so(2) over R but not
+        # stable under -X^T: symmetric, with no theta-stable certificate
+        sub = tmp_path / "elliptic.json"
+        sub.write_text(json.dumps({"name": "span(E-2F)", "basis": [["0", "1", "-2"]]}))
+        code, report = run_report(capsys, "check", "--algebra", d("sl2.json"),
+                                  "--subalgebra", str(sub))
+        assert code == 0
+        assert report["result"]["symmetric_pair"] is True
+        assert report["result"]["certificate"] is None
+
     def test_missing_file_is_input_error(self, capsys):
         code, out, err = run_cli(
             capsys, "check", "--algebra", "/nonexistent/g.json",
@@ -459,11 +470,13 @@ SL2_HALF_SC = [
     [["0", "0", "2"], ["-1/2", "0", "0"], ["0", "0", "0"]],
 ]
 
-# (argv after the algebra, exit code, sha256 of the canonical ``result``)
+# (argv after the algebra, exit code, sha256 of the canonical ``result``);
+# span(H) is so(1,1), a symmetric pair the Killing form finds without an
+# involution (``sc`` gives no realization, so no theta certificate)
 GOLDEN_HALF = {
     "check span(H)": (
         ["check", "--subalgebra", "h.json"], 0,
-        "4b422e3972b1d7de82032c24b5f331e6b136ba9c54a84947da7f6571a4db1623"),
+        "2daa14f29598af56f50da571e86e9e3528cee39b3190187ca0f6b5e940cdce6a"),
     "check span(E)": (
         ["check", "--subalgebra", "e.json"], 3,
         "e54ba20900654a237865e29dd89dd7a48e68b1885475d7763041393557f75e8f"),
@@ -493,6 +506,9 @@ def test_golden_report_non_integral_constants(capsys, tmp_path, case):
     code, report = run_report(capsys, argv[0], "--algebra",
                               str(tmp_path / "sl2-half.json"), *argv[1:])
     assert code == expected_code
+    if case == "check span(H)":
+        assert report["result"]["symmetric_pair"] is True
+        assert report["result"]["certificate"] is None
     canonical = json.dumps(report["result"], sort_keys=True,
                            separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == expected_digest

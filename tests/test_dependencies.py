@@ -1,4 +1,5 @@
-"""The package imports exactly the third-party modules it declares."""
+"""The package imports exactly the third-party modules it declares, and
+uses every name it imports."""
 
 import ast
 import re
@@ -32,3 +33,30 @@ def test_imports_match_declared_dependencies():
         declared = tomllib.load(handle)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared}
     assert _third_party_imports() == names
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a quoted annotation names its classes in a string
+    annotations = [getattr(node, field, None) for node in ast.walk(tree)
+                   for field in ("annotation", "returns")]
+    used.update(name for a in annotations if a is not None for node in ast.walk(a)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                for name in re.findall(r"[A-Za-z_]\w*", node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    unused = [entry for path in sorted(PACKAGE.rglob("*.py"))
+              for entry in _unused_imports(path)]
+    assert unused == []

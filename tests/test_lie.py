@@ -157,6 +157,43 @@ def test_sl2_is_reductive(sl2):
     assert sl2.is_reductive()
 
 
+def _reductive_by_radical(g: LieAlgebra) -> bool:
+    """Reference rule: the radical of g equals its center."""
+    full = Subalgebra(g, [g.basis_vector(i) for i in range(g.dim)])
+    return radical(full).same_span(center(full))
+
+
+def _random_closed_subalgebra(g: LieAlgebra, rng: random.Random) -> Subalgebra:
+    """Bracket closure of 1-3 seeded generators, each 1-2 basis vectors."""
+    span = IncrementalSpan(g.dim)
+    for _ in range(rng.randint(1, 3)):
+        v = [0] * g.dim
+        for i in rng.sample(range(g.dim), rng.randint(1, 2)):
+            v[i] = rng.choice((-1, 1, 2))
+        span.add(vec(v))
+    grew = True
+    while grew:
+        basis = span.basis()
+        grew = any([span.add(g.bracket(x, y))
+                    for i, x in enumerate(basis) for y in basis[i + 1:]])
+    return Subalgebra(g, span.basis())
+
+
+def test_is_reductive_agrees_with_radical_rule(sl2, sl3, sl4):
+    rng = random.Random(29)
+    aff1 = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]  # [x, y] = y
+    heisenberg = [[[0] * 3, [0, 0, 1], [0] * 3], [[0, 0, -1], [0] * 3, [0] * 3],
+                  [[0] * 3] * 3]  # [x, y] = z
+    algebras = [catalog.gl2(), LieAlgebra(aff1), LieAlgebra(heisenberg),
+                LieAlgebra([[[0] * 2] * 2] * 2)]
+    for g in (sl2, sl3, sl4):
+        algebras += [_random_closed_subalgebra(g, rng).abstract() for _ in range(50)]
+    verdicts = [_reductive_by_radical(a) for a in algebras]
+    assert [a.is_reductive() for a in algebras] == verdicts
+    assert verdicts[:4] == [True, False, False, True]
+    assert 50 < sum(verdicts) < len(verdicts) - 50  # both classes well represented
+
+
 def test_unimodular_pairs(sl2, sl2_subs):
     assert is_unimodular_pair(sl2, sl2_subs["n"])
     assert is_unimodular_pair(sl2, sl2_subs["so2"])

@@ -4,11 +4,14 @@ The expected complements and minimal polynomials were computed by hand
 from the bracket tables before the implementation existed.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from vaikit import catalog
-from vaikit.errors import InputError, InvariantViolation, NotReductive
-from vaikit.exact import RatMat, vec
+from vaikit.errors import InvariantViolation, NotReductive
+from vaikit.exact import RatMat, kernel, vec
 from vaikit.lie import LieAlgebra, Subalgebra, Subspace
 from vaikit.reductivity import (
     VAI_FAILS,
@@ -21,6 +24,7 @@ from vaikit.reductivity import (
     is_symmetric_pair,
     vai_verdict,
 )
+from vaikit.witness import unipotent_witness
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +39,14 @@ def cartan3(sl3):
 
 def test_cartan_split_sl2(sl2, cartan2):
     # fixed space: antisymmetric matrices; flipped space: symmetric ones
-    assert cartan2.k_part.dim == 1
-    assert cartan2.p_part.dim == 2
-    assert cartan2.k_part.contains(vec([0, 1, -1]))
-    assert cartan2.p_part.contains(vec([1, 0, 0]))
-    assert cartan2.p_part.contains(vec([0, 1, 1]))
+    eye = RatMat.identity(sl2.dim)
+    k_part = Subspace(sl2, kernel(cartan2.theta - eye))
+    p_part = Subspace(sl2, kernel(cartan2.theta + eye))
+    assert k_part.dim == 1
+    assert p_part.dim == 2
+    assert k_part.contains(vec([0, 1, -1]))
+    assert p_part.contains(vec([1, 0, 0]))
+    assert p_part.contains(vec([0, 1, 1]))
 
 
 def test_cartan_rejects_non_involution(sl2):
@@ -102,23 +109,23 @@ def test_theta_unstable_span_e(sl2, sl2_subs, cartan2):
     assert not stable and q is None
 
 
-def test_symmetric_pairs_sl2(sl2, sl2_subs, cartan2):
-    assert is_symmetric_pair(sl2, sl2_subs["so2"], cartan2)
-    assert is_symmetric_pair(sl2, sl2_subs["so11"], cartan2)
-    with pytest.raises(InputError):
-        is_symmetric_pair(sl2, sl2_subs["n"], cartan2)
+def test_symmetric_pairs_sl2(sl2, sl2_subs):
+    assert is_symmetric_pair(sl2, sl2_subs["so2"])
+    assert is_symmetric_pair(sl2, sl2_subs["so11"])
+    # kappa vanishes on span(E): no complement, not symmetric
+    assert not is_symmetric_pair(sl2, sl2_subs["n"])
 
 
-def test_so3_symmetric_in_sl3(sl3, cartan3):
+def test_so3_symmetric_in_sl3(sl3):
     so3 = catalog.sl3_so3(sl3)
-    assert is_symmetric_pair(sl3, so3, cartan3)
+    assert is_symmetric_pair(sl3, so3)
 
 
 def test_cartan_line_not_symmetric_in_sl3(sl3, cartan3):
     h = Subalgebra(sl3, [sl3.basis_vector(0)], name="span(H1)")
     stable, q = check_theta_stable(sl3, h, cartan3)
     assert stable and q.dim == 7
-    assert not is_symmetric_pair(sl3, h, cartan3)
+    assert not is_symmetric_pair(sl3, h)
 
 
 def test_verdict_holds_cases(sl2, sl3, sl2_subs):
@@ -199,3 +206,42 @@ def test_verdict_invariant_under_h_basis_change(sl2, sl2_subs):
         nb = [b.basis[0], tuple(e + k * f for e, f in zip(b.basis[1], b.basis[0]))]
         rep = vai_verdict(sl2, Subalgebra(sl2, nb, name="borel'"))
         assert rep.vai == VAI_NO_MEASURE
+
+
+def _random_sl(n: int, rng: random.Random) -> tuple[RatMat, RatMat]:
+    """P in SL(n, Q) and its inverse: a lower times an upper unitriangular
+    matrix, scaled by diag(2, 1/2, 1, ...)."""
+    lower = [[1 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(n)]
+             for i in range(n)]
+    scale = RatMat([[(2 if i == 0 else Fraction(1, 2) if i == 1 else 1) if i == j else 0
+                     for j in range(n)] for i in range(n)])
+    p = RatMat(lower) @ RatMat(upper) @ scale
+    return p, p.inverse()
+
+
+@pytest.mark.parametrize("algebra,subalgebra", [
+    ("sl2.json", "sl2-so2.json"), ("sl2.json", "sl2-so11.json"),
+    ("sl2.json", "sl2-n.json"), ("sl2.json", "sl2-borel.json"),
+    ("sl3.json", "sl3-so3.json"), ("sl3.json", "sl3-e12.json"),
+    ("sl5.json", "sl5-nilpair.json"),
+])
+def test_verdict_invariant_under_conjugation(algebra, subalgebra):
+    # Ad(P) is an automorphism of sl(n), so every field of the verdict,
+    # symmetric_pair included, and the unipotent rate are invariants
+    g = catalog.load_algebra_file(catalog.data_path(algebra))
+    h = catalog.load_subalgebra_file(catalog.data_path(subalgebra), g)
+    rep = vai_verdict(g, h)
+    gamma = unipotent_witness(g, h).gamma if rep.vai == VAI_FAILS else None
+    rng = random.Random(f"{algebra}/{subalgebra}")
+    n = g.realization[0].nrows
+    for _ in range(3):
+        p, p_inv = _random_sl(n, rng)
+        basis = [g.realization_coords(p @ g.realize(b) @ p_inv) for b in h.basis]
+        hp = Subalgebra(g, basis, name=f"Ad(P) {h.name}")
+        got = vai_verdict(g, hp)
+        assert (got.vai, got.unimodular, got.reductive_in_g, got.symmetric_pair) == \
+            (rep.vai, rep.unimodular, rep.reductive_in_g, rep.symmetric_pair)
+        if gamma is not None:
+            assert unipotent_witness(g, hp).gamma == gamma

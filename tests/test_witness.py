@@ -364,28 +364,24 @@ class TestLowerBound:
 
 class TestSymmetricExponent:
     def test_sl2_so2(self, sl2, sl2_subs):
-        cart = default_cartan(sl2)
         u = Subspace(sl2, [sl2.basis_vector(1)])
-        assert predict_symmetric_exponent(sl2, sl2_subs["so2"], cart, u,
+        assert predict_symmetric_exponent(sl2, sl2_subs["so2"], u,
                                           sl2.basis_vector(0)) == 2
 
     def test_sl2_so11(self, sl2, sl2_subs):
         # the adapted nilradical is the +2 eigenline of ad(E+F)
-        cart = default_cartan(sl2)
         u = Subspace(sl2, [vec([1, -1, 1])])
-        assert predict_symmetric_exponent(sl2, sl2_subs["so11"], cart, u,
+        assert predict_symmetric_exponent(sl2, sl2_subs["so11"], u,
                                           vec([0, 1, 1])) == 2
 
     def test_sl3_so3(self, sl3):
-        cart = default_cartan(sl3)
         so3 = catalog.sl3_so3(sl3)
         u = Subspace(sl3, [sl3.basis_vector(i) for i in (2, 3, 4)])
         x = vec([1, 1, 0, 0, 0, 0, 0, 0])  # diag(1, 0, -1)
-        assert predict_symmetric_exponent(sl3, so3, cart, u, x) == 4
+        assert predict_symmetric_exponent(sl3, so3, u, x) == 4
 
     def test_not_symmetric(self, sl3):
-        cart = default_cartan(sl3)
         h = Subalgebra(sl3, [sl3.basis_vector(0)])
         u = Subspace(sl3, [sl3.basis_vector(2)])
         with pytest.raises(NotSymmetric):
-            predict_symmetric_exponent(sl3, h, cart, u, sl3.basis_vector(0))
+            predict_symmetric_exponent(sl3, h, u, sl3.basis_vector(0))
