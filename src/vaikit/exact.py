@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with ``Fraction`` entries, reduced row echelon form,
-kernels in the standard free-variable parametrization, minimal and
-characteristic polynomials, and eigenspaces of semisimple matrices with
-rational spectrum.
+Dense matrices over Q, reduced row echelon form, kernels in the standard
+free-variable parametrization, minimal and characteristic polynomials,
+and eigenspaces of semisimple matrices with rational spectrum.
 
-A ``RatMat`` holds Fractions, but the algorithms scale a matrix or row
-to integers over the lcm of its denominators: products and powers
-multiply integer matrices, eliminations combine primitive integer rows
-fraction-free, determinants and characteristic polynomials are
+A ``RatMat`` stores integer rows over one positive denominator, reduced
+so that the denominator and the entries share no factor.  Products and
+powers multiply the integer rows, eliminations combine primitive integer
+rows fraction-free, determinants and characteristic polynomials are
 division-free (Bareiss, Berkowitz), and each divides once on the way
 out, so results equal Fraction arithmetic's entry for entry.
+
+Fractions appear only at the edges: in the entries ``rat``/``vec`` and
+the ``RatMat`` constructor parse, in the vectors, scalars and
+polynomials the functions here return, and in a matrix's ``rows`` view,
+which is built on first use for reports and tests.
 
 Everything here is deterministic.  Pivots are chosen leftmost-first and
 rows are scanned top to bottom, kernel bases set each free variable to 1
@@ -25,7 +29,7 @@ the usual dense convention; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import InputError, IrrationalSpectrum, NotSemisimple
@@ -49,14 +53,6 @@ def vec(entries) -> Vec:
     return tuple(rat(e) for e in entries)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x if x else ZERO for x in a)
 
@@ -69,135 +65,165 @@ def zero_vec(n: int) -> Vec:
     return (ZERO,) * n
 
 
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 class RatMat:
-    """Immutable dense matrix over the rationals; rows are tuples of Fraction."""
+    """Immutable dense matrix over the rationals: ``num / den``.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    ``num`` is a tuple of integer row tuples and ``den`` a positive
+    integer sharing no factor with every entry, so each matrix has one
+    representation and ``==`` and ``hash`` compare the shape, ``num`` and
+    ``den``.  ``rows`` is the same matrix as tuples of Fraction, built on
+    first use.
+    """
+
+    __slots__ = ("num", "den", "nrows", "ncols", "_rows")
 
     def __init__(self, rows, ncols: int | None = None):
-        self.rows: tuple[Vec, ...] = tuple(
-            r if isinstance(r, tuple) and all(isinstance(e, Fraction) for e in r)
-            else tuple(rat(e) for e in r) for r in rows)
-        self.nrows = len(self.rows)
-        if self.rows:
-            self.ncols = len(self.rows[0])
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        if any(len(r) != self.ncols for r in self.rows):
+        rows = [[rat(e) for e in r] for r in rows]
+        if rows:
+            ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
+        # the lcm of reduced denominators already shares no factor with
+        # every numerator: a prime at its full power there divides one
+        # denominator exactly, and not that entry's numerator
+        num, den = _integer_matrix(rows)
+        self._set(tuple(map(tuple, num)), den, ncols or 0)
+
+    def _set(self, num: tuple, den: int, ncols: int):
+        self.num, self.den = num, den
+        self.nrows, self.ncols = len(num), ncols
+        self._rows = None
+
+    @classmethod
+    def from_integers(cls, num, den: int, ncols: int) -> "RatMat":
+        """The matrix ``num / den`` for integer rows ``num`` and ``den != 0``."""
+        g = gcd(den, *[e for r in num for e in r])
+        if den < 0:
+            g = -g
+        m = cls.__new__(cls)
+        if g == 1:
+            m._set(tuple(map(tuple, num)), den, ncols)
+        else:
+            m._set(tuple(tuple(e // g for e in r) for r in num), den // g, ncols)
+        return m
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "RatMat":
-        return cls([(ZERO,) * m] * n, ncols=m)
+        return cls.from_integers([[0] * m] * n, 1, m)
 
     @classmethod
     def identity(cls, n: int) -> "RatMat":
-        return cls([unit_vec(n, i) for i in range(n)])
+        return cls.from_integers([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
     def from_cols(cls, cols) -> "RatMat":
-        cols = [vec(c) for c in cols]
-        if not cols:
-            return cls([])
-        return cls(list(zip(*cols)))
+        return cls(list(zip(*cols)), ncols=len(cols))
+
+    @property
+    def rows(self) -> tuple[Vec, ...]:
+        if self._rows is None:
+            self._rows = tuple(_fraction_row(r, self.den) for r in self.num)
+        return self._rows
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
+        return _fraction_row([r[j] for r in self.num], self.den)
 
     def cols(self) -> list[Vec]:
         return [self.col(j) for j in range(self.ncols)]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMat) and self.rows == other.rows
+        return (isinstance(other, RatMat) and self.ncols == other.ncols
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.ncols, self.den, self.num))
 
     def __add__(self, other: "RatMat") -> "RatMat":
-        return RatMat([vec_add(a, b) for a, b in zip(self.rows, other.rows, strict=True)])
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch")
+        d = lcm(self.den, other.den)
+        a, b = _rescale(self.num, d // self.den), _rescale(other.num, d // other.den)
+        return RatMat.from_integers([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)],
+                                    d, self.ncols)
 
     def __sub__(self, other: "RatMat") -> "RatMat":
-        return RatMat([vec_sub(a, b) for a, b in zip(self.rows, other.rows, strict=True)])
+        return self + -other
 
     def __neg__(self) -> "RatMat":
-        return RatMat([vec_scale(-ONE, r) for r in self.rows])
+        return RatMat.from_integers(_rescale(self.num, -1), self.den, self.ncols)
 
     def scale(self, c) -> "RatMat":
         c = rat(c)
-        return RatMat([vec_scale(c, r) for r in self.rows])
+        return RatMat.from_integers(_rescale(self.num, c.numerator),
+                                    self.den * c.denominator, self.ncols)
 
     def __matmul__(self, other: "RatMat") -> "RatMat":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         if not self.ncols:
             return RatMat.zeros(self.nrows, other.ncols)
-        a, da = _integer_matrix(self.rows)
-        b, db = _integer_matrix(other.rows)
-        return RatMat([_fraction_row(r, da * db) for r in _int_matmul(a, b)],
-                      ncols=other.ncols)
+        return RatMat.from_integers(_int_matmul(self.num, other.num),
+                                    self.den * other.den, other.ncols)
 
     def apply(self, v: Vec) -> Vec:
         """Matrix times column vector; skips zero entries of v."""
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        out = [ZERO] * self.nrows
-        for j, vj in enumerate(v):
-            if vj == 0:
-                continue
-            for i in range(self.nrows):
-                mij = self.rows[i][j]
-                if mij != 0:
-                    out[i] += mij * vj
-        return tuple(out)
+        w, d = _integer_row(v)
+        out = [0] * self.nrows
+        for j, x in enumerate(w):
+            if x:
+                for i, r in enumerate(self.num):
+                    if r[j]:
+                        out[i] += r[j] * x
+        return _fraction_row(out, self.den * d)
 
     def transpose(self) -> "RatMat":
-        return RatMat(list(zip(*self.rows))) if self.rows else RatMat([])
+        return RatMat.from_integers(list(zip(*self.num)) if self.nrows else [()] * self.ncols,
+                                    self.den, self.nrows)
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace of non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
+        return Fraction(sum(r[i] for i, r in enumerate(self.num)), self.den)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for r in self.rows for e in r)
+        return not any(map(any, self.num))
 
     def __pow__(self, k: int) -> "RatMat":
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
-        a, d = _integer_matrix(self.rows)
         out = [[int(i == j) for j in range(self.nrows)] for i in range(self.nrows)]
-        for bit in bin(k)[2:]:  # left-to-right binary powering of d m
+        for bit in bin(k)[2:]:  # left-to-right binary powering of num
             out = _int_matmul(out, out)
             if bit == "1":
-                out = _int_matmul(out, a)
-        return RatMat([_fraction_row(r, d ** k) for r in out], ncols=self.ncols)
+                out = _int_matmul(out, self.num)
+        return RatMat.from_integers(out, self.den ** k, self.ncols)
 
     def inverse(self) -> "RatMat":
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        rows = _augmented(self.rows)
+        rows = _augmented(self.num)
         pivots = _gauss_jordan(rows, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMat([_fraction_row(row[n:], row[i]) for i, row in enumerate(rows)])
+        # row i of num^-1 is rows[i][n:] / rows[i][i], and m^-1 = den num^-1
+        d = lcm(*[row[i] for i, row in enumerate(rows)])
+        return RatMat.from_integers(
+            [[e * (d // row[i] * self.den) for e in row[n:]] for i, row in enumerate(rows)], d, n)
 
     def det(self) -> Fraction:
         """Determinant by fraction-free Bareiss elimination with row exchanges."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        rows = [_integer_row(r) for r in self.rows]
         det, sign = 1, 1
-        for det, sign in _bareiss([ints for ints, _ in rows]):
+        for det, sign in _bareiss([list(r) for r in self.num]):
             pass
-        return Fraction(sign * det, prod(d for _, d in rows))
+        return Fraction(sign * det, self.den ** self.nrows)
 
     def to_floats(self) -> list[list[float]]:
-        return [[float(e) for e in r] for r in self.rows]
+        return [[e / self.den for e in r] for r in self.num]
 
     def __repr__(self):
         return f"RatMat({[list(map(str, r)) for r in self.rows]})"
@@ -209,10 +235,11 @@ class RatMat:
 
 def _integer_row(r) -> tuple[list[int], int]:
     """Row of Fractions times the lcm d of its denominators, and d."""
-    d = lcm(*[e.denominator for e in r])
+    dens = [e.denominator for e in r]
+    d = lcm(*dens)
     if d == 1:
         return [e.numerator for e in r], 1
-    return [e.numerator * (d // e.denominator) for e in r], d
+    return [e.numerator * (d // q) for e, q in zip(r, dens)], d
 
 
 def _integer_matrix(rows) -> tuple[list[list[int]], int]:
@@ -223,19 +250,20 @@ def _integer_matrix(rows) -> tuple[list[list[int]], int]:
     return [[e.numerator * (d // e.denominator) for e in r] for r in rows], d
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Product of integer matrices given as row lists; b needs at least one row."""
+def _rescale(rows, f: int):
+    return rows if f == 1 else [[e * f for e in r] for r in rows]
+
+
+def _int_matmul(a, b) -> list[list[int]]:
+    """Product of integer matrices given as rows; b needs at least one row."""
     bt = list(zip(*b))
     return [[sum(map(mul, r, c)) for c in bt] for r in a]
 
 
 def _augmented(rows) -> list[list[int]]:
-    """Integer rows of ``[rows | I]``, each row's scale on its unit entry."""
-    n, out = len(rows), []
-    for i, r in enumerate(rows):
-        ints, d = _integer_row(r)
-        out.append(ints + [0] * i + [d] + [0] * (n - i - 1))
-    return out
+    """The integer rows of ``[rows | I]``."""
+    n = len(rows)
+    return [list(r) + [0] * i + [1] + [0] * (n - i - 1) for i, r in enumerate(rows)]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -243,7 +271,7 @@ def _primitive(row: list[int]) -> list[int]:
     return [e // g for e in row] if g > 1 else row
 
 
-def _fraction_row(row: list[int], den: int) -> Vec:
+def _fraction_row(row, den: int) -> Vec:
     return tuple(Fraction(e, den) if e else ZERO for e in row)
 
 
@@ -308,11 +336,12 @@ def rref(m: RatMat) -> tuple[RatMat, list[int]]:
     entry scanning rows top to bottom.  The RREF itself is unique; the
     rule only fixes the arithmetic path.
     """
-    rows = [_integer_row(r)[0] for r in m.rows]
+    rows = [list(r) for r in m.num]
     pivots = _gauss_jordan(rows, m.ncols)
-    out = [_fraction_row(rows[i], rows[i][p]) for i, p in enumerate(pivots)]
-    out += [(ZERO,) * m.ncols] * (m.nrows - len(pivots))
-    return RatMat(out, ncols=m.ncols), pivots
+    # row i of the RREF is rows[i] / rows[i][pivots[i]]
+    d = lcm(*[rows[i][p] for i, p in enumerate(pivots)])
+    out = [[e * (d // rows[i][p]) for e in rows[i]] for i, p in enumerate(pivots)]
+    return RatMat.from_integers(out + rows[len(pivots):], d, m.ncols), pivots
 
 
 def kernel(m: RatMat) -> list[Vec]:
@@ -322,8 +351,12 @@ def kernel(m: RatMat) -> list[Vec]:
     coordinate, the back-substituted pivot entries, and 0 in every other
     free coordinate.  Free columns are visited in index order.
     """
-    r, pivots = rref(m)
-    nc = m.ncols
+    return _null_space([list(r) for r in m.num], m.ncols)
+
+
+def _null_space(rows: list[list[int]], nc: int) -> list[Vec]:
+    """``kernel`` of the matrix with integer rows ``rows``, which it eliminates."""
+    pivots = _gauss_jordan(rows, nc)
     pivset = set(pivots)
     basis: list[Vec] = []
     for free in range(nc):
@@ -332,7 +365,8 @@ def kernel(m: RatMat) -> list[Vec]:
         v = [ZERO] * nc
         v[free] = ONE
         for i, p in enumerate(pivots):
-            v[p] = -r.rows[i][free]
+            if rows[i][free]:
+                v[p] = Fraction(-rows[i][free], rows[i][p])
         basis.append(tuple(v))
     return basis
 
@@ -342,13 +376,19 @@ def solve(m: RatMat, b: Vec) -> Vec | None:
 
     Returns None when the system is inconsistent.
     """
-    aug = RatMat([list(row) + [bv] for row, bv in zip(m.rows, b, strict=True)])
-    r, pivots = rref(aug)
-    if m.ncols in pivots:
+    if len(b) != m.nrows:
+        raise ValueError("shape mismatch")
+    bs, db = _integer_row(b)
+    # m x = b is (db num) x = den bs on integers
+    rows = [[e * db for e in r] + [m.den * y] for r, y in zip(m.num, bs)]
+    nc = m.ncols
+    pivots = _gauss_jordan(rows, nc + 1)
+    if nc in pivots:
         return None
-    x = [ZERO] * m.ncols
+    x = [ZERO] * nc
     for i, p in enumerate(pivots):
-        x[p] = r.rows[i][m.ncols]
+        if rows[i][nc]:
+            x[p] = Fraction(rows[i][nc], rows[i][p])
     return tuple(x)
 
 
@@ -469,13 +509,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return poly_monic(a)
 
 
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def is_squarefree(p: Poly) -> bool:
     """True when p has no repeated roots, i.e. gcd(p, p') is constant."""
     if poly_is_zero(p):
@@ -489,14 +522,14 @@ def is_squarefree(p: Poly) -> bool:
 def char_poly(m: RatMat) -> Poly:
     """Monic characteristic polynomial det(xI - m), by Berkowitz (1984).
 
-    The algorithm is division-free, so it runs on the integer matrix d m
-    (d the lcm of all denominators); its coefficient k is d^(n-k) times
-    coefficient k of the answer.
+    The algorithm is division-free, so it runs on the integer matrix
+    ``m.num = m.den m``; its coefficient k is den^(n-k) times coefficient
+    k of the answer.
     """
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.nrows
-    a, d = _integer_matrix(m.rows)
+    a, d = m.num, m.den
     # desc: det(xI - a_r), descending, for the leading r x r block a_r.
     # Bordering by row R and column C multiplies it by the lower triangular
     # Toeplitz matrix with first column 1, -a[r][r], -R C, ..., -R a_r^(r-1) C
@@ -517,8 +550,8 @@ def char_poly(m: RatMat) -> Poly:
 def minimal_polynomial(m: RatMat) -> Poly:
     """Monic minimal polynomial via the first linear dependence of powers.
 
-    Powers I, a, a^2, ... of the integer matrix a = d m (d the lcm of
-    all denominators) are flattened and fed to an incremental echelon
+    Powers I, a, a^2, ... of the integer matrix a = ``m.num`` = d m
+    (d = ``m.den``) are flattened and fed to an incremental echelon
     reduction; the first power that fails to enlarge the span yields a
     dependence sum_j b_j a^j = 0, so m's coefficients are b_j d^j.
     """
@@ -527,7 +560,7 @@ def minimal_polynomial(m: RatMat) -> Poly:
     n = m.nrows
     if n == 0:
         return (ONE,)
-    a, d = _integer_matrix(m.rows)
+    a, d = m.num, m.den
     # Each inserted row is [flat(a^k) | e_k]; a dependence shows up as a
     # zero flat part whose tail holds the combination coefficients.
     span = IncrementalSpan(n * n + n + 1)
@@ -618,45 +651,49 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _deflate(a: list[int], p: int, q: int) -> list[int] | None:
+    """Quotient of the integer polynomial a by (q x - p), or None if p/q is no root.
+
+    For p/q in lowest terms a root has an integer quotient (Gauss's
+    lemma), so synthetic division from the top either divides exactly at
+    every step and leaves remainder 0, or p/q is no root.
+    """
+    out = [0] * (len(a) - 1)
+    carry = 0
+    for i in range(len(a) - 1, 0, -1):
+        c, r = divmod(a[i] + carry, q)
+        if r:
+            return None
+        out[i - 1], carry = c, p * c
+    return out if a[0] + carry == 0 else None
+
+
 def rational_roots(p: Poly) -> dict[Fraction, int]:
     """Rational roots with multiplicities, by the rational root theorem.
 
-    The polynomial is scaled to integer coefficients; candidates are
-    +-(divisor of constant)/(divisor of leading), the divisors read off
-    prime factorizations.  Multiplicity comes from repeated exact
-    division.  A coefficient that cannot be factored within a fixed
-    bound is an ``InputError``.
+    The polynomial is scaled to primitive integer coefficients a; the
+    candidates p/q in lowest terms have p dividing the constant and q the
+    leading coefficient, the divisors read off prime factorizations.
+    Each candidate is divided out by (q x - p) on integers as often as
+    it divides, which gives its multiplicity.  A coefficient that cannot
+    be factored within a fixed bound is an ``InputError``.
     """
     if poly_is_zero(p):
         raise ValueError("zero polynomial")
-    work = list(p)
-    roots: dict[Fraction, int] = {}
-    m0 = 0
-    while work[0] == 0:
-        work.pop(0)
-        m0 += 1
-    if m0:
-        roots[ZERO] = m0
-    if len(work) <= 1:
-        return dict(sorted(roots.items()))
-    ints = _primitive(_integer_row(work)[0])
-    a0, an = ints[0], ints[-1]
-    candidates = set()
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            candidates.add(Fraction(pnum, qden))
-            candidates.add(Fraction(-pnum, qden))
-    q = poly([Fraction(c) for c in ints])
-    for cand in sorted(candidates):
-        mult = 0
-        while True:
-            if poly_eval(q, cand) != 0:
-                break
-            q, rem = poly_divmod(q, poly([-cand, ONE]))
-            assert poly_is_zero(rem)
-            mult += 1
-        if mult:
-            roots[cand] = roots.get(cand, 0) + mult
+    a = _primitive(_integer_row(p)[0])
+    m0 = next(i for i, c in enumerate(a) if c)
+    roots: dict[Fraction, int] = {ZERO: m0} if m0 else {}
+    a = a[m0:]
+    if len(a) > 1:
+        for q in _divisors(a[-1]):
+            for pnum in _divisors(a[0]):
+                if gcd(pnum, q) > 1:
+                    continue
+                for num in (pnum, -pnum):
+                    while (quotient := _deflate(a, num, q)) is not None:
+                        a = quotient
+                        root = Fraction(num, q)
+                        roots[root] = roots.get(root, 0) + 1
     return dict(sorted(roots.items()))
 
 
@@ -673,8 +710,11 @@ def rational_eigen_decomposition(m: RatMat) -> dict[Fraction, tuple[Vec, ...]]:
         raise NotSemisimple("not semisimple: the minimal polynomial has a repeated root")
     spaces: dict[Fraction, tuple[Vec, ...]] = {}
     for lam in rational_roots(mp):
-        shifted = RatMat([r[:i] + (r[i] - lam,) + r[i + 1:] for i, r in enumerate(m.rows)])
-        spaces[lam] = tuple(kernel(shifted))
+        # q den (m - p/q) on integers; the kernel ignores the scale
+        p, q = lam.numerator, lam.denominator
+        shifted = [[e * q - p * m.den if i == j else e * q for j, e in enumerate(r)]
+                   for i, r in enumerate(m.num)]
+        spaces[lam] = tuple(_null_space(shifted, m.ncols))
     filled = sum(len(b) for b in spaces.values())
     if filled < m.nrows:
         raise IrrationalSpectrum(

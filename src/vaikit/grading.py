@@ -11,12 +11,15 @@ rates on non-reductive quotients.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvariantViolation, NotNilpotent
 from .exact import (
     IncrementalSpan,
     RatMat,
     Vec,
+    _integer_matrix,
+    _integer_row,
     kernel,
     rational_eigen_decomposition,
     solve,
@@ -38,6 +41,12 @@ class Grading:
     Jacobi (validated, read off matrices, or restricted by abstract()),
     so ad x is a derivation and [a, b] lies in the (lam+mu)-eigenspace,
     which is parts[lam+mu] or 0.
+
+    The union of the parts' bases is a basis of g, so ``components_of``
+    needs no independence check: each part's basis is independent (its
+    Subspace checks that), eigenvectors of distinct eigenvalues are
+    independent, and the dimensions fill g.  Its coordinatizer is built
+    on the first ``components_of`` call.
     """
 
     def __init__(self, g: LieAlgebra, x: Vec, parts: dict[Fraction, Subspace]):
@@ -46,18 +55,20 @@ class Grading:
         self.parts = dict(sorted(parts.items()))
         if sum(p.dim for p in self.parts.values()) != g.dim:
             raise InvariantViolation("eigenspaces do not fill the algebra")
+        # [x, b] = lam b for the integer basis rows b of each part, on integers
+        xs, dx = _integer_row(self.x)
         for lam, p in self.parts.items():
-            for b in p.basis:
-                if g.bracket(self.x, b) != vec_scale(lam, b):
+            f = lam.numerator * dx * g._den
+            for b in p._num:
+                if [e * lam.denominator for e in g._int_bracket(xs, b)] != [f * e for e in b]:
                     raise InvariantViolation(
                         f"labeled eigenvalue {lam} is not the ad-x eigenvalue")
-        cols = [b for p in self.parts.values() for b in p.basis]
         self._slices = {}
         lo = 0
         for lam, p in self.parts.items():
             self._slices[lam] = (lo, lo + p.dim)
             lo += p.dim
-        self._coord = _Coordinatizer(RatMat.from_cols(cols), g.dim)
+        self._coord = None
 
     def eigenvalues(self) -> list[Fraction]:
         return list(self.parts.keys())
@@ -80,6 +91,9 @@ class Grading:
 
     def components_of(self, v: Vec) -> dict[Fraction, Vec]:
         """Split v into its eigenvalue components; zero parts omitted."""
+        if self._coord is None:
+            cols = [b for p in self.parts.values() for b in p.basis]
+            self._coord = _Coordinatizer(*_integer_matrix(cols), self.algebra.dim)
         c = self._coord.coords(v)
         out = {}
         for lam, (lo, hi) in self._slices.items():
@@ -173,9 +187,10 @@ def jacobson_morozov(g: LieAlgebra, u: Vec) -> SL2Triple:
     if w is None:
         raise InvariantViolation("(ad u)^2 w = -2u is unsolvable; input corrupted")
     x = g.bracket(u, w)
-    adx = g.ad(x)
-    two = RatMat.identity(g.dim).scale(Fraction(2))
-    stacked = RatMat([list(r) for r in adu.rows] + [list(r) for r in (adx + two).rows])
+    low = g.ad(x) + RatMat.identity(g.dim).scale(2)
+    d = lcm(adu.den, low.den)
+    stacked = RatMat.from_integers([[e * (d // m.den) for e in r]
+                                    for m in (adu, low) for r in m.num], d, g.dim)
     rhs = tuple(x) + zero_vec(g.dim)
     v = solve(stacked, rhs)
     if v is None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InvariantViolation, NotReductive
 from .exact import (
@@ -38,9 +39,11 @@ from .exact import (
     _int_matmul,
     _integer_matrix,
     _integer_row,
+    _null_space,
     kernel,
     rat,
     vec,
+    vec_is_zero,
     zero_vec,
 )
 
@@ -58,10 +61,10 @@ class LieAlgebra:
         self.name = name
         self.realization = self._realization_coord = None  # set by from_realization
         # integer view: _nz[i][j] lists (k, c[i][j][k] * _den) for c[i][j][k] != 0
-        self._den = den = lcm(*[c.denominator for plane in sc for row in plane for c in row])
-        self._nz = tuple(tuple(tuple((k, c.numerator * (den // c.denominator))
-                                     for k, c in enumerate(row) if c)
-                               for row in plane) for plane in sc)
+        n = self.dim
+        ints, self._den = _integer_matrix([row for plane in sc for row in plane])
+        self._nz = tuple(tuple(tuple((k, x) for k, x in enumerate(ints[i * n + j]) if x)
+                               for j in range(n)) for i in range(n))
         self._killing = None
         self._cartan: tuple = ()  # (default_cartan(self),) once computed
         self._reductive = None
@@ -84,11 +87,10 @@ class LieAlgebra:
         if any(m.nrows != d or m.ncols != d for m in mats):
             raise InvariantViolation("realization matrices must share one square shape")
         n = len(mats)
-        flat_cols = [[m.rows[a][b] for m in mats] for a in range(d) for b in range(d)]
-        coord = _Coordinatizer(RatMat(flat_cols), n)
         # commutators of the integer matrices den * m_i are den^2 times the true ones
-        stacked, den = _integer_matrix([r for m in mats for r in m.rows])
-        ints = [stacked[i * d:(i + 1) * d] for i in range(n)]
+        den = lcm(*[m.den for m in mats])
+        ints = [[[e * (den // m.den) for e in r] for r in m.num] for m in mats]
+        coord = _Coordinatizer([[e for r in a for e in r] for a in ints], den, d * d)
         structure: list[list] = [[zero_vec(n)] * n for _ in range(n)]
         for i, ai in enumerate(ints):
             for j in range(i):
@@ -124,7 +126,7 @@ class LieAlgebra:
                     self._jacobi_term(i, j, k, acc)
                     self._jacobi_term(j, k, i, acc)
                     self._jacobi_term(k, i, j, acc)
-                    if any(e != 0 for e in acc):
+                    if any(acc):
                         raise InvariantViolation(
                             f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
 
@@ -145,18 +147,21 @@ class LieAlgebra:
                 f"bracket of vectors with {len(x)} and {len(y)} entries in dimension {self.dim}")
         xs, dx = _integer_row(x)
         ys, dy = _integer_row(y)
+        return _fraction_row(self._int_bracket(xs, ys), dx * dy * self._den)
+
+    def _int_bracket(self, xs, ys) -> list[int]:
+        """``_den`` times the bracket of the integer vectors xs and ys."""
         out = [0] * self.dim
+        nzy = [(j, yj) for j, yj in enumerate(ys) if yj]
         for i, xi in enumerate(xs):
             if not xi:
                 continue
             nzi = self._nz[i]
-            for j, yj in enumerate(ys):
-                if not yj:
-                    continue
+            for j, yj in nzy:
                 f = xi * yj
                 for k, c in nzi[j]:
                     out[k] += f * c
-        return _fraction_row(out, dx * dy * self._den)
+        return out
 
     def ad(self, x: Vec) -> RatMat:
         """Matrix of y -> [x, y] in the fixed basis; column j is [x, e_j]."""
@@ -170,7 +175,7 @@ class LieAlgebra:
                 for j, nzij in enumerate(self._nz[i]):
                     for k, c in nzij:
                         rows[k][j] += xi * c
-        return RatMat([_fraction_row(r, dx * self._den) for r in rows])
+        return RatMat.from_integers(rows, dx * self._den, self.dim)
 
     def realize(self, x: Vec) -> RatMat:
         if self.realization is None:
@@ -185,7 +190,7 @@ class LieAlgebra:
         """Coordinates of a matrix in the realized basis; None if outside."""
         if self.realization is None:
             raise InvariantViolation(f"{self.name or 'algebra'} has no matrix realization")
-        return self._realization_coord.coords([e for row in m.rows for e in row])
+        return self._realization_coord.int_coords([e for row in m.num for e in row], m.den)
 
     def killing_form(self) -> "BilinearForm":
         """Killing form kappa(x, y) = tr(ad x ad y), computed once.
@@ -204,8 +209,7 @@ class LieAlgebra:
                 for j in range(i, n):
                     ej = entry[j]
                     gram[i][j] = gram[j][i] = sum(c * ej.get(kl, 0) for kl, c in terms)
-            den = self._den * self._den
-            self._killing = BilinearForm(self, RatMat([_fraction_row(r, den) for r in gram]))
+            self._killing = BilinearForm(self, RatMat.from_integers(gram, self._den ** 2, n))
         return self._killing
 
     def full_subalgebra(self) -> "Subalgebra":
@@ -231,41 +235,58 @@ class LieAlgebra:
 
 
 class _Coordinatizer:
-    """Solve columns-of-B coordinates repeatedly via one precomputed elimination.
+    """Coordinates in the basis ``vectors[j] / den`` via one precomputed elimination.
 
-    The integer RREF of ``[B | I]`` gives E with E B = [I; 0]: the first
-    ``ncols`` entries of E v are the coordinates of v, and v lies in the
-    column span exactly when the remaining entries vanish.
+    The vectors[j] are k integer vectors of length n.  Row reducing
+    ``[vectors | I]`` on its first n columns gives rows ``[R_i | T_i]``
+    with R = T V: R is the RREF of the span, with pivot columns p_i, and
+    T holds the combinations.  A vector w lies in the span exactly when
+    w = sum_i w[p_i] R_i, and then its coordinates in the vectors[j] are
+    sum_i w[p_i] T_ij, den times those in the basis.
     """
 
-    def __init__(self, b: RatMat, ncols: int):
-        n = b.nrows
-        rows = _augmented(b.rows)
-        pivots = _gauss_jordan(rows, b.ncols + n)
-        if [p for p in pivots if p < ncols] != list(range(ncols)):
+    def __init__(self, vectors, den: int, n: int):
+        k = len(vectors)
+        rows = _augmented(vectors)
+        pivots = _gauss_jordan(rows, n)
+        if len(pivots) < k:
             raise InvariantViolation("basis vectors are linearly dependent")
-        self.ncols = ncols
-        self.nrows = n
-        # row i of E is rows[i][b.ncols:] divided by its pivot entry
-        self._pivot = [rows[i][p] for i, p in enumerate(pivots[:ncols])]
-        # column-sparse view; inputs are typically sparse, so coords costs
-        # nnz(v) * nnz(column) instead of a dense n^2 sweep
-        self._cols_nz = [tuple((i, rows[i][b.ncols + j]) for i in range(n)
-                               if rows[i][b.ncols + j]) for j in range(n)]
+        # s R and s T over the common denominator s of the pivot entries
+        self._s = s = lcm(*[row[p] for row, p in zip(rows, pivots)])
+        rows = [[e * (s // row[p]) for e in row] for row, p in zip(rows, pivots)]
+        self.den, self.n, self._pivots = den, n, pivots
+        self._free_cols = [(c, [r[c] for r in rows]) for c in range(n) if c not in pivots]
+        self._t_cols = [[r[n + j] for r in rows] for j in range(k)]
+
+    def eliminate(self, w: list[int]) -> list[int] | None:
+        """s times the coordinates of w in the vectors[j]; None when w is outside."""
+        if len(w) != self.n:
+            raise InvariantViolation(f"vector with {len(w)} entries in dimension {self.n}")
+        u = [w[p] for p in self._pivots]
+        s = self._s
+        if any(s * w[c] != sum(map(mul, u, col)) for c, col in self._free_cols):
+            return None
+        return [sum(map(mul, u, col)) for col in self._t_cols]
 
     def coords(self, v: Vec) -> Vec | None:
         return self.int_coords(*_integer_row(v))
 
-    def int_coords(self, w: list[int], den: int) -> Vec | None:
-        """Coordinates of the vector ``w / den``, w integers."""
-        u = [0] * self.nrows
-        for j, x in enumerate(w):
-            if x:
-                for i, c in self._cols_nz[j]:
-                    u[i] += x * c
-        if any(u[self.ncols:]):
+    def int_coords(self, w: list[int], dw: int) -> Vec | None:
+        """Coordinates of the vector ``w / dw``, w integers."""
+        x = self.eliminate(w)
+        if x is None:
             return None
-        return tuple(Fraction(x, den * p) if x else ZERO for x, p in zip(u, self._pivot))
+        d = self._s * dw
+        return tuple(Fraction(e * self.den, d) if e else ZERO for e in x)
+
+    def matrix(self, ws, dw: int) -> RatMat | None:
+        """The matrix whose column j holds the coordinates of ``ws[j] / dw``."""
+        cols = [self.eliminate(w) for w in ws]
+        if None in cols:
+            return None
+        return RatMat.from_integers([[c[i] * self.den for c in cols]
+                                     for i in range(len(self._t_cols))],
+                                    self._s * dw, len(cols))
 
 
 class BilinearForm:
@@ -288,12 +309,16 @@ class BilinearForm:
         They are the pivots of one Bareiss pass (times positive row
         scales); a row exchange means a zero minor.
         """
-        rows = [_integer_row(r)[0] for r in self.gram.rows]
+        rows = [list(r) for r in self.gram.num]
         return all(sign > 0 and pivot > 0 for pivot, sign in _bareiss(rows))
 
 
 class Subspace:
-    """Linear subspace of an ambient algebra, basis in ambient coordinates."""
+    """Linear subspace of an ambient algebra, basis in ambient coordinates.
+
+    ``basis`` holds Fraction vectors; the arithmetic uses the same basis
+    as integer rows ``_num`` over one denominator ``_den``.
+    """
 
     def __init__(self, algebra: LieAlgebra, basis, name: str = ""):
         self.algebra = algebra
@@ -303,14 +328,14 @@ class Subspace:
             if len(b) != algebra.dim:
                 raise InvariantViolation("basis vector has wrong length")
         self.dim = len(self.basis)
-        if self.dim:
-            # raises on a linearly dependent basis
-            self._coord = _Coordinatizer(RatMat.from_cols(self.basis), self.dim)
-        else:
-            self._coord = None
+        self._num, self._den = _integer_matrix(self.basis)
+        # raises on a linearly dependent basis
+        self._coord = _Coordinatizer(self._num, self._den, algebra.dim) if self.dim else None
 
     def contains(self, v: Vec) -> bool:
-        return self.coords(v) is not None
+        if self._coord is None:
+            return vec_is_zero(v)
+        return self._coord.eliminate(_integer_row(v)[0]) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
@@ -331,39 +356,50 @@ class Subspace:
         return c
 
     def from_coords(self, c: Vec) -> Vec:
-        out = zero_vec(self.algebra.dim)
-        for ci, b in zip(c, self.basis, strict=True):
-            if ci != 0:
-                out = tuple(o + ci * e for o, e in zip(out, b))
-        return out
+        if len(c) != self.dim:
+            raise ValueError("coordinate vector has wrong length")
+        cs, dc = _integer_row(c)
+        out = [0] * self.algebra.dim
+        for x, b in zip(cs, self._num):
+            if x:
+                out = [o + x * e for o, e in zip(out, b)]
+        return _fraction_row(out, dc * self._den)
 
     def restriction_matrix(self, op: RatMat) -> RatMat:
         """Matrix of ``op`` restricted to this subspace, in this basis.
 
         Raises when the subspace is not invariant under ``op``.
         """
-        cols = []
-        for b in self.basis:
-            c = self.coords(op.apply(b))
-            if c is None:
-                raise InvariantViolation("subspace not invariant under operator")
-            cols.append(c)
-        return RatMat.from_cols(cols) if cols else RatMat.zeros(0, 0)
+        if op.nrows != self.algebra.dim or op.ncols != self.algebra.dim:
+            raise ValueError("shape mismatch")
+        if self._coord is None:
+            return RatMat.zeros(0, 0)
+        images = [[sum(map(mul, r, b)) for r in op.num] for b in self._num]
+        m = self._coord.matrix(images, op.den * self._den)
+        if m is None:
+            raise InvariantViolation("subspace not invariant under operator")
+        return m
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name or '?'}, dim={self.dim})"
 
 
 class Subalgebra(Subspace):
-    """Subspace closed under the bracket; closure is checked exactly."""
+    """Subspace closed under the bracket; closure is checked exactly.
 
-    def __init__(self, algebra: LieAlgebra, basis, name: str = ""):
+    Callers that proved closure (``center``, ``radical``) skip the check
+    with ``_validate=False``.
+    """
+
+    def __init__(self, algebra: LieAlgebra, basis, name: str = "", _validate: bool = True):
         super().__init__(algebra, basis, name=name)
-        for i, bi in enumerate(self.basis):
-            for j in range(i + 1, self.dim):
-                if not self.contains(algebra.bracket(bi, self.basis[j])):
-                    raise InvariantViolation(
-                        f"not closed under bracket at basis pair ({i}, {j})")
+        if _validate:
+            num = self._num
+            for i, bi in enumerate(num):
+                for j in range(i + 1, self.dim):
+                    if self._coord.eliminate(algebra._int_bracket(bi, num[j])) is None:
+                        raise InvariantViolation(
+                            f"not closed under bracket at basis pair ({i}, {j})")
         self._abstract = None
 
     def abstract(self) -> LieAlgebra:
@@ -382,15 +418,17 @@ class Subalgebra(Subspace):
 
 
 def center(h: Subalgebra) -> Subalgebra:
-    """Elements of h commuting with all of h."""
-    g = h.algebra
-    rows = []
-    brackets = [[g.bracket(bi, bj) for bj in h.basis] for bi in h.basis]
-    for j in range(h.dim):
-        for l in range(g.dim):
-            rows.append([brackets[i][j][l] for i in range(h.dim)])
-    coeffs = kernel(RatMat(rows, ncols=h.dim))
-    return Subalgebra(g, [h.from_coords(c) for c in coeffs], name=f"z({h.name})")
+    """Elements of h commuting with all of h.
+
+    The center is an ideal of h, so a subalgebra; it is not re-checked.
+    """
+    g, num = h.algebra, h._num
+    # brackets of the integer basis rows, all at the same scale
+    brackets = [[g._int_bracket(bi, bj) for bj in num] for bi in num]
+    rows = [[brackets[i][j][l] for i in range(h.dim)] for j in range(h.dim) for l in range(g.dim)]
+    coeffs = _null_space(rows, h.dim)
+    return Subalgebra(g, [h.from_coords(c) for c in coeffs], name=f"z({h.name})",
+                      _validate=False)
 
 
 def derived_subalgebra(h: Subalgebra) -> Subalgebra:
@@ -409,13 +447,16 @@ def radical(h: Subalgebra) -> Subalgebra:
     Characteristic zero criterion: the radical is the orthogonal
     complement of [h, h] with respect to the Killing form of h itself.
     [h, h] is spanned by the abstract structure tensor's entries c[i][j].
+    The radical is an ideal of h, so a subalgebra; it is not re-checked.
     """
     habs = h.abstract()
     derived = IncrementalSpan(h.dim, [habs.sc[i][j] for i in range(h.dim)
-                                      for j in range(i + 1, h.dim)]).basis()
-    rows = [habs.killing_form().gram.apply(d) for d in derived]
-    coeffs = kernel(RatMat(rows, ncols=h.dim))
-    return Subalgebra(h.algebra, [h.from_coords(c) for c in coeffs], name=f"rad({h.name})")
+                                      for j in range(i + 1, h.dim)])
+    # K is symmetric, so the row d K of each derived row d is (K d)^T
+    rows = _int_matmul(derived._rows, habs.killing_form().gram.num)
+    coeffs = _null_space(rows, h.dim)
+    return Subalgebra(h.algebra, [h.from_coords(c) for c in coeffs], name=f"rad({h.name})",
+                      _validate=False)
 
 
 def is_unimodular_pair(g: LieAlgebra, h: Subalgebra) -> bool:

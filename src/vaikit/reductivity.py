@@ -19,14 +19,15 @@ reductive in g; every verdict ships a checkable certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InvariantViolation, NotReductive
 from .exact import (
-    ZERO,
     RatMat,
     Vec,
+    _gauss_jordan,
+    _null_space,
     is_squarefree,
-    kernel,
     minimal_polynomial,
 )
 from .lie import (
@@ -134,12 +135,12 @@ def killing_complement(g: LieAlgebra, h: Subalgebra) -> Subspace | None:
     Then g = h + q is direct, and [h, q] lies in q as kappa is invariant.
     """
     gram = g.killing_form().gram
-    rows = [gram.apply(b) for b in h.basis]
-    on_h = RatMat([[sum((x * y for x, y in zip(r, b)), ZERO) for b in h.basis]
-                   for r in rows], ncols=h.dim)
-    if kernel(on_h):
+    # K b for the integer basis rows b of h, all at one scale
+    rows = [[sum(map(mul, r, b)) for r in gram.num] for b in h._num]
+    on_h = [[sum(map(mul, r, b)) for b in h._num] for r in rows]
+    if len(_gauss_jordan(on_h, h.dim)) < h.dim:
         return None
-    return Subspace(g, kernel(RatMat(rows, ncols=g.dim)), name="q")
+    return Subspace(g, _null_space(rows, g.dim), name="q")
 
 
 def check_theta_stable(g: LieAlgebra, h: Subalgebra,
@@ -163,7 +164,11 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra) -> bool:
     can miss a pair: so(2) + center in gl2 is fixed by Ad(J), but kappa
     vanishes on the center.
     """
-    q = killing_complement(g, h)
+    return _brackets_into(g, h, killing_complement(g, h))
+
+
+def _brackets_into(g: LieAlgebra, h: Subalgebra, q: Subspace | None) -> bool:
+    """Is q = ``killing_complement(g, h)`` present with [q, q] in h?"""
     return q is not None and all(h.contains(g.bracket(x, y))
                                  for i, x in enumerate(q.basis)
                                  for y in q.basis[i + 1:])
@@ -211,10 +216,11 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
         vai = VAI_FAILS
 
     certificate = None
-    if cartan is not None:
-        stable, q = check_theta_stable(g, h, cartan)
-        if stable:
-            certificate = {"kind": "theta-stable", "q": q.basis}
+    stable, q = (False, None) if cartan is None else check_theta_stable(g, h, cartan)
+    if stable:
+        certificate = {"kind": "theta-stable", "q": q.basis}
+    else:
+        q = killing_complement(g, h)
     if vai != VAI_HOLDS and failure_cert is not None:
         certificate = failure_cert
 
@@ -225,6 +231,6 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
         reductive_in_g=reductive,
         vai=vai,
         certificate=certificate,
-        symmetric_pair=is_symmetric_pair(g, h),
+        symmetric_pair=_brackets_into(g, h, q),
         trace_witness=trace_witness,
     )

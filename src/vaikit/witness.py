@@ -425,7 +425,7 @@ def phi_jacobian_sandwich(witness: DecayWitness, q_box=0.1, t_grid=None,
                          "v coordinate")
 
     v_f = np.array([[float(e) for e in col] for col in witness.v.basis]).T
-    ext = np.array(RatMat([list(r) for r in witness._vh_inv.rows[:m]]).to_floats())
+    ext = np.array(witness._vh_inv.to_floats()[:m])
     ad_cols = [np.array(g.ad(col).to_floats()) for col in witness.v.basis]
     flow = _AdFlow(grading_of(g, p.x))
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -18,7 +18,6 @@ from vaikit.exact import (
     poly,
     poly_degree,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     rational_eigen_decomposition,
     rational_roots,
@@ -115,7 +114,7 @@ def test_det_and_charpoly_agree():
     # det(xI - m) = x^2 - 5x + 5
     assert cp == poly([5, -5, 1])
     assert m.det() == F(5)
-    assert poly_eval(cp, F(0)) == m.det()  # n even: det(-m) = det(m)
+    assert cp[0] == m.det()  # det(xI - m) at x = 0; n even: det(-m) = det(m)
 
 
 def test_charpoly_cayley_hamilton_randomized():
@@ -440,6 +439,181 @@ def test_minimal_polynomial_matches_fraction_powers():
                                          else (F(1),))
         dens.append(max((e.denominator for r in m.rows for e in r), default=1))
     assert sum(d > 1 for d in dens) > 50
+
+
+# ---------------------------------------------------------------------------
+# RatMat's integer rows over one denominator, against Fraction references
+
+
+def test_empty_matrices_of_different_shapes_differ():
+    for a, b in [(RatMat.zeros(0, 3), RatMat.zeros(0, 5)),
+                 (RatMat.zeros(3, 0), RatMat.zeros(5, 0)),
+                 (RatMat.zeros(0, 0), RatMat.zeros(0, 1))]:
+        assert a != b and hash(a) != hash(b)
+    assert RatMat([], ncols=3) == RatMat.zeros(0, 3) == RatMat.zeros(3, 0).transpose()
+
+
+def test_adding_matrices_of_different_shapes_is_a_shape_mismatch():
+    a, b = RatMat([[1, 2]]), RatMat([[1, 2, 3]])
+    for op in (lambda: a + b, lambda: a - b, lambda: a + a.transpose(),
+               lambda: RatMat.zeros(0, 2) - RatMat.zeros(0, 3)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op()
+
+
+def _entrywise(f, *mats):
+    return [[f(*es) for es in zip(*rs)] for rs in zip(*mats)]
+
+
+def _ref_kernel(rows, nc):
+    r, pivots = _ref_rref(rows, nc)
+    basis = []
+    for free in (c for c in range(nc) if c not in pivots):
+        v = [F(0)] * nc
+        v[free] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_solve(rows, b, nc):
+    r, pivots = _ref_rref([list(row) + [bv] for row, bv in zip(rows, b)], nc + 1)
+    if nc in pivots:
+        return None
+    x = [F(0)] * nc
+    for i, p in enumerate(pivots):
+        x[p] = r[i][nc]
+    return tuple(x)
+
+
+def _ref_inverse(rows):
+    n = len(rows)
+    r, pivots = _ref_rref([list(row) + [F(int(i == j)) for j in range(n)]
+                           for i, row in enumerate(rows)], 2 * n)
+    return None if pivots[:n] != list(range(n)) else [tuple(row[n:]) for row in r]
+
+
+def _ref_poly_eval(p, x):
+    return sum((c * x ** i for i, c in enumerate(p)), F(0))
+
+
+def _ref_rational_roots(p):
+    """Trial-division divisors and Fraction evaluation and division."""
+    roots, work = {}, list(p)
+    while work[0] == 0:
+        work.pop(0)
+        roots[F(0)] = roots.get(F(0), 0) + 1
+    d = lcm(*(e.denominator for e in work))
+    cands = {s * F(a, b) for a in _ref_divisors(int(work[0] * d))
+             for b in _ref_divisors(int(work[-1] * d)) for s in (1, -1)}
+    q = poly(work)
+    for c in sorted(cands):
+        while poly_degree(q) > 0 and _ref_poly_eval(q, c) == 0:
+            q = poly_divmod(q, poly([-c, 1]))[0]
+            roots[c] = roots.get(c, 0) + 1
+    return dict(sorted(roots.items()))
+
+
+def _ref_eigen(rows):
+    n = len(rows)
+    mp = _ref_minimal_polynomial(rows) if n else (F(1),)
+    if not is_squarefree(mp):
+        return NotSemisimple
+    spaces = {lam: tuple(_ref_kernel([[e - lam * (i == j) for j, e in enumerate(r)]
+                                      for i, r in enumerate(rows)], n))
+              for lam in _ref_rational_roots(mp)}
+    return spaces if sum(map(len, spaces.values())) == n else IrrationalSpectrum
+
+
+def _assert_canonical(m):
+    assert m.den > 0 and gcd(m.den, *[e for r in m.num for e in r]) == 1
+    assert len(m.num) == m.nrows and all(len(r) == m.ncols for r in m.num)
+    assert all(type(e) is int for r in m.num for e in r)
+
+
+def _diagonalizable(rng, n):
+    """S D S^-1 with a few repeated rational eigenvalues, so eigenspaces exist."""
+    pool = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(2)]
+    d = [[rng.choice(pool) if i == j else F(0) for j in range(n)] for i in range(n)]
+    return _conjugate(rng, RatMat(d, ncols=n))
+
+
+def test_ratmat_operations_match_fraction_references():
+    rng = random.Random(157)
+    shapes, outcomes, square_ops, den_seen = set(), set(), 0, 0
+    for k in range(1200):
+        nr = rng.randint(0, 5)
+        nc = nr if k % 2 else rng.randint(0, 6)
+        m = (_diagonalizable(rng, nr) if k % 10 == 1 and nr
+             else RatMat(_random_rows(rng, nr, nc), ncols=nc))
+        rows = [list(r) for r in m.rows]
+        shapes.add((nr == 0, nc == 0))
+        den_seen += m.den > 1
+        other = RatMat(_random_rows(rng, nr, nc), ncols=nc)
+        c = F(rng.randint(-3, 3), rng.randint(1, 4))
+        right = RatMat(_random_rows(rng, nc, rng.randint(0, 4)))
+        right = right if right.nrows == nc else RatMat.zeros(nc, 2)
+        v = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nc))
+        b = m.apply(v) if rng.random() < 0.5 else tuple(
+            F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nr))
+        results = {
+            "+": (m + other, _entrywise(lambda x, y: x + y, rows, other.rows)),
+            "-": (m - other, _entrywise(lambda x, y: x - y, rows, other.rows)),
+            "neg": (-m, _entrywise(lambda x: -x, rows)),
+            "scale": (m.scale(c), _entrywise(lambda x: c * x, rows)),
+            "@": (m @ right, _ref_matmul(rows, right.rows)
+                  if nc else [[F(0)] * right.ncols for _ in rows]),
+            "transpose": (m.transpose(), [list(col) for col in zip(*rows)]
+                          if nr else [[] for _ in range(nc)]),
+            "rref": (rref(m)[0], _ref_rref(rows, nc)[0]),
+        }
+        for name, (got, want) in results.items():
+            _assert_canonical(got)
+            assert [list(r) for r in got.rows] == [list(r) for r in want], name
+        assert rref(m)[1] == _ref_rref(rows, nc)[1]
+        assert m.apply(v) == tuple(sum((e * x for e, x in zip(r, v)), F(0)) for r in rows)
+        assert m.is_zero() == all(e == 0 for r in rows for e in r)
+        assert kernel(m) == _ref_kernel(rows, nc)
+        assert solve(m, b) == _ref_solve(rows, b, nc)
+        # equal matrices built by different routes are equal and hash equal
+        routes = [RatMat(rows, ncols=nc), m.scale(2).scale(F(1, 2)),
+                  RatMat.identity(nr) @ m, m @ RatMat.identity(nc),
+                  m.transpose().transpose()]
+        if c:
+            routes.append(m.scale(c).scale(1 / c))
+        assert all(r == m and hash(r) == hash(m) for r in routes)
+        if nr != nc:
+            continue
+        square_ops += 1
+        power = rng.randint(0, 3)
+        ref_power = [[F(int(i == j)) for j in range(nr)] for i in range(nr)]
+        for _ in range(power):
+            ref_power = _ref_matmul(ref_power, rows)
+        assert [list(r) for r in (m ** power).rows] == [list(r) for r in ref_power]
+        _assert_canonical(m ** power)
+        assert m.trace() == sum((rows[i][i] for i in range(nr)), F(0))
+        assert m.det() == _ref_det(rows)
+        assert char_poly(m) == _ref_char_poly(rows)
+        assert minimal_polynomial(m) == (_ref_minimal_polynomial(rows) if nr else (F(1),))
+        inverse = _ref_inverse(rows)
+        if inverse is None:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+        else:
+            _assert_canonical(m.inverse())
+            assert list(m.inverse().rows) == inverse
+            assert m.inverse().inverse() == m and hash(m.inverse().inverse()) == hash(m)
+        want = _ref_eigen(rows)
+        outcomes.add(want if isinstance(want, type) else len(want) > 1)
+        if isinstance(want, dict):
+            assert rational_eigen_decomposition(m) == want
+        else:
+            with pytest.raises(want):
+                rational_eigen_decomposition(m)
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+    assert square_ops >= 500 and den_seen > 300
+    assert outcomes == {NotSemisimple, IrrationalSpectrum, False, True}
 
 
 # ---------------------------------------------------------------------------
