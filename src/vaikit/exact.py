@@ -7,9 +7,10 @@ and eigenspaces of semisimple matrices with rational spectrum.
 A ``RatMat`` stores integer rows over one positive denominator, reduced
 so that the denominator and the entries share no factor.  Products and
 powers multiply the integer rows, eliminations combine primitive integer
-rows fraction-free, determinants and characteristic polynomials are
-division-free (Bareiss, Berkowitz), and each divides once on the way
-out, so results equal Fraction arithmetic's entry for entry.
+rows fraction-free, determinants, squarefree tests (a Sylvester
+resultant) and characteristic polynomials are division-free (Bareiss,
+Berkowitz), and each divides once on the way out, so results equal
+Fraction arithmetic's entry for entry.
 
 Fractions appear only at the edges: in the entries ``rat``/``vec`` and
 the ``RatMat`` constructor parse, in the vectors, scalars and
@@ -392,67 +393,15 @@ def solve(m: RatMat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-class IncrementalSpan:
-    """Row space under incremental insertion, with membership queries.
+def pivot_indices(vectors) -> list[int]:
+    """Indices of the vectors that enlarge the span of the vectors before them.
 
-    Maintains rows in reduced echelon form, each a primitive integer
-    vector with a positive pivot entry; ``basis()`` and ``_reduce``
-    divide by it only on the way out, so their Fractions are those of
-    Fraction arithmetic.  ``add`` returns True when the vector enlarged
-    the span.  Used for greedy basis extension and membership tests.
+    They are the pivot columns of the matrix whose columns are the
+    vectors: column j is a pivot exactly when it is no combination of
+    columns 0, ..., j - 1.
     """
-
-    def __init__(self, dim: int, vectors=()):
-        self.dim = dim
-        self._rows: list[list[int]] = []
-        self.pivots: list[int] = []
-        for v in vectors:
-            self.add(v)
-
-    def _residual(self, w: list[int], den: int) -> tuple[list[int], int]:
-        """``w / den`` minus its part along the rows, as integers over a denominator."""
-        for row, p in zip(self._rows, self.pivots):
-            if w[p]:
-                g = gcd(row[p], w[p])
-                a, f = row[p] // g, w[p] // g
-                w = [a * x - f * y for x, y in zip(w, row)]
-                g = gcd(den * a, *w)
-                den, w = den * a // g, [x // g for x in w]
-        return w, den
-
-    def _reduce(self, v) -> list[Fraction]:
-        w, den = self._residual(*_integer_row(v))
-        return list(_fraction_row(w, den))
-
-    def contains(self, v: Vec) -> bool:
-        return not any(self._residual(*_integer_row(v))[0])
-
-    def add(self, v) -> bool:
-        return self._insert(self._residual(*_integer_row(v))[0])
-
-    def _insert(self, w: list[int]) -> bool:
-        """Add a residual of ``_residual``; False when it is zero."""
-        p = next((i for i, e in enumerate(w) if e), None)
-        if p is None:
-            return False
-        w = _primitive([-e for e in w] if w[p] < 0 else w)
-        for i, row in enumerate(self._rows):
-            if row[p]:
-                g = gcd(w[p], row[p])
-                a, f = w[p] // g, row[p] // g
-                self._rows[i] = _primitive([a * x - f * y for x, y in zip(row, w)])
-        # keep rows sorted by pivot column
-        idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self._rows.insert(idx, w)
-        self.pivots.insert(idx, p)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def basis(self) -> list[Vec]:
-        return [_fraction_row(r, r[p]) for r, p in zip(self._rows, self.pivots)]
+    cols = [_integer_row(v)[0] for v in vectors]
+    return _gauss_jordan([list(r) for r in zip(*cols)], len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -477,46 +426,21 @@ def poly_is_zero(p: Poly) -> bool:
     return len(p) == 0
 
 
-def poly_monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = list(a)
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv = ONE / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] * inv
-        if c != 0:
-            q[i] = c
-            for j, bc in enumerate(b):
-                rem[i + j] -= c * bc
-    return poly(q), poly(rem)
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return poly([c * i for i, c in enumerate(p)][1:])
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
-
-
 def is_squarefree(p: Poly) -> bool:
-    """True when p has no repeated roots, i.e. gcd(p, p') is constant."""
+    """True when p has no repeated roots, i.e. gcd(p, p') is constant.
+
+    Over Q that holds exactly when the resultant of p and p' is nonzero,
+    that is when their Sylvester matrix, taken here on the primitive
+    integer p, is nonsingular: when every Bareiss pivot is nonzero.
+    """
     if poly_is_zero(p):
         raise ValueError("zero polynomial")
-    if poly_degree(p) == 0:
-        return True
-    g = poly_gcd(p, poly_derivative(p))
-    return poly_degree(g) == 0
+    a = _primitive(_integer_row(p)[0])
+    n = len(a) - 1
+    da = [i * c for i, c in enumerate(a)][1:]
+    sylvester = ([[0] * i + a + [0] * (n - 2 - i) for i in range(n - 1)]
+                 + [[0] * i + da + [0] * (n - 1 - i) for i in range(n)])
+    return all(pivot for pivot, _ in _bareiss(sylvester))
 
 
 def char_poly(m: RatMat) -> Poly:
@@ -551,9 +475,10 @@ def minimal_polynomial(m: RatMat) -> Poly:
     """Monic minimal polynomial via the first linear dependence of powers.
 
     Powers I, a, a^2, ... of the integer matrix a = ``m.num`` = d m
-    (d = ``m.den``) are flattened and fed to an incremental echelon
-    reduction; the first power that fails to enlarge the span yields a
-    dependence sum_j b_j a^j = 0, so m's coefficients are b_j d^j.
+    (d = ``m.den``) are flattened and reduced, one after the other,
+    against the reduced rows of the powers before them; the first power
+    that fails to enlarge the span yields a dependence sum_j b_j a^j = 0,
+    unique up to scale, so m's coefficients are b_j d^j.
     """
     if m.nrows != m.ncols:
         raise ValueError("minimal polynomial of non-square matrix")
@@ -561,19 +486,25 @@ def minimal_polynomial(m: RatMat) -> Poly:
     if n == 0:
         return (ONE,)
     a, d = m.num, m.den
-    # Each inserted row is [flat(a^k) | e_k]; a dependence shows up as a
-    # zero flat part whose tail holds the combination coefficients.
-    span = IncrementalSpan(n * n + n + 1)
+    # Each row is [flat(a^k) | e_k]; a dependence shows up as a zero flat
+    # part whose tail holds the combination coefficients.  Rows are never
+    # back-reduced: each is the residual of its power after clearing the
+    # pivots of the rows before it, so it is zero there, and clearing the
+    # pivots of w in insertion order leaves every one of them zero.
+    rows: list[tuple[list[int], int]] = []
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     k = 0
     while True:
-        tail = [0] * (n + 1)
-        tail[k] = 1
-        w, _ = span._residual([e for row in power for e in row] + tail, 1)
+        w = [e for row in power for e in row] + [int(j == k) for j in range(n + 1)]
+        for row, p in rows:
+            if w[p]:
+                g = gcd(row[p], w[p])
+                s, f = row[p] // g, w[p] // g
+                w = _primitive([s * x - f * y for x, y in zip(w, row)])
         if not any(w[: n * n]):
             b = w[n * n:]
             return tuple(Fraction(c, b[k] * d ** (k - j)) for j, c in enumerate(b[: k + 1]))
-        span._insert(w)
+        rows.append((w, next(i for i, e in enumerate(w) if e)))
         power = _int_matmul(power, a)
         k += 1
 

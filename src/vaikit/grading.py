@@ -15,12 +15,12 @@ from math import lcm
 
 from .errors import InvariantViolation, NotNilpotent
 from .exact import (
-    IncrementalSpan,
     RatMat,
     Vec,
     _integer_matrix,
     _integer_row,
     kernel,
+    pivot_indices,
     rational_eigen_decomposition,
     solve,
     vec,
@@ -79,15 +79,9 @@ class Grading:
             return self.parts[key]
         return Subspace(self.algebra, [], name=f"g^{key}")
 
-    def _aggregate(self, keep, name: str) -> Subspace:
-        basis = [b for lam, p in self.parts.items() if keep(lam) for b in p.basis]
-        return Subspace(self.algebra, basis, name=name)
-
-    def positive_part(self) -> Subspace:
-        return self._aggregate(lambda lam: lam > 0, "g^+")
-
     def nonnegative_part(self) -> Subspace:
-        return self._aggregate(lambda lam: lam >= 0, "g^(>=0)")
+        basis = [b for lam, p in self.parts.items() if lam >= 0 for b in p.basis]
+        return Subspace(self.algebra, basis, name="g^(>=0)")
 
     def components_of(self, v: Vec) -> dict[Fraction, Vec]:
         """Split v into its eigenvalue components; zero parts omitted."""
@@ -152,13 +146,8 @@ def acts_nilpotently(g: LieAlgebra, n) -> bool:
     for _ in range(g.dim + 1):
         if not current:
             return True
-        span = IncrementalSpan(g.dim)
-        nxt = []
-        for b in n.basis:
-            for w in current:
-                img = g.bracket(b, w)
-                if span.add(img):
-                    nxt.append(img)
+        images = [g.bracket(b, w) for b in n.basis for w in current]
+        nxt = [images[i] for i in pivot_indices(images)]
         if len(nxt) >= len(current):
             # series stalled above zero
             return False

@@ -29,7 +29,6 @@ from .errors import InvariantViolation, NotReductive
 from .exact import (
     ONE,
     ZERO,
-    IncrementalSpan,
     RatMat,
     Vec,
     _augmented,
@@ -42,8 +41,8 @@ from .exact import (
     _null_space,
     kernel,
     rat,
+    rref,
     vec,
-    vec_is_zero,
     zero_vec,
 )
 
@@ -212,10 +211,6 @@ class LieAlgebra:
             self._killing = BilinearForm(self, RatMat.from_integers(gram, self._den ** 2, n))
         return self._killing
 
-    def full_subalgebra(self) -> "Subalgebra":
-        return Subalgebra(self, [self.basis_vector(i) for i in range(self.dim)],
-                          name=self.name or "g")
-
     def is_reductive(self) -> bool:
         """Exact test: the kernel of the Killing form is the center.
 
@@ -332,10 +327,17 @@ class Subspace:
         # raises on a linearly dependent basis
         self._coord = _Coordinatizer(self._num, self._den, algebra.dim) if self.dim else None
 
+    def _integer_vector(self, v: Vec) -> tuple[list[int], int]:
+        if len(v) != self.algebra.dim:
+            raise InvariantViolation(
+                f"vector with {len(v)} entries in dimension {self.algebra.dim}")
+        return _integer_row(v)
+
     def contains(self, v: Vec) -> bool:
+        w, _ = self._integer_vector(v)
         if self._coord is None:
-            return vec_is_zero(v)
-        return self._coord.eliminate(_integer_row(v)[0]) is not None
+            return not any(w)
+        return self._coord.eliminate(w) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
@@ -345,9 +347,10 @@ class Subspace:
 
     def coords(self, v: Vec) -> Vec | None:
         """Coefficients of v in this basis; None when v is outside."""
+        w, dw = self._integer_vector(v)
         if self._coord is None:
-            return None if any(e != 0 for e in v) else ()
-        return self._coord.coords(v)
+            return None if any(w) else ()
+        return self._coord.int_coords(w, dw)
 
     def coords_strict(self, v: Vec) -> Vec:
         c = self.coords(v)
@@ -433,12 +436,10 @@ def center(h: Subalgebra) -> Subalgebra:
 
 def derived_subalgebra(h: Subalgebra) -> Subalgebra:
     """Span of all brackets [h, h]."""
-    g = h.algebra
-    span = IncrementalSpan(g.dim)
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            span.add(g.bracket(h.basis[i], h.basis[j]))
-    return Subalgebra(g, span.basis(), name=f"[{h.name},{h.name}]")
+    g, num = h.algebra, h._num
+    brackets = [g._int_bracket(bi, bj) for i, bi in enumerate(num) for bj in num[i + 1:]]
+    r, pivots = rref(RatMat.from_integers(brackets, 1, g.dim))
+    return Subalgebra(g, r.rows[:len(pivots)], name=f"[{h.name},{h.name}]")
 
 
 def radical(h: Subalgebra) -> Subalgebra:
@@ -450,10 +451,11 @@ def radical(h: Subalgebra) -> Subalgebra:
     The radical is an ideal of h, so a subalgebra; it is not re-checked.
     """
     habs = h.abstract()
-    derived = IncrementalSpan(h.dim, [habs.sc[i][j] for i in range(h.dim)
-                                      for j in range(i + 1, h.dim)])
+    derived, _ = _integer_matrix([habs.sc[i][j] for i in range(h.dim)
+                                  for j in range(i + 1, h.dim)])
+    rank = len(_gauss_jordan(derived, h.dim))
     # K is symmetric, so the row d K of each derived row d is (K d)^T
-    rows = _int_matmul(derived._rows, habs.killing_form().gram.num)
+    rows = _int_matmul(derived[:rank], habs.killing_form().gram.num)
     coeffs = _null_space(rows, h.dim)
     return Subalgebra(h.algebra, [h.from_coords(c) for c in coeffs], name=f"rad({h.name})",
                       _validate=False)

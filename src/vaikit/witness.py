@@ -38,10 +38,10 @@ from .errors import (
     SingularChart,
 )
 from .exact import (
-    IncrementalSpan,
     RatMat,
     Vec,
     kernel,
+    pivot_indices,
     rat,
     rational_eigen_decomposition,
     vec,
@@ -109,11 +109,10 @@ class ParabolicData:
         for b in self.l0.basis:
             if not vec_is_zero(g.bracket(self.x, b)):
                 raise InvariantViolation("x must centralize l0")
-        full = IncrementalSpan(g.dim, self.nbar0.basis)
-        for b in self.l0.basis + self.n0.basis:
-            if not full.add(b):
-                raise InvariantViolation("nbar0 overlaps l0 + n0")
-        if full.rank != g.dim:
+        full = self.nbar0.basis + self._split.basis
+        if len(pivot_indices(full)) < len(full):
+            raise InvariantViolation("nbar0 overlaps l0 + n0")
+        if len(full) != g.dim:
             raise InvariantViolation("nbar0 + l0 + n0 does not fill the algebra")
 
         m = self.n0.restriction_matrix(g.ad(self.x))
@@ -163,11 +162,10 @@ class DecayWitness:
             raise InvariantViolation("gamma must be the ad-x trace gap")
         if self.gamma <= 0:
             raise InvariantViolation("gamma must be positive")
-        span = IncrementalSpan(g.dim, self.l1.basis)
-        for b in h.basis + self.n1.basis:
-            if not span.add(b):
-                raise InvariantViolation("l1, h, n1 are not independent")
-        if span.rank != p.p0.dim or not all(
+        parts = self.l1.basis + h.basis + self.n1.basis
+        if len(pivot_indices(parts)) < len(parts):
+            raise InvariantViolation("l1, h, n1 are not independent")
+        if len(parts) != p.p0.dim or not all(
                 p.p0.contains(b) for b in self.l1.basis):
             raise InvariantViolation("l1 + h + n1 does not equal p0")
 
@@ -213,51 +211,40 @@ def build_n1(g: LieAlgebra, h: Subalgebra, parabolic: ParabolicData) -> DecayWit
     p = parabolic
     if not all(p.p0.contains(b) for b in h.basis):
         raise InvariantViolation("h does not lie in p0")
-    chosen, lams = _greedy_complement(g, h, p.n0_eigen)
+    chosen, lams = _greedy_complement(h, p.n0_eigen)
     if len(chosen) == p.n0.dim:
-        proj = _levi_projection(g, h, p)
+        proj = _levi_projection(h, p)
         raise GammaNotPositive(
             "h meets the nilradical trivially; recurse on the Levi factor",
             payload={"levi": p.l0.basis, "h_projected": proj})
     gamma = p.n0_trace - sum(lams, Fraction(0))
-    l1 = _levi_complement(g, h, p)
+    l1 = _levi_complement(h, p)
     return DecayWitness(g, h, p, chosen, l1, gamma)
 
 
-def _greedy_complement(g: LieAlgebra, h: Subalgebra,
-                       eigen) -> tuple[list[Vec], list[Fraction]]:
+def _greedy_complement(h: Subalgebra, eigen) -> tuple[list[Vec], list[Fraction]]:
     """Eigenvectors extending h to a direct sum, with their eigenvalues.
 
     Walks the eigenvalues of ``eigen`` (eigenvalue to basis) from the
     largest down and each basis in order, and takes a vector exactly
     when it enlarges the span of h and the vectors already taken.
     """
-    span = IncrementalSpan(g.dim, h.basis)
-    chosen: list[Vec] = []
-    lams: list[Fraction] = []
-    for lam in sorted(eigen, reverse=True):
-        for b in eigen[lam]:
-            if span.add(b):
-                chosen.append(b)
-                lams.append(lam)
-    return chosen, lams
+    walk = [(lam, b) for lam in sorted(eigen, reverse=True) for b in eigen[lam]]
+    # h.basis is independent, so its indices 0, ..., h.dim - 1 all pivot
+    picks = [walk[i - h.dim] for i in pivot_indices(h.basis + tuple(b for _, b in walk))
+             if i >= h.dim]
+    return [b for _, b in picks], [lam for lam, _ in picks]
 
 
-def _levi_projection(g: LieAlgebra, h: Subalgebra, p: ParabolicData) -> list[Vec]:
+def _levi_projection(h: Subalgebra, p: ParabolicData) -> list[Vec]:
     """Basis of the projection of h to l0 along n0."""
-    out = IncrementalSpan(g.dim)
-    basis = []
-    for b in h.basis:
-        c = p._split.coords_strict(b)
-        proj = p.l0.from_coords(c[: p.l0.dim])
-        if out.add(proj):
-            basis.append(proj)
-    return basis
+    proj = [p.l0.from_coords(p._split.coords_strict(b)[: p.l0.dim]) for b in h.basis]
+    return [proj[i] for i in pivot_indices(proj)]
 
 
-def _levi_complement(g: LieAlgebra, h: Subalgebra, p: ParabolicData) -> list[Vec]:
+def _levi_complement(h: Subalgebra, p: ParabolicData) -> list[Vec]:
     """l1: the coordinate-orthogonal complement of pr_l0(h) inside l0."""
-    proj = _levi_projection(g, h, p)
+    proj = _levi_projection(h, p)
     if not proj:
         return list(p.l0.basis)
     rows = [p.l0.coords_strict(v) for v in proj]
@@ -588,8 +575,8 @@ class LowerBoundCert:
         self.eigenvalues = list(eigenvalues)
         if len(self.eigenvalues) != vx.dim:
             raise InvariantViolation("one eigenvalue per vx basis vector")
-        span = IncrementalSpan(g.dim, h.basis)
-        if not all(span.add(b) for b in vx.basis) or span.rank != g.dim:
+        split = h.basis + vx.basis
+        if len(split) != g.dim or len(pivot_indices(split)) < g.dim:
             raise InvariantViolation("vx + h does not split the algebra")
         for lam, b in zip(self.eigenvalues, vx.basis):
             if g.bracket(self.x, b) != vec_scale(lam, b):
@@ -616,7 +603,7 @@ def predict_lower_bound(g: LieAlgebra, h: Subalgebra, cartan,
     kappa = g.killing_form()
     if any(kappa.value(x, b) != 0 for b in h.basis):
         raise InputError("direction must be orthogonal to h")
-    chosen, eigenvalues = _greedy_complement(g, h, rational_eigen_decomposition(g.ad(x)))
+    chosen, eigenvalues = _greedy_complement(h, rational_eigen_decomposition(g.ad(x)))
     vx = Subspace(g, chosen, name="vx")
     return LowerBoundCert(g, h, x, vx, eigenvalues)
 

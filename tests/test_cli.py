@@ -8,6 +8,7 @@ entry point and byte-level determinism across thread counts.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -603,3 +604,70 @@ class TestConsoleEntryPoint:
             report["result"]["csv"] = None
             report["argv"] = None
         assert outputs[0][1] == outputs[1][1]
+
+
+# the CLI contract under malformed input: every run prints one report and
+# exits 0/3/4, or prints one stderr line and exits 2; none reaches exit 5
+MUTATIONS = ("drop-key", "bool", "nested-list", "non-rational", "huge-integer",
+             "truncated", "swapped")
+
+
+def _json_slots(node):
+    """(container, key, value) for every value below the root of a JSON tree."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield node, key, child
+        yield from _json_slots(child)
+
+
+def _mutated_text(rng, kind, text, catalog_files):
+    if kind == "truncated":
+        return text[:rng.randrange(len(text))]
+    if kind == "swapped":
+        return data_path(rng.choice(catalog_files)).read_text()
+    data = json.loads(text)
+    container, key = rng.choice([
+        (c, k) for c, k, v in _json_slots(data)
+        if (isinstance(c, dict) if kind == "drop-key" else not isinstance(v, (dict, list)))])
+    if kind == "drop-key":
+        del container[key]
+    else:
+        leaf = container[key]
+        container[key] = {
+            "bool": rng.choice((True, False)),
+            "nested-list": [leaf, [leaf]],
+            "non-rational": rng.choice(("x", "1/0", "nan", "", "1.5e", "0x10", "1//2")),
+            "huge-integer": rng.choice((str(10 ** 40 + 1), "-" + "9" * 60, "1" + "0" * 5000,
+                                        10 ** 30, "1e400")),
+        }[kind]
+    return json.dumps(data)
+
+
+def test_mutated_catalog_inputs_keep_the_exit_contract(capsys, tmp_path):
+    rng = random.Random(2024)
+    commands = [c.split() for c in sorted(GOLDEN_RESULTS) if "sl5" not in c]
+    catalog_files = sorted({f"{name}.json" for c in commands for name in c[1:] if name[0] != "-"})
+    outcomes = {}
+    for run in range(300):
+        kind, algebra, subalgebra, *option = rng.choice(commands)
+        files = {"--algebra": f"{algebra}.json", "--subalgebra": f"{subalgebra}.json"}
+        if option:
+            files[option[0]] = f"{option[1]}.json"
+        flag = rng.choice(sorted(files))
+        mutation = MUTATIONS[run % len(MUTATIONS)]
+        target = tmp_path / f"{run}.json"
+        target.write_text(_mutated_text(rng, mutation, data_path(files[flag]).read_text(),
+                                        catalog_files))
+        argv = [kind] + [a for f, name in files.items()
+                         for a in (f, str(target) if f == flag else d(name))]
+        code, out, err = run_cli(capsys, *argv)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.endswith("\n"), argv
+            assert err.count("\n") == 1, argv
+        else:
+            assert code in (0, 3, 4) and err == "", (argv, err)
+            assert json.loads(out)["command"] == kind
+        outcomes[mutation, code] = outcomes.get((mutation, code), 0) + 1
+    assert {m for m, code in outcomes if code == 2} == set(MUTATIONS)
+    assert sum(n for (_, code), n in outcomes.items() if code != 2) > 30

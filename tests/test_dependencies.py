@@ -60,3 +60,23 @@ def test_no_unused_imports():
     unused = [entry for path in sorted(PACKAGE.rglob("*.py"))
               for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_top_level_definition_is_used():
+    """Each top-level def or class of the package is named somewhere in
+    src/, tests/ or perfbench/ outside its own definition."""
+    root = PACKAGE.parent.parent
+    lines = {path: path.read_text().splitlines() for folder in ("src", "tests", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse("\n".join(lines[path]), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line) for other, text in lines.items()
+                       for i, line in enumerate(text, 1)
+                       if other != path or not first <= i <= node.end_lineno):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

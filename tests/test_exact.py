@@ -9,16 +9,14 @@ import pytest
 from vaikit import exact
 from vaikit.errors import InputError, IrrationalSpectrum, NotSemisimple
 from vaikit.exact import (
-    IncrementalSpan,
     RatMat,
     char_poly,
     is_squarefree,
     kernel,
     minimal_polynomial,
+    pivot_indices,
     poly,
     poly_degree,
-    poly_divmod,
-    poly_gcd,
     rational_eigen_decomposition,
     rational_roots,
     rref,
@@ -38,6 +36,17 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return poly(out)
+
+
+def _ref_divmod(a, b):
+    """Quotient and remainder of Fraction long division."""
+    rem = list(a)
+    q = [F(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        q[i] = rem[i + len(b) - 1] / b[-1]
+        for j, bc in enumerate(b):
+            rem[i + j] -= q[i] * bc
+    return poly(q), poly(rem)
 
 
 def poly_eval_matrix(p, m):
@@ -133,7 +142,7 @@ def test_minpoly_divides_charpoly_randomized():
         m = RatMat([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
         mp = minimal_polynomial(m)
         assert poly_eval_matrix(mp, m).is_zero()
-        _, rem = poly_divmod(char_poly(m), mp)
+        _, rem = _ref_divmod(char_poly(m), mp)
         assert rem == ()
 
 
@@ -146,7 +155,6 @@ def test_minpoly_projection():
 def test_poly_gcd_and_squarefree():
     p = poly_mul(poly([1, 1]), poly([1, 1]))  # (x+1)^2
     assert not is_squarefree(p)
-    assert poly_gcd(p, poly([1, 1])) == poly([1, 1])
     assert is_squarefree(poly([0, 4, 0, 1]))  # x^3 + 4x
     assert not is_squarefree(poly([0, 0, 0, 1]))  # x^3
 
@@ -198,21 +206,11 @@ def test_eigen_parts_fill_space_randomized():
             spaces = rational_eigen_decomposition(m)
         except (NotSemisimple, IrrationalSpectrum):
             continue
-        span = IncrementalSpan(n)
+        span = _RefSpan()
         assert all(span.add(v) for basis in spaces.values() for v in basis)
-        assert span.rank == n
+        assert len(span.rows) == n
         filled += 1
     assert filled > 10
-
-
-def test_incremental_span():
-    s = IncrementalSpan(3)
-    assert s.add(vec([1, 1, 0]))
-    assert not s.add(vec([2, 2, 0]))
-    assert s.add(vec([0, 0, 1]))
-    assert s.contains(vec([3, 3, 5]))
-    assert not s.contains(vec([1, 0, 0]))
-    assert s.rank == 2
 
 
 def test_matrix_power_and_nilpotent():
@@ -230,8 +228,9 @@ def test_empty_kernel_shape():
 
 # ---------------------------------------------------------------------------
 # differential tests: the integer core against Fraction reference algorithms
-# (Fraction Gauss-Jordan, a Fraction IncrementalSpan, Faddeev-LeVerrier and
-# Sylvester's minors), entry for entry on a seeded random set
+# (Fraction Gauss-Jordan, a Fraction incremental span, Faddeev-LeVerrier,
+# Sylvester's minors and the Euclidean gcd), entry for entry on a seeded
+# random set
 
 
 def _ref_rref(rows, nc):
@@ -357,23 +356,18 @@ def test_rref_matches_fraction_gauss_jordan():
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_incremental_span_matches_fraction_span():
+def test_pivot_indices_match_fraction_span():
     rng = random.Random(103)
     for m in _random_matrices(107, 1200):
-        span, ref = IncrementalSpan(m.ncols), _RefSpan()
-        for row in m.rows:
-            assert span.add(row) == ref.add(row)
-        assert span.basis() == [tuple(r) for r in ref.rows]
-        assert span.pivots == ref.pivots and span.rank == len(ref.rows)
+        ref = _RefSpan()
+        assert pivot_indices(m.rows) == [i for i, row in enumerate(m.rows) if ref.add(row)]
         probes = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.ncols))]
         if m.rows:  # a combination of the rows lies in the span
             coeffs = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in m.rows]
             probes.append(tuple(sum((c * row[j] for c, row in zip(coeffs, m.rows)), F(0))
                                 for j in range(m.ncols)))
-        for v in probes:
-            w = ref.reduce(v)
-            assert span._reduce(v) == w
-            assert span.contains(v) == all(e == 0 for e in w)
+        for v in probes:  # v enlarges the span exactly when its residual is nonzero
+            assert (m.nrows in pivot_indices(m.rows + (v,))) == any(e != 0 for e in ref.reduce(v))
 
 
 def test_char_poly_and_det_match_fraction_references():
@@ -439,6 +433,40 @@ def test_minimal_polynomial_matches_fraction_powers():
                                          else (F(1),))
         dens.append(max((e.denominator for r in m.rows for e in r), default=1))
     assert sum(d > 1 for d in dens) > 50
+
+
+def _ref_squarefree(p):
+    """gcd(p, p') by the Fraction Euclidean algorithm is a nonzero constant."""
+    a, b = p, poly([c * i for i, c in enumerate(p)][1:])
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return len(a) == 1
+
+
+def _random_polynomials(seed, count):
+    """Products of seeded factors of degree 0-3 with rational coefficients,
+    a third of them raised to a power, so repeated roots are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = poly([F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))])
+        for _ in range(rng.randint(0, 4)):
+            degree = rng.randint(1, 3)
+            factor = poly([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree)]
+                          + [F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))])
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                p = poly_mul(p, factor)
+        yield p
+
+
+def test_squarefree_matches_fraction_gcd():
+    polys = list(_random_polynomials(163, 450))
+    polys += [minimal_polynomial(m) for m in _random_matrices(167, 150, square=True)]
+    verdicts = [is_squarefree(p) for p in polys]
+    assert verdicts == [_ref_squarefree(p) for p in polys]
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 150
+    assert {poly_degree(p) for p in polys} >= set(range(13))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        is_squarefree(())
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +538,7 @@ def _ref_rational_roots(p):
     q = poly(work)
     for c in sorted(cands):
         while poly_degree(q) > 0 and _ref_poly_eval(q, c) == 0:
-            q = poly_divmod(q, poly([-c, 1]))[0]
+            q = _ref_divmod(q, poly([-c, 1]))[0]
             roots[c] = roots.get(c, 0) + 1
     return dict(sorted(roots.items()))
 
@@ -518,7 +546,7 @@ def _ref_rational_roots(p):
 def _ref_eigen(rows):
     n = len(rows)
     mp = _ref_minimal_polynomial(rows) if n else (F(1),)
-    if not is_squarefree(mp):
+    if not _ref_squarefree(mp):
         return NotSemisimple
     spaces = {lam: tuple(_ref_kernel([[e - lam * (i == j) for j, e in enumerate(r)]
                                       for i, r in enumerate(rows)], n))
@@ -634,7 +662,7 @@ def _ref_eigen_decomposition(m):
         spaces[lam] = tuple(basis)
         for _ in range(mult):
             rational_factor = poly_mul(rational_factor, poly([-lam, 1]))
-    q, rem = poly_divmod(cp, rational_factor)
+    q, rem = _ref_divmod(cp, rational_factor)
     assert rem == ()
     residual = kernel(poly_eval_matrix(q, m)) if poly_degree(q) > 0 else []
     assert sum(len(b) for b in spaces.values()) + len(residual) == m.nrows

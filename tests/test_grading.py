@@ -36,7 +36,6 @@ def test_grading_sl2_by_h(sl2, assert_bracket_compatible):
     assert gr.part(2).same_span(Subspace(sl2, [vec([0, 1, 0])]))
     assert gr.part(0).same_span(Subspace(sl2, [vec([1, 0, 0])]))
     assert gr.part(-2).same_span(Subspace(sl2, [vec([0, 0, 1])]))
-    assert gr.positive_part().dim == 1
     assert gr.nonnegative_part().dim == 2
 
 

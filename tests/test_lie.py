@@ -11,7 +11,7 @@ import pytest
 
 from vaikit import catalog
 from vaikit.errors import InvariantViolation, NotReductive
-from vaikit.exact import IncrementalSpan, RatMat, rat, vec
+from vaikit.exact import RatMat, rat, rref, vec
 from vaikit.grading import grading_of
 from vaikit.lie import (
     BilinearForm,
@@ -101,6 +101,17 @@ def test_subspace_coords_roundtrip(sl2):
     assert s.coords(vec([1, 0, 0])) is None
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_subspace_rejects_vectors_of_the_wrong_length(sl2, dim):
+    sub = Subspace(sl2, [vec([1, 0, 0])][:dim])
+    for v in [(0,) * 5, (0,) * 7, (1, 0)]:
+        with pytest.raises(InvariantViolation, match="entries in dimension 3"):
+            sub.contains(v)
+        with pytest.raises(InvariantViolation, match="entries in dimension 3"):
+            sub.coords(v)
+    assert sub.contains((0, 0, 0)) and sub.coords((0, 0, 0)) == (0,) * dim
+
+
 def test_subspace_rejects_dependent_basis(sl2):
     with pytest.raises(InvariantViolation):
         Subspace(sl2, [vec([1, 0, 0]), vec([2, 0, 0])])
@@ -139,12 +150,12 @@ def test_radical_of_borel_is_borel(sl2, sl2_subs):
 
 
 def test_radical_of_semisimple_is_zero(sl2):
-    assert radical(sl2.full_subalgebra()).dim == 0
+    assert radical(Subalgebra(sl2, [sl2.basis_vector(i) for i in range(sl2.dim)])).dim == 0
 
 
 def test_gl2_radical_equals_center():
     g = catalog.gl2()
-    full = g.full_subalgebra()
+    full = Subalgebra(g, [g.basis_vector(i) for i in range(g.dim)])
     r = radical(full)
     z = center(full)
     assert r.dim == 1
@@ -163,20 +174,26 @@ def _reductive_by_radical(g: LieAlgebra) -> bool:
     return radical(full).same_span(center(full))
 
 
+def _rref_basis(vectors, dim: int) -> list:
+    """The nonzero RREF rows of the span of the vectors."""
+    r, pivots = rref(RatMat(vectors, ncols=dim))
+    return list(r.rows[:len(pivots)])
+
+
 def _random_closed_subalgebra(g: LieAlgebra, rng: random.Random) -> Subalgebra:
     """Bracket closure of 1-3 seeded generators, each 1-2 basis vectors."""
-    span = IncrementalSpan(g.dim)
+    generators = []
     for _ in range(rng.randint(1, 3)):
         v = [0] * g.dim
         for i in rng.sample(range(g.dim), rng.randint(1, 2)):
             v[i] = rng.choice((-1, 1, 2))
-        span.add(vec(v))
-    grew = True
-    while grew:
-        basis = span.basis()
-        grew = any([span.add(g.bracket(x, y))
-                    for i, x in enumerate(basis) for y in basis[i + 1:]])
-    return Subalgebra(g, span.basis())
+        generators.append(vec(v))
+    basis, grown = [], _rref_basis(generators, g.dim)
+    while len(grown) > len(basis):
+        basis = grown
+        grown = _rref_basis(basis + [g.bracket(x, y) for i, x in enumerate(basis)
+                                     for y in basis[i + 1:]], g.dim)
+    return Subalgebra(g, basis)
 
 
 def test_is_reductive_agrees_with_radical_rule(sl2, sl3, sl4):
@@ -206,7 +223,7 @@ def test_unimodular_requires_reductive_ambient():
     sc = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
     g = LieAlgebra([[[rat(c) for c in r] for r in p] for p in sc], name="aff1")
     with pytest.raises(NotReductive):
-        is_unimodular_pair(g, g.full_subalgebra())
+        is_unimodular_pair(g, Subalgebra(g, [g.basis_vector(i) for i in range(g.dim)]))
 
 
 @pytest.mark.parametrize("algebra", ["sl3", "sl4"])
@@ -214,16 +231,16 @@ def test_subspace_contains_agrees_with_incremental_span(algebra, request):
     g = request.getfixturevalue(algebra)
     rng = random.Random(17)
     for _ in range(40):
-        span = IncrementalSpan(g.dim)
-        for _ in range(rng.randint(0, g.dim)):
-            span.add(vec([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-                          if rng.random() < 0.3 else 0 for _ in range(g.dim)]))
-        sub = Subspace(g, span.basis())
+        vectors = [vec([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                        if rng.random() < 0.3 else 0 for _ in range(g.dim)])
+                   for _ in range(rng.randint(0, g.dim))]
+        basis = _rref_basis(vectors, g.dim)
+        sub = Subspace(g, basis)
         inside = sub.from_coords(vec([rng.randint(-3, 3) for _ in range(sub.dim)]))
         probes = [inside, vec([rng.randint(-1, 1) for _ in range(g.dim)]),
                   g.bracket(inside, g.basis_vector(rng.randrange(g.dim)))]
-        for v in probes:
-            assert sub.contains(v) == span.contains(v)
+        for v in probes:  # v lies in the span exactly when it adds no pivot
+            assert sub.contains(v) == (len(_rref_basis(vectors + [v], g.dim)) == len(basis))
         assert sub.contains(inside)
 
 

@@ -165,7 +165,7 @@ def test_verdict_requires_reductive_ambient():
     sc = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
     aff = LieAlgebra([[[int(c) for c in r] for r in p] for p in sc], name="aff1")
     with pytest.raises(NotReductive):
-        vai_verdict(aff, aff.full_subalgebra())
+        vai_verdict(aff, Subalgebra(aff, [aff.basis_vector(i) for i in range(aff.dim)]))
 
 
 def test_default_cartan_without_realization(sl2):
