@@ -76,10 +76,17 @@ def _mat_from_json(data, where: str) -> RatMat:
 # file formats
 
 
+def _name(data: dict, where: str) -> str:
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise InputError(f"{where}: 'name' must be a string")
+    return name
+
+
 def parse_algebra(data: dict, where: str = "algebra") -> LieAlgebra:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object")
-    name = data.get("name", "")
+    name = _name(data, where)
     has_basis = "basis" in data
     has_sc = "sc" in data
     if has_basis == has_sc:
@@ -117,10 +124,11 @@ def parse_subspace(data: dict, g: LieAlgebra, where: str = "subalgebra",
     if "algebra" in data and g.name and data["algebra"] != g.name:
         raise InputError(f"{where}: file targets algebra {data['algebra']!r}, "
                          f"got {g.name!r}")
+    name = _name(data, where)
     basis = [_vec_from_json(v, f"{where}.basis[{i}]") for i, v in enumerate(data["basis"])]
     try:
         cls = Subalgebra if closed else Subspace
-        return cls(g, basis, name=data.get("name", ""))
+        return cls(g, basis, name=name)
     except Exception as exc:
         raise InputError(f"{where}: {exc}") from exc
 

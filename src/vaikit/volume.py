@@ -124,6 +124,26 @@ def _quartic_candidates(a4, a3, a2, a1, a0):
     return x, settled
 
 
+@np.errstate(all="ignore")
+def _quartic_minimum(quartic, value, margin, r2):
+    """Minimum of a model's distance over the real roots of its critical
+    quartic, per sample.
+
+    `value(x, rows)` is the distance at candidates x (4, n) of the samples
+    `rows`.  The candidates are Ferrari's from `_quartic_candidates`;
+    samples it leaves unsettled, with a non-finite value, or with a minimum
+    within `margin` of r2 take theirs from one `_quartic_roots` solve
+    instead, under the same `value`, where non-finite counts as +inf.
+    """
+    x, settled = _quartic_candidates(*quartic)
+    vals = value(x, slice(None))
+    best = vals.min(axis=0)
+    refer = ~(settled & np.isfinite(vals).all(axis=0) & (np.abs(best - r2) > margin))
+    vals = value(_quartic_roots(*(c[refer] for c in quartic)).T, refer)
+    best[refer] = np.where(np.isfinite(vals), vals, np.inf).min(axis=0)
+    return best
+
+
 def _require_finite(model_name, coefs):
     """The membership coefficients, or InputError if any is not finite."""
     if not all(np.isfinite(c).all() for c in coefs):
@@ -245,11 +265,12 @@ class SPD2Model(SpaceModel):
     the margin, so no skipped sample could have been a hit.  Only the
     remaining samples reach the quartic.
 
-    The quartic is solved in closed form and f, rational in tan(phi/2), is
-    taken at the real parts of all four roots and at phi = pi: actual
-    angles, so never below the true minimum, and a near-double root split
-    into a complex pair keeps its real part.  Unsettled samples, non-finite
-    values and minima within the margin of r^2 go to `_angle_minimum`.
+    `_quartic_minimum` takes f, rational in tan(phi/2) (`_distance`), at
+    the real parts of all four closed-form roots: actual angles, so never
+    below the true minimum, and a near-double root split into a complex
+    pair keeps its real part.  Samples it cannot settle within the margin
+    get their roots from one eigvals solve, under the same `_distance`.
+    phi = pi, the one angle the substitution misses, is taken separately.
     """
 
     name = "spd2"
@@ -329,19 +350,12 @@ class SPD2Model(SpaceModel):
         return (2.0 * q2 - q1, 8.0 * p2 - 2.0 * p1, -12.0 * q2,
                 -8.0 * p2 - 2.0 * p1, 2.0 * q2 + q1)
 
-    def _angle_minimum(self, k0, p2, q2, p1, q1):
-        """Global minimum over phi of the trig polynomial, per sample."""
-        roots = _quartic_roots(*self._angle_quartic(p2, q2, p1, q1))
-        phi = 2.0 * np.arctan(np.where(np.isnan(roots), 0.0, roots))
-        vals = (k0[:, None] + p2[:, None] * np.cos(2.0 * phi)
-                + q2[:, None] * np.sin(2.0 * phi)
-                + p1[:, None] * np.cos(phi) + q1[:, None] * np.sin(phi))
-        vals = np.where(np.isnan(roots), np.inf, vals)
-        at_pi = k0 + p2 - p1
-        return np.minimum(vals.min(axis=1), at_pi)
-
-    def _min_distance(self, z, coords):
-        return self._angle_minimum(*self._angle_coefficients(z, coords))
+    @staticmethod
+    def _distance(x, k0, p2, q2, p1, q1):
+        # f at phi = 2 atan(x), rational in x
+        cos1, sin1 = (1.0 - x * x) / (1.0 + x * x), 2.0 * x / (1.0 + x * x)
+        return (k0 + p2 * (cos1 * cos1 - sin1 * sin1)
+                + q2 * (2.0 * sin1 * cos1) + p1 * cos1 + q1 * sin1)
 
     def membership_chart(self, z, coords, radius):
         coefs = self._angle_coefficients(z, coords)
@@ -353,17 +367,12 @@ class SPD2Model(SpaceModel):
         margin = 1e-9 * (np.abs(k0) + amp2 + amp1)
         undecided = k0 - amp2 - amp1 <= r2 + margin
         k0, p2, q2, p1, q1 = coefs = tuple(c[undecided] for c in coefs)
-        x, settled = _quartic_candidates(*self._angle_quartic(p2, q2, p1, q1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            cos1, sin1 = (1.0 - x * x) / (1.0 + x * x), 2.0 * x / (1.0 + x * x)
-            vals = (k0 + p2 * (cos1 * cos1 - sin1 * sin1)
-                    + q2 * (2.0 * sin1 * cos1) + p1 * cos1 + q1 * sin1)
-        best = np.minimum(vals.min(axis=0), k0 + p2 - p1)
-        refer = ~(settled & np.isfinite(vals).all(axis=0)
-                  & (np.abs(best - r2) > margin[undecided]))
-        best[refer] = self._angle_minimum(*(c[refer] for c in coefs))
+        best = _quartic_minimum(
+            self._angle_quartic(p2, q2, p1, q1),
+            lambda x, rows: self._distance(x, *(c[rows] for c in coefs)),
+            margin[undecided], r2)
         hit = np.zeros(len(coords), dtype=bool)
-        hit[undecided] = best <= r2
+        hit[undecided] = np.minimum(best, k0 + p2 - p1) <= r2
         return hit
 
     def membership(self, z, w, radius):
@@ -447,15 +456,15 @@ class HyperboloidModel(SpaceModel):
     conjugator g0 is built from
     eigenvector matrices, the stabilizer is {+-exp(s X_z)}, and
     ||g0 exp(s X_z) - 1||_F^2 = P cosh 2s + Q sinh 2s + R -+ 2(D cosh s
-    + E sinh s) is minimized over s on both sign components; with
-    u = e^s the critical points are positive real roots of a quartic,
-    so the global minimum is exact.
+    + E sinh s) is minimized over s on both sign components.  With
+    x = +-e^s on the +-1 component both read
+    f = ((P+Q) x^2 + (P-Q) / x^2) / 2 + R - (D+E) x - (D-E) / x
+    (`_distance`), so the real roots of one quartic in x are the critical
+    points of both: the positive ones of the +1 component, the negative
+    ones of the -1 component, and the global minimum is exact.
 
-    The -1 quartic is the +1 quartic at -u, so x = +-u runs over both
-    components; f = ((P+Q) x^2 + (P-Q) / x^2) / 2 + R - (D+E) x - (D-E) / x
-    is taken at the real parts of all four closed-form roots as in SPD2Model,
-    and `_two_solve_minimum` decides the samples SPD2Model would refer, with
-    margin 1e-9 (1 + P).  The float range is |a| <= 9.0e6 (t <= 8.35): there
+    `_quartic_minimum` minimizes f as in SPD2Model, with margin
+    1e-9 (1 + P).  The float range is |a| <= 9.0e6 (t <= 8.35): there
     the eigenvector determinant rounds by eps (1 + |a|) / 2 < 1e-9 relative.
     """
 
@@ -578,44 +587,25 @@ class HyperboloidModel(SpaceModel):
         return _require_finite(self.name, coefs), good
 
     @staticmethod
-    def _stabilizer_quartic(sign, p_co, q_co, r_co, tr_g, tr_h):
-        # with u = e^s, f'(s) * 2u^2 is this quartic; real s <-> u > 0
-        return (p_co + q_co, -sign * (tr_g + tr_h), np.zeros_like(p_co),
-                sign * (tr_g - tr_h), q_co - p_co)
+    def _stabilizer_quartic(p_co, q_co, r_co, tr_g, tr_h):
+        # with x = +-e^s on the +-1 component, f'(s) * 2x^2 is this quartic
+        return (p_co + q_co, -(tr_g + tr_h), np.zeros_like(p_co),
+                tr_g - tr_h, q_co - p_co)
 
     @staticmethod
-    def _sign_minimum(sign, roots, p_co, q_co, r_co, tr_g, tr_h):
-        """Minimum over the critical points u = e^s among `roots` of the
-        sign component."""
-        ok_root = ~np.isnan(roots) & (roots > 0.0)
-        s = np.log(np.where(ok_root, roots, 1.0))
-        vals = (p_co[:, None] * np.cosh(2.0 * s)
-                + q_co[:, None] * np.sinh(2.0 * s) + r_co[:, None]
-                - 2.0 * sign * (tr_g[:, None] * np.cosh(s)
-                                + tr_h[:, None] * np.sinh(s)))
-        return np.where(ok_root, vals, np.inf).min(axis=1)
-
-    def _two_solve_minimum(self, coefs):
-        """The minimum over both components, one quartic solve each."""
-        plus, minus = (
-            self._sign_minimum(
-                sign, _quartic_roots(*self._stabilizer_quartic(sign, *coefs)),
-                *coefs) for sign in (1.0, -1.0))
-        return np.minimum(plus, minus)
+    def _distance(x, p_co, q_co, r_co, tr_g, tr_h):
+        # f at x = +-e^s, on the component of the sign of x
+        inv = 1.0 / x
+        return (((p_co + q_co) * x * x + (p_co - q_co) * inv * inv) / 2.0
+                + r_co - (tr_g + tr_h) * x - (tr_g - tr_h) * inv)
 
     def _membership_points(self, z, points, radius):
         coefs, good = self._stabilizer_coefficients(z, points)
-        p_co, q_co, r_co, tr_g, tr_h = coefs
         r2 = radius * radius
-        x, settled = _quartic_candidates(*self._stabilizer_quartic(1.0, *coefs))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            inv = 1.0 / x
-            vals = (((p_co + q_co) * x * x + (p_co - q_co) * inv * inv) / 2.0
-                    + r_co - (tr_g + tr_h) * x - (tr_g - tr_h) * inv)
-        best = vals.min(axis=0)
-        refer = ~(settled & np.isfinite(vals).all(axis=0)
-                  & (np.abs(best - r2) > 1e-9 * (1.0 + p_co)))
-        best[refer] = self._two_solve_minimum(tuple(c[refer] for c in coefs))
+        best = _quartic_minimum(
+            self._stabilizer_quartic(*coefs),
+            lambda x, rows: self._distance(x, *(c[rows] for c in coefs)),
+            1e-9 * (1.0 + coefs[0]), r2)  # coefs[0] is P
         return good & (best <= r2)
 
     def membership(self, z, w, radius):

@@ -501,10 +501,11 @@ class UnipotentWitness:
 
 def _normalizing_rate(g: LieAlgebra, n: Subalgebra, x: Vec) -> Fraction | None:
     """tr(ad x | n) when x normalizes n with all-positive exact spectrum."""
-    for b in n.basis:
-        if not n.contains(g.bracket(x, b)):
-            return None
-    m = n.restriction_matrix(g.ad(x))
+    ad_x = g.ad(x)
+    try:
+        m = n.restriction_matrix(ad_x)
+    except InvariantViolation:  # x does not normalize n
+        return None
     try:
         eigen = rational_eigen_decomposition(m)
     except (NotSemisimple, IrrationalSpectrum):

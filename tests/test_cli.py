@@ -130,6 +130,19 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag,source", [("--algebra", "sl2.json"),
+                                             ("--subalgebra", "sl2-so2.json")])
+    @pytest.mark.parametrize("name", [False, 7, None, ["a", ["b"]]])
+    def test_non_string_name_is_input_error(self, capsys, tmp_path, flag, source, name):
+        data = json.loads(data_path(source).read_text())
+        data["name"] = name
+        bad = tmp_path / source
+        bad.write_text(json.dumps(data))
+        files = {"--algebra": d("sl2.json"), "--subalgebra": d("sl2-so2.json"), flag: str(bad)}
+        code, out, err = run_cli(capsys, "check", *(a for pair in files.items() for a in pair))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "'name'" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag,payload,named", [
         # ragged rows in an explicit involution matrix
         ("--theta", {"matrix": [["-1", "0", "0"], ["0", "0"],
@@ -609,7 +622,7 @@ class TestConsoleEntryPoint:
 # the CLI contract under malformed input: every run prints one report and
 # exits 0/3/4, or prints one stderr line and exits 2; none reaches exit 5
 MUTATIONS = ("drop-key", "bool", "nested-list", "non-rational", "huge-integer",
-             "truncated", "swapped")
+             "truncated", "swapped", "name")
 
 
 def _json_slots(node):
@@ -627,6 +640,9 @@ def _mutated_text(rng, kind, text, catalog_files):
     if kind == "swapped":
         return data_path(rng.choice(catalog_files)).read_text()
     data = json.loads(text)
+    if kind == "name":
+        data["name"] = rng.choice((False, 7, None, ["a", ["b"]]))
+        return json.dumps(data)
     container, key = rng.choice([
         (c, k) for c, k, v in _json_slots(data)
         if (isinstance(c, dict) if kind == "drop-key" else not isinstance(v, (dict, list)))])

@@ -62,21 +62,31 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _definitions(tree: ast.Module):
+    """Top-level defs and classes, and the non-dunder methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 def test_every_top_level_definition_is_used():
-    """Each top-level def or class of the package is named somewhere in
-    src/, tests/ or perfbench/ outside its own definition."""
+    """Each top-level def or class of the package, and each non-dunder
+    method of a top-level class, is named somewhere in src/, tests/ or
+    perfbench/ outside its own definition."""
     root = PACKAGE.parent.parent
     lines = {path: path.read_text().splitlines() for folder in ("src", "tests", "perfbench")
              for path in sorted((root / folder).rglob("*.py"))}
+    texts = {path: "\n".join(text) for path, text in lines.items()}
     unused = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.parse("\n".join(lines[path]), str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node in _definitions(ast.parse(texts[path], str(path))):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            outside = lines[path][:first - 1] + lines[path][node.end_lineno:]
             word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(line) for other, text in lines.items()
-                       for i, line in enumerate(text, 1)
-                       if other != path or not first <= i <= node.end_lineno):
+            if not any(word.search(text) for text in (
+                    "\n".join(outside), *(t for other, t in texts.items() if other != path))):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []

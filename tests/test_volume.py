@@ -45,6 +45,55 @@ def random_ball_element(rng, radius):
             return g
 
 
+def _angle_minimum(k0, p2, q2, p1, q1):
+    """Global minimum over phi of the trig polynomial, per sample: the
+    eigvals roots of the angle quartic under the trig form of f."""
+    roots = _quartic_roots(*SPD2Model._angle_quartic(p2, q2, p1, q1))
+    phi = 2.0 * np.arctan(np.where(np.isnan(roots), 0.0, roots))
+    vals = (k0[:, None] + p2[:, None] * np.cos(2.0 * phi)
+            + q2[:, None] * np.sin(2.0 * phi)
+            + p1[:, None] * np.cos(phi) + q1[:, None] * np.sin(phi))
+    vals = np.where(np.isnan(roots), np.inf, vals)
+    at_pi = k0 + p2 - p1
+    return np.minimum(vals.min(axis=1), at_pi)
+
+
+def _min_distance(z, coords):
+    return _angle_minimum(*SPD2Model()._angle_coefficients(z, coords))
+
+
+def _sign_minimum(sign, roots, p_co, q_co, r_co, tr_g, tr_h):
+    """Minimum over the critical points u = e^s among `roots` of the
+    sign component."""
+    ok_root = ~np.isnan(roots) & (roots > 0.0)
+    s = np.log(np.where(ok_root, roots, 1.0))
+    vals = (p_co[:, None] * np.cosh(2.0 * s)
+            + q_co[:, None] * np.sinh(2.0 * s) + r_co[:, None]
+            - 2.0 * sign * (tr_g[:, None] * np.cosh(s)
+                            + tr_h[:, None] * np.sinh(s)))
+    return np.where(ok_root, vals, np.inf).min(axis=1)
+
+
+def _two_solve_minimum(coefs):
+    """The hyperboloid minimum over both components, one quartic solve
+    in u = e^s each, under the cosh/sinh form of f."""
+    p_co, q_co, r_co, tr_g, tr_h = coefs
+    plus, minus = (
+        _sign_minimum(
+            sign, _quartic_roots(p_co + q_co, -sign * (tr_g + tr_h), np.zeros_like(p_co),
+                                 sign * (tr_g - tr_h), q_co - p_co),
+            *coefs) for sign in (1.0, -1.0))
+    return np.minimum(plus, minus)
+
+
+def _eigvals_minimum(model, quartic, coefs):
+    """The minimum of the model's own `_distance` at the eigvals roots of
+    its quartic, a non-finite value counting as +inf."""
+    with np.errstate(all="ignore"):
+        vals = model._distance(_quartic_roots(*quartic).T, *coefs)
+    return np.where(np.isfinite(vals), vals, np.inf).min(axis=0)
+
+
 class TestPlaneModel:
     model = PlaneModel()
 
@@ -144,7 +193,7 @@ class TestSPD2Model:
         lo, hi = self.model.chart_box(z, R03)
         rng = np.random.default_rng(123)
         coords = rng.uniform(lo, hi, size=(3000, 2))
-        mine_val = self.model._min_distance(z, coords)
+        mine_val = _min_distance(z, coords)
 
         p = np.asarray(z, float)
         p_inv = np.linalg.inv(self.model._sqrt_spd(p))
@@ -184,7 +233,7 @@ class TestSPD2Model:
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(31).uniform(lo, hi, size=(16384, 2))
-        mins = self.model._min_distance(z, coords)
+        mins = _min_distance(z, coords)
         hits = self.model.membership_chart(z, coords, R03)
         assert (hits == (mins <= R03 * R03)).all()
         assert hits.any()
@@ -200,11 +249,20 @@ class TestSPD2Model:
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
     def test_closed_form_keeps_every_decision(self, t):
-        # the closed-form quartic must decide as the eigvals-only path
+        # the closed-form quartic must decide as the eigvals-only path.  At
+        # t = 8 the trig and rational forms of f split on a few samples and
+        # neither is ground truth, so there the reference takes the eigvals
+        # roots under the model's own `_distance`
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(43).uniform(lo, hi, size=(16384, 2))
-        reference = self.model._min_distance(z, coords) <= R03 * R03
+        if t < 8.0:
+            mins = _min_distance(z, coords)
+        else:
+            k0, p2, q2, p1, q1 = coefs = self.model._angle_coefficients(z, coords)
+            mins = np.minimum(_eigvals_minimum(
+                self.model, self.model._angle_quartic(p2, q2, p1, q1), coefs), k0 + p2 - p1)
+        reference = mins <= R03 * R03
         assert reference.any()
         assert (self.model.membership_chart(z, coords, R03)
                 == reference).all()
@@ -305,39 +363,48 @@ class TestHyperboloidModel:
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
-        points = self.model.from_chart(coords)
-        (p_co, q_co, r_co, tr_g, tr_h), good = \
-            self.model._stabilizer_coefficients(z, points)
+        coefs, good = self.model._stabilizer_coefficients(
+            z, self.model.from_chart(coords))
         # reference: one quartic per sign component of the stabilizer
-        best = np.full(len(coords), np.inf)
-        for sign in (1.0, -1.0):
-            roots = _quartic_roots(p_co + q_co, -sign * (tr_g + tr_h),
-                                   np.zeros_like(p_co), sign * (tr_g - tr_h),
-                                   q_co - p_co)
-            ok = ~np.isnan(roots) & (roots > 0.0)
-            s = np.log(np.where(ok, roots, 1.0))
-            vals = (p_co[:, None] * np.cosh(2.0 * s)
-                    + q_co[:, None] * np.sinh(2.0 * s) + r_co[:, None]
-                    - 2.0 * sign * (tr_g[:, None] * np.cosh(s)
-                                    + tr_h[:, None] * np.sinh(s)))
-            best = np.minimum(best, np.where(ok, vals, np.inf).min(axis=1))
+        best = _two_solve_minimum(coefs)
         reference = good & (best <= R03 * R03)
         assert reference.any()
         assert (self.model.membership_chart(z, coords, R03) == reference).all()
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
     def test_closed_form_keeps_every_decision(self, t):
-        # the closed-form quartic must decide as the eigvals-only path:
-        # one companion solve per sign component
+        # the closed-form quartic must decide as the eigvals-only path: one
+        # companion solve per sign component, or at t = 8, where the
+        # cosh/sinh and x forms of f split and neither is ground truth, one
+        # solve under the model's own `_distance`
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(41).uniform(lo, hi, size=(16384, 2))
         coefs, good = self.model._stabilizer_coefficients(
             z, self.model.from_chart(coords))
-        reference = good & (self.model._two_solve_minimum(coefs) <= R03 * R03)
+        if t < 8.0:
+            mins = _two_solve_minimum(coefs)
+        else:
+            mins = _eigvals_minimum(self.model, self.model._stabilizer_quartic(*coefs), coefs)
+        reference = good & (mins <= R03 * R03)
         assert reference.any()
         assert (self.model.membership_chart(z, coords, R03)
                 == reference).all()
+
+    def test_negative_roots_decide_the_minus_component(self):
+        # around the waist point (0, -1, -1) the eigenvector branch flips
+        # the sign of g0 where a < 0, so many hits lie on the -1 component
+        # of the stabilizer, where the one quartic's roots are negative
+        z = np.array([0.0, -1.0, -1.0])
+        lo, hi = self.model.chart_box(z, R03)
+        coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
+        coefs, good = self.model._stabilizer_coefficients(
+            z, self.model.from_chart(coords))
+        hits = self.model.membership_chart(z, coords, R03)
+        assert (hits == (good & (_two_solve_minimum(coefs) <= R03 * R03))).all()
+        roots = _quartic_roots(*self.model._stabilizer_quartic(*coefs))
+        plus = _sign_minimum(1.0, roots, *coefs)
+        assert (hits & (plus > R03 * R03)).sum() > 1000
 
     def test_float_range_is_declared(self):
         assert self.model.membership(self.model.curve(8.3),
@@ -369,6 +436,102 @@ class TestHyperboloidModel:
                                     R03, 20_000, 42)
         assert min(series.estimates) >= 0.5 * series.estimates[0]
         assert series.estimates[-1] > series.estimates[0]
+
+
+def _mp_real_minimum(mp, quartic, f, extra=()):
+    """Least f over the real parts of the roots of `quartic` (highest
+    coefficient first) and the points `extra`; every candidate is a real
+    point, so this is the exact minimum to working precision."""
+    top = max(abs(c) for c in quartic)
+    while abs(quartic[0]) < mp.mpf(10) ** -60 * top:  # a root at infinity
+        quartic = quartic[1:]
+    roots = mp.polyroots(quartic, maxsteps=200, extraprec=300)
+    return min(f(mp.re(x)) for x in [*roots, *extra])
+
+
+def _mp_spd2_minimum(mp, t, coord):
+    """min over phi of ||q R(phi) p^{-1} - 1||_F^2 for the curve point at t
+    and the chart point (u, tau), its trig coefficients taken by a 5-point
+    DFT of the matrix form."""
+    eye = mp.eye(2)
+    p = mp.diag([mp.exp(2 * t), mp.exp(-2 * t)])
+    p_inv = ((p + eye) / mp.sqrt(p[0, 0] + p[1, 1] + 2)) ** -1
+    u, tau = (mp.mpf(float(c)) for c in coord)
+    w = mp.matrix([[(1 + u * u) / mp.exp(tau), u], [u, mp.exp(tau)]])
+    q = (w + eye) / mp.sqrt(w[0, 0] + w[1, 1] + 2)
+
+    def f(phi):
+        rot = mp.matrix([[mp.cos(phi), -mp.sin(phi)], [mp.sin(phi), mp.cos(phi)]])
+        return mp.norm(q * rot * p_inv - eye, 2) ** 2
+
+    phis = [2 * mp.pi * j / 5 for j in range(5)]
+    vals = [f(phi) for phi in phis]
+    p2, q2, p1, q1 = (2 * mp.fsum(v * trig(k * phi) for v, phi in zip(vals, phis)) / 5
+                      for k, trig in ((2, mp.cos), (2, mp.sin), (1, mp.cos), (1, mp.sin)))
+    return _mp_real_minimum(mp, list(SPD2Model._angle_quartic(p2, q2, p1, q1)),
+                            lambda x: f(2 * mp.atan(x)), extra=[mp.inf])
+
+
+def _mp_hyperboloid_minimum(mp, t, coord):
+    """min over s and both signs of ||+-g0 exp(s X_z) - 1||_F^2 for the
+    curve point at t and the chart point (psi, delta)."""
+    eye = mp.eye(2)
+
+    def diagonalizer(x):
+        # columns: eigenvectors of x (x^2 = 1) for +1 and -1, det 1
+        cols = []
+        for m in (eye + x, eye - x):
+            j = 0 if mp.norm(m.column(0)) >= mp.norm(m.column(1)) else 1
+            cols.append(m.column(j))
+        d = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
+        if d < 0:
+            cols[1], d = -cols[1], -d
+        return mp.matrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]) / mp.sqrt(d)
+
+    x_z = mp.matrix([[mp.cosh(2 * t), -mp.sinh(2 * t)], [mp.sinh(2 * t), -mp.cosh(2 * t)]])
+    psi, delta = (mp.mpf(float(c)) for c in coord)
+    rho = mp.sqrt(1 + delta * delta)
+    a, beta = rho * mp.cos(psi), rho * mp.sin(psi)
+    x_w = mp.matrix([[a, beta + delta], [beta - delta, -a]])
+    g = diagonalizer(x_w) * diagonalizer(x_z) ** -1
+    h = g * x_z
+
+    def f(x):  # x = +-e^s on the +-1 component
+        if x == 0:
+            return mp.inf
+        s = mp.log(abs(x))
+        return mp.norm(mp.sign(x) * (mp.cosh(s) * g + mp.sinh(s) * h) - eye, 2) ** 2
+
+    def trace(m):
+        return m[0, 0] + m[1, 1]
+
+    # f = |g+h|^2 x^2 / 4 - tr(g+h) x + ... - tr(g-h) / x + |g-h|^2 / (4 x^2)
+    quartic = [mp.norm(g + h, 2) ** 2 / 2, -trace(g + h), 0, trace(g - h),
+               -mp.norm(g - h, 2) ** 2 / 2]
+    return _mp_real_minimum(mp, quartic, f)
+
+
+@pytest.mark.parametrize("t", [0.0, 4.0, 6.0])
+@pytest.mark.parametrize("model, oracle", [(SPD2Model(), _mp_spd2_minimum),
+                                           (HyperboloidModel(), _mp_hyperboloid_minimum)],
+                         ids=["spd2", "hyperboloid"])
+def test_decisions_nearest_the_boundary_match_an_80_digit_oracle(model, oracle, t):
+    # the ten seeded chart samples whose float minimum lies nearest r^2,
+    # decided again from the roots of the quartic at 80 digits
+    mp = pytest.importorskip("mpmath").mp
+    z = model.curve(t)
+    lo, hi = model.chart_box(z, R03)
+    coords = np.random.default_rng(59).uniform(lo, hi, size=(4096, 2))
+    if isinstance(model, SPD2Model):
+        coefs = model._angle_coefficients(z, coords)
+        mins = _eigvals_minimum(model, model._angle_quartic(*coefs[1:]), coefs)
+    else:
+        coefs, _ = model._stabilizer_coefficients(z, model.from_chart(coords))
+        mins = _eigvals_minimum(model, model._stabilizer_quartic(*coefs), coefs)
+    nearest = coords[np.argsort(np.abs(mins - R03 * R03))[:10]]
+    with mp.workdps(80):
+        exact = [oracle(mp, mp.mpf(t), c) <= mp.mpf(R03) ** 2 for c in nearest]
+    assert model.membership_chart(z, nearest, R03).tolist() == exact
 
 
 def _adversarial_quartics(rng, n=200):
