@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .errors import InputError, InvariantViolation
 from .exact import RatMat, Vec, rat, vec, zero_vec
-from .lie import LieAlgebra, Subalgebra, Subspace, negative_transpose_involution
+from .lie import LieAlgebra, Subalgebra, negative_transpose_involution
 
 # ---------------------------------------------------------------------------
 # rational-string (de)serialization
@@ -58,6 +58,12 @@ def _vec_from_json(data, where: str) -> Vec:
     if not isinstance(data, list):
         raise InputError(f"{where}: expected a list of rationals")
     return tuple(str_to_rat(e) for e in data)
+
+
+def _vecs_from_json(data, where: str) -> list[Vec]:
+    if not isinstance(data, list):
+        raise InputError(f"{where}: expected a list of vectors")
+    return [_vec_from_json(v, f"{where}[{i}]") for i, v in enumerate(data)]
 
 
 def _mat_to_json(m: RatMat) -> list[list[str]]:
@@ -117,18 +123,16 @@ def algebra_to_dict(alg: LieAlgebra) -> dict:
     return out
 
 
-def parse_subspace(data: dict, g: LieAlgebra, where: str = "subalgebra",
-                   closed: bool = True):
+def parse_subspace(data: dict, g: LieAlgebra, where: str = "subalgebra") -> Subalgebra:
     if not isinstance(data, dict) or "basis" not in data:
         raise InputError(f"{where}: expected an object with a 'basis' field")
     if "algebra" in data and g.name and data["algebra"] != g.name:
         raise InputError(f"{where}: file targets algebra {data['algebra']!r}, "
                          f"got {g.name!r}")
     name = _name(data, where)
-    basis = [_vec_from_json(v, f"{where}.basis[{i}]") for i, v in enumerate(data["basis"])]
+    basis = _vecs_from_json(data["basis"], f"{where}.basis")
     try:
-        cls = Subalgebra if closed else Subspace
-        return cls(g, basis, name=name)
+        return Subalgebra(g, basis, name=name)
     except Exception as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -147,8 +151,7 @@ def parse_parabolic(data: dict, g: LieAlgebra, where: str = "parabolic") -> dict
     for key in ("p0", "l0", "n0", "nbar0"):
         if key not in data:
             raise InputError(f"{where}: missing field {key!r}")
-        out[key] = [_vec_from_json(v, f"{where}.{key}[{i}]")
-                    for i, v in enumerate(data[key])]
+        out[key] = _vecs_from_json(data[key], f"{where}.{key}")
     if "x" not in data:
         raise InputError(f"{where}: missing field 'x'")
     out["x"] = _vec_from_json(data["x"], f"{where}.x")
@@ -187,7 +190,7 @@ def load_algebra_file(path) -> LieAlgebra:
 
 
 def load_subalgebra_file(path, g: LieAlgebra) -> Subalgebra:
-    return parse_subspace(load_json(path), g, where=str(path), closed=True)
+    return parse_subspace(load_json(path), g, where=str(path))
 
 
 # ---------------------------------------------------------------------------

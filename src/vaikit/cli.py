@@ -254,8 +254,8 @@ def _parse_t_range(text: str) -> list[float]:
         raise InputError("--t-range step must be nonzero when A != B")
     if (stop - start) * step < 0:
         raise InputError("--t-range step never reaches B from A")
-    span = stop - start
-    count = int(math.floor(span / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # inf where B - A or the ratio overflows
+    count = math.floor(steps) + 1 if math.isfinite(steps) else steps
     if count > MAX_GRID:
         raise InputError(f"--t-range has {count} points; limit is {MAX_GRID}")
     return [start + k * step for k in range(count)]

@@ -413,8 +413,10 @@ class Subalgebra(Subspace):
                     b == g.basis_vector(i) for i, b in enumerate(self.basis)):
                 self._abstract = g
             else:
-                structure = [[self.coords_strict(g.bracket(bi, bj)) for bj in self.basis]
-                             for bi in self.basis]
+                # closure was proven at construction, so no coordinate is None
+                den = g._den * self._den ** 2
+                structure = [[self._coord.int_coords(g._int_bracket(bi, bj), den)
+                              for bj in self._num] for bi in self._num]
                 self._abstract = LieAlgebra(structure, name=f"{self.name or 'h'}|abstract",
                                             _validate=False)
         return self._abstract

@@ -11,7 +11,7 @@ Estimation is hit-or-miss: every chart carries the invariant measure
 as Lebesgue measure, so sample the box uniformly, count hits and
 multiply the hit rate by box measure.  Sampling is batched with
 substreams keyed by (seed, point index, batch index), so results are
-bit-identical for a fixed seed at any thread count.
+bit-identical for a fixed seed at any worker count.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ import numpy as np
 from .errors import EmptyBox, InputError, TooFewPoints
 
 BATCH = 16384
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("VAI_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"VAI_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _quartic_roots(a4, a3, a2, a1, a0):
@@ -665,12 +656,12 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
 
     counts = [BATCH] * (samples // BATCH) + ([samples % BATCH] if samples % BATCH else [])
     batch = partial(_batch_partial, model, z, lo, hi, radius, seed, point_index)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = list(pool.map(batch, range(len(counts)), counts))
-    else:
-        hits = list(map(batch, range(len(counts)), counts))
+    # numpy releases the GIL in the membership kernels; workers past one
+    # per CPU this process may use, or one per batch, only contend
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=min(cpus, len(counts))) as pool:
+        hits = list(pool.map(batch, range(len(counts)), counts))
     # each sample scores 0 or 1, so its second moment equals the mean
     mean = sum(hits) / samples
     var = max(mean - mean * mean, 0.0)
@@ -727,21 +718,19 @@ def fit_log_slope(series: VolumeSeries) -> tuple[float, float, float]:
     return slope, intercept, 2.0 * se
 
 
-def volume_along_curve(model: SpaceModel, curve=None, t_grid=(),
-                       radius: float = 0.3, samples: int = 100_000,
-                       seed: int = 0) -> VolumeSeries:
-    """estimate_volume at each grid point, with a log-slope fit.
+def volume_along_curve(model: SpaceModel, t_grid=(), radius: float = 0.3,
+                       samples: int = 100_000, seed: int = 0) -> VolumeSeries:
+    """estimate_volume along the model's curve at t_grid, with a log-slope fit.
 
     Substream index i is the grid position, so per-point results do not
     depend on the grid being re-sliced.
     """
-    curve = curve or model.curve
     t_values = [float(t) for t in t_grid]
     estimates = []
     stderrs = []
     for i, t in enumerate(t_values):
         try:
-            z = curve(t)
+            z = model.curve(t)
         except OverflowError:
             raise InputError(
                 f"{model.name}: t = {t:g} is outside the model's float range") from None

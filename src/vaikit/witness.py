@@ -255,6 +255,10 @@ def _levi_complement(h: Subalgebra, p: ParabolicData) -> list[Vec]:
 # ---------------------------------------------------------------------------
 # boundedness of the conjugated projection
 
+_MT_T_MIN = -40
+_MT_TAIL = 10
+_MT_FACTOR = 2.0
+
 
 class _AdFlow:
     """Float Ad(exp(t x))^{-1} from the exact eigenstructure of ad x.
@@ -277,8 +281,7 @@ class _AdFlow:
         return (self.c_f * np.exp(-t * self._lams_f)) @ self.c_inv_f
 
 
-def check_mt_bounded(witness: DecayWitness, t_min: int = -40,
-                     tail_window: int = 10, factor: float = 2.0) -> bool:
+def check_mt_bounded(witness: DecayWitness) -> bool:
     """Is the conjugated projection uniformly bounded for t <= 0?
 
     Structural check (exact): split every h basis vector into its l0
@@ -288,9 +291,9 @@ def check_mt_bounded(witness: DecayWitness, t_min: int = -40,
     e^{mu t}(e^{-lambda t} - 1) stay bounded as t -> -infinity.
 
     Numeric check: sample the operator norm of
-    Ad(a_t) pi_v Ad(a_t)^{-1} on the integer grid t in [t_min, 0] and
-    require the whole sequence to stay below ``factor`` times its
-    maximum over the deepest ``tail_window`` points.
+    Ad(a_t) pi_v Ad(a_t)^{-1} on the integer grid t in [_MT_T_MIN, 0]
+    and require the whole sequence to stay below ``_MT_FACTOR`` times
+    its maximum over the deepest ``_MT_TAIL`` points.
     """
     import numpy as np
     g = witness.algebra
@@ -320,11 +323,11 @@ def check_mt_bounded(witness: DecayWitness, t_min: int = -40,
             if mask[i, j]:
                 diff[i, j] = float(flow.lams[i] - flow.lams[j])
     norms = []
-    for t in range(0, t_min - 1, -1):
+    for t in range(0, _MT_T_MIN - 1, -1):
         b_t = np.where(mask, pv_f * np.exp(t * diff), 0.0)
         norms.append(np.linalg.norm(flow.c_f @ b_t @ flow.c_inv_f, 2))
-    tail = norms[len(norms) - tail_window - 1:]
-    return max(norms) <= factor * max(tail)
+    tail = norms[len(norms) - _MT_TAIL - 1:]
+    return max(norms) <= _MT_FACTOR * max(tail)
 
 
 # ---------------------------------------------------------------------------

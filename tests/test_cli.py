@@ -21,6 +21,10 @@ from vaikit.cli import _parse_t_range, main
 from vaikit.volume import get_model, volume_along_curve
 
 
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -345,11 +349,13 @@ class TestEstimate:
         assert report["result"]["slope"] is None
         assert report["result"]["fit"] is None
 
-    @pytest.mark.parametrize("t_range", ["1:2", "a:b:c", "0:1:0", "0:1:-1"])
+    # the last two overflow a float in B - A or in the point count
+    @pytest.mark.parametrize("t_range", ["1:2", "a:b:c", "0:1:0", "0:1:-1",
+                                         "0:1e308:1e-300", "-1e308:1e308:1e300"])
     def test_malformed_t_range(self, capsys, t_range):
         code, out, err = run_cli(
             capsys, "estimate", "--space", "sl2-mod-n",
-            "--t-range", t_range, "--radius", "0.3",
+            f"--t-range={t_range}", "--radius", "0.3",
             "--samples", "2000", "--seed", "1")
         assert code == 2
         assert "error:" in err
@@ -596,19 +602,20 @@ class TestConsoleEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    # two batches per grid point, so the workers share one model
+    # two batches per grid point, so the workers share one model; the
+    # child runs once pinned to one CPU (one worker) and once unpinned
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     @pytest.mark.parametrize("space", ["spd2", "sl2-orbit-hyperboloid"])
     def test_thread_env_does_not_change_bytes(self, tmp_path, space):
         outputs = []
-        for threads in ("1", "4"):
-            env = dict(os.environ, VAI_THREADS=threads)
-            csv_path = tmp_path / f"threads-{threads}.csv"
+        for pinned in (True, False):
+            csv_path = tmp_path / f"pinned-{pinned}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "vaikit.cli", "estimate",
                  "--space", space, "--t-range", "0:1:0.25",
                  "--radius", "0.3", "--samples", "20000", "--seed", "2",
                  "--out", str(csv_path)],
-                capture_output=True, text=True, env=env)
+                capture_output=True, text=True, preexec_fn=_pin_to_one_cpu if pinned else None)
             assert proc.returncode == 0
             outputs.append((csv_path.read_bytes(), json.loads(proc.stdout)))
         assert outputs[0][0] == outputs[1][0]
@@ -622,7 +629,7 @@ class TestConsoleEntryPoint:
 # the CLI contract under malformed input: every run prints one report and
 # exits 0/3/4, or prints one stderr line and exits 2; none reaches exit 5
 MUTATIONS = ("drop-key", "bool", "nested-list", "non-rational", "huge-integer",
-             "truncated", "swapped", "name")
+             "truncated", "swapped", "name", "scalar")
 
 
 def _json_slots(node):
@@ -645,7 +652,8 @@ def _mutated_text(rng, kind, text, catalog_files):
         return json.dumps(data)
     container, key = rng.choice([
         (c, k) for c, k, v in _json_slots(data)
-        if (isinstance(c, dict) if kind == "drop-key" else not isinstance(v, (dict, list)))])
+        if (isinstance(c, dict) if kind == "drop-key" else
+            isinstance(v, list) if kind == "scalar" else not isinstance(v, (dict, list)))])
     if kind == "drop-key":
         del container[key]
     else:
@@ -656,6 +664,7 @@ def _mutated_text(rng, kind, text, catalog_files):
             "non-rational": rng.choice(("x", "1/0", "nan", "", "1.5e", "0x10", "1//2")),
             "huge-integer": rng.choice((str(10 ** 40 + 1), "-" + "9" * 60, "1" + "0" * 5000,
                                         10 ** 30, "1e400")),
+            "scalar": 5,
         }[kind]
     return json.dumps(data)
 

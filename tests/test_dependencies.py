@@ -90,3 +90,17 @@ def test_every_top_level_definition_is_used():
                     "\n".join(outside), *(t for other, t in texts.items() if other != path))):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_package_reads_no_environment_variable():
+    """Nothing under src/vaikit reads or sets an environment variable:
+    every choice the program makes is an argument or worked out."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([node.attr] if isinstance(node, ast.Attribute) else
+                     [node.id] if isinstance(node, ast.Name) else
+                     [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("environ", "environb", "getenv", "getenvb", "putenv", "unsetenv")]
+    assert found == []

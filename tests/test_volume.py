@@ -3,12 +3,11 @@ values, determinism, and the fitting/counterexample helpers."""
 
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from vaikit import volume
 from vaikit.errors import EmptyBox, InputError, TooFewPoints
 from vaikit.volume import (
     ConeModel,
@@ -149,12 +148,12 @@ class TestPlaneModel:
 
     def test_slope_matches_decay_rate(self):
         grid = [-4.0, -3.5, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0]
-        series = volume_along_curve(self.model, None, grid, R03, 100_000, 42)
+        series = volume_along_curve(self.model, grid, R03, 100_000, 42)
         assert series.slope == pytest.approx(2.0009153636594488)
         assert abs(series.slope - 2.0) < 0.2
 
     def test_reslicing_grid_keeps_point_values(self):
-        full = volume_along_curve(self.model, None, [-1.0, -0.5, 0.0, 0.5],
+        full = volume_along_curve(self.model, [-1.0, -0.5, 0.0, 0.5],
                                   R03, 20_000, 9)
         est0, _ = estimate_volume(self.model, self.model.curve(-1.0),
                                   R03, 20_000, 9, point_index=0)
@@ -276,7 +275,7 @@ class TestSPD2Model:
 
     def test_growth_slope_in_band(self):
         grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
-        series = volume_along_curve(self.model, None, grid, R03, 100_000, 42)
+        series = volume_along_curve(self.model, grid, R03, 100_000, 42)
         assert series.slope == pytest.approx(1.9555720316218266, rel=1e-9)
         assert abs(series.slope - 2.0) < 0.2
         assert min(series.estimates) >= 0.5 * series.estimates[0]
@@ -311,7 +310,7 @@ class TestConeModel:
 
     def test_slope_toward_apex(self):
         grid = [-4.0, -3.5, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0]
-        series = volume_along_curve(self.model, None, grid, R03, 100_000, 42)
+        series = volume_along_curve(self.model, grid, R03, 100_000, 42)
         assert abs(series.slope - 2.0) < 0.3
 
     def test_membership_identity(self):
@@ -431,7 +430,7 @@ class TestHyperboloidModel:
             assert abs(est - base) < 3.0 * (err + se)
 
     def test_volume_grows_along_curve(self):
-        series = volume_along_curve(self.model, None,
+        series = volume_along_curve(self.model,
                                     [0.0, 0.5, 1.0, 1.5, 2.0],
                                     R03, 20_000, 42)
         assert min(series.estimates) >= 0.5 * series.estimates[0]
@@ -626,21 +625,29 @@ class TestEstimator:
         b = estimate_volume(model, model.curve(1.0), R03, 30_000, 5)
         assert a == b
 
-    def test_thread_count_does_not_change_bytes(self):
-        prog = (
-            "from vaikit.volume import SPD2Model, volume_along_curve\n"
-            "s = volume_along_curve(SPD2Model(), None, [0.0, 0.5, 1.0, 1.5],"
-            " 0.3, 20000, 42)\n"
-            "print(s.to_csv(), end='')\n"
-        )
-        outs = []
-        for threads in ("1", "4"):
-            env = dict(os.environ, VAI_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", prog],
-                                  capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1]
+    def test_thread_count_does_not_change_bytes(self, monkeypatch):
+        """The pool takes one worker per usable CPU, at most one per batch,
+        and the CSV is the same at 1 and 4 workers on any host."""
+        workers = []
+
+        class RecordingPool(volume.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(volume, "ThreadPoolExecutor", RecordingPool)
+        csvs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)), raising=False)
+            # five batches per grid point
+            csvs.append(volume_along_curve(SPD2Model(), [0.0, 0.5, 1.0],
+                                           R03, 70_000, 42).to_csv())
+        assert csvs[0] == csvs[1]
+        assert workers == [1] * 3 + [4] * 3
+        # two batches: two workers, not four
+        estimate_volume(SPD2Model(), SPD2Model().curve(0.0), R03, 20_000, 42)
+        assert workers[-1] == 2
 
     def test_rotation_invariance_plane_and_spd2(self):
         for model, z in ((PlaneModel(), np.array([0.5, -0.8])),
@@ -674,7 +681,7 @@ class TestEstimator:
         assert 0.7 < ratios[0] / ratios[1] < 1.4
 
     def test_csv_format(self):
-        series = volume_along_curve(PlaneModel(), None, [-1.0, 0.0, 1.0, 2.0],
+        series = volume_along_curve(PlaneModel(), [-1.0, 0.0, 1.0, 2.0],
                                     R03, 10_000, 21)
         lines = series.to_csv().strip().split("\n")
         assert lines[0] == "t,estimate,stderr,samples,seed"
