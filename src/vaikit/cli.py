@@ -44,9 +44,8 @@ from .catalog import (
     parse_theta,
     rat_to_str,
 )
-from .errors import GammaNotPositive, InputError, NoNormalizer, VaikitError
+from .errors import GammaNotPositive, InputError, NoNormalizer, NotNilpotent, VaikitError
 from .exact import vec
-from .grading import acts_nilpotently
 from .lie import Subspace
 from .reductivity import (
     VAI_FAILS,
@@ -205,12 +204,12 @@ def cmd_witness(args) -> tuple[dict, int]:
         }
         return _report("witness", args, inputs, result), 0 if bounded else 3
 
-    if not acts_nilpotently(g, h):
-        raise InputError(
-            "subalgebra does not act nilpotently; supply --parabolic "
-            "with a compatible p0 = l0 + n0 and grading element x")
     try:
         witness = unipotent_witness(g, h)
+    except NotNilpotent:
+        raise InputError(
+            "subalgebra does not act nilpotently; supply --parabolic "
+            "with a compatible p0 = l0 + n0 and grading element x") from None
     except NoNormalizer as exc:
         result = {
             "type": "error",

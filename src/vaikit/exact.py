@@ -7,10 +7,11 @@ and eigenspaces of semisimple matrices with rational spectrum.
 A ``RatMat`` stores integer rows over one positive denominator, reduced
 so that the denominator and the entries share no factor.  Products and
 powers multiply the integer rows, eliminations combine primitive integer
-rows fraction-free, determinants, squarefree tests (a Sylvester
-resultant) and characteristic polynomials are division-free (Bareiss,
-Berkowitz), and each divides once on the way out, so results equal
-Fraction arithmetic's entry for entry.
+rows fraction-free, determinants and characteristic polynomials are
+division-free (Bareiss, Berkowitz), and each divides once on the way
+out, so results equal Fraction arithmetic's entry for entry.  One
+integer Sturm sequence decides squarefreeness and isolates rational
+roots, so no coefficient is ever factored.
 
 Fractions appear only at the edges: in the entries ``rat``/``vec`` and
 the ``RatMat`` constructor parse, in the vectors, scalars and
@@ -30,10 +31,10 @@ the usual dense convention; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
-from .errors import InputError, IrrationalSpectrum, NotSemisimple
+from .errors import IrrationalSpectrum, NotSemisimple
 
 Vec = tuple[Fraction, ...]
 
@@ -418,10 +419,6 @@ def poly(coeffs) -> Poly:
     return tuple(c)
 
 
-def poly_degree(p: Poly) -> int:
-    return len(p) - 1
-
-
 def poly_is_zero(p: Poly) -> bool:
     return len(p) == 0
 
@@ -429,18 +426,33 @@ def poly_is_zero(p: Poly) -> bool:
 def is_squarefree(p: Poly) -> bool:
     """True when p has no repeated roots, i.e. gcd(p, p') is constant.
 
-    Over Q that holds exactly when the resultant of p and p' is nonzero,
-    that is when their Sylvester matrix, taken here on the primitive
-    integer p, is nonsingular: when every Bareiss pivot is nonzero.
+    The Sturm sequence of p ends in that gcd up to a scalar.
     """
     if poly_is_zero(p):
         raise ValueError("zero polynomial")
-    a = _primitive(_integer_row(p)[0])
-    n = len(a) - 1
-    da = [i * c for i, c in enumerate(a)][1:]
-    sylvester = ([[0] * i + a + [0] * (n - 2 - i) for i in range(n - 1)]
-                 + [[0] * i + da + [0] * (n - 1 - i) for i in range(n)])
-    return all(pivot for pivot, _ in _bareiss(sylvester))
+    return len(_sturm(_primitive(_integer_row(p)[0]))[-1]) == 1
+
+
+def _sturm(a: list[int]) -> list[list[int]]:
+    """Sturm sequence of the integer polynomial a, ending in gcd(a, a').
+
+    Each member is a primitive pseudo-remainder scaled by a power of the
+    divisor's |lead|, so it has the sign of the true negated remainder.
+    """
+    seq = [a]
+    r = _primitive([i * c for i, c in enumerate(a)][1:])
+    while r:
+        seq.append(r)
+        u, s = seq[-2], abs(r[-1])
+        while len(u) >= len(r):
+            f, k = u[-1] * s // r[-1], len(u) - len(r)
+            u = [s * x for x in u]
+            for i, y in enumerate(r):
+                u[k + i] -= f * y
+            while u and not u[-1]:
+                u.pop()
+        r = _primitive([-x for x in u])
+    return seq
 
 
 def char_poly(m: RatMat) -> Poly:
@@ -509,79 +521,6 @@ def minimal_polynomial(m: RatMat) -> Poly:
         k += 1
 
 
-_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
-# Miller-Rabin on the first 13 primes is exact below this (Sorenson and Webster 2015)
-_MR_LIMIT = 3317044064679887385961981
-_RHO_STEPS = 1 << 18
-
-
-def _is_prime(n: int) -> bool:
-    """Primality of an n with no prime factor below 1000; never a probable answer."""
-    if n < 10 ** 6:
-        return True
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
-    d = (n - 1) >> s
-    if any(pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(s))
-           for a in _SMALL_PRIMES[:13]):
-        return False
-    if n >= _MR_LIMIT:
-        raise InputError(f"cannot certify {n} prime: it exceeds the exact Miller-Rabin range")
-    return True
-
-
-def _iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) by Newton's method from above."""
-    r = 1 << -(-n.bit_length() // k)
-    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-        r = s
-    return r
-
-
-def _rho(n: int) -> int:
-    """A proper factor of an odd composite n by Pollard-Brent rho (Brent 1980)."""
-    for c in (1, 2, 3):
-        y, r, g = 2, 1, 1
-        while g == 1 and r <= _RHO_STEPS:
-            x = y  # compare the next r steps with x
-            for _ in range(r):
-                y = (y * y + c) % n
-                if (g := gcd(x - y, n)) != 1:
-                    break
-            r *= 2
-        if g == 1:
-            break
-        if g < n:
-            return g
-    raise InputError(f"cannot factor {n}: Pollard-Brent rho found no factor within its bound")
-
-
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of n >= 1."""
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            n, out[p] = n // p, out.get(p, 0) + 1
-    stack = [(n, 1)] if n > 1 else []
-    while stack:
-        m, e = stack.pop()
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + e
-            continue
-        k = 2  # m's prime factors exceed 1000, so an exact k-th root does too
-        while (r := _iroot(m, k)) >= 1000 and r ** k != m:
-            k += 1
-        stack += [(r, e * k)] if r >= 1000 else [(d := _rho(m), e), (m // d, e)]
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of a nonzero n, ascending."""
-    out = [1]
-    for p, e in _factor(abs(n)).items():
-        out = [d * p ** i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def _deflate(a: list[int], p: int, q: int) -> list[int] | None:
     """Quotient of the integer polynomial a by (q x - p), or None if p/q is no root.
 
@@ -600,14 +539,16 @@ def _deflate(a: list[int], p: int, q: int) -> list[int] | None:
 
 
 def rational_roots(p: Poly) -> dict[Fraction, int]:
-    """Rational roots with multiplicities, by the rational root theorem.
+    """Rational roots with multiplicities, by Sturm isolation (Sturm 1829).
 
-    The polynomial is scaled to primitive integer coefficients a; the
-    candidates p/q in lowest terms have p dividing the constant and q the
-    leading coefficient, the divisors read off prime factorizations.
-    Each candidate is divided out by (q x - p) on integers as often as
-    it divides, which gives its multiplicity.  A coefficient that cannot
-    be factored within a fixed bound is an ``InputError``.
+    The polynomial is scaled to primitive integer coefficients a with
+    leading coefficient of modulus c.  A root p/q in lowest terms has q
+    dividing c, so every rational root is a multiple of 1/c and no point
+    (2k+1)/(2c) is a root; Sturm counts between such points are exact
+    even when a has repeated roots.  Bisection on them, from a Fujiwara
+    (1916) bound on the roots, narrows each real root to one multiple of
+    1/c, which is divided out by (q x - p) on integers as often as it
+    divides; that count is its multiplicity.
     """
     if poly_is_zero(p):
         raise ValueError("zero polynomial")
@@ -616,15 +557,42 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
     roots: dict[Fraction, int] = {ZERO: m0} if m0 else {}
     a = a[m0:]
     if len(a) > 1:
-        for q in _divisors(a[-1]):
-            for pnum in _divisors(a[0]):
-                if gcd(pnum, q) > 1:
-                    continue
-                for num in (pnum, -pnum):
-                    while (quotient := _deflate(a, num, q)) is not None:
-                        a = quotient
-                        root = Fraction(num, q)
-                        roots[root] = roots.get(root, 0) + 1
+        c, seq = abs(a[-1]), _sturm(a)
+        # |root| < 2^bits, as |root| <= 2 max_k |a_(n-k) / a_n|^(1/k) (Fujiwara)
+        # and |a_(n-k) / a_n| < 2^(bit_length(a_(n-k)) - bit_length(a_n) + 1)
+        lead_bits = c.bit_length()
+        bits = 1 + max([0] + [-((lead_bits - 1 - e.bit_length()) // k)
+                              for k, e in enumerate(reversed(a[:-1]), 1) if e])
+        scale = [1]  # powers of 2c, to evaluate at m / (2c) on integers
+        for _ in a[1:]:
+            scale.append(scale[-1] * 2 * c)
+
+        def variations(m: int) -> int:
+            """Sign changes of the Sturm sequence at m / (2c)."""
+            signs = []
+            for b in seq:
+                n, v = len(b) - 1, b[-1]
+                for i in range(n - 1, -1, -1):
+                    v = v * m + b[i] * scale[n - i]
+                if v:
+                    signs.append(v > 0)
+            return sum(x != y for x, y in zip(signs, signs[1:]))
+
+        top = (2 * c << bits) + 1
+        stack = [(-top, variations(-top), top, variations(top))]
+        while stack:  # (lo, hi] in units of 1/(2c), both ends odd, with vlo - vhi roots
+            lo, vlo, hi, vhi = stack.pop()
+            if vlo == vhi:
+                continue
+            if hi - lo > 2:
+                mid = lo + 2 * ((hi - lo) // 4)
+                vmid = variations(mid)
+                stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+                continue
+            root = Fraction((lo + 1) // 2, c)  # c, not the deflated lead: it bounds every q
+            while (quotient := _deflate(a, root.numerator, root.denominator)) is not None:
+                a = quotient
+                roots[root] = roots.get(root, 0) + 1
     return dict(sorted(roots.items()))
 
 

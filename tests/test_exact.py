@@ -7,7 +7,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from vaikit import exact
-from vaikit.errors import InputError, IrrationalSpectrum, NotSemisimple
+from vaikit.errors import IrrationalSpectrum, NotSemisimple
 from vaikit.exact import (
     RatMat,
     char_poly,
@@ -16,7 +16,6 @@ from vaikit.exact import (
     minimal_polynomial,
     pivot_indices,
     poly,
-    poly_degree,
     rational_eigen_decomposition,
     rational_roots,
     rref,
@@ -464,7 +463,7 @@ def test_squarefree_matches_fraction_gcd():
     verdicts = [is_squarefree(p) for p in polys]
     assert verdicts == [_ref_squarefree(p) for p in polys]
     assert verdicts.count(True) > 150 and verdicts.count(False) > 150
-    assert {poly_degree(p) for p in polys} >= set(range(13))
+    assert {len(p) - 1 for p in polys} >= set(range(13))
     with pytest.raises(ValueError, match="zero polynomial"):
         is_squarefree(())
 
@@ -537,7 +536,7 @@ def _ref_rational_roots(p):
              for b in _ref_divisors(int(work[-1] * d)) for s in (1, -1)}
     q = poly(work)
     for c in sorted(cands):
-        while poly_degree(q) > 0 and _ref_poly_eval(q, c) == 0:
+        while len(q) > 1 and _ref_poly_eval(q, c) == 0:
             q = _ref_divmod(q, poly([-c, 1]))[0]
             roots[c] = roots.get(c, 0) + 1
     return dict(sorted(roots.items()))
@@ -664,7 +663,7 @@ def _ref_eigen_decomposition(m):
             rational_factor = poly_mul(rational_factor, poly([-lam, 1]))
     q, rem = _ref_divmod(cp, rational_factor)
     assert rem == ()
-    residual = kernel(poly_eval_matrix(q, m)) if poly_degree(q) > 0 else []
+    residual = kernel(poly_eval_matrix(q, m)) if len(q) > 1 else []
     assert sum(len(b) for b in spaces.values()) + len(residual) == m.nrows
     return spaces, residual
 
@@ -740,7 +739,7 @@ def test_eigen_decomposition_matches_general_algorithm():
 
 
 # ---------------------------------------------------------------------------
-# divisors from factorizations, against the trial-division loop they replaced
+# rational roots by Sturm isolation, against trial-division candidates
 
 
 def _ref_divisors(n):
@@ -754,23 +753,7 @@ def _ref_divisors(n):
     return small + large[::-1]
 
 
-def _random_integer(rng):
-    """Products of small primes, primes above the trial bound and powers."""
-    big = [1009, 1013, 7919, 65537, 999983]
-    n = rng.choice([1, 2, 6, 360, rng.randint(1, 10 ** 6)])
-    for _ in range(rng.randint(0, 2)):
-        n *= rng.choice(big) ** rng.randint(1, 2)
-    return n if n < 10 ** 12 else rng.randint(1, 10 ** 6)
-
-
-def test_divisors_match_trial_division():
-    rng = random.Random(139)
-    for _ in range(300):
-        n = _random_integer(rng)
-        assert exact._divisors(n) == _ref_divisors(n) == exact._divisors(-n)
-
-
-def test_rational_roots_match_trial_division_divisors(monkeypatch):
+def test_rational_roots_match_trial_division_divisors():
     rng = random.Random(149)
     polys = []
     for _ in range(200):
@@ -782,26 +765,38 @@ def test_rational_roots_match_trial_division_divisors(monkeypatch):
         if rng.random() < 0.5:  # x^2 + c with c > 0 has no rational root
             p = poly_mul(p, (F(rng.randint(1, 50), rng.randint(1, 4)), F(0), F(1)))
         polys.append(p)
-    new = [rational_roots(p) for p in polys]
-    monkeypatch.setattr(exact, "_divisors", _ref_divisors)
-    assert new == [rational_roots(p) for p in polys]
+    polys += list(_random_polynomials(163, 150))
+    assert [rational_roots(p) for p in polys] == [_ref_rational_roots(p) for p in polys]
 
 
-def test_divisors_of_large_coefficients():
-    n = 4 * 10 ** 24  # 2^26 5^24: far beyond trial division up to sqrt(n)
-    divisors = exact._divisors(n)
-    assert len(divisors) == 27 * 25 and all(n % d == 0 for d in divisors)
-    assert rational_roots(poly([0, -n, 0, 1])) == {F(-2 * 10 ** 12): 1, F(0): 1,
-                                                    F(2 * 10 ** 12): 1}
-    p = 10 ** 12 + 39  # a prime, reached through the square 4 p^2
-    assert exact._divisors(4 * p * p) == [1, 2, 4, p, 2 * p, 4 * p, p * p,
-                                          2 * p * p, 4 * p * p]
+def _linear_power(root, k):
+    p = (F(1),)
+    for _ in range(k):
+        p = poly_mul(p, (-root, F(1)))
+    return p
 
 
-@pytest.mark.parametrize("n", [
-    2 ** 89 - 1,  # prime above the exact Miller-Rabin range
-    (2 ** 61 - 1) * (2 ** 89 - 1),  # both factors far beyond Pollard rho's bound
-])
-def test_unfactorable_coefficient_is_an_input_error(n):
-    with pytest.raises(InputError):
-        exact._divisors(n)
+@pytest.mark.parametrize("p,roots", [
+    # sqrt(2) lies within 1/500 of 707/500: one final interval holds both
+    (poly_mul(poly([F(-707, 500), 1]), poly([-2, 0, 1])), {F(707, 500): 1}),
+    (poly_mul(_linear_power(F(-3, 7), 4), _linear_power(F(2, 5), 4)),
+     {F(-3, 7): 4, F(2, 5): 4}),
+    (poly_mul(poly([-5, 1009 * 1013]), poly([3, 0, -1009 * 1013])), {F(5, 1009 * 1013): 1}),
+    (poly_mul(_linear_power(F(1, 1009), 2), _linear_power(F(-1, 1013), 3)),
+     {F(-1, 1013): 3, F(1, 1009): 2}),
+    (poly([-(2 ** 89 - 1), 0, 1]), {}),
+    (poly([-(2 ** 89 - 1) ** 2, 0, 1]), {F(-(2 ** 89 - 1)): 1, F(2 ** 89 - 1): 1}),
+    (poly([-(2 ** 61 - 1) * (2 ** 89 - 1), 2 ** 61 - 1 + 2 ** 89 - 1, -1]),
+     {F(2 ** 61 - 1): 1, F(2 ** 89 - 1): 1}),
+    (poly([0, -4 * 10 ** 24, 0, 1]), {F(-2 * 10 ** 12): 1, F(0): 1, F(2 * 10 ** 12): 1}),
+    (poly([-4 * (10 ** 12 + 39) ** 2, 0, 1]), {F(-2 * (10 ** 12 + 39)): 1,
+                                               F(2 * (10 ** 12 + 39)): 1}),
+    (poly([0, -4 * 10 ** 2000, 0, 1]), {F(-2 * 10 ** 1000): 1, F(0): 1, F(2 * 10 ** 1000): 1}),
+], ids=["near-irrational", "4-fold", "lead-1009x1013",
+        "lead-1009x1013-repeated", "prime-2^89-1", "prime-square", "mersenne-product",
+        "2^26x5^24", "4p^2", "10^1000"])
+def test_rational_roots_adversarial(p, roots):
+    assert rational_roots(p) == roots
+    with_zero = {**roots, F(0): roots.get(F(0), 0) + 2}
+    assert rational_roots(poly_mul(p, (F(0), F(0), F(1, 3)))) == with_zero
+
