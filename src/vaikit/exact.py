@@ -428,9 +428,14 @@ def is_squarefree(p: Poly) -> bool:
 
     The Sturm sequence of p ends in that gcd up to a scalar.
     """
+    return len(_sturm_of(p)[-1]) == 1
+
+
+def _sturm_of(p: Poly) -> list[list[int]]:
+    """`_sturm` of p's primitive integer coefficients."""
     if poly_is_zero(p):
         raise ValueError("zero polynomial")
-    return len(_sturm(_primitive(_integer_row(p)[0]))[-1]) == 1
+    return _sturm(_primitive(_integer_row(p)[0]))
 
 
 def _sturm(a: list[int]) -> list[list[int]]:
@@ -550,14 +555,15 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
     1/c, which is divided out by (q x - p) on integers as often as it
     divides; that count is its multiplicity.
     """
-    if poly_is_zero(p):
-        raise ValueError("zero polynomial")
-    a = _primitive(_integer_row(p)[0])
-    m0 = next(i for i, c in enumerate(a) if c)
-    roots: dict[Fraction, int] = {ZERO: m0} if m0 else {}
-    a = a[m0:]
+    return _sturm_roots(_sturm_of(p))
+
+
+def _sturm_roots(seq: list[list[int]]) -> dict[Fraction, int]:
+    """`rational_roots` of the polynomial whose Sturm sequence is seq."""
+    a = seq[0]
+    roots: dict[Fraction, int] = {}
     if len(a) > 1:
-        c, seq = abs(a[-1]), _sturm(a)
+        c = abs(a[-1])
         # |root| < 2^bits, as |root| <= 2 max_k |a_(n-k) / a_n|^(1/k) (Fujiwara)
         # and |a_(n-k) / a_n| < 2^(bit_length(a_(n-k)) - bit_length(a_n) + 1)
         lead_bits = c.bit_length()
@@ -604,11 +610,11 @@ def rational_eigen_decomposition(m: RatMat) -> dict[Fraction, tuple[Vec, ...]]:
     minimal polynomial has a repeated root, and ``IrrationalSpectrum``
     when the rational eigenspaces do not fill the space.
     """
-    mp = minimal_polynomial(m)
-    if not is_squarefree(mp):
+    seq = _sturm_of(minimal_polynomial(m))
+    if len(seq[-1]) != 1:  # is_squarefree
         raise NotSemisimple("not semisimple: the minimal polynomial has a repeated root")
     spaces: dict[Fraction, tuple[Vec, ...]] = {}
-    for lam in rational_roots(mp):
+    for lam in _sturm_roots(seq):
         # q den (m - p/q) on integers; the kernel ignores the scale
         p, q = lam.numerator, lam.denominator
         shifted = [[e * q - p * m.den if i == j else e * q for j, e in enumerate(r)]

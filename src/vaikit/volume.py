@@ -16,11 +16,12 @@ bit-identical for a fixed seed at any worker count.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -135,6 +136,110 @@ def _quartic_minimum(quartic, value, margin, r2):
     return best
 
 
+_GAMMA = 16 * 2.0 ** -53 / (1 - 16 * 2.0 ** -53)  # Higham's gamma_16, u = 2^-53
+
+
+@np.errstate(all="ignore")
+def _conic_bounds(k, a, b, starts, circle):
+    """Certified floor and ceiling, per sample, of the least value of
+    f(v) = k + v.A v + b.v on a conic v.C v = 1: the unit circle (C = I)
+    or both branches of the hyperbola v1 v2 = 1 (C = [[0, 1/2], [1/2, 0]]).
+    `a` is (a11, a12, a22) of the symmetric A, `b` is (b1, b2).
+
+    The point: the best of `starts` (points on the conic), then two
+    safeguarded Newton steps in the conic's group parameter, the angle of
+    v -> R(s) v or the s of v -> (e^s v1, e^-s v2); a step goes -f'/|f''|
+    and is kept only where f drops.  With m = v.C v at the float point v
+    and q = v.A v, l = b.v:
+    - ceiling: f at the conic point v / sqrt(m) is k + q/m + l/sqrt(m),
+      within (|q| + |l|) d / (1 - d) <= 2 d |f| of f(v) for any
+      d >= |1 - m|, d <= 1/2;
+    - floor: for any multiplier mu with M = A - mu C positive definite,
+      the Lagrangian dual g(mu) = min_w k + mu + w.M w + b.w is at most f
+      everywhere on the conic, and g(mu) = f(v) + mu (1 - m) - r.M^-1 r
+      with r = M v + b/2.  mu = q + l/2 makes r vanish where v is
+      stationary, and the dual gap r.M^-1 r is second order in the
+      distance from v to the minimizer (Moré & Sorensen 1983).  A mu
+      outside the positive-definite range gives floor -inf.
+
+    Rounding (Higham 2002, §3; u = 2^-53, gamma_n = nu / (1 - nu)).  The
+    code evaluates f, m, r_i = (A v - mu C v + b/2)_i, det M and
+    w = r.adj(M) r as sums of products with at most 6 roundings on any
+    term's path (C's entries 0, 1/2, 1 make mu C exact, so each entry of
+    M carries one rounding), so each is within gamma_6 of its exact value
+    times |.|, the same sum in absolute values (Lemma 3.1, eq. (3.4)).
+    Hence f <= f~ + gamma_6 |f|, d = |1 - m~| + gamma_6 |m| >= |1 - m|,
+    M > 0 where m11 > 0 and det~ > gamma_6 |det|, and, adj(M) <= tr(M) I
+    making sqrt(r.adj(M) r) a norm, r.adj(M) r <= (sqrt(w~ + gamma_6 |w|)
+    + sqrt(tr M) |r - r~|)^2 with |r_i - r~_i| <= gamma_6 |r_i|.  So
+        ceiling = f~ + (gamma + 2 d) |f|
+        floor   = f~ - gamma |f| - |mu| d - (that bound) / (det~ - gamma |det|)
+    with gamma = gamma_16 where gamma_6 is proved: the 10u of relative
+    slack in each term covers the at most 10 roundings of the terms' own
+    evaluation (sums, products, square roots and quotients of nonnegative
+    floats) and one rounding in each of the caller's coefficients.  A
+    float comparison with r^2 keeps the sign of the exact difference, so
+    ceiling < r^2 proves a hit and floor > r^2 proves a miss; nan proves
+    neither.
+    """
+    a11, a12, a22 = a
+    b1, b2 = b
+
+    def along(v1, v2, s):  # exp(s K) v, K the conic's group generator
+        if circle:
+            c, sn = np.cos(s), np.sin(s)
+            return c * v1 - sn * v2, sn * v1 + c * v2
+        e = np.exp(s)
+        return e * v1, v2 / e
+
+    def times_a(v1, v2):
+        return a11 * v1 + a12 * v2, a12 * v1 + a22 * v2
+
+    def value(v1, v2):
+        av1, av2 = times_a(v1, v2)
+        return k + (v1 * av1 + v2 * av2) + (b1 * v1 + b2 * v2)
+
+    # each further start, then each Newton step, replaces v where f drops
+    (v1, v2), fv = starts[0], value(*starts[0])
+    for step in starts[1:] + [None, None]:
+        if step is None:  # a Newton step along K: Kv, and K^2 = -1 or +1
+            kv1, kv2, sign = (-v2, v1, -1.0) if circle else (v1, -v2, 1.0)
+            (av1, av2), (akv1, akv2) = times_a(v1, v2), times_a(kv1, kv2)
+            slope = 2.0 * (kv1 * av1 + kv2 * av2) + b1 * kv1 + b2 * kv2
+            curve = (2.0 * (kv1 * akv1 + kv2 * akv2)
+                     + sign * (2.0 * (v1 * av1 + v2 * av2) + b1 * v1 + b2 * v2))
+            step = along(v1, v2, -slope / np.abs(curve))
+        f_step = value(*step)
+        better = f_step < fv
+        v1, v2 = np.where(better, step[0], v1), np.where(better, step[1], v2)
+        fv = np.where(better, f_step, fv)
+
+    av1, av2 = times_a(v1, v2)
+    q, l = v1 * av1 + v2 * av2, b1 * v1 + b2 * v2
+    f = k + q + l
+    s1, s2 = np.abs(a11 * v1) + np.abs(a12 * v2), np.abs(a12 * v1) + np.abs(a22 * v2)
+    f_abs = np.abs(k) + np.abs(v1) * s1 + np.abs(v2) * s2 + np.abs(b1 * v1) + np.abs(b2 * v2)
+    m = v1 * v1 + v2 * v2 if circle else v1 * v2
+    defect = np.abs(1.0 - m) + _GAMMA * np.abs(m)
+    ceiling = np.where(defect <= 0.5, f + (_GAMMA + 2.0 * defect) * f_abs, np.inf)
+
+    mu = q + l / 2.0
+    if circle:
+        m11, m12, m22, cv1, cv2 = a11 - mu, a12, a22 - mu, v1, v2
+    else:
+        m11, m12, m22, cv1, cv2 = a11, a12 - mu / 2.0, a22, v2 / 2.0, v1 / 2.0
+    r1, r2 = av1 - mu * cv1 + b1 / 2.0, av2 - mu * cv2 + b2 / 2.0
+    r_err = _GAMMA * (s1 + s2 + np.abs(mu) * (np.abs(cv1) + np.abs(cv2))
+                      + (np.abs(b1) + np.abs(b2)) / 2.0)
+    w = m22 * r1 * r1 - 2.0 * m12 * r1 * r2 + m11 * r2 * r2
+    w_abs = np.abs(m22) * r1 * r1 + 2.0 * np.abs(m12 * r1 * r2) + np.abs(m11) * r2 * r2
+    det_lo = m11 * m22 - m12 * m12 - _GAMMA * (np.abs(m11 * m22) + m12 * m12)
+    tr = (m11 + m22) * (1.0 + _GAMMA)
+    gap = (np.sqrt(w + _GAMMA * w_abs) + np.sqrt(tr) * r_err) ** 2 / det_lo
+    floor = f - _GAMMA * f_abs - np.abs(mu) * defect - gap
+    return np.where((m11 > 0.0) & (det_lo > 0.0), floor, -np.inf), ceiling
+
+
 def _require_finite(model_name, coefs):
     """The membership coefficients, or InputError if any is not finite."""
     if not all(np.isfinite(c).all() for c in coefs):
@@ -194,6 +299,8 @@ class PlaneModel(SpaceModel):
         return np.array([math.exp(t), 0.0])
 
     def chart_box(self, z, radius: float):
+        """The square of half-width 2 r |z| around z; any radius: for
+        g = 1 + E in B_r, |g z - z| = |E z| <= ||E||_F |z| <= r |z|."""
         z = np.asarray(z, dtype=float)
         nz = float(np.hypot(z[0], z[1]))
         half = 2.0 * radius * nz
@@ -248,20 +355,30 @@ class SPD2Model(SpaceModel):
     found exactly; grid search misses the razor-thin valleys that appear
     once the base point is strongly stretched.
 
-    With f = k0 + p2 cos 2phi + q2 sin 2phi + p1 cos phi + q1 sin phi,
-    every value of f is at least k0 - |(p2, q2)| - |(p1, q1)|.  A sample
-    whose floor exceeds r^2 by 1e-9 (|k0| + |(p2, q2)| + |(p1, q1)|) is
-    a miss without a root solve: the float values the root path compares
-    carry rounding of order 1e-15 times that same sum, six orders below
-    the margin, so no skipped sample could have been a hit.  Only the
-    remaining samples reach the quartic.
+    Membership decides in three steps, with f = k0 + p2 cos 2phi +
+    q2 sin 2phi + p1 cos phi + q1 sin phi.
+    - Pre-floor: every value of f is at least k0 - |(p2, q2)| - |(p1, q1)|
+      (the Lagrangian dual of the next step at the fixed multiplier
+      -|(p2, q2)| - |(p1, q1)|/2).  A sample whose floor exceeds r^2 by
+      1e-9 (|k0| + |(p2, q2)| + |(p1, q1)|) is a miss without a root
+      solve: the float values the root path compares carry rounding of
+      order 1e-15 times that same sum, six orders below the margin.
+    - Filter: f is a quadratic on the circle (cos phi, sin phi), and
+      `_conic_bounds` gives a certified ceiling (a hit below r^2) and
+      floor (a miss above it).  On the benchmark grid, t <= 4, it decides
+      all but about 1 in 10^5 of the samples past the pre-floor; the
+      undecided share grows past t = 6 (26% at t = 7), where f's rounding
+      nears r^2.
+    - The rest: `_quartic_minimum` takes f, rational in tan(phi/2)
+      (`_distance`), at the real parts of all four closed-form roots:
+      actual angles, so never below the true minimum, and a near-double
+      root split into a complex pair keeps its real part.  Samples it
+      cannot settle within the margin get their roots from one eigvals
+      solve, under the same `_distance`.  phi = pi, the one angle the
+      substitution misses, is taken separately.
 
-    `_quartic_minimum` takes f, rational in tan(phi/2) (`_distance`), at
-    the real parts of all four closed-form roots: actual angles, so never
-    below the true minimum, and a near-double root split into a complex
-    pair keeps its real part.  Samples it cannot settle within the margin
-    get their roots from one eigvals solve, under the same `_distance`.
-    phi = pi, the one angle the substitution misses, is taken separately.
+    The radius domain is r < 1, where `chart_box` is proved to hold every
+    ball image.
     """
 
     name = "spd2"
@@ -283,6 +400,19 @@ class SPD2Model(SpaceModel):
         return np.array([p[0, 1], math.log(p[1, 1])])
 
     def chart_box(self, z, radius: float):
+        """A box that holds every ball image, for radius r < 1 only.
+
+        For g = 1 + E in B_r and S = sqrt(P), W = g P g^T has
+        W22 = |S g^T e2|^2 and W12 = (S g^T e1).(S g^T e2), where
+        g^T e_i = e_i + v_i and |v1|^2 + |v2|^2 = ||E||_F^2 <= r^2.  With
+        sig^2 the largest eigenvalue of P, |W12 - P12| <= r sig (sqrt P11 +
+        sqrt P22) + r^2 sig^2 (the box takes twice that), sqrt W22 <=
+        sqrt P22 + r sig, and sqrt W22 >= sqrt(lam_min) (1 - r), a lower
+        bound on log W22 only while r < 1.  Larger radii are an InputError.
+        """
+        if not radius < 1.0:
+            raise InputError(f"{self.name}: radius {radius:g} is outside the model's "
+                             "radius domain r < 1")
         p = np.asarray(z, dtype=float)
         evals = np.linalg.eigvalsh(p)
         sig = math.sqrt(float(evals[-1]))
@@ -335,6 +465,17 @@ class SPD2Model(SpaceModel):
         return _require_finite(self.name, (k0, p2, q2, p1, q1))
 
     @staticmethod
+    def _bounds(k0, p2, q2, p1, q1):
+        """`_conic_bounds` of f on the circle (cos phi, sin phi), where
+        f = k0 + (c, s).[[p2, q2], [q2, -p2]] (c, s) + (p1, q1).(c, s);
+        starts: the two minima of the second harmonic, the first's minimum."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            half = np.arctan2(q2, p2) / 2.0
+            c, s, amp1 = -np.sin(half), np.cos(half), np.sqrt(p1 * p1 + q1 * q1)
+            return _conic_bounds(k0, (p2, q2, -p2), (p1, q1),
+                                 [(c, s), (-c, -s), (-p1 / amp1, -q1 / amp1)], circle=True)
+
+    @staticmethod
     def _angle_quartic(p2, q2, p1, q1):
         # critical points: with t = tan(phi/2), f'(phi)(1+t^2)^2 is this
         # quartic; phi = pi is the one point the substitution misses
@@ -354,16 +495,20 @@ class SPD2Model(SpaceModel):
         r2 = radius * radius
         amp2, amp1 = np.hypot(p2, q2), np.hypot(p1, q1)
         # f >= k0 - amp2 - amp1 at every phi, so a floor clear of r^2 by
-        # the margin is a certified miss; only the rest need the roots
+        # the margin is a certified miss; only the rest need the bounds
         margin = 1e-9 * (np.abs(k0) + amp2 + amp1)
-        undecided = k0 - amp2 - amp1 <= r2 + margin
-        k0, p2, q2, p1, q1 = coefs = tuple(c[undecided] for c in coefs)
+        rest = np.flatnonzero(k0 - amp2 - amp1 <= r2 + margin)
+        coefs = tuple(c[rest] for c in coefs)
+        floor, ceiling = self._bounds(*coefs)
+        hit = np.zeros(len(coords), dtype=bool)
+        hit[rest] = ceiling < r2
+        band = np.flatnonzero(~((ceiling < r2) | (floor > r2)))
+        k0, p2, q2, p1, q1 = coefs = tuple(c[band] for c in coefs)
         best = _quartic_minimum(
             self._angle_quartic(p2, q2, p1, q1),
             lambda x, rows: self._distance(x, *(c[rows] for c in coefs)),
-            margin[undecided], r2)
-        hit = np.zeros(len(coords), dtype=bool)
-        hit[undecided] = np.minimum(best, k0 + p2 - p1) <= r2
+            margin[rest[band]], r2)
+        hit[rest[band]] = np.minimum(best, k0 + p2 - p1) <= r2
         return hit
 
     def membership(self, z, w, radius):
@@ -419,6 +564,17 @@ class ConeModel(SpaceModel):
         return np.array([-a / z2, z2])
 
     def chart_box(self, z, radius: float):
+        """The plane's box around the lift l of z, for radius r <= 1/2.
+
+        A sample c counts when c or -c lies in B_r . l, so each orbit point
+        counts once only if no member c = g l, |c - l| <= r |l|, has -c in
+        the box as well.  |-c - l|_inf >= |c + l| / sqrt 2 >= (2 - r) |l| /
+        sqrt 2 exceeds the half-width 2 r |l| for r < 2 / (1 + 2 sqrt 2)
+        = 0.522.  Larger radii are an InputError.
+        """
+        if not radius <= 0.5:
+            raise InputError(f"{self.name}: radius {radius:g} is outside the model's "
+                             "radius domain r <= 0.5")
         return self._plane.chart_box(self._lift(z), radius)
 
     def membership_chart(self, z, coords, radius):
@@ -454,9 +610,15 @@ class HyperboloidModel(SpaceModel):
     points of both: the positive ones of the +1 component, the negative
     ones of the -1 component, and the global minimum is exact.
 
-    `_quartic_minimum` minimizes f as in SPD2Model, with margin
-    1e-9 (1 + P).  The float range is |a| <= 9.0e6 (t <= 8.35): there
-    the eigenvector determinant rounds by eps (1 + |a|) / 2 < 1e-9 relative.
+    With y = 1/x, f = ((P+Q) x^2 + (P-Q) y^2) / 2 + R - (D+E) x - (D-E) y
+    is a quadratic on the hyperbola x y = 1, and `_conic_bounds` decides
+    each sample as in SPD2Model (no pre-floor): on the benchmark grid,
+    t <= 4, it decides every sample measured, and 3% are undecided at
+    t = 7.  Only those reach `_quartic_minimum`, with margin 1e-9 (1 + P).
+    The float range is |a| <= 9.0e6 (t <= 8.35): there the eigenvector
+    determinant rounds by eps (1 + |a|) / 2 < 1e-9 relative.  The radius
+    domain is r <= 1.2, where `chart_box` is proved to hold every ball
+    image.
     """
 
     name = "sl2-orbit-hyperboloid"
@@ -500,6 +662,25 @@ class HyperboloidModel(SpaceModel):
         return np.array([math.atan2((b + c) / 2.0, a), (b - c) / 2.0])
 
     def chart_box(self, z, radius: float):
+        """A box that holds every ball image, for radius r <= 1.2.
+
+        Write g = R(theta) exp(S), S symmetric traceless with eigenvalues
+        +-eta and |theta| <= pi, so ||g - 1||_F^2 = 4 cosh eta (cosh eta -
+        cos theta) <= r^2.  Along s -> Ad(exp(sS)) z the chart moves at
+        |dpsi/ds| <= 2 eta |delta| / rho < 2 eta and |d asinh(delta)/ds| <=
+        2 eta (rho^2 = 1 + delta^2); then R(theta) adds 2 theta to psi and
+        leaves delta.  As (cosh eta - 1) + (1 - cos theta) <= r^2 / 4, i.e.
+        eta^2 / 2 + 2 theta^2 / pi^2 <= r^2 / 4, |dpsi| <= 2 (|theta| + eta)
+        <= 2 r sqrt(1/2 + pi^2/8) < 2 sqrt(2) r, within half_psi, since
+        |a| bd_beta + |beta| bd_a >= sqrt(2) rho^2 (a capped half_psi covers
+        the circle).  And |d delta| <= rho (e^(2 eta) - 1) with cosh eta <=
+        (1 + sqrt(1 + r^2)) / 2, where (e^(2 eta) - 1) / r rises with r from
+        sqrt 2 to 2 sqrt 2 at r = 1.24: within half_delta = 2 sqrt(2) r rho
+        for r <= 1.2.  Larger radii are an InputError.
+        """
+        if not radius <= 1.2:
+            raise InputError(f"{self.name}: radius {radius:g} is outside the model's "
+                             "radius domain r <= 1.2")
         a, b, c = (float(x) for x in z)
         beta = (b + c) / 2.0
         delta = (b - c) / 2.0
@@ -578,6 +759,17 @@ class HyperboloidModel(SpaceModel):
         return _require_finite(self.name, coefs), good
 
     @staticmethod
+    def _bounds(p_co, q_co, r_co, tr_g, tr_h):
+        """`_conic_bounds` of f = a11 x^2 + a22 y^2 + R - (tr G + tr H) x
+        - (tr G - tr H) y on the hyperbola x y = 1, a11, a22 = (P +- Q) / 2;
+        starts: the minima of the quadratic part on both branches."""
+        a11, a22 = (p_co + q_co) / 2.0, (p_co - q_co) / 2.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = np.sqrt(np.sqrt(a22 / a11))
+            return _conic_bounds(r_co, (a11, 0.0, a22), (-(tr_g + tr_h), -(tr_g - tr_h)),
+                                 [(x, 1.0 / x), (-x, -1.0 / x)], circle=False)
+
+    @staticmethod
     def _stabilizer_quartic(p_co, q_co, r_co, tr_g, tr_h):
         # with x = +-e^s on the +-1 component, f'(s) * 2x^2 is this quartic
         return (p_co + q_co, -(tr_g + tr_h), np.zeros_like(p_co),
@@ -593,11 +785,15 @@ class HyperboloidModel(SpaceModel):
     def _membership_points(self, z, points, radius):
         coefs, good = self._stabilizer_coefficients(z, points)
         r2 = radius * radius
-        best = _quartic_minimum(
+        floor, ceiling = self._bounds(*coefs)
+        hit = ceiling < r2
+        band = np.flatnonzero(~(hit | (floor > r2)))
+        coefs = tuple(c[band] for c in coefs)
+        hit[band] = _quartic_minimum(
             self._stabilizer_quartic(*coefs),
             lambda x, rows: self._distance(x, *(c[rows] for c in coefs)),
-            1e-9 * (1.0 + coefs[0]), r2)  # coefs[0] is P
-        return good & (best <= r2)
+            1e-9 * (1.0 + coefs[0]), r2) <= r2  # coefs[0] is P
+        return good & hit
 
     def membership(self, z, w, radius):
         pt = np.asarray(w, dtype=float)[None, :]
@@ -623,6 +819,25 @@ def get_model(name: str) -> SpaceModel:
 
 # ---------------------------------------------------------------------------
 # the estimator
+
+
+@cache
+def _keep_freed_pages():
+    """Let glibc keep up to 64 MiB of freed heap mapped (M_TRIM_THRESHOLD).
+
+    Each batch allocates and frees tens of arrays of BATCH doubles.  glibc
+    hands the free top of the heap back to the system once it exceeds the
+    trim threshold, which starts at 128 KiB and only rises when a freed
+    block larger than the threshold was mmapped; below that, every batch
+    faults its working set in again.  64 MiB is the most glibc's own rule
+    reaches (twice its 32 MiB mmap threshold maximum).  Elsewhere, no-op.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library, or not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD is -1
 
 
 def _batch_partial(model, z, lo, hi, radius, seed, point_index, batch_index,
@@ -655,6 +870,7 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
         raise EmptyBox("sampling box has no volume")
 
     counts = [BATCH] * (samples // BATCH) + ([samples % BATCH] if samples % BATCH else [])
+    _keep_freed_pages()
     batch = partial(_batch_partial, model, z, lo, hi, radius, seed, point_index)
     # numpy releases the GIL in the membership kernels; workers past one
     # per CPU this process may use, or one per batch, only contend

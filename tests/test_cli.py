@@ -360,6 +360,19 @@ class TestEstimate:
         assert code == 2
         assert "error:" in err
 
+    # each model's chart box holds the ball images only inside its radius domain
+    @pytest.mark.parametrize("space,radius,domain", [
+        ("spd2", "1.5", "r < 1"), ("spd2", "1", "r < 1"),
+        ("sl2-orbit-hyperboloid", "1.5", "r <= 1.2"),
+        ("sl2-orbit-cone", "0.9", "r <= 0.5")])
+    def test_malformed_radius_outside_the_domain(self, capsys, space, radius, domain):
+        code, out, err = run_cli(
+            capsys, "estimate", "--space", space, "--t-range", "0:1:0.5",
+            "--radius", radius, "--samples", "2000", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {space}: radius {radius} is outside the model's "
+                       f"radius domain {domain}\n")
+
     def test_unknown_space(self, capsys):
         code, _, err = run_cli(
             capsys, "estimate", "--space", "so-what",

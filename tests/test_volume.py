@@ -437,6 +437,64 @@ class TestHyperboloidModel:
         assert series.estimates[-1] > series.estimates[0]
 
 
+@pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("model", [SPD2Model(), HyperboloidModel()], ids=["spd2", "hyperboloid"])
+def test_conic_bounds_enclose_the_minimum(model, t, monkeypatch):
+    # floor <= min <= ceiling on every seeded chart sample, against the
+    # eigvals references; up to t = 4 the bounds decide all but at most 5%
+    # of the samples, so a silent fall-back to the quartic fails here
+    z = model.curve(t)
+    lo, hi = model.chart_box(z, R03)
+    coords = np.random.default_rng(47).uniform(lo, hi, size=(16384, 2))
+    if isinstance(model, SPD2Model):
+        coefs = model._angle_coefficients(z, coords)
+        mins = _min_distance(z, coords)
+    else:
+        coefs, _ = model._stabilizer_coefficients(z, model.from_chart(coords))
+        mins = _two_solve_minimum(coefs)
+    floor, ceiling = model._bounds(*coefs)
+    assert (floor <= mins).all()
+    assert (mins <= ceiling).all()
+    reached = []
+    quartic_minimum = volume._quartic_minimum
+    monkeypatch.setattr(volume, "_quartic_minimum",
+                        lambda quartic, *rest: reached.append(len(quartic[0]))
+                        or quartic_minimum(quartic, *rest))
+    model.membership_chart(z, coords, R03)
+    assert len(reached) == 1
+    if t <= 4.0:
+        assert reached[0] <= 0.05 * len(coords)
+
+
+def _in_box(lo, hi, c):
+    return bool(np.all(lo <= c) and np.all(c <= hi))
+
+
+@pytest.mark.parametrize("model, edge, beyond", [
+    (SPD2Model(), 0.999, 1.0), (HyperboloidModel(), 1.2, 1.21), (ConeModel(), 0.5, 0.51)],
+    ids=["spd2", "hyperboloid", "cone"])
+@pytest.mark.parametrize("t", [0.0, 2.0])
+def test_ball_images_stay_in_the_box_at_the_radius_edge(model, edge, beyond, t):
+    # at the edge of each model's radius domain the chart box still holds
+    # every ball image (the cone's: exactly one of its two lifts), and past
+    # the edge chart_box refuses
+    z = model.curve(-t if isinstance(model, ConeModel) else t)
+    lo, hi = model.chart_box(z, edge)
+    rng = np.random.default_rng(61)
+    for _ in range(2000):
+        w = model.apply(random_ball_element(rng, edge), z)
+        if isinstance(model, ConeModel):
+            lift = model._lift(w)
+            assert _in_box(lo, hi, lift) != _in_box(lo, hi, -lift)
+        else:
+            c = model.to_chart(w)
+            if isinstance(model, HyperboloidModel):  # psi is an angle
+                c[0] += 2.0 * math.pi * np.floor((hi[0] - c[0]) / (2.0 * math.pi))
+            assert _in_box(lo, hi, c)
+    with pytest.raises(InputError, match="radius domain"):
+        model.chart_box(z, beyond)
+
+
 def _mp_real_minimum(mp, quartic, f, extra=()):
     """Least f over the real parts of the roots of `quartic` (highest
     coefficient first) and the points `extra`; every candidate is a real
