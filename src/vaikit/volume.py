@@ -31,9 +31,9 @@ BATCH = 16384
 
 
 def _quartic_roots(a4, a3, a2, a1, a0):
-    """Real roots of batched quartics via companion eigenvalues.
+    """All four roots of batched quartics, complex (N, 4), as the
+    eigenvalues of the companion matrix.
 
-    Returns an (N, 4) array with non-real or absent roots set to nan.
     Coefficients are normalized per sample; a vanishing leading
     coefficient is nudged, which sends the lost root to a huge value
     that downstream evaluation treats like the point at infinity.
@@ -45,95 +45,21 @@ def _quartic_roots(a4, a3, a2, a1, a0):
     comp = np.zeros((len(lead), 4, 4))
     comp[:, 0] = -np.stack([a3, a2, a1, a0], axis=1) / lead[:, None]
     comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    roots = np.linalg.eigvals(comp)
-    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
-    return np.where(real, roots.real, np.nan)
-
-
-def _symmetric(v, im2):
-    """Elementary symmetric functions of four roots (real parts v, squared
-    imaginary parts im2), paired (0, 1), (2, 3)."""
-    sa, sb, pa, pb = v[0] + v[1], v[2] + v[3], v[0] * v[1] + im2[0], v[2] * v[3] + im2[2]
-    return sa + sb, pa + pb + sa * sb, pa * sb + pb * sa, pa * pb
+    return np.linalg.eigvals(comp)
 
 
 @np.errstate(all="ignore")
-def _quartic_candidates(a4, a3, a2, a1, a0):
-    """Real parts x (4, N) of all four roots of batched quartics, and the
-    mask of samples settled in closed form; the rest need `_quartic_roots`.
+def _quartic_minimum(quartic, value):
+    """Least `value(x)` over x (4, n), the real parts of the four roots of
+    each sample's critical quartic, non-finite counting as +inf.
 
-    Ferrari in real arithmetic on the monic quartic, reversed (roots 1/x)
-    where |a0| > |a4|: the largest real root of the resolvent cubic is
-    never negative (Cardano or the trigonometric form, then one Newton
-    step).  Unsettled: a leading coefficient at most 1e-3 after
-    normalization, a Vieta relation missed by more than 1e-7 times the
-    same function of the root moduli, or a root that is not finite.
-    Two Newton steps polish each real part; a step is kept only where |f|
-    drops, since from between two near-double roots it jumps far away.
+    Every real part is a real point of the model's parameter, so the
+    least value is never below the true minimum; a near-double real root
+    that rounding splits into a complex pair keeps its real part, where
+    dropping the non-real roots would lose it.
     """
-    c = np.stack([a4, a3, a2, a1, a0])
-    c = c / np.where(c.any(axis=0), np.abs(c).max(axis=0), 1.0)
-    flip = np.abs(c[4]) > np.abs(c[0])
-    solved = np.where(flip, c[::-1], c)
-    settled = np.abs(solved[0]) > 1e-3
-    b3, b2, b1, b0 = solved[1:] / np.where(settled, solved[0], 1.0)
-    # depressed y^4 + p y^2 + q y + r, x = y - h; resolvent cubic
-    # z^3 + 2p z^2 + e z - q^2 in z = s^2, depressed at z = w - 2p/3
-    h = b3 / 4.0
-    p = b2 - 6.0 * h * h
-    q = b1 - 2.0 * b2 * h + 8.0 * h * h * h
-    r = b0 - b1 * h + b2 * h * h - 3.0 * h * h * h * h
-    e, big_p = p * p - 4.0 * r, -p * p / 3.0 - 4.0 * r
-    big_q = -2.0 * p * p * p / 27.0 + 8.0 * p * r / 3.0 - q * q
-    disc = big_q * big_q / 4.0 + big_p * big_p * big_p / 27.0
-    u = np.cbrt(-big_q / 2.0 - np.copysign(np.sqrt(disc), big_q))
-    m = np.sqrt(-big_p / 3.0)
-    trig = 2.0 * m * np.cos(np.arccos(np.clip(-big_q / (2.0 * m * m * m), -1.0, 1.0)) / 3.0)
-    z = np.where(disc >= 0.0, u - big_p / (3.0 * u), trig) - 2.0 * p / 3.0
-    z = z - (((z + 2.0 * p) * z + e) * z - q * q) / ((3.0 * z + 4.0 * p) * z + e)
-    roots, im2 = [], []
-    for b in (np.sqrt(z), -np.sqrt(z)):
-        # y^2 + b y + k, the larger root first; a complex pair has real
-        # parts -b/2 and squared imaginary parts -dd/4
-        k = (p + z - q / b) / 2.0
-        dd = z - 4.0 * k
-        y1 = -(b + np.copysign(np.sqrt(dd * (dd >= 0.0)), b)) / 2.0
-        roots += [y1 - h, np.where(dd >= 0.0, k / y1, y1) - h]
-        im2 += [np.maximum(-dd, 0.0) / 4.0] * 2
-    x, im2 = np.stack(roots), np.stack(im2)
-    size = _symmetric(np.sqrt(x * x + im2), np.zeros_like(im2))
-    for got, want, bound in zip(_symmetric(x, im2), (-b3, b2, -b1, b0), size):
-        settled &= np.abs(got - want) < 1e-7 * bound  # false for inf, nan
-    # the real part of 1/(x + i im) is x / (x^2 + im^2)
-    x = np.where(flip, x / (x * x + im2), x)
-    settled &= np.isfinite(x + im2).all(axis=0)
-    fx, slope = np.polyval(c, x), c[:4] * np.array([[4.0], [3.0], [2.0], [1.0]])
-    for _ in range(2):
-        step = x - fx / np.polyval(slope, x)
-        f_step = np.polyval(c, step)
-        better = np.abs(f_step) < np.abs(fx)
-        x, fx = np.where(better, step, x), np.where(better, f_step, fx)
-    return x, settled
-
-
-@np.errstate(all="ignore")
-def _quartic_minimum(quartic, value, margin, r2):
-    """Minimum of a model's distance over the real roots of its critical
-    quartic, per sample.
-
-    `value(x, rows)` is the distance at candidates x (4, n) of the samples
-    `rows`.  The candidates are Ferrari's from `_quartic_candidates`;
-    samples it leaves unsettled, with a non-finite value, or with a minimum
-    within `margin` of r2 take theirs from one `_quartic_roots` solve
-    instead, under the same `value`, where non-finite counts as +inf.
-    """
-    x, settled = _quartic_candidates(*quartic)
-    vals = value(x, slice(None))
-    best = vals.min(axis=0)
-    refer = ~(settled & np.isfinite(vals).all(axis=0) & (np.abs(best - r2) > margin))
-    vals = value(_quartic_roots(*(c[refer] for c in quartic)).T, refer)
-    best[refer] = np.where(np.isfinite(vals), vals, np.inf).min(axis=0)
-    return best
+    vals = value(_quartic_roots(*quartic).real.T)
+    return np.where(np.isfinite(vals), vals, np.inf).min(axis=0)
 
 
 _GAMMA = 16 * 2.0 ** -53 / (1 - 16 * 2.0 ** -53)  # Higham's gamma_16, u = 2^-53
@@ -370,12 +296,11 @@ class SPD2Model(SpaceModel):
       undecided share grows past t = 6 (26% at t = 7), where f's rounding
       nears r^2.
     - The rest: `_quartic_minimum` takes f, rational in tan(phi/2)
-      (`_distance`), at the real parts of all four closed-form roots:
-      actual angles, so never below the true minimum, and a near-double
-      root split into a complex pair keeps its real part.  Samples it
-      cannot settle within the margin get their roots from one eigvals
-      solve, under the same `_distance`.  phi = pi, the one angle the
-      substitution misses, is taken separately.
+      (`_distance`), at the real parts of all four eigvals roots of the
+      quartic: actual angles, so never below the true minimum, and a
+      near-double root split into a complex pair keeps its real part.
+      phi = pi, the one angle the substitution misses, is taken
+      separately.
 
     The radius domain is r < 1, where `chart_box` is proved to hold every
     ball image.
@@ -493,7 +418,8 @@ class SPD2Model(SpaceModel):
         coefs = self._angle_coefficients(z, coords)
         k0, p2, q2, p1, q1 = coefs
         r2 = radius * radius
-        amp2, amp1 = np.hypot(p2, q2), np.hypot(p1, q1)
+        with np.errstate(over="ignore"):  # an overflowing square: floor -inf
+            amp2, amp1 = np.sqrt(p2 * p2 + q2 * q2), np.sqrt(p1 * p1 + q1 * q1)
         # f >= k0 - amp2 - amp1 at every phi, so a floor clear of r^2 by
         # the margin is a certified miss; only the rest need the bounds
         margin = 1e-9 * (np.abs(k0) + amp2 + amp1)
@@ -504,10 +430,8 @@ class SPD2Model(SpaceModel):
         hit[rest] = ceiling < r2
         band = np.flatnonzero(~((ceiling < r2) | (floor > r2)))
         k0, p2, q2, p1, q1 = coefs = tuple(c[band] for c in coefs)
-        best = _quartic_minimum(
-            self._angle_quartic(p2, q2, p1, q1),
-            lambda x, rows: self._distance(x, *(c[rows] for c in coefs)),
-            margin[rest[band]], r2)
+        best = _quartic_minimum(self._angle_quartic(p2, q2, p1, q1),
+                                lambda x: self._distance(x, *coefs))
         hit[rest[band]] = np.minimum(best, k0 + p2 - p1) <= r2
         return hit
 
@@ -614,7 +538,9 @@ class HyperboloidModel(SpaceModel):
     is a quadratic on the hyperbola x y = 1, and `_conic_bounds` decides
     each sample as in SPD2Model (no pre-floor): on the benchmark grid,
     t <= 4, it decides every sample measured, and 3% are undecided at
-    t = 7.  Only those reach `_quartic_minimum`, with margin 1e-9 (1 + P).
+    t = 7.  Only those reach `_quartic_minimum`: `_distance` at the real
+    parts of the quartic's four eigvals roots, each a point x of one
+    component, so never below the true minimum.
     The float range is |a| <= 9.0e6 (t <= 8.35): there the eigenvector
     determinant rounds by eps (1 + |a|) / 2 < 1e-9 relative.  The radius
     domain is r <= 1.2, where `chart_box` is proved to hold every ball
@@ -789,10 +715,8 @@ class HyperboloidModel(SpaceModel):
         hit = ceiling < r2
         band = np.flatnonzero(~(hit | (floor > r2)))
         coefs = tuple(c[band] for c in coefs)
-        hit[band] = _quartic_minimum(
-            self._stabilizer_quartic(*coefs),
-            lambda x, rows: self._distance(x, *(c[rows] for c in coefs)),
-            1e-9 * (1.0 + coefs[0]), r2) <= r2  # coefs[0] is P
+        hit[band] = _quartic_minimum(self._stabilizer_quartic(*coefs),
+                                     lambda x: self._distance(x, *coefs)) <= r2
         return good & hit
 
     def membership(self, z, w, radius):

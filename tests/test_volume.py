@@ -15,7 +15,6 @@ from vaikit.volume import (
     PlaneModel,
     SPD2Model,
     VolumeSeries,
-    _quartic_candidates,
     _quartic_roots,
     chi_partial,
     estimate_volume,
@@ -44,10 +43,18 @@ def random_ball_element(rng, radius):
             return g
 
 
+def _real_roots(*quartic):
+    """Real roots (N, 4) of batched quartics, non-real ones nan: the eigvals
+    roots whose imaginary part is within 1e-8 of their size."""
+    roots = _quartic_roots(*quartic)
+    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
+    return np.where(real, roots.real, np.nan)
+
+
 def _angle_minimum(k0, p2, q2, p1, q1):
     """Global minimum over phi of the trig polynomial, per sample: the
     eigvals roots of the angle quartic under the trig form of f."""
-    roots = _quartic_roots(*SPD2Model._angle_quartic(p2, q2, p1, q1))
+    roots = _real_roots(*SPD2Model._angle_quartic(p2, q2, p1, q1))
     phi = 2.0 * np.arctan(np.where(np.isnan(roots), 0.0, roots))
     vals = (k0[:, None] + p2[:, None] * np.cos(2.0 * phi)
             + q2[:, None] * np.sin(2.0 * phi)
@@ -79,8 +86,8 @@ def _two_solve_minimum(coefs):
     p_co, q_co, r_co, tr_g, tr_h = coefs
     plus, minus = (
         _sign_minimum(
-            sign, _quartic_roots(p_co + q_co, -sign * (tr_g + tr_h), np.zeros_like(p_co),
-                                 sign * (tr_g - tr_h), q_co - p_co),
+            sign, _real_roots(p_co + q_co, -sign * (tr_g + tr_h), np.zeros_like(p_co),
+                              sign * (tr_g - tr_h), q_co - p_co),
             *coefs) for sign in (1.0, -1.0))
     return np.minimum(plus, minus)
 
@@ -89,7 +96,7 @@ def _eigvals_minimum(model, quartic, coefs):
     """The minimum of the model's own `_distance` at the eigvals roots of
     its quartic, a non-finite value counting as +inf."""
     with np.errstate(all="ignore"):
-        vals = model._distance(_quartic_roots(*quartic).T, *coefs)
+        vals = model._distance(_real_roots(*quartic).T, *coefs)
     return np.where(np.isfinite(vals), vals, np.inf).min(axis=0)
 
 
@@ -247,11 +254,11 @@ class TestSPD2Model:
         assert (mins[rejected] > R03 * R03).all()
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
-    def test_closed_form_keeps_every_decision(self, t):
-        # the closed-form quartic must decide as the eigvals-only path.  At
-        # t = 8 the trig and rational forms of f split on a few samples and
-        # neither is ground truth, so there the reference takes the eigvals
-        # roots under the model's own `_distance`
+    def test_membership_matches_the_eigvals_reference(self, t):
+        # membership must decide as the eigvals real roots under the trig
+        # form of f.  At t = 8 the trig and rational forms of f split on a
+        # few samples and neither is ground truth, so there the reference
+        # takes those roots under the model's own `_distance`
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(43).uniform(lo, hi, size=(16384, 2))
@@ -371,11 +378,11 @@ class TestHyperboloidModel:
         assert (self.model.membership_chart(z, coords, R03) == reference).all()
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
-    def test_closed_form_keeps_every_decision(self, t):
-        # the closed-form quartic must decide as the eigvals-only path: one
-        # companion solve per sign component, or at t = 8, where the
-        # cosh/sinh and x forms of f split and neither is ground truth, one
-        # solve under the model's own `_distance`
+    def test_membership_matches_the_eigvals_reference(self, t):
+        # membership must decide as the eigvals real roots of one companion
+        # solve per sign component, or at t = 8, where the cosh/sinh and x
+        # forms of f split and neither is ground truth, of one solve under
+        # the model's own `_distance`
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(41).uniform(lo, hi, size=(16384, 2))
@@ -401,7 +408,7 @@ class TestHyperboloidModel:
             z, self.model.from_chart(coords))
         hits = self.model.membership_chart(z, coords, R03)
         assert (hits == (good & (_two_solve_minimum(coefs) <= R03 * R03))).all()
-        roots = _quartic_roots(*self.model._stabilizer_quartic(*coefs))
+        roots = _real_roots(*self.model._stabilizer_quartic(*coefs))
         plus = _sign_minimum(1.0, roots, *coefs)
         assert (hits & (plus > R03 * R03)).sum() > 1000
 
@@ -568,7 +575,7 @@ def _mp_hyperboloid_minimum(mp, t, coord):
     return _mp_real_minimum(mp, quartic, f)
 
 
-@pytest.mark.parametrize("t", [0.0, 4.0, 6.0])
+@pytest.mark.parametrize("t", [0.0, 4.0, 6.0, 7.0])
 @pytest.mark.parametrize("model, oracle", [(SPD2Model(), _mp_spd2_minimum),
                                            (HyperboloidModel(), _mp_hyperboloid_minimum)],
                          ids=["spd2", "hyperboloid"])
@@ -592,12 +599,14 @@ def test_decisions_nearest_the_boundary_match_an_80_digit_oracle(model, oracle, 
 
 
 def _adversarial_quartics(rng, n=200):
-    """family -> (coefficient rows (5, n), relative root tolerance)."""
+    """family -> (coefficient rows (5, n), the known roots (n, 4), relative
+    root tolerance)."""
     def signed(lo, hi, k):
         return rng.uniform(lo, hi, k) * rng.choice([-1.0, 1.0], k)
 
     def from_roots(make):
-        return np.array([np.poly(make()).real for _ in range(n)]).T
+        roots = np.array([make() for _ in range(n)], dtype=complex)
+        return np.array([np.poly(r).real for r in roots]).T, roots
 
     def near_double(d):
         def make():
@@ -610,47 +619,48 @@ def _adversarial_quartics(rng, n=200):
         z1, z2 = complex(*signed(0.05, 3.0, 2)), complex(*signed(0.05, 3.0, 2))
         return [z1, z1.conjugate(), z2, z2.conjugate()]
 
-    zero_a2 = rng.normal(size=(5, n))
-    zero_a2[2] = 0.0
-    families = {f"near-double {d:g}": (from_roots(near_double(d)), 1e-6)
+    def zero_sum_of_products():
+        # three roots of one sign and a fourth that cancels their e2
+        three = rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0])
+        e2 = three[0] * three[1] + three[0] * three[2] + three[1] * three[2]
+        return [*three, -e2 / three.sum()]
+
+    families = {f"near-double {d:g}": (*from_roots(near_double(d)), 1e-6)
                 for d in (0.0, 1e-10, 1e-7, 1e-4)}
+    zero_a2, zero_a2_roots = from_roots(zero_sum_of_products)
+    zero_a2[2] = 0.0  # as in the hyperboloid's quartic; a rounding-sized change
     families.update({
         # rounded coefficients fix a root of multiplicity 4 only to about
-        # eps^(1/4), for the companion matrix as for the closed form
-        "quadruple": (from_roots(lambda: [rng.uniform(-3.0, 3.0)] * 4), 1e-3),
+        # eps^(1/4), for any solver
+        "quadruple": (*from_roots(lambda: [rng.uniform(-3.0, 3.0)] * 4), 1e-3),
         # all roots large: |a4| / |a0| near 1e-12, above the nudge of
-        # _quartic_roots, so its roots stay a valid reference
-        "|a4| << |a0|": (from_roots(lambda: signed(0.5, 1.5, 4) * 1e3), 1e-6),
-        "|a0| << |a4|": (from_roots(lambda: signed(0.5, 1.5, 4) * 1e-3), 1e-6),
-        "zero a2": (zero_a2, 1e-6),
-        "all complex": (from_roots(complex_pairs), 1e-6),
-        "1e5 beside 1": (from_roots(lambda: np.r_[signed(1.0, 5.0, 1) * 1e5,
-                                                  signed(0.05, 3.0, 3)]), 1e-6),
-        "two 1e5 beside 1": (from_roots(lambda: np.r_[signed(1.0, 5.0, 2) * 1e5,
-                                                      signed(0.05, 3.0, 2)]),
+        # _quartic_roots, which leaves their leading coefficient as it is
+        "|a4| << |a0|": (*from_roots(lambda: signed(0.5, 1.5, 4) * 1e3), 1e-6),
+        "|a0| << |a4|": (*from_roots(lambda: signed(0.5, 1.5, 4) * 1e-3), 1e-6),
+        "zero a2": (zero_a2, zero_a2_roots, 1e-6),
+        "all complex": (*from_roots(complex_pairs), 1e-6),
+        "1e5 beside 1": (*from_roots(lambda: np.r_[signed(1.0, 5.0, 1) * 1e5,
+                                                   signed(0.05, 3.0, 3)]), 1e-6),
+        "two 1e5 beside 1": (*from_roots(lambda: np.r_[signed(1.0, 5.0, 2) * 1e5,
+                                                       signed(0.05, 3.0, 2)]),
                              1e-6),
     })
     return families
 
 
-class TestClosedFormQuartic:
-    def test_every_real_root_is_a_candidate_or_referred(self):
-        # each real companion-matrix root lies within the relative
-        # tolerance of a closed-form candidate, or the sample is
-        # unsettled and membership refers it to the companion matrix
-        shares = []
-        for family, (coefs, tol) in _adversarial_quartics(
+class TestQuarticReferee:
+    def test_every_real_root_is_near_a_real_part(self):
+        # each known real root lies within the family's relative tolerance
+        # of the real part of an eigvals root.  Rounding splits a near-double
+        # or quadruple root into a complex pair that keeps its real part, so
+        # a mask of the non-real roots would lose it
+        for family, (coefs, known, tol) in _adversarial_quartics(
                 np.random.default_rng(2024)).items():
-            x, settled = _quartic_candidates(*coefs)
-            roots = _quartic_roots(*coefs)
-            assert settled.any(), family
-            shares.append(settled.mean())
-            for i in np.flatnonzero(settled):
-                for root in roots[i][~np.isnan(roots[i])]:
-                    gap = np.abs(x[:, i] - root).min()
-                    assert gap <= tol * abs(root), (family, i, root, x[:, i])
-        # most samples stay on the closed form
-        assert np.mean(shares) >= 0.8
+            parts = _quartic_roots(*coefs).real
+            for i, row in enumerate(known):
+                for root in row.real[row.imag == 0.0]:
+                    gap = np.abs(parts[i] - root).min()
+                    assert gap <= tol * abs(root), (family, i, root, parts[i])
 
 
 class TestEstimator:
