@@ -15,8 +15,10 @@ Three certificate families live here:
   exact eigenvalue sums give the cosh-type lower bound and, for
   symmetric pairs, the exact two-sided growth exponent.
 
-Exact claims are exact rationals; only the sampling checks use floats,
-and they import numpy when called, so the exact paths never load it.
+Exact claims are exact rationals, the bounded-projection check
+included; only the Jacobian sandwich (with the float branch of the beta
+map it sums) uses floats, and it imports numpy when called, so the
+exact paths never load it.
 """
 
 from __future__ import annotations
@@ -183,12 +185,6 @@ class DecayWitness:
         """Projection of u onto v along h, in ambient coordinates."""
         return self.v.from_coords(self.v_coordinates(u))
 
-    def projection_matrix(self) -> RatMat:
-        """pi_v as an exact matrix on ambient coordinates."""
-        cols = [self.project_v(self.algebra.basis_vector(i))
-                for i in range(self.algebra.dim)]
-        return RatMat.from_cols(cols)
-
     def __repr__(self):
         return (f"DecayWitness(gamma={self.gamma}, n1={self.n1.dim}, "
                 f"l1={self.l1.dim}, v={self.v.dim})")
@@ -255,79 +251,19 @@ def _levi_complement(h: Subalgebra, p: ParabolicData) -> list[Vec]:
 # ---------------------------------------------------------------------------
 # boundedness of the conjugated projection
 
-_MT_T_MIN = -40
-_MT_TAIL = 10
-_MT_FACTOR = 2.0
-
-
-class _AdFlow:
-    """Float Ad(exp(t x))^{-1} from the exact eigenstructure of ad x.
-
-    ``c`` has the ad-x eigenvectors as columns and ``lams`` their exact
-    eigenvalues, so Ad(exp(t x))^{-1} = c diag(e^(-t lam)) c^{-1}.
-    """
-
-    def __init__(self, grading: Grading):
-        import numpy as np
-        self.lams = [lam for lam, part in grading.parts.items() for _ in part.basis]
-        self.c = RatMat.from_cols([b for part in grading.parts.values() for b in part.basis])
-        self.c_inv = self.c.inverse()
-        self.c_f = np.array(self.c.to_floats())
-        self.c_inv_f = np.array(self.c_inv.to_floats())
-        self._lams_f = np.array([float(lam) for lam in self.lams])
-
-    def inverse_at(self, t: float) -> np.ndarray:
-        import numpy as np
-        return (self.c_f * np.exp(-t * self._lams_f)) @ self.c_inv_f
-
 
 def check_mt_bounded(witness: DecayWitness) -> bool:
-    """Is the conjugated projection uniformly bounded for t <= 0?
+    """Is M_t = Ad(a_t) pi_v Ad(a_t)^{-1} uniformly bounded for t <= 0?
 
-    Structural check (exact): split every h basis vector into its l0
-    part and positive ad-x eigencomponents Y_lambda; for each Y_lambda
-    outside n1, its projection to v must consist of eigencomponents
-    with eigenvalues >= lambda.  That inequality is exactly what makes
-    e^{mu t}(e^{-lambda t} - 1) stay bounded as t -> -infinity.
-
-    Numeric check: sample the operator norm of
-    Ad(a_t) pi_v Ad(a_t)^{-1} on the integer grid t in [_MT_T_MIN, 0]
-    and require the whole sequence to stay below ``_MT_FACTOR`` times
-    its maximum over the deepest ``_MT_TAIL`` points.
+    In an ad-x eigenbasis with B the matrix of pi_v, entry (i, j) of M_t
+    is B_ij e^{t(lam_i - lam_j)}, bounded on t <= 0 exactly when
+    B_ij = 0 or lam_i >= lam_j.  So M_t is bounded exactly when pi_v
+    maps each eigenspace g^lam into the sum of the g^mu with mu >= lam,
+    which is decided here on exact rationals.
     """
-    import numpy as np
-    g = witness.algebra
-    grading = grading_of(g, witness.parabolic.x)
-
-    for y in witness.h.basis:
-        comps = grading.components_of(y)
-        for lam, ylam in comps.items():
-            if lam <= 0 or witness.n1.contains(ylam):
-                continue
-            image = witness.project_v(ylam)
-            for mu, vmu in grading.components_of(image).items():
-                if not witness.n1.contains(vmu):
-                    return False
-                if mu < lam:
-                    return False
-
-    # numeric sampling in the exact eigenbasis; entries that would grow
-    # are exactly zero by the structural rule, so mask them first
-    flow = _AdFlow(grading)
-    pv_f = np.array((flow.c_inv @ witness.projection_matrix() @ flow.c).to_floats())
-    mask = pv_f != 0.0
-    n = g.dim
-    diff = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if mask[i, j]:
-                diff[i, j] = float(flow.lams[i] - flow.lams[j])
-    norms = []
-    for t in range(0, _MT_T_MIN - 1, -1):
-        b_t = np.where(mask, pv_f * np.exp(t * diff), 0.0)
-        norms.append(np.linalg.norm(flow.c_f @ b_t @ flow.c_inv_f, 2))
-    tail = norms[len(norms) - _MT_TAIL - 1:]
-    return max(norms) <= _MT_FACTOR * max(tail)
+    grading = grading_of(witness.algebra, witness.parabolic.x)
+    return all(mu >= lam for lam, part in grading.parts.items() for b in part.basis
+               for mu in grading.components_of(witness.project_v(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +314,26 @@ def _beta_float(ad_t: np.ndarray) -> np.ndarray:
         if norm < _BETA_CUTOFF:
             break
     return acc
+
+
+class _AdFlow:
+    """Float Ad(exp(t x))^{-1} from the exact eigenstructure of ad x.
+
+    With the ad-x eigenvectors as the columns of c and lams their exact
+    eigenvalues, Ad(exp(t x))^{-1} = c diag(e^(-t lam)) c^{-1}.
+    """
+
+    def __init__(self, grading: Grading):
+        import numpy as np
+        c = RatMat.from_cols([b for part in grading.parts.values() for b in part.basis])
+        self._c = np.array(c.to_floats())
+        self._c_inv = np.array(c.inverse().to_floats())
+        self._lams = np.array([float(lam) for lam, part in grading.parts.items()
+                               for _ in part.basis])
+
+    def inverse_at(self, t: float) -> np.ndarray:
+        import numpy as np
+        return (self._c * np.exp(-t * self._lams)) @ self._c_inv
 
 
 def phi_jacobian_sandwich(witness: DecayWitness, q_box=0.1, t_grid=None,
@@ -516,28 +472,18 @@ def _normalizing_rate(g: LieAlgebra, n: Subalgebra, x: Vec) -> Fraction | None:
     return m.trace() if all(lam > 0 for lam in eigen) else None
 
 
-def unipotent_witness(g: LieAlgebra, n: Subalgebra,
-                      x: Vec | None = None) -> UnipotentWitness:
+def unipotent_witness(g: LieAlgebra, n: Subalgebra) -> UnipotentWitness:
     """Decay certificate for a nonzero ad-nilpotent subalgebra.
 
-    With a supplied x the rate tr(ad x | n) is returned directly after
-    verifying that x acts on n with positive semisimple spectrum.
-    Otherwise a central element u of n is completed to an sl2-triple;
-    if the triple's grading element normalizes n the direct rate is
-    used, and if not the certificate degrades to the central line
-    span(u) with rate 2, flagged as averaged.
+    A central element u of n is completed to an sl2-triple; if the
+    triple's grading element normalizes n the direct rate is used, and
+    if not the certificate degrades to the central line span(u) with
+    rate 2, flagged as averaged.
     """
     if n.dim == 0:
         raise NotNilpotent("empty subalgebra carries no decay direction")
     if not acts_nilpotently(g, n):
         raise NotNilpotent("subalgebra does not act nilpotently")
-    if x is not None:
-        rate = _normalizing_rate(g, n, vec(x))
-        if rate is None:
-            raise NoNormalizer(
-                "supplied element does not normalize n with positive "
-                "semisimple spectrum")
-        return UnipotentWitness(g, n, vec(x), rate, averaged=False)
 
     z = center(n)
     if z.dim == 0:

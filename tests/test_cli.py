@@ -209,6 +209,25 @@ class TestWitness:
         assert result["n1"][0] == ["0", "0", "0", "1", "0", "0", "0", "0"]
         assert len(result["l1"]) + len(result["n1"]) + 1 == len(result["p0"])
 
+    def test_parabolic_path_with_decaying_head(self, capsys, tmp_path):
+        # sl3 Borel parabolic, h = span(-E12 + 3E13 - E23): the conjugated
+        # projection falls from norm 3.32 at t = 0 to sqrt(2) and stays
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps({
+            "name": "span(-E12 + 3E13 - E23)",
+            "basis": [["0", "0", "-1", "3", "-1", "0", "0", "0"]]}))
+        unit = [["1" if i == j else "0" for i in range(8)] for j in range(8)]
+        borel = tmp_path / "borel.json"
+        borel.write_text(json.dumps({
+            "p0": unit[:5], "l0": unit[:2], "n0": unit[2:5], "nbar0": unit[5:],
+            "x": ["1", "1", "0", "0", "0", "0", "0", "0"]}))
+        code, report = run_report(
+            capsys, "witness", "--algebra", d("sl3.json"),
+            "--subalgebra", str(sub), "--parabolic", str(borel))
+        assert code == 0
+        assert report["result"]["gamma"] == "1"
+        assert report["result"]["mt_bounded"] is True
+
     def test_averaged_certificate(self, capsys):
         code, report = run_report(
             capsys, "witness", "--algebra", d("sl5.json"),
@@ -600,7 +619,13 @@ class TestConsoleEntryPoint:
             f"    code = vaikit.cli.main(['check', '--algebra', {d('sl5.json')!r},\n"
             f"                            '--subalgebra', {d('sl5-nilpair.json')!r}])\n"
             "assert code == 3\n"
-            "assert 'numpy' not in sys.modules, 'check sl5'\n")
+            "assert 'numpy' not in sys.modules, 'check sl5'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = vaikit.cli.main(['witness', '--algebra', {d('sl3.json')!r},\n"
+            f"                            '--subalgebra', {d('sl3-e12.json')!r},\n"
+            f"                            '--parabolic', {d('sl3-flag-parabolic.json')!r}])\n"
+            "assert code == 0\n"
+            "assert 'numpy' not in sys.modules, 'witness --parabolic sl3'\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

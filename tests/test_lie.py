@@ -23,7 +23,6 @@ from vaikit.lie import (
     is_unimodular_pair,
     radical,
 )
-from vaikit.witness import unipotent_witness
 
 H, E, F = 0, 1, 2  # catalog sl2 basis order
 
@@ -73,8 +72,7 @@ def test_ad_matrix_eigenvectors(sl2):
 def test_bracket_and_ad_reject_wrong_length(sl2, x):
     e = sl2.basis_vector(E)
     for call in (lambda: sl2.bracket(x, e), lambda: sl2.bracket(e, x), lambda: sl2.ad(x),
-                 lambda: grading_of(sl2, x),
-                 lambda: unipotent_witness(sl2, Subalgebra(sl2, [e]), x)):
+                 lambda: grading_of(sl2, x)):
         with pytest.raises(InvariantViolation, match="entries in dimension 3"):
             call()
 

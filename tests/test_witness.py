@@ -1,5 +1,6 @@
 """Decay witnesses, boundedness checks, and growth exponents."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,11 @@ from vaikit.errors import (
     GammaNotPositive,
     InputError,
     InvariantViolation,
-    NoNormalizer,
     NotNilpotent,
     NotSymmetric,
 )
-from vaikit.exact import RatMat, vec
+from vaikit.exact import RatMat, pivot_indices, vec
+from vaikit.grading import grading_of
 from vaikit.lie import Subalgebra, Subspace
 from vaikit.reductivity import default_cartan
 from vaikit.witness import (
@@ -54,10 +55,12 @@ def sl3_witness(sl3, sl3_parabolic):
     return build_n1(sl3, catalog.sl3_e12(sl3), sl3_parabolic)
 
 
-def borel_parabolic(sl3):
-    """Minimal parabolic of sl3: upper triangulars over the diagonal."""
+def borel_parabolic(sl3, x=vec([1, 1, 0, 0, 0, 0, 0, 0])):
+    """Minimal parabolic of sl3: upper triangulars over the diagonal.
+
+    The default grading element H1 + H2 is diag(1, 0, -1).
+    """
     h1, h2 = sl3.basis_vector(0), sl3.basis_vector(1)
-    x = vec([1, 1, 0, 0, 0, 0, 0, 0])  # diag(1, 0, -1)
     return ParabolicData(
         sl3,
         p0=[h1, h2, sl3.basis_vector(2), sl3.basis_vector(3), sl3.basis_vector(4)],
@@ -164,8 +167,8 @@ class TestBuildN1:
         assert w.project_v(f) == f
         mixed = tuple(a + 2 * b for a, b in zip(h, e))
         assert w.project_v(mixed) == h
-        p = w.projection_matrix()
-        assert p @ p == p
+        for u in (h, e, f, mixed):
+            assert w.project_v(w.project_v(u)) == w.project_v(u)
 
     def test_assumption_recorded(self, sl2_witness):
         assert any("infinity" in a for a in sl2_witness.assumptions)
@@ -184,6 +187,28 @@ class TestDecayWitnessValidation:
             DecayWitness(sl3, h, sl3_parabolic,
                          [sl3.basis_vector(2), sl3.basis_vector(3)],
                          catalog.sl3_flag_parabolic()["l0"], gamma=0)
+
+
+def _float_growth(w, t):
+    """|M_t| / |M_0| in floats, M_t = Ad(a_t) pi_v Ad(a_t)^{-1}.
+
+    pi_v is taken exactly in the ad-x eigenbasis before the switch to
+    floats, so an entry that is zero stays zero at every t.
+    """
+    g = w.algebra
+    grading = grading_of(g, w.parabolic.x)
+    c = RatMat.from_cols([b for part in grading.parts.values() for b in part.basis])
+    pi_v = RatMat.from_cols([w.project_v(g.basis_vector(i)) for i in range(g.dim)])
+    c_inv = c.inverse()
+    b = np.array((c_inv @ pi_v @ c).to_floats())
+    c_f, c_inv_f = np.array(c.to_floats()), np.array(c_inv.to_floats())
+    lams = np.array([float(lam) for lam, part in grading.parts.items() for _ in part.basis])
+
+    def norm(s):
+        scale = np.exp(s * lams)
+        return np.linalg.norm(c_f @ (scale[:, None] * b / scale[None, :]) @ c_inv_f, 2)
+
+    return norm(t) / norm(0.0)
 
 
 class TestMtBounded:
@@ -213,6 +238,52 @@ class TestMtBounded:
                            l1=[sl3.basis_vector(0), sl3.basis_vector(1)],
                            gamma=2)
         assert not check_mt_bounded(bad)
+
+    def test_decaying_head_is_bounded(self, sl3):
+        # the norm of M_t falls from 3.32 at t = 0 to sqrt(2) and stays
+        # there; a test against the deepest samples alone would reject it
+        par = borel_parabolic(sl3)
+        e12, e13 = sl3.basis_vector(2), sl3.basis_vector(3)
+        h = Subalgebra(sl3, [vec([0, 0, -1, 3, -1, 0, 0, 0])])  # -E12 + 3E13 - E23
+        w = build_n1(sl3, h, par)
+        assert w.gamma == 1
+        assert w.n1.same_span(Subspace(sl3, [e12, e13]))
+        assert check_mt_bounded(w)
+
+    @pytest.mark.parametrize("x", [vec([1, 1, 0, 0, 0, 0, 0, 0]),   # diag(1, 0, -1)
+                                   vec([2, 3, 0, 0, 0, 0, 0, 0])])  # diag(2, 1, -3)
+    def test_matches_float_growth(self, sl3, x):
+        # every admissible (n1, l1) from the n0 eigenbasis and the l0
+        # basis, for seeded random h in p0: the verdict is False exactly
+        # when |M_-30| / |M_0| exceeds 1e6 in floats
+        par = borel_parabolic(sl3, x)
+        lams = [lam for lam, basis in par.n0_eigen.items() for _ in basis]
+        eigvecs = [b for basis in par.n0_eigen.values() for b in basis]
+        rng = np.random.default_rng(0)
+        subalgebras = []
+        for _ in range(20):
+            y = [int(c) for c in rng.integers(-2, 3, size=5)]
+            # span(y), its n0 part alone, and that part beside E13
+            for basis in ([y], [[0, 0] + y[2:]], [[0, 0] + y[2:], [0, 0, 0, 1, 0]]):
+                basis = [vec(b + [0, 0, 0]) for b in basis]
+                if len(pivot_indices(basis)) == len(basis):
+                    subalgebras.append(Subalgebra(sl3, basis))
+        verdicts = []
+        for h in subalgebras:
+            for picks in itertools.product((0, 1), repeat=3):
+                if sum(picks) == 3:
+                    continue
+                n1 = [b for b, keep in zip(eigvecs, picks) if keep]
+                gamma = par.n0_trace - sum(lam for lam, keep in zip(lams, picks) if keep)
+                for l1 in ([], [par.l0.basis[0]], [par.l0.basis[1]], list(par.l0.basis)):
+                    try:
+                        w = DecayWitness(sl3, h, par, n1, l1, gamma)
+                    except InvariantViolation:
+                        continue
+                    bounded = check_mt_bounded(w)
+                    assert bounded == (_float_growth(w, -30.0) <= 1e6), (h.basis, picks, l1)
+                    verdicts.append(bounded)
+        assert True in verdicts and False in verdicts
 
 
 class TestBetaMap:
@@ -280,17 +351,9 @@ class TestUnipotentWitness:
         assert not w.averaged
         assert w.x == sl2.basis_vector(0)
 
-    def test_supplied_element(self, sl3):
-        n = Subalgebra(sl3, [sl3.basis_vector(2), sl3.basis_vector(3)])
-        x = vec([2, 1, 0, 0, 0, 0, 0, 0])  # diag(2, -1, -1)
-        w = unipotent_witness(sl3, n, x=x)
-        assert w.gamma == 6
-        assert not w.averaged
-
     def test_auto_falls_back_to_triple(self, sl3):
-        # without a supplied element the search goes through the
-        # sl2-triple of a central vector; diag(1,-1,0) normalizes
-        # span(E12, E13) with eigenvalues 2 and 1
+        # the search goes through the sl2-triple of a central vector;
+        # diag(1,-1,0) normalizes span(E12, E13) with eigenvalues 2 and 1
         n = Subalgebra(sl3, [sl3.basis_vector(2), sl3.basis_vector(3)])
         w = unipotent_witness(sl3, n)
         assert not w.averaged
@@ -301,8 +364,9 @@ class TestUnipotentWitness:
         # det Ad(exp(tx))|_n = e^{t gamma}: check at t = 1 in floats
         expm = pytest.importorskip("scipy.linalg").expm
         n = Subalgebra(sl3, [sl3.basis_vector(2), sl3.basis_vector(3)])
-        x = vec([2, 1, 0, 0, 0, 0, 0, 0])
-        w = unipotent_witness(sl3, n, x=x)
+        w = unipotent_witness(sl3, n)
+        assert w.x == sl3.basis_vector(0)
+        assert w.gamma == 3
         ad_n = np.array(n.restriction_matrix(sl3.ad(w.x)).to_floats())
         det = np.linalg.det(expm(ad_n))
         assert abs(det - np.exp(float(w.gamma))) < 1e-9
@@ -322,10 +386,6 @@ class TestUnipotentWitness:
             unipotent_witness(sl2, sl2_subs["borel"])
         with pytest.raises(NotNilpotent):
             unipotent_witness(sl2, Subalgebra(sl2, []))
-
-    def test_bad_supplied_element(self, sl2, sl2_subs):
-        with pytest.raises(NoNormalizer):
-            unipotent_witness(sl2, sl2_subs["n"], x=sl2.basis_vector(1))
 
 
 class TestLowerBound:
