@@ -58,14 +58,6 @@ class NoNormalizer(VaikitError):
     """No suitable grading element exists for the requested certificate."""
 
 
-class SeriesDivergenceGuard(VaikitError):
-    """A numeric series exceeded the divergence threshold before converging."""
-
-
-class SingularChart(VaikitError):
-    """A differential that must be invertible degenerated numerically."""
-
-
 class EmptyBox(VaikitError):
     """A sampling box is degenerate (zero or non-finite measure)."""
 

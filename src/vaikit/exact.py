@@ -224,9 +224,6 @@ class RatMat:
             pass
         return Fraction(sign * det, self.den ** self.nrows)
 
-    def to_floats(self) -> list[list[float]]:
-        return [[e / self.den for e in r] for r in self.num]
-
     def __repr__(self):
         return f"RatMat({[list(map(str, r)) for r in self.rows]})"
 

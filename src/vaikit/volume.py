@@ -887,52 +887,3 @@ def volume_along_curve(model: SpaceModel, t_grid=(), radius: float = 0.3,
         pass
     return series
 
-
-# ---------------------------------------------------------------------------
-# the unbounded function with finite L^p norm
-
-
-def chi_partial(model: SpaceModel, big_k: int, radius: float = 0.3,
-                p: float = 2.0, samples: int = 100_000,
-                seed: int = 0) -> tuple[float, float, float]:
-    """Partial sums of the step-function counterexample on the plane model.
-
-    chi_k is the indicator of the patch B . a_{-k} z0; the partial sum
-    sum_{k<=K} k chi_k has L^p norm ((sum k^p vol_k))^{1/p} because the
-    patches are pairwise disjoint for radius < (1 - 1/e)/(1 + 1/e), and
-    its sup is exactly K, attained at the K-th base point.
-
-    Returns (norm_p, sup_value, tail_ratio) with tail_ratio the ratio of
-    the K-th to (K-1)-th term of k * ||chi_k||_p.
-    """
-    if not isinstance(model, PlaneModel):
-        raise InputError("chi_partial is defined on the sl2-mod-n model")
-    if big_k < 3:
-        raise InputError("need K >= 3")
-    if p < 1.0:
-        raise InputError("need p >= 1")
-    disjoint_limit = (1.0 - math.exp(-1.0)) / (1.0 + math.exp(-1.0))
-    if radius >= disjoint_limit:
-        raise InputError(
-            f"radius {radius} is too large for disjoint patches "
-            f"(limit {disjoint_limit:.4f})")
-
-    base_points = [model.curve(-k) for k in range(1, big_k + 1)]
-    vols = []
-    for k, z in enumerate(base_points, start=1):
-        est, _ = estimate_volume(model, z, radius=radius, samples=samples,
-                                 seed=seed, point_index=k)
-        vols.append(est)
-
-    norm_p = float(sum(float(k) ** p * v
-                       for k, v in zip(range(1, big_k + 1), vols))) ** (1.0 / p)
-    # sup of the partial sum over the base points, by exact membership
-    sup_value = 0.0
-    for j, zj in enumerate(base_points, start=1):
-        val = sum(k for k, zk in enumerate(base_points, start=1)
-                  if model.membership(zk, zj, radius))
-        sup_value = max(sup_value, float(val))
-    term_last = big_k * vols[-1] ** (1.0 / p)
-    term_prev = (big_k - 1) * vols[-2] ** (1.0 / p)
-    tail_ratio = term_last / term_prev
-    return norm_p, sup_value, tail_ratio

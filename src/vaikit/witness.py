@@ -9,23 +9,19 @@ Three certificate families live here:
 * ``DecayWitness``: the general construction inside a parabolic
   p0 = l0 + n0.  A greedy complement n1 of h inside n0, taken along
   descending ad-x eigenvalues, yields gamma = tr(ad x on n0) minus
-  tr(ad x on n1) > 0 and a chart complement v; the boundedness and
-  Jacobian-sandwich checks certify that volumes decay like e^{t gamma}.
+  tr(ad x on n1) > 0 and a chart complement v; with the conjugated
+  projection onto v bounded (``check_mt_bounded``), volumes decay like
+  e^{t gamma}.
 * ``LowerBoundCert`` / symmetric exponents: on reductive quotients,
   exact eigenvalue sums give the cosh-type lower bound and, for
   symmetric pairs, the exact two-sided growth exponent.
 
-Exact claims are exact rationals, the bounded-projection check
-included; only the Jacobian sandwich (with the float branch of the beta
-map it sums) uses floats, and it imports numpy when called, so the
-exact paths never load it.
+Every claim is decided on exact rationals; nothing here uses floats.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import (
     GammaNotPositive,
@@ -36,8 +32,6 @@ from .errors import (
     NotNilpotent,
     NotSemisimple,
     NotSymmetric,
-    SeriesDivergenceGuard,
-    SingularChart,
 )
 from .exact import (
     RatMat,
@@ -51,18 +45,13 @@ from .exact import (
     vec_scale,
 )
 from .grading import (
-    Grading,
     SL2Triple,
     acts_nilpotently,
     grading_of,
-    is_ad_nilpotent,
     jacobson_morozov,
     verify_nonnegative_grading,
 )
 from .lie import LieAlgebra, Subalgebra, Subspace, center
-
-if TYPE_CHECKING:  # annotations only; the float checks import numpy when called
-    import numpy as np
 
 # the base point's escape along the contracted direction is a geometric
 # fact about the group, not decidable from structure constants; every
@@ -264,165 +253,6 @@ def check_mt_bounded(witness: DecayWitness) -> bool:
     grading = grading_of(witness.algebra, witness.parabolic.x)
     return all(mu >= lam for lam, part in grading.parts.items() for b in part.basis
                for mu in grading.components_of(witness.project_v(b)))
-
-
-# ---------------------------------------------------------------------------
-# the beta map and the Jacobian sandwich
-
-_BETA_CUTOFF = 1e-14
-_BETA_CAP = 60
-_BETA_GUARD = 1e6
-
-
-def beta_map(g: LieAlgebra, t_vec: Vec):
-    """The linear map (1 - exp(-ad T)) / ad T on g.
-
-    For ad-nilpotent T the alternating series is a finite polynomial
-    and the result is an exact RatMat; otherwise a float matrix is
-    summed until terms drop below 1e-14 (hard cap 60 terms), guarding
-    against divergence for badly scaled input.
-    """
-    import numpy as np
-    t_vec = vec(t_vec)
-    ad_t = g.ad(t_vec)
-    n = g.dim
-    if is_ad_nilpotent(g, t_vec):
-        acc = RatMat.identity(n)
-        term = RatMat.identity(n)
-        k = 1
-        while True:
-            term = (term @ ad_t).scale(Fraction(-1, k + 1))
-            if term.is_zero():
-                return acc
-            acc = acc + term
-            k += 1
-    return _beta_float(np.array(ad_t.to_floats()))
-
-
-def _beta_float(ad_t: np.ndarray) -> np.ndarray:
-    import numpy as np
-    n = ad_t.shape[0]
-    acc = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, _BETA_CAP + 1):
-        term = term @ ad_t * (-1.0 / (k + 1))
-        norm = np.linalg.norm(term)
-        if norm > _BETA_GUARD:
-            raise SeriesDivergenceGuard(
-                f"beta series term norm {norm:.3g} exceeds guard")
-        acc += term
-        if norm < _BETA_CUTOFF:
-            break
-    return acc
-
-
-class _AdFlow:
-    """Float Ad(exp(t x))^{-1} from the exact eigenstructure of ad x.
-
-    With the ad-x eigenvectors as the columns of c and lams their exact
-    eigenvalues, Ad(exp(t x))^{-1} = c diag(e^(-t lam)) c^{-1}.
-    """
-
-    def __init__(self, grading: Grading):
-        import numpy as np
-        c = RatMat.from_cols([b for part in grading.parts.values() for b in part.basis])
-        self._c = np.array(c.to_floats())
-        self._c_inv = np.array(c.inverse().to_floats())
-        self._lams = np.array([float(lam) for lam, part in grading.parts.items()
-                               for _ in part.basis])
-
-    def inverse_at(self, t: float) -> np.ndarray:
-        import numpy as np
-        return (self._c * np.exp(-t * self._lams)) @ self._c_inv
-
-
-def phi_jacobian_sandwich(witness: DecayWitness, q_box=0.1, t_grid=None,
-                          samples: int = 2000, seed: int = 7,
-                          claimed_gamma=None):
-    """Monte Carlo check that sup |det dPhi_t| tracks e^{t gamma}.
-
-    For each t in the grid, samples chart points Y in the box Q inside
-    v and evaluates the exact differential formula in floats: the
-    columns are beta/adjoint compositions of the three components of
-    Y, pushed through Ad(a_t)^{-1} and projected to v.  Returns
-    (max/min ratio of the normalized sups, per-t records).  A witness
-    with the true gamma keeps the ratio near 1; a corrupted gamma
-    drifts exponentially.
-
-    Sampling is batched with substreams seeded by (seed, t-index,
-    batch-index), so results do not depend on evaluation order.
-    """
-    import numpy as np
-    g = witness.algebra
-    p = witness.parabolic
-    if t_grid is None:
-        t_grid = tuple(range(0, -9, -1))
-    if any(t > 0 for t in t_grid):
-        raise InputError("the sandwich grid must stay at t <= 0")
-    gamma = float(witness.gamma if claimed_gamma is None else claimed_gamma)
-
-    m = witness.v.dim
-    a = p.nbar0.dim
-    b = witness.l1.dim
-    widths = np.full(m, float(q_box)) if np.isscalar(q_box) else np.asarray(
-        [float(w) for w in q_box])
-    if widths.shape != (m,) or np.any(widths < 0):
-        raise InputError("box half-widths must be one nonnegative value per "
-                         "v coordinate")
-
-    v_f = np.array([[float(e) for e in col] for col in witness.v.basis]).T
-    ext = np.array(witness._vh_inv.to_floats()[:m])
-    ad_cols = [np.array(g.ad(col).to_floats()) for col in witness.v.basis]
-    flow = _AdFlow(grading_of(g, p.x))
-
-    # chart sanity at the origin: dPhi_0(0) is the identity on v
-    probe = ext @ flow.inverse_at(0.0) @ v_f
-    if abs(np.linalg.det(probe)) < 1e-12:
-        raise SingularChart("dPhi_0(0) is singular; the complement is broken")
-
-    def jac_det(t_inv: np.ndarray, y: np.ndarray) -> float:
-        a_minus = sum((y[i] * ad_cols[i] for i in range(a)),
-                      np.zeros((g.dim, g.dim)))
-        a_zero = sum((y[a + i] * ad_cols[a + i] for i in range(b)),
-                     np.zeros((g.dim, g.dim)))
-        a_plus = sum((y[a + b + i] * ad_cols[a + b + i] for i in range(m - a - b)),
-                     np.zeros((g.dim, g.dim)))
-        # exp(-A) = 1 - beta(A) A, with beta(A) = (1 - exp(-A)) / A
-        beta_plus = _beta_float(a_plus)
-        beta_zero = _beta_float(a_zero)
-        exp_plus = np.eye(g.dim) - beta_plus @ a_plus
-        s = np.empty((g.dim, m))
-        if a:
-            exp_zero = np.eye(g.dim) - beta_zero @ a_zero
-            s[:, :a] = exp_plus @ exp_zero @ _beta_float(a_minus) @ v_f[:, :a]
-        if b:
-            s[:, a:a + b] = exp_plus @ beta_zero @ v_f[:, a:a + b]
-        if m - a - b:
-            s[:, a + b:] = beta_plus @ v_f[:, a + b:]
-        return abs(np.linalg.det(ext @ t_inv @ s))
-
-    batch = 512
-    per_t = []
-    for ti, t in enumerate(t_grid):
-        t_inv = flow.inverse_at(float(t))
-        sup = 0.0
-        done = 0
-        bi = 0
-        while done < samples:
-            take = min(batch, samples - done)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, ti, bi]))
-            ys = rng.uniform(-widths, widths, size=(take, m))
-            for y in ys:
-                d = jac_det(t_inv, y)
-                if d > sup:
-                    sup = d
-            done += take
-            bi += 1
-        normalized = sup / math.exp(float(t) * gamma)
-        per_t.append({"t": float(t), "sup": sup, "normalized": normalized})
-    values = [rec["normalized"] for rec in per_t]
-    ratio = max(values) / min(values)
-    return ratio, per_t
 
 
 # ---------------------------------------------------------------------------

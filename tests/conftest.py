@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vaikit import catalog
+import builders
 
 # pytest puts src/ on this process's path (pyproject.toml); the tests that
 # run `python -m vaikit.cli` in a subprocess need it there too
@@ -13,27 +13,27 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 @pytest.fixture(scope="session")
 def sl2():
-    return catalog.sl(2)
+    return builders.sl(2)
 
 
 @pytest.fixture(scope="session")
 def sl3():
-    return catalog.sl(3)
+    return builders.sl(3)
 
 
 @pytest.fixture(scope="session")
 def sl4():
-    return catalog.sl(4)
+    return builders.sl(4)
 
 
 @pytest.fixture(scope="session")
 def sl5():
-    return catalog.sl(5)
+    return builders.sl(5)
 
 
 @pytest.fixture(scope="session")
 def sl2_subs(sl2):
-    return catalog.sl2_subalgebras(sl2)
+    return builders.sl2_subalgebras(sl2)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import builders
 from vaikit import catalog
 from vaikit.errors import InputError
 from vaikit.exact import RatMat, vec
@@ -11,12 +12,11 @@ from vaikit.lie import LieAlgebra, negative_transpose_involution
 
 
 def test_bundled_files_match_builders(tmp_path):
-    regenerated = catalog.write_data_files(tmp_path)
-    assert len(regenerated) == len(catalog.CATALOG_FILES)
+    regenerated = builders.write_data_files(tmp_path)
+    bundled = sorted(catalog.data_path("").glob("*.json"))
+    assert sorted(p.name for p in regenerated) == [p.name for p in bundled]
     for p in regenerated:
-        bundled = catalog.data_path(p.name)
-        assert bundled.exists(), p.name
-        assert bundled.read_text() == p.read_text(), p.name
+        assert catalog.data_path(p.name).read_text() == p.read_text(), p.name
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -50,7 +50,7 @@ def test_parse_rational_strings():
 
 
 def test_algebra_roundtrip_through_dict(sl3):
-    d = catalog.algebra_to_dict(sl3)
+    d = builders.algebra_to_dict(sl3)
     g2 = catalog.parse_algebra(d)
     assert g2.sc == sl3.sc
 
@@ -63,9 +63,19 @@ def test_parse_algebra_requires_exactly_one_source():
 
 
 def test_parse_algebra_dim_mismatch(sl2):
-    d = catalog.algebra_to_dict(sl2)
+    d = builders.algebra_to_dict(sl2)
     d["dim"] = 5
     with pytest.raises(InputError, match="declared dim"):
+        catalog.parse_algebra(d)
+
+
+# each declared dim equals the algebra's dimension in Python, but none is an
+# integer; True is the 1-dimensional abelian algebra's, the others sl2's
+@pytest.mark.parametrize("dim", [True, 3.0, "3"])
+def test_parse_algebra_dim_must_be_an_integer(sl2, dim):
+    d = {"name": "line", "sc": [[["0"]]]} if dim is True else builders.algebra_to_dict(sl2)
+    d["dim"] = dim
+    with pytest.raises(InputError, match=f"'dim' must be an integer, got {type(dim).__name__}"):
         catalog.parse_algebra(d)
 
 
@@ -111,7 +121,7 @@ def test_parse_parabolic_fields(sl3):
 
 
 def test_sl5_nilpotent_pair_closes(sl5):
-    h = catalog.sl5_nilpotent_pair(sl5)
+    h = builders.sl5_nilpotent_pair(sl5)
     assert h.dim == 2
     u, w = h.basis
     assert sl5.bracket(u, w) == vec([0] * 24)  # abelian pair

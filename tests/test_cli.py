@@ -134,6 +134,18 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("payload,named", [
+        (b"\xff\xfe{}", "not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_json_is_input_error(self, capsys, tmp_path, payload, named):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        code, out, err = run_cli(capsys, "check", "--algebra", str(bad),
+                                 "--subalgebra", d("sl2-so2.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag,source", [("--algebra", "sl2.json"),
                                              ("--subalgebra", "sl2-so2.json")])
     @pytest.mark.parametrize("name", [False, 7, None, ["a", ["b"]]])

@@ -74,10 +74,11 @@ def _definitions(tree: ast.Module):
 
 def test_every_top_level_definition_is_used():
     """Each top-level def or class of the package, and each non-dunder
-    method of a top-level class, is named somewhere in src/, tests/ or
-    perfbench/ outside its own definition."""
+    method of a top-level class, is named somewhere in src/ or perfbench/
+    outside its own definition.  Tests do not count as callers: what only
+    tests need lives in tests/."""
     root = PACKAGE.parent.parent
-    lines = {path: path.read_text().splitlines() for folder in ("src", "tests", "perfbench")
+    lines = {path: path.read_text().splitlines() for folder in ("src", "perfbench")
              for path in sorted((root / folder).rglob("*.py"))}
     texts = {path: "\n".join(text) for path, text in lines.items()}
     unused = []
@@ -90,6 +91,18 @@ def test_every_top_level_definition_is_used():
                     "\n".join(outside), *(t for other, t in texts.items() if other != path))):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_only_volume_imports_numpy():
+    """numpy is the estimator's dependency; every other module stays exact,
+    so `check` and `witness` never load it."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+            found += [path.name for name in names if name.split(".")[0] == "numpy"]
+    assert set(found) == {"volume.py"}
 
 
 def test_package_reads_no_environment_variable():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from vaikit import catalog
+import builders
 from vaikit.errors import (
     InvariantViolation,
     IrrationalSpectrum,
@@ -104,7 +104,7 @@ def test_jacobson_morozov_sl3_e12(sl3):
 
 
 def test_jacobson_morozov_sl5_principal(sl5):
-    h = catalog.sl5_nilpotent_pair(sl5)
+    h = builders.sl5_nilpotent_pair(sl5)
     t = jacobson_morozov(sl5, h.basis[0])
     # x = diag(4, 2, 0, -2, -4), written in the Cartan coordinates
     expected = [4, 6, 6, 4] + [0] * 20
@@ -145,7 +145,7 @@ def test_acts_nilpotently(sl2, sl2_subs, sl5):
     assert acts_nilpotently(sl2, sl2_subs["n"])
     assert not acts_nilpotently(sl2, sl2_subs["so11"])
     assert not acts_nilpotently(sl2, sl2_subs["borel"])
-    assert acts_nilpotently(sl5, catalog.sl5_nilpotent_pair(sl5))
+    assert acts_nilpotently(sl5, builders.sl5_nilpotent_pair(sl5))
 
 
 def test_verify_nonnegative_grading_sl2(sl2, sl2_subs):
@@ -154,7 +154,7 @@ def test_verify_nonnegative_grading_sl2(sl2, sl2_subs):
 
 
 def test_verify_nonnegative_grading_sl5(sl5, assert_bracket_compatible):
-    h = catalog.sl5_nilpotent_pair(sl5)
+    h = builders.sl5_nilpotent_pair(sl5)
     t = jacobson_morozov(sl5, h.basis[0])
     assert verify_nonnegative_grading(sl5, h, t)
     gr = grading_of(sl5, t.x)

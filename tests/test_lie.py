@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from vaikit import catalog
+import builders
 from vaikit.errors import InvariantViolation, NotReductive
 from vaikit.exact import RatMat, rat, rref, vec
 from vaikit.grading import grading_of
@@ -152,7 +152,7 @@ def test_radical_of_semisimple_is_zero(sl2):
 
 
 def test_gl2_radical_equals_center():
-    g = catalog.gl2()
+    g = builders.gl2()
     full = Subalgebra(g, [g.basis_vector(i) for i in range(g.dim)])
     r = radical(full)
     z = center(full)
@@ -199,7 +199,7 @@ def test_is_reductive_agrees_with_radical_rule(sl2, sl3, sl4):
     aff1 = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]  # [x, y] = y
     heisenberg = [[[0] * 3, [0, 0, 1], [0] * 3], [[0, 0, -1], [0] * 3, [0] * 3],
                   [[0] * 3] * 3]  # [x, y] = z
-    algebras = [catalog.gl2(), LieAlgebra(aff1), LieAlgebra(heisenberg),
+    algebras = [builders.gl2(), LieAlgebra(aff1), LieAlgebra(heisenberg),
                 LieAlgebra([[[0] * 2] * 2] * 2)]
     for g in (sl2, sl3, sl4):
         algebras += [_random_closed_subalgebra(g, rng).abstract() for _ in range(50)]
@@ -252,7 +252,7 @@ def test_bilinear_form_positive_definite():
 
 
 def test_so3_killing_negative_definite(sl3):
-    so3 = catalog.sl3_so3(sl3)
+    so3 = builders.sl3_so3(sl3)
     a = so3.abstract()
     k = a.killing_form()
     neg = BilinearForm(a, -k.gram)
@@ -260,7 +260,7 @@ def test_so3_killing_negative_definite(sl3):
 
 
 def test_abstract_subalgebra_brackets_match(sl3):
-    so3 = catalog.sl3_so3(sl3)
+    so3 = builders.sl3_so3(sl3)
     a = so3.abstract()
     for i in range(3):
         for j in range(3):
@@ -271,7 +271,7 @@ def test_abstract_subalgebra_brackets_match(sl3):
 def test_structure_constants_transform_random(sl3):
     # rebuild sl3 from a randomly rescaled/sheared realization basis
     rng = random.Random(11)
-    mats = catalog.sl_basis_matrices(3)
+    mats = builders.sl_basis_matrices(3)
     mixed = []
     for i, m in enumerate(mats):
         other = mats[(i + 3) % len(mats)]
@@ -360,7 +360,7 @@ def _ref_structure(mats):
 @pytest.fixture(scope="module")
 def sheared_sl3():
     """sl3 in the basis M_i + M_{i+1}/2 + M_{i+2}/3 of its catalog matrices."""
-    mats = catalog.sl_basis_matrices(3)
+    mats = builders.sl_basis_matrices(3)
     g = LieAlgebra.from_realization(
         [mats[i] + mats[(i + 1) % 8].scale(Fraction(1, 2))
          + mats[(i + 2) % 8].scale(Fraction(1, 3)) for i in range(8)], name="sl3-sheared")

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import builders
 from vaikit import catalog
 from vaikit.errors import InvariantViolation, NotReductive
 from vaikit.exact import RatMat, kernel, vec
@@ -117,7 +118,7 @@ def test_symmetric_pairs_sl2(sl2, sl2_subs):
 
 
 def test_so3_symmetric_in_sl3(sl3):
-    so3 = catalog.sl3_so3(sl3)
+    so3 = builders.sl3_so3(sl3)
     assert is_symmetric_pair(sl3, so3)
 
 
@@ -135,7 +136,7 @@ def test_verdict_holds_cases(sl2, sl3, sl2_subs):
         assert rep.unimodular and rep.reductive_in_g
         assert rep.certificate["kind"] == "theta-stable"
         assert rep.symmetric_pair
-    rep = vai_verdict(sl3, catalog.sl3_so3(sl3))
+    rep = vai_verdict(sl3, builders.sl3_so3(sl3))
     assert rep.vai == VAI_HOLDS
     assert rep.certificate["kind"] == "theta-stable"
 
@@ -146,10 +147,10 @@ def test_verdict_fails_cases(sl2, sl3, sl5, sl2_subs):
     assert rep.unimodular and not rep.reductive_in_g
     assert rep.certificate["kind"] == "center-witness"
 
-    rep = vai_verdict(sl3, catalog.sl3_e12(sl3))
+    rep = vai_verdict(sl3, builders.sl3_e12(sl3))
     assert rep.vai == VAI_FAILS
 
-    rep = vai_verdict(sl5, catalog.sl5_nilpotent_pair(sl5))
+    rep = vai_verdict(sl5, builders.sl5_nilpotent_pair(sl5))
     assert rep.vai == VAI_FAILS
     assert rep.certificate["kind"] == "center-witness"
 
@@ -182,8 +183,8 @@ def test_theta_stable_consistency_catalog(sl2, sl3, sl5, sl2_subs):
     # involution-stable implies reductive in g, exact check on catalog
     pairs = [
         (sl2, sl2_subs["so2"]), (sl2, sl2_subs["so11"]), (sl2, sl2_subs["borel"]),
-        (sl2, sl2_subs["n"]), (sl3, catalog.sl3_so3(sl3)), (sl3, catalog.sl3_e12(sl3)),
-        (sl5, catalog.sl5_nilpotent_pair(sl5)),
+        (sl2, sl2_subs["n"]), (sl3, builders.sl3_so3(sl3)), (sl3, builders.sl3_e12(sl3)),
+        (sl5, builders.sl5_nilpotent_pair(sl5)),
     ]
     for g, h in pairs:
         cartan = default_cartan(g)
