@@ -43,6 +43,8 @@ def str_to_rat(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise InputError(f"rational entries must be strings, got {type(s).__name__}")
+    if "_" in s:  # Fraction takes Python's digit grouping; the format has none
+        raise InputError(f"bad rational literal {s!r}: underscores are not allowed")
     try:
         value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -62,12 +64,16 @@ def _vecs_from_json(data, where: str) -> list[Vec]:
     return [_vec_from_json(v, f"{where}[{i}]") for i, v in enumerate(data)]
 
 
-def _mat_from_json(data, where: str) -> RatMat:
+def _rows_from_json(data, where: str) -> list[list[Fraction]]:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise InputError(f"{where}: expected a matrix (list of rows)")
     if any(len(r) != len(data[0]) for r in data):
         raise InputError(f"{where}: rows have different lengths")
-    return RatMat([[str_to_rat(e) for e in row] for row in data])
+    return [[str_to_rat(e) for e in row] for row in data]
+
+
+def _mat_from_json(data, where: str) -> RatMat:
+    return RatMat(_rows_from_json(data, where))
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +101,10 @@ def parse_algebra(data: dict, where: str = "algebra") -> LieAlgebra:
                     for i, m in enumerate(data["basis"])]
             alg = LieAlgebra.from_realization(mats, name=name)
         else:
-            sc = [[[str_to_rat(c) for c in row] for row in plane] for plane in data["sc"]]
-            alg = LieAlgebra(sc, name=name)
+            if not isinstance(data["sc"], list) or not data["sc"]:
+                raise InputError(f"{where}.sc: expected a non-empty list of matrices")
+            alg = LieAlgebra([_rows_from_json(plane, f"{where}.sc[{i}]")
+                              for i, plane in enumerate(data["sc"])], name=name)
     except InputError:
         raise
     except Exception as exc:

@@ -69,6 +69,7 @@ CHECK_EXIT = {VAI_HOLDS: 0, VAI_FAILS: 3, VAI_NO_MEASURE: 4}
 
 FIT_TOLERANCE = 0.2
 MAX_GRID = 100_000
+MAX_SAMPLES = 100_000_000  # per grid point: about 30 s of membership on one core
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +316,8 @@ def cmd_estimate(args) -> tuple[dict, int]:
 
     model = get_model(args.space)
     grid = _parse_t_range(args.t_range)
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples is {args.samples}; limit is {MAX_SAMPLES}")
     if args.fit and len(grid) < 4:
         raise InputError("need >= 4 grid points for --fit")
 

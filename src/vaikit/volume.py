@@ -66,17 +66,21 @@ _GAMMA = 16 * 2.0 ** -53 / (1 - 16 * 2.0 ** -53)  # Higham's gamma_16, u = 2^-53
 
 
 @np.errstate(all="ignore")
-def _conic_bounds(k, a, b, starts, circle):
+def _conic_bounds(k, a, b, starts, circle, r2):
     """Certified floor and ceiling, per sample, of the least value of
     f(v) = k + v.A v + b.v on a conic v.C v = 1: the unit circle (C = I)
     or both branches of the hyperbola v1 v2 = 1 (C = [[0, 1/2], [1/2, 0]]).
-    `a` is (a11, a12, a22) of the symmetric A, `b` is (b1, b2).
+    `a` is (a11, a12, a22) of the symmetric A, `b` is (b1, b2); on the
+    hyperbola A must be diagonal, and its a12 terms are skipped.
 
-    The point: the best of `starts` (points on the conic), then two
-    safeguarded Newton steps in the conic's group parameter, the angle of
-    v -> R(s) v or the s of v -> (e^s v1, e^-s v2); a step goes -f'/|f''|
-    and is kept only where f drops.  With m = v.C v at the float point v
-    and q = v.A v, l = b.v:
+    The point, in stages: the best of `starts` (points on the conic), where
+    the bounds decide almost every sample against `r2`; then, only for the
+    samples whose [floor, ceiling] still holds r2, two safeguarded Newton
+    steps in the conic's group parameter, the angle of v -> R(s) v or the s
+    of v -> (e^s v1, e^-s v2), and the bounds again there.  A step goes
+    -f'/|f''| and is kept only where f drops.  The bounds below hold at any
+    float point v, so each stage's are certified.  With m = v.C v at v and
+    q = v.A v, l = b.v:
     - ceiling: f at the conic point v / sqrt(m) is k + q/m + l/sqrt(m),
       within (|q| + |l|) d / (1 - d) <= 2 d |f| of f(v) for any
       d >= |1 - m|, d <= 1/2;
@@ -110,6 +114,8 @@ def _conic_bounds(k, a, b, starts, circle):
     """
     a11, a12, a22 = a
     b1, b2 = b
+    # the helpers read these names when called, so the Newton stage's
+    # rebinding to the undecided samples reaches them
 
     def along(v1, v2, s):  # exp(s K) v, K the conic's group generator
         if circle:
@@ -119,51 +125,72 @@ def _conic_bounds(k, a, b, starts, circle):
         return e * v1, v2 / e
 
     def times_a(v1, v2):
-        return a11 * v1 + a12 * v2, a12 * v1 + a22 * v2
+        if circle:
+            return a11 * v1 + a12 * v2, a12 * v1 + a22 * v2
+        return a11 * v1, a22 * v2
 
     def value(v1, v2):
         av1, av2 = times_a(v1, v2)
         return k + (v1 * av1 + v2 * av2) + (b1 * v1 + b2 * v2)
 
-    # each further start, then each Newton step, replaces v where f drops
-    (v1, v2), fv = starts[0], value(*starts[0])
-    for step in starts[1:] + [None, None]:
-        if step is None:  # a Newton step along K: Kv, and K^2 = -1 or +1
-            kv1, kv2, sign = (-v2, v1, -1.0) if circle else (v1, -v2, 1.0)
-            (av1, av2), (akv1, akv2) = times_a(v1, v2), times_a(kv1, kv2)
-            slope = 2.0 * (kv1 * av1 + kv2 * av2) + b1 * kv1 + b2 * kv2
-            curve = (2.0 * (kv1 * akv1 + kv2 * akv2)
-                     + sign * (2.0 * (v1 * av1 + v2 * av2) + b1 * v1 + b2 * v2))
-            step = along(v1, v2, -slope / np.abs(curve))
+    def newton_step(v1, v2):  # along K: Kv, and K^2 = -1 or +1
+        kv1, kv2, sign = (-v2, v1, -1.0) if circle else (v1, -v2, 1.0)
+        (av1, av2), (akv1, akv2) = times_a(v1, v2), times_a(kv1, kv2)
+        slope = 2.0 * (kv1 * av1 + kv2 * av2) + b1 * kv1 + b2 * kv2
+        curve = (2.0 * (kv1 * akv1 + kv2 * akv2)
+                 + sign * (2.0 * (v1 * av1 + v2 * av2) + b1 * v1 + b2 * v2))
+        return along(v1, v2, -slope / np.abs(curve))
+
+    def bounds(v1, v2):
+        av1, av2 = times_a(v1, v2)
+        q, l = v1 * av1 + v2 * av2, b1 * v1 + b2 * v2
+        f = k + q + l
+        if circle:
+            s1 = np.abs(a11 * v1) + np.abs(a12 * v2)
+            s2 = np.abs(a12 * v1) + np.abs(a22 * v2)
+        else:
+            s1, s2 = np.abs(av1), np.abs(av2)
+        f_abs = (np.abs(k) + np.abs(v1) * s1 + np.abs(v2) * s2
+                 + np.abs(b1 * v1) + np.abs(b2 * v2))
+        m = v1 * v1 + v2 * v2 if circle else v1 * v2
+        defect = np.abs(1.0 - m) + _GAMMA * np.abs(m)
+        ceiling = np.where(defect <= 0.5, f + (_GAMMA + 2.0 * defect) * f_abs, np.inf)
+
+        mu = q + l / 2.0
+        if circle:
+            m11, m12, m22, cv1, cv2 = a11 - mu, a12, a22 - mu, v1, v2
+        else:
+            m11, m12, m22, cv1, cv2 = a11, -mu / 2.0, a22, v2 / 2.0, v1 / 2.0
+        res1, res2 = av1 - mu * cv1 + b1 / 2.0, av2 - mu * cv2 + b2 / 2.0
+        r_err = _GAMMA * (s1 + s2 + np.abs(mu) * (np.abs(cv1) + np.abs(cv2))
+                          + (np.abs(b1) + np.abs(b2)) / 2.0)
+        w = m22 * res1 * res1 - 2.0 * m12 * res1 * res2 + m11 * res2 * res2
+        w_abs = (np.abs(m22) * res1 * res1 + 2.0 * np.abs(m12 * res1 * res2)
+                 + np.abs(m11) * res2 * res2)
+        det_lo = m11 * m22 - m12 * m12 - _GAMMA * (np.abs(m11 * m22) + m12 * m12)
+        tr = (m11 + m22) * (1.0 + _GAMMA)
+        gap = (np.sqrt(w + _GAMMA * w_abs) + np.sqrt(tr) * r_err) ** 2 / det_lo
+        floor = f - _GAMMA * f_abs - np.abs(mu) * defect - gap
+        return np.where((m11 > 0.0) & (det_lo > 0.0), floor, -np.inf), ceiling
+
+    def keep_better(v1, v2, fv, step):  # step where f drops, else v
         f_step = value(*step)
         better = f_step < fv
-        v1, v2 = np.where(better, step[0], v1), np.where(better, step[1], v2)
-        fv = np.where(better, f_step, fv)
+        return (np.where(better, step[0], v1), np.where(better, step[1], v2),
+                np.where(better, f_step, fv))
 
-    av1, av2 = times_a(v1, v2)
-    q, l = v1 * av1 + v2 * av2, b1 * v1 + b2 * v2
-    f = k + q + l
-    s1, s2 = np.abs(a11 * v1) + np.abs(a12 * v2), np.abs(a12 * v1) + np.abs(a22 * v2)
-    f_abs = np.abs(k) + np.abs(v1) * s1 + np.abs(v2) * s2 + np.abs(b1 * v1) + np.abs(b2 * v2)
-    m = v1 * v1 + v2 * v2 if circle else v1 * v2
-    defect = np.abs(1.0 - m) + _GAMMA * np.abs(m)
-    ceiling = np.where(defect <= 0.5, f + (_GAMMA + 2.0 * defect) * f_abs, np.inf)
-
-    mu = q + l / 2.0
-    if circle:
-        m11, m12, m22, cv1, cv2 = a11 - mu, a12, a22 - mu, v1, v2
-    else:
-        m11, m12, m22, cv1, cv2 = a11, a12 - mu / 2.0, a22, v2 / 2.0, v1 / 2.0
-    r1, r2 = av1 - mu * cv1 + b1 / 2.0, av2 - mu * cv2 + b2 / 2.0
-    r_err = _GAMMA * (s1 + s2 + np.abs(mu) * (np.abs(cv1) + np.abs(cv2))
-                      + (np.abs(b1) + np.abs(b2)) / 2.0)
-    w = m22 * r1 * r1 - 2.0 * m12 * r1 * r2 + m11 * r2 * r2
-    w_abs = np.abs(m22) * r1 * r1 + 2.0 * np.abs(m12 * r1 * r2) + np.abs(m11) * r2 * r2
-    det_lo = m11 * m22 - m12 * m12 - _GAMMA * (np.abs(m11 * m22) + m12 * m12)
-    tr = (m11 + m22) * (1.0 + _GAMMA)
-    gap = (np.sqrt(w + _GAMMA * w_abs) + np.sqrt(tr) * r_err) ** 2 / det_lo
-    floor = f - _GAMMA * f_abs - np.abs(mu) * defect - gap
-    return np.where((m11 > 0.0) & (det_lo > 0.0), floor, -np.inf), ceiling
+    (v1, v2), fv = starts[0], value(*starts[0])
+    for start in starts[1:]:
+        v1, v2, fv = keep_better(v1, v2, fv, start)
+    floor, ceiling = bounds(v1, v2)
+    undecided = np.flatnonzero(~((ceiling < r2) | (floor > r2)))
+    if undecided.size:
+        k, a11, a12, a22, b1, b2, v1, v2, fv = (
+            x[undecided] if np.ndim(x) else x for x in (k, a11, a12, a22, b1, b2, v1, v2, fv))
+        for _ in range(2):
+            v1, v2, fv = keep_better(v1, v2, fv, newton_step(v1, v2))
+        floor[undecided], ceiling[undecided] = bounds(v1, v2)
+    return floor, ceiling
 
 
 def _require_finite(model_name, coefs):
@@ -285,22 +312,26 @@ class SPD2Model(SpaceModel):
     q2 sin 2phi + p1 cos phi + q1 sin phi.
     - Pre-floor: every value of f is at least k0 - |(p2, q2)| - |(p1, q1)|
       (the Lagrangian dual of the next step at the fixed multiplier
-      -|(p2, q2)| - |(p1, q1)|/2).  A sample whose floor exceeds r^2 by
-      1e-9 (|k0| + |(p2, q2)| + |(p1, q1)|) is a miss without a root
-      solve: the float values the root path compares carry rounding of
-      order 1e-15 times that same sum, six orders below the margin.
+      -|(p2, q2)| - |(p1, q1)|/2).  Its float value carries at most
+      4 roundings on any term's path (a square, the sum of squares, the
+      square root, which halves the relative error it is given, and the
+      two subtractions), so it is within gamma_4 (|k0| + |(p2, q2)| +
+      |(p1, q1)|) of the exact floor, and subtracting `_GAMMA` times that
+      sum, whose own evaluation the 12u of slack covers, leaves a
+      certified floor: a sample where it exceeds r^2 is a miss.
     - Filter: f is a quadratic on the circle (cos phi, sin phi), and
       `_conic_bounds` gives a certified ceiling (a hit below r^2) and
-      floor (a miss above it).  On the benchmark grid, t <= 4, it decides
-      all but about 1 in 10^5 of the samples past the pre-floor; the
-      undecided share grows past t = 6 (26% at t = 7), where f's rounding
-      nears r^2.
-    - The rest: `_quartic_minimum` takes f, rational in tan(phi/2)
-      (`_distance`), at the real parts of all four eigvals roots of the
-      quartic: actual angles, so never below the true minimum, and a
-      near-double root split into a complex pair keeps its real part.
-      phi = pi, the one angle the substitution misses, is taken
-      separately.
+      floor (a miss above it), at the best start for almost every sample
+      and after two Newton steps for the few that start leaves undecided.
+      On the benchmark grid, t <= 4, it decides all but about 1 in 10^5
+      of the samples past the pre-floor; the undecided share grows past
+      t = 6, where f's rounding nears r^2.
+    - The rest, only where some sample is left: `_quartic_minimum` takes
+      f, rational in tan(phi/2) (`_distance`), at the real parts of all
+      four eigvals roots of the quartic: actual angles, so never below
+      the true minimum, and a near-double root split into a complex pair
+      keeps its real part.  phi = pi, the one angle the substitution
+      misses, is taken separately.
 
     The radius domain is r < 1, where `chart_box` is proved to hold every
     ball image.
@@ -390,7 +421,7 @@ class SPD2Model(SpaceModel):
         return _require_finite(self.name, (k0, p2, q2, p1, q1))
 
     @staticmethod
-    def _bounds(k0, p2, q2, p1, q1):
+    def _bounds(k0, p2, q2, p1, q1, r2):
         """`_conic_bounds` of f on the circle (cos phi, sin phi), where
         f = k0 + (c, s).[[p2, q2], [q2, -p2]] (c, s) + (p1, q1).(c, s);
         starts: the two minima of the second harmonic, the first's minimum."""
@@ -398,7 +429,8 @@ class SPD2Model(SpaceModel):
             half = np.arctan2(q2, p2) / 2.0
             c, s, amp1 = -np.sin(half), np.cos(half), np.sqrt(p1 * p1 + q1 * q1)
             return _conic_bounds(k0, (p2, q2, -p2), (p1, q1),
-                                 [(c, s), (-c, -s), (-p1 / amp1, -q1 / amp1)], circle=True)
+                                 [(c, s), (-c, -s), (-p1 / amp1, -q1 / amp1)],
+                                 circle=True, r2=r2)
 
     @staticmethod
     def _angle_quartic(p2, q2, p1, q1):
@@ -418,21 +450,22 @@ class SPD2Model(SpaceModel):
         coefs = self._angle_coefficients(z, coords)
         k0, p2, q2, p1, q1 = coefs
         r2 = radius * radius
+        # f >= k0 - amp2 - amp1 at every phi, so a pre-floor above r^2
+        # is a certified miss; only the rest need the bounds
         with np.errstate(over="ignore"):  # an overflowing square: floor -inf
             amp2, amp1 = np.sqrt(p2 * p2 + q2 * q2), np.sqrt(p1 * p1 + q1 * q1)
-        # f >= k0 - amp2 - amp1 at every phi, so a floor clear of r^2 by
-        # the margin is a certified miss; only the rest need the bounds
-        margin = 1e-9 * (np.abs(k0) + amp2 + amp1)
-        rest = np.flatnonzero(k0 - amp2 - amp1 <= r2 + margin)
+            pre_floor = k0 - amp2 - amp1 - _GAMMA * (np.abs(k0) + amp2 + amp1)
+        rest = np.flatnonzero(pre_floor <= r2)
         coefs = tuple(c[rest] for c in coefs)
-        floor, ceiling = self._bounds(*coefs)
+        floor, ceiling = self._bounds(*coefs, r2)
         hit = np.zeros(len(coords), dtype=bool)
         hit[rest] = ceiling < r2
         band = np.flatnonzero(~((ceiling < r2) | (floor > r2)))
-        k0, p2, q2, p1, q1 = coefs = tuple(c[band] for c in coefs)
-        best = _quartic_minimum(self._angle_quartic(p2, q2, p1, q1),
-                                lambda x: self._distance(x, *coefs))
-        hit[rest[band]] = np.minimum(best, k0 + p2 - p1) <= r2
+        if band.size:
+            k0, p2, q2, p1, q1 = coefs = tuple(c[band] for c in coefs)
+            best = _quartic_minimum(self._angle_quartic(p2, q2, p1, q1),
+                                    lambda x: self._distance(x, *coefs))
+            hit[rest[band]] = np.minimum(best, k0 + p2 - p1) <= r2
         return hit
 
     def membership(self, z, w, radius):
@@ -536,11 +569,13 @@ class HyperboloidModel(SpaceModel):
 
     With y = 1/x, f = ((P+Q) x^2 + (P-Q) y^2) / 2 + R - (D+E) x - (D-E) y
     is a quadratic on the hyperbola x y = 1, and `_conic_bounds` decides
-    each sample as in SPD2Model (no pre-floor): on the benchmark grid,
+    each sample as in SPD2Model (no pre-floor), at the best start and then
+    after two Newton steps for the few left: on the benchmark grid,
     t <= 4, it decides every sample measured, and 3% are undecided at
-    t = 7.  Only those reach `_quartic_minimum`: `_distance` at the real
-    parts of the quartic's four eigvals roots, each a point x of one
-    component, so never below the true minimum.
+    t = 7.  Only those, and only where there are any, reach
+    `_quartic_minimum`: `_distance` at the real parts of the quartic's
+    four eigvals roots, each a point x of one component, so never below
+    the true minimum.
     The float range is |a| <= 9.0e6 (t <= 8.35): there the eigenvector
     determinant rounds by eps (1 + |a|) / 2 < 1e-9 relative.  The radius
     domain is r <= 1.2, where `chart_box` is proved to hold every ball
@@ -685,7 +720,7 @@ class HyperboloidModel(SpaceModel):
         return _require_finite(self.name, coefs), good
 
     @staticmethod
-    def _bounds(p_co, q_co, r_co, tr_g, tr_h):
+    def _bounds(p_co, q_co, r_co, tr_g, tr_h, r2):
         """`_conic_bounds` of f = a11 x^2 + a22 y^2 + R - (tr G + tr H) x
         - (tr G - tr H) y on the hyperbola x y = 1, a11, a22 = (P +- Q) / 2;
         starts: the minima of the quadratic part on both branches."""
@@ -693,7 +728,7 @@ class HyperboloidModel(SpaceModel):
         with np.errstate(invalid="ignore", divide="ignore"):
             x = np.sqrt(np.sqrt(a22 / a11))
             return _conic_bounds(r_co, (a11, 0.0, a22), (-(tr_g + tr_h), -(tr_g - tr_h)),
-                                 [(x, 1.0 / x), (-x, -1.0 / x)], circle=False)
+                                 [(x, 1.0 / x), (-x, -1.0 / x)], circle=False, r2=r2)
 
     @staticmethod
     def _stabilizer_quartic(p_co, q_co, r_co, tr_g, tr_h):
@@ -711,12 +746,13 @@ class HyperboloidModel(SpaceModel):
     def _membership_points(self, z, points, radius):
         coefs, good = self._stabilizer_coefficients(z, points)
         r2 = radius * radius
-        floor, ceiling = self._bounds(*coefs)
+        floor, ceiling = self._bounds(*coefs, r2)
         hit = ceiling < r2
         band = np.flatnonzero(~(hit | (floor > r2)))
-        coefs = tuple(c[band] for c in coefs)
-        hit[band] = _quartic_minimum(self._stabilizer_quartic(*coefs),
-                                     lambda x: self._distance(x, *coefs)) <= r2
+        if band.size:
+            coefs = tuple(c[band] for c in coefs)
+            hit[band] = _quartic_minimum(self._stabilizer_quartic(*coefs),
+                                         lambda x: self._distance(x, *coefs)) <= r2
         return good & hit
 
     def membership(self, z, w, radius):

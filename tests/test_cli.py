@@ -180,6 +180,31 @@ class TestCheck:
         assert err.startswith("error:") and named in err
         assert err.count("\n") == 1
 
+    # read character by character, a string tensor was the 1-dimensional
+    # abelian algebra and an empty one the 0-dimensional algebra
+    @pytest.mark.parametrize("sc,named", [
+        ("0", ".sc: expected a non-empty list of matrices"),
+        (["0"], ".sc[0]: expected a matrix"),
+        ([], ".sc: expected a non-empty list of matrices"),
+    ], ids=["string", "string-plane", "empty"])
+    def test_malformed_structure_tensor_is_input_error(self, capsys, tmp_path, sc, named):
+        algebra, line = tmp_path / "algebra.json", tmp_path / "line.json"
+        algebra.write_text(json.dumps({"name": "x", "sc": sc}))
+        line.write_text(json.dumps({"name": "line", "basis": [["1"]]}))
+        code, out, err = run_cli(capsys, "check", "--algebra", str(algebra),
+                                 "--subalgebra", str(line))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {algebra}{named}") and err.count("\n") == 1
+
+    def test_underscore_literal_is_input_error(self, capsys, tmp_path):
+        # Fraction reads "1_0" as 10, which made this the line of H
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps({"name": "h", "basis": [["1_0", "0", "0"]]}))
+        code, out, err = run_cli(capsys, "check", "--algebra", d("sl2.json"),
+                                 "--subalgebra", str(sub))
+        assert (code, out) == (2, "")
+        assert err == "error: bad rational literal '1_0': underscores are not allowed\n"
+
     def test_report_roundtrips(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--algebra", d("sl2.json"),
                             "--subalgebra", d("sl2-n.json"))
@@ -403,6 +428,15 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert err == (f"error: {space}: radius {radius} is outside the model's "
                        f"radius domain {domain}\n")
+
+    # the second count's batch list alone does not fit in memory
+    @pytest.mark.parametrize("samples", ["100000001", "99999999999999999999"])
+    def test_samples_over_the_limit(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "estimate", "--space", "sl2-mod-n", "--t-range", "0:1:0.5",
+            "--radius", "0.3", "--samples", samples, "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --samples is {samples}; limit is 100000000\n"
 
     def test_unknown_space(self, capsys):
         code, _, err = run_cli(
