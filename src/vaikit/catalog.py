@@ -23,6 +23,7 @@ the builders in ``tests/builders.py`` regenerate them.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,13 +39,21 @@ def rat_to_str(x: Fraction) -> str:
     return str(rat(x))
 
 
+MAX_LITERAL_CHARS = MAX_EXPONENT = 1000  # Fraction("1e999999999") builds a 415 MB integer
+
+
 def str_to_rat(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise InputError(f"rational entries must be strings, got {type(s).__name__}")
+    if len(s) > MAX_LITERAL_CHARS:
+        raise InputError(f"rational literal of {len(s)} characters; limit is {MAX_LITERAL_CHARS}")
     if "_" in s:  # Fraction takes Python's digit grouping; the format has none
         raise InputError(f"bad rational literal {s!r}: underscores are not allowed")
+    exponent = re.search(r"[eE]([-+]?\d+)", s)
+    if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        raise InputError(f"bad rational literal {s!r}: decimal exponent beyond +-{MAX_EXPONENT}")
     try:
         value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -10,8 +10,8 @@ powers multiply the integer rows, eliminations combine primitive integer
 rows fraction-free, determinants and characteristic polynomials are
 division-free (Bareiss, Berkowitz), and each divides once on the way
 out, so results equal Fraction arithmetic's entry for entry.  One
-integer Sturm sequence decides squarefreeness and isolates rational
-roots, so no coefficient is ever factored.
+integer Sturm sequence decides squarefreeness, isolates rational roots
+and counts real roots, so no coefficient is ever factored.
 
 Fractions appear only at the edges: in the entries ``rat``/``vec`` and
 the ``RatMat`` constructor parse, in the vectors, scalars and
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, ne
 
 from .errors import IrrationalSpectrum, NotSemisimple
 
@@ -455,6 +455,15 @@ def _sturm(a: list[int]) -> list[list[int]]:
                 u.pop()
         r = _primitive([-x for x in u])
     return seq
+
+
+def real_root_count(a: list[int]) -> int:
+    """Distinct real roots of the integer polynomial a (a[-1] != 0): V(-inf) - V(+inf) of its
+    Sturm sequence, whose members have their lead's sign at +inf, times (-1)^degree at -inf."""
+    seq = _sturm(a)
+    pos = [b[-1] > 0 for b in seq]
+    neg = [p == (len(b) % 2 == 1) for p, b in zip(pos, seq)]
+    return sum(map(ne, neg, neg[1:])) - sum(map(ne, pos, pos[1:]))
 
 
 def char_poly(m: RatMat) -> Poly:

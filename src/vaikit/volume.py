@@ -26,40 +26,31 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import EmptyBox, InputError, TooFewPoints
+from .exact import real_root_count
 
 BATCH = 16384
+MAX_SAMPLES = 100_000_000  # per grid point: about 30 s of membership on one core
 
 
-def _quartic_roots(a4, a3, a2, a1, a0):
-    """All four roots of batched quartics, complex (N, 4), as the
-    eigenvalues of the companion matrix.
-
-    Coefficients are normalized per sample; a vanishing leading
-    coefficient is nudged, which sends the lost root to a huge value
-    that downstream evaluation treats like the point at infinity.
-    """
-    stack = np.stack([a4, a3, a2, a1, a0])
-    scale = np.abs(stack).max(axis=0)
-    a4, a3, a2, a1, a0 = stack / np.where(scale > 0.0, scale, 1.0)
-    lead = np.where(np.abs(a4) < 1e-13, np.where(a4 >= 0, 1e-13, -1e-13), a4)
-    comp = np.zeros((len(lead), 4, 4))
-    comp[:, 0] = -np.stack([a3, a2, a1, a0], axis=1) / lead[:, None]
-    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    return np.linalg.eigvals(comp)
+def _dyadic(values):
+    """Integers n_i and a power of two d with float values_i = n_i / d."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
 
 
-@np.errstate(all="ignore")
-def _quartic_minimum(quartic, value):
-    """Least `value(x)` over x (4, n), the real parts of the four roots of
-    each sample's critical quartic, non-finite counting as +inf.
+def _reaches(a, b, c, weight, r2):
+    """Whether F = ||x^2 a + x b + c||_F^2 - r2 weight(x) is <= 0 at a real
+    x or as x -> +-inf, exactly, for flat integer 2x2 matrices a, b, c, an
+    integer quartic weight (ascending) and a float r2: F's x^4 coefficient
+    decides the limit, and past a positive one F <= 0 exactly at a root."""
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
-    Every real part is a real point of the model's parameter, so the
-    least value is never below the true minimum; a near-double real root
-    that rounding splits into a complex pair keeps its real part, where
-    dropping the non-real roots would lose it.
-    """
-    vals = value(_quartic_roots(*quartic).real.T)
-    return np.where(np.isfinite(vals), vals, np.inf).min(axis=0)
+    num, den = r2.as_integer_ratio()
+    norm = (dot(c, c), 2 * dot(b, c), dot(b, b) + 2 * dot(a, c), 2 * dot(a, b), dot(a, a))
+    quartic = [den * n - num * w for n, w in zip(norm, weight)]
+    return quartic[4] <= 0 or real_root_count(quartic) > 0
 
 
 _GAMMA = 16 * 2.0 ** -53 / (1 - 16 * 2.0 ** -53)  # Higham's gamma_16, u = 2^-53
@@ -303,10 +294,7 @@ class SPD2Model(SpaceModel):
     plain Lebesgue measure du dtau.  Membership reduces to minimizing
     ||q R(phi) p^{-1} - 1||_F^2 over the rotation angle, a trig
     polynomial with harmonics at phi and 2*phi (the second harmonic
-    vanishes only at the identity base point).  Its critical points are
-    the real roots of a quartic in tan(phi/2), so the global minimum is
-    found exactly; grid search misses the razor-thin valleys that appear
-    once the base point is strongly stretched.
+    vanishes only at the identity base point).
 
     Membership decides in three steps, with f = k0 + p2 cos 2phi +
     q2 sin 2phi + p1 cos phi + q1 sin phi.
@@ -326,12 +314,13 @@ class SPD2Model(SpaceModel):
       On the benchmark grid, t <= 4, it decides all but about 1 in 10^5
       of the samples past the pre-floor; the undecided share grows past
       t = 6, where f's rounding nears r^2.
-    - The rest, only where some sample is left: `_quartic_minimum` takes
-      f, rational in tan(phi/2) (`_distance`), at the real parts of all
-      four eigvals roots of the quartic: actual angles, so never below
-      the true minimum, and a near-double root split into a complex pair
-      keeps its real part.  phi = pi, the one angle the substitution
-      misses, is taken separately.
+    - Exact stage, for the samples left: with the float q = sqrt(W) and
+      p^{-1/2} read as integers over powers of two, U = q p^{-1/2} and
+      V = q J p^{-1/2} (J the rotation generator) give f = ||cos phi U +
+      sin phi V - 1||_F^2.  With x = tan(phi/2), F(x) = (f - r^2)(1 + x^2)^2
+      is an integer quartic with x^4 coefficient f(pi) - r^2, so the sample
+      is a hit exactly when that is <= 0 or F has a real root (`_reaches`),
+      against the float r^2 the filter compares with.
 
     The radius domain is r < 1, where `chart_box` is proved to hold every
     ball image.
@@ -390,7 +379,8 @@ class SPD2Model(SpaceModel):
 
     def _angle_coefficients(self, z, coords):
         """(k0, p2, q2, p1, q1) of the distance as a trig polynomial,
-        f(phi) = k0 + p2 cos 2phi + q2 sin 2phi + p1 cos phi + q1 sin phi."""
+        f(phi) = k0 + p2 cos 2phi + q2 sin 2phi + p1 cos phi + q1 sin phi;
+        (q11, q12, q22) of q = sqrt(W) per sample; and p^{-1/2}."""
         p = np.asarray(z, dtype=float)
         p_inv = np.linalg.inv(self._sqrt_spd(p))
         big_p_inv = np.linalg.inv(p)
@@ -418,7 +408,7 @@ class SPD2Model(SpaceModel):
             q2 = 2.0 * (a2 * b1 - a1 * b2)
             p1 = -2.0 * (c11 + c22)
             q1 = -2.0 * (c12 - c21)
-        return _require_finite(self.name, (k0, p2, q2, p1, q1))
+        return _require_finite(self.name, (k0, p2, q2, p1, q1)), (q11, q12, q22), p_inv
 
     @staticmethod
     def _bounds(k0, p2, q2, p1, q1, r2):
@@ -433,21 +423,23 @@ class SPD2Model(SpaceModel):
                                  circle=True, r2=r2)
 
     @staticmethod
-    def _angle_quartic(p2, q2, p1, q1):
-        # critical points: with t = tan(phi/2), f'(phi)(1+t^2)^2 is this
-        # quartic; phi = pi is the one point the substitution misses
-        return (2.0 * q2 - q1, 8.0 * p2 - 2.0 * p1, -12.0 * q2,
-                -8.0 * p2 - 2.0 * p1, 2.0 * q2 + q1)
-
-    @staticmethod
-    def _distance(x, k0, p2, q2, p1, q1):
-        # f at phi = 2 atan(x), rational in x
-        cos1, sin1 = (1.0 - x * x) / (1.0 + x * x), 2.0 * x / (1.0 + x * x)
-        return (k0 + p2 * (cos1 * cos1 - sin1 * sin1)
-                + q2 * (2.0 * sin1 * cos1) + p1 * cos1 + q1 * sin1)
+    def _exact_hits(q, p_inv, r2):
+        """The exact stage's decisions, from the float q (q11, q12, q22) and p_inv."""
+        (i11, i12, i21, i22), d_p = _dyadic(p_inv.ravel().tolist())
+        hits = []
+        for row in zip(*(c.tolist() for c in q)):
+            (a, b, c), d_q = _dyadic(row)
+            s = d_p * d_q
+            u = (a * i11 + b * i21, a * i12 + b * i22, b * i11 + c * i21, b * i12 + c * i22)
+            v = (b * i11 - a * i21, b * i12 - a * i22, c * i11 - b * i21, c * i12 - b * i22)
+            # s^2 F = ||x^2 (U + 1) - 2 x V - (U - 1)||^2 - r2 s^2 (1 + x^2)^2
+            hits.append(_reaches((u[0] + s, u[1], u[2], u[3] + s), [-2 * e for e in v],
+                                 (s - u[0], -u[1], -u[2], s - u[3]),
+                                 (s * s, 0, 2 * s * s, 0, s * s), r2))
+        return np.array(hits, dtype=bool)
 
     def membership_chart(self, z, coords, radius):
-        coefs = self._angle_coefficients(z, coords)
+        coefs, q, p_inv = self._angle_coefficients(z, coords)
         k0, p2, q2, p1, q1 = coefs
         r2 = radius * radius
         # f >= k0 - amp2 - amp1 at every phi, so a pre-floor above r^2
@@ -462,10 +454,7 @@ class SPD2Model(SpaceModel):
         hit[rest] = ceiling < r2
         band = np.flatnonzero(~((ceiling < r2) | (floor > r2)))
         if band.size:
-            k0, p2, q2, p1, q1 = coefs = tuple(c[band] for c in coefs)
-            best = _quartic_minimum(self._angle_quartic(p2, q2, p1, q1),
-                                    lambda x: self._distance(x, *coefs))
-            hit[rest[band]] = np.minimum(best, k0 + p2 - p1) <= r2
+            hit[rest[band]] = self._exact_hits(tuple(c[rest[band]] for c in q), p_inv, r2)
         return hit
 
     def membership(self, z, w, radius):
@@ -557,25 +546,21 @@ class HyperboloidModel(SpaceModel):
     a = rho cos psi, beta = rho sin psi, rho = sqrt(1 + delta^2), give a
     global chart in which the Gelfand-Leray measure of a^2 + bc (i.e.
     da db dc / |grad|) is exactly dpsi ddelta.  Membership: one
-    conjugator g0 is built from
-    eigenvector matrices, the stabilizer is {+-exp(s X_z)}, and
-    ||g0 exp(s X_z) - 1||_F^2 = P cosh 2s + Q sinh 2s + R -+ 2(D cosh s
-    + E sinh s) is minimized over s on both sign components.  With
-    x = +-e^s on the +-1 component both read
-    f = ((P+Q) x^2 + (P-Q) / x^2) / 2 + R - (D+E) x - (D-E) / x
-    (`_distance`), so the real roots of one quartic in x are the critical
-    points of both: the positive ones of the +1 component, the negative
-    ones of the -1 component, and the global minimum is exact.
-
-    With y = 1/x, f = ((P+Q) x^2 + (P-Q) y^2) / 2 + R - (D+E) x - (D-E) y
-    is a quadratic on the hyperbola x y = 1, and `_conic_bounds` decides
-    each sample as in SPD2Model (no pre-floor), at the best start and then
-    after two Newton steps for the few left: on the benchmark grid,
-    t <= 4, it decides every sample measured, and 3% are undecided at
-    t = 7.  Only those, and only where there are any, reach
-    `_quartic_minimum`: `_distance` at the real parts of the quartic's
-    four eigvals roots, each a point x of one component, so never below
-    the true minimum.
+    conjugator g0 is built from eigenvector matrices, the stabilizer is
+    {+-exp(s X_z)}, and with G = g0, H = g0 X_z (X_z^2 = 1),
+    f = ||+-(cosh s G + sinh s H) - 1||_F^2 is minimized over s on both
+    sign components.  With x = +-e^s on the +-1 component the matrix is
+    (x (G + H) + (G - H) / x) / 2, one function of x for both.  Membership
+    decides in two steps.
+    - Filter: with y = 1/x, f is a quadratic in (x, y) on the hyperbola
+      x y = 1, its coefficients from `_stabilizer_coefficients`, and
+      `_conic_bounds` decides it as in SPD2Model (no pre-floor): every
+      sample measured at t <= 4, 97% of them at t = 7 and 29% at t = 8.
+    - Exact stage, for the samples left: with the float G and H read as
+      integers over a power of two, F(x) = 4 x^2 (f - r^2) = ||x^2 (G + H)
+      + (G - H) - 2 x 1||_F^2 - 4 r^2 x^2 is an integer quartic with
+      F(0) > 0, so the sample is a hit exactly when F has a real root
+      (`_reaches`), against the float r^2 the filter compares with.
     The float range is |a| <= 9.0e6 (t <= 8.35): there the eigenvector
     determinant rounds by eps (1 + |a|) / 2 < 1e-9 relative.  The radius
     domain is r <= 1.2, where `chart_box` is proved to hold every ball
@@ -666,19 +651,19 @@ class HyperboloidModel(SpaceModel):
         rho = np.sqrt(1.0 + delta * delta)
         a = rho * np.cos(psi)
         beta = rho * np.sin(psi)
-        return np.column_stack([a, beta + delta, beta - delta])
+        return a, beta + delta, beta - delta
 
     def membership_chart(self, z, coords, radius):
         return self._membership_points(z, self.from_chart(coords), radius)
 
     def _stabilizer_coefficients(self, z, points):
-        """(P, Q, R, tr G, tr H) of ||g0 exp(s X_z) - 1||_F^2 per point,
-        and the mask of points whose eigenvector matrix is usable."""
+        """Per point of the columns (a, b, c): (P, Q, R, tr G, tr H) of ||g0 exp(s X_z)
+        - 1||_F^2, the mask of usable eigenvector matrices, and G = g0, H = g0 X_z."""
         p_z = self._diagonalizer(z)
         p_z_inv = np.linalg.inv(p_z)
         x_z = _orbit_matrix(z)
 
-        a, b, c = points[:, 0], points[:, 1], points[:, 2]
+        a, b, c = points
         with np.errstate(over="ignore", invalid="ignore"):
             # per-sample eigenvector matrix q with w = q H q^{-1}, det 1
             pos = a >= 0.0
@@ -717,7 +702,8 @@ class HyperboloidModel(SpaceModel):
             q_co = cross
             r_co = (norm_g - norm_h) / 2.0 + 2.0
         coefs = (p_co, q_co, r_co, tr_g, tr_h)
-        return _require_finite(self.name, coefs), good
+        return (_require_finite(self.name, coefs), good,
+                ((g11, g12, g21, g22), (h11, h12, h21, h22)))
 
     @staticmethod
     def _bounds(p_co, q_co, r_co, tr_g, tr_h, r2):
@@ -731,33 +717,28 @@ class HyperboloidModel(SpaceModel):
                                  [(x, 1.0 / x), (-x, -1.0 / x)], circle=False, r2=r2)
 
     @staticmethod
-    def _stabilizer_quartic(p_co, q_co, r_co, tr_g, tr_h):
-        # with x = +-e^s on the +-1 component, f'(s) * 2x^2 is this quartic
-        return (p_co + q_co, -(tr_g + tr_h), np.zeros_like(p_co),
-                tr_g - tr_h, q_co - p_co)
-
-    @staticmethod
-    def _distance(x, p_co, q_co, r_co, tr_g, tr_h):
-        # f at x = +-e^s, on the component of the sign of x
-        inv = 1.0 / x
-        return (((p_co + q_co) * x * x + (p_co - q_co) * inv * inv) / 2.0
-                + r_co - (tr_g + tr_h) * x - (tr_g - tr_h) * inv)
+    def _exact_hits(g, h, r2):
+        """The exact stage's decisions, from the float entries of G and H."""
+        hits = []
+        for row in zip(*(e.tolist() for e in (*g, *h))):
+            ints, d = _dyadic(row)
+            pairs = list(zip(ints[:4], ints[4:]))
+            hits.append(_reaches([x + y for x, y in pairs], (-2 * d, 0, 0, -2 * d),
+                                 [x - y for x, y in pairs], (0, 0, 4 * d * d, 0, 0), r2))
+        return np.array(hits, dtype=bool)
 
     def _membership_points(self, z, points, radius):
-        coefs, good = self._stabilizer_coefficients(z, points)
+        coefs, good, (g, h) = self._stabilizer_coefficients(z, points)
         r2 = radius * radius
         floor, ceiling = self._bounds(*coefs, r2)
         hit = ceiling < r2
         band = np.flatnonzero(~(hit | (floor > r2)))
         if band.size:
-            coefs = tuple(c[band] for c in coefs)
-            hit[band] = _quartic_minimum(self._stabilizer_quartic(*coefs),
-                                         lambda x: self._distance(x, *coefs)) <= r2
+            hit[band] = self._exact_hits(tuple(e[band] for e in g), tuple(e[band] for e in h), r2)
         return good & hit
 
     def membership(self, z, w, radius):
-        pt = np.asarray(w, dtype=float)[None, :]
-        return bool(self._membership_points(z, pt, radius)[0])
+        return bool(self._membership_points(z, np.asarray(w, dtype=float)[:, None], radius)[0])
 
     apply = ConeModel.apply
 
@@ -823,6 +804,8 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
         raise InputError("seed must be nonnegative")
     if samples < 1000:
         raise InputError("need at least 1000 samples")
+    if samples > MAX_SAMPLES:
+        raise InputError(f"need at most {MAX_SAMPLES} samples, got {samples}")
     lo, hi = model.chart_box(z, radius)
     with np.errstate(over="ignore"):
         box_measure = float(np.prod(hi - lo))

@@ -205,6 +205,20 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: bad rational literal '1_0': underscores are not allowed\n"
 
+    # Fraction would compute 10**exponent: "1e999999999" builds a 415 MB integer
+    @pytest.mark.parametrize("literal, message", [
+        ("1e1001", "bad rational literal '1e1001': decimal exponent beyond +-1000"),
+        ("1.5E-1001", "bad rational literal '1.5E-1001': decimal exponent beyond +-1000"),
+        ("1" * 1001, "rational literal of 1001 characters; limit is 1000")],
+        ids=["exponent", "negative-exponent", "length"])
+    def test_oversized_literal_is_input_error(self, capsys, tmp_path, literal, message):
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps({"name": "h", "basis": [[literal, "0", "0"]]}))
+        code, out, err = run_cli(capsys, "check", "--algebra", d("sl2.json"),
+                                 "--subalgebra", str(sub))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_report_roundtrips(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--algebra", d("sl2.json"),
                             "--subalgebra", d("sl2-n.json"))
@@ -436,7 +450,7 @@ class TestEstimate:
             capsys, "estimate", "--space", "sl2-mod-n", "--t-range", "0:1:0.5",
             "--radius", "0.3", "--samples", samples, "--seed", "1")
         assert (code, out) == (2, "")
-        assert err == f"error: --samples is {samples}; limit is 100000000\n"
+        assert err == f"error: need at most 100000000 samples, got {samples}\n"
 
     def test_unknown_space(self, capsys):
         code, _, err = run_cli(

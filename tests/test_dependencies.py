@@ -72,6 +72,16 @@ def _definitions(tree: ast.Module):
                         and not (m.name.startswith("__") and m.name.endswith("__")))
 
 
+def _named_elsewhere(node, path, lines, texts) -> bool:
+    """Whether node's name appears in `texts` (path -> text) outside node's
+    own definition; `lines` are path's lines."""
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    outside = lines[:first - 1] + lines[node.end_lineno:]
+    word = re.compile(rf"\b{node.name}\b")
+    return any(word.search(text) for text in (
+        "\n".join(outside), *(t for other, t in texts.items() if other != path)))
+
+
 def test_every_top_level_definition_is_used():
     """Each top-level def or class of the package, and each non-dunder
     method of a top-level class, is named somewhere in src/ or perfbench/
@@ -81,15 +91,25 @@ def test_every_top_level_definition_is_used():
     lines = {path: path.read_text().splitlines() for folder in ("src", "perfbench")
              for path in sorted((root / folder).rglob("*.py"))}
     texts = {path: "\n".join(text) for path, text in lines.items()}
-    unused = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in _definitions(ast.parse(texts[path], str(path))):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            outside = lines[path][:first - 1] + lines[path][node.end_lineno:]
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(text) for text in (
-                    "\n".join(outside), *(t for other, t in texts.items() if other != path))):
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path in sorted(PACKAGE.rglob("*.py"))
+              for node in _definitions(ast.parse(texts[path], str(path)))
+              if not _named_elsewhere(node, path, lines[path], texts)]
+    assert unused == []
+
+
+def test_every_test_helper_is_used():
+    """Each module-level def or class in tests/ other than a test (test_*
+    functions, Test* classes) is named somewhere in tests/ outside its own
+    definition, so no helper outlives the tests that needed it."""
+    tests = Path(__file__).resolve().parent
+    lines = {path: path.read_text().splitlines() for path in sorted(tests.rglob("*.py"))}
+    texts = {path: "\n".join(text) for path, text in lines.items()}
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path, text in texts.items() for node in ast.parse(text, str(path)).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith(("test_", "Test"))
+              and not _named_elsewhere(node, path, lines[path], texts)]
     assert unused == []
 
 

@@ -158,6 +158,18 @@ def test_poly_gcd_and_squarefree():
     assert not is_squarefree(poly([0, 0, 0, 1]))  # x^3
 
 
+@pytest.mark.parametrize("coeffs, count", [
+    ([1, 0, 1], 0),                            # x^2 + 1
+    ([-2, 3, -3, 3, -1], 2),                   # -(x - 1)(x - 2)(x^2 + 1)
+    ([3, -5, 1, 1], 2),                        # (x - 1)^2 (x + 3): distinct roots
+    ([4, 0, -5, 0, 1], 4),                     # (x^2 - 1)(x^2 - 4)
+    ([0, 0, 0, 0, 7], 1),                      # 7 x^4
+    ([5], 0),
+])
+def test_real_root_count(coeffs, count):
+    assert exact.real_root_count(coeffs) == count
+
+
 def test_rational_roots_with_multiplicity_and_fractions():
     # (x - 1/2)^2 (x + 3) x = x^4 + 2x^3 - (11/4)x^2 + (3/4)x
     p = poly_mul(poly_mul(poly([F(-1, 2), 1]), poly([F(-1, 2), 1])),

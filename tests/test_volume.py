@@ -10,6 +10,7 @@ import pytest
 
 from float_checks import chi_partial
 from vaikit import volume
+from vaikit.exact import _sturm
 from vaikit.errors import EmptyBox, InputError, TooFewPoints
 from vaikit.volume import (
     ConeModel,
@@ -17,7 +18,6 @@ from vaikit.volume import (
     PlaneModel,
     SPD2Model,
     VolumeSeries,
-    _quartic_roots,
     estimate_volume,
     fit_log_slope,
     get_model,
@@ -44,61 +44,72 @@ def random_ball_element(rng, radius):
             return g
 
 
-def _real_roots(*quartic):
-    """Real roots (N, 4) of batched quartics, non-real ones nan: the eigvals
-    roots whose imaginary part is within 1e-8 of their size."""
-    roots = _quartic_roots(*quartic)
-    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
-    return np.where(real, roots.real, np.nan)
+def _coefficients(model, z, coords):
+    """The float coefficients the model's filter reads, per chart sample."""
+    if isinstance(model, SPD2Model):
+        return model._angle_coefficients(z, coords)[0]
+    return model._stabilizer_coefficients(z, model.from_chart(coords))[0]
 
 
-def _angle_minimum(k0, p2, q2, p1, q1):
-    """Global minimum over phi of the trig polynomial, per sample: the
-    eigvals roots of the angle quartic under the trig form of f."""
-    roots = _real_roots(*SPD2Model._angle_quartic(p2, q2, p1, q1))
-    phi = 2.0 * np.arctan(np.where(np.isnan(roots), 0.0, roots))
-    vals = (k0[:, None] + p2[:, None] * np.cos(2.0 * phi)
-            + q2[:, None] * np.sin(2.0 * phi)
-            + p1[:, None] * np.cos(phi) + q1[:, None] * np.sin(phi))
-    vals = np.where(np.isnan(roots), np.inf, vals)
-    at_pi = k0 + p2 - p1
-    return np.minimum(vals.min(axis=1), at_pi)
+def _exact(model, z, coords, r2):
+    """The exact stage's decision for each chart sample against its own r^2
+    (one float, or one per sample), whatever the filter would decide."""
+    r2 = np.broadcast_to(r2, len(coords))
+    if isinstance(model, SPD2Model):
+        _, q, p_inv = model._angle_coefficients(z, coords)
+        return np.array([model._exact_hits(tuple(c[i:i + 1] for c in q), p_inv, float(r2[i]))[0]
+                         for i in range(len(coords))])
+    _, good, (g, h) = model._stabilizer_coefficients(z, model.from_chart(coords))
+    return good & np.array([model._exact_hits(tuple(e[i:i + 1] for e in g),
+                                              tuple(e[i:i + 1] for e in h), float(r2[i]))[0]
+                            for i in range(len(coords))])
 
 
-def _min_distance(z, coords):
-    return _angle_minimum(*SPD2Model()._angle_coefficients(z, coords))
+def _nearest(model, z, coords, count):
+    """Indices of the `count` chart samples whose minimum lies nearest r^2.
+
+    A pool of 100 comes from the bounds: the ceiling carries about twice
+    the floor's rounding slack, so the pool is the samples whose point a
+    third of the way from floor to ceiling lies nearest r^2.  The exact
+    stage then bisects each pool minimum to within 4e-5 of r^2."""
+    floor, ceiling = model._bounds(*_coefficients(model, z, coords), R03 * R03)
+    with np.errstate(invalid="ignore"):
+        gap = np.abs((2.0 * floor + ceiling) / 3.0 - R03 * R03)
+    pool = np.argsort(gap, kind="stable")[:100]  # nan sorts last
+    # bisect min - r^2 in [-r^2, r^2]; a minimum beyond stays at that end
+    lo, hi = np.full(len(pool), -R03 * R03), np.full(len(pool), R03 * R03)
+    for _ in range(12):
+        mid = (lo + hi) / 2.0
+        hit = _exact(model, z, coords[pool], R03 * R03 + mid)
+        lo, hi = np.where(hit, lo, mid), np.where(hit, mid, hi)
+    return pool[np.argsort(np.abs(lo + hi), kind="stable")[:count]]
 
 
-def _sign_minimum(sign, roots, p_co, q_co, r_co, tr_g, tr_h):
-    """Minimum over the critical points u = e^s among `roots` of the
-    sign component."""
-    ok_root = ~np.isnan(roots) & (roots > 0.0)
-    s = np.log(np.where(ok_root, roots, 1.0))
-    vals = (p_co[:, None] * np.cosh(2.0 * s)
-            + q_co[:, None] * np.sinh(2.0 * s) + r_co[:, None]
-            - 2.0 * sign * (tr_g[:, None] * np.cosh(s)
-                            + tr_h[:, None] * np.sinh(s)))
-    return np.where(ok_root, vals, np.inf).min(axis=1)
+def _closest_calls(model, z, coords, count):
+    """Indices of the `count` hits and the `count` misses that the bounds
+    decide with the least margin to r^2."""
+    floor, ceiling = model._bounds(*_coefficients(model, z, coords), R03 * R03)
+    hit_margin = np.where(ceiling < R03 * R03, R03 * R03 - ceiling, np.inf)
+    miss_margin = np.where(floor > R03 * R03, floor - R03 * R03, np.inf)
+    return np.r_[np.argsort(hit_margin)[:count], np.argsort(miss_margin)[:count]]
 
 
-def _two_solve_minimum(coefs):
-    """The hyperboloid minimum over both components, one quartic solve
-    in u = e^s each, under the cosh/sinh form of f."""
-    p_co, q_co, r_co, tr_g, tr_h = coefs
-    plus, minus = (
-        _sign_minimum(
-            sign, _real_roots(p_co + q_co, -sign * (tr_g + tr_h), np.zeros_like(p_co),
-                              sign * (tr_g - tr_h), q_co - p_co),
-            *coefs) for sign in (1.0, -1.0))
-    return np.minimum(plus, minus)
+def _component_hits(coefs, sign, r2):
+    """Exact decisions of the +1 or the -1 stabilizer component alone, from
+    the float coefficients in the cosh/sinh form: whether 4 u^2 (f - r2),
+    u = e^s, f = P cosh 2s + Q sinh 2s + R - 2 sign (tr G cosh s + tr H sinh s),
+    has a root u > 0, by V(0) - V(+inf) of its Sturm sequence."""
+    def changes(signs):
+        return sum(x != y for x, y in zip(signs, signs[1:]))
 
-
-def _eigvals_minimum(model, quartic, coefs):
-    """The minimum of the model's own `_distance` at the eigvals roots of
-    its quartic, a non-finite value counting as +inf."""
-    with np.errstate(all="ignore"):
-        vals = model._distance(_real_roots(*quartic).T, *coefs)
-    return np.where(np.isfinite(vals), vals, np.inf).min(axis=0)
+    hits = []
+    for row in zip(*(c.tolist() for c in coefs)):
+        (p_co, q_co, r_co, tr_g, tr_h, r2_int), _ = volume._dyadic((*row, r2))
+        seq = _sturm([2 * (p_co - q_co), -4 * sign * (tr_g - tr_h), 4 * (r_co - r2_int),
+                      -4 * sign * (tr_g + tr_h), 2 * (p_co + q_co)])
+        at_zero, at_inf = [b[0] > 0 for b in seq if b[0]], [b[-1] > 0 for b in seq]
+        hits.append(changes(at_zero) > changes(at_inf))
+    return np.array(hits, dtype=bool)
 
 
 class TestPlaneModel:
@@ -194,13 +205,13 @@ class TestSPD2Model:
 
     def test_angle_minimization_dominates_dense_grid(self):
         # a dense grid certifies hits but can miss razor-thin valleys,
-        # so the sound comparison is one-sided: the quartic global
-        # minimum must sit at or below every grid evaluation
+        # so the sound comparison is one-sided: the exact minimum must sit
+        # at or below every grid evaluation
         z = self.model.curve(2.0)
         lo, hi = self.model.chart_box(z, R03)
         rng = np.random.default_rng(123)
         coords = rng.uniform(lo, hi, size=(3000, 2))
-        mine_val = _min_distance(z, coords)
+        hits = self.model.membership_chart(z, coords, R03)
 
         p = np.asarray(z, float)
         p_inv = np.linalg.inv(self.model._sqrt_spd(p))
@@ -229,50 +240,47 @@ class TestSPD2Model:
                     + np.outer(q2, np.sin(2 * ph))
                     + np.outer(p1, np.cos(ph)) + np.outer(q1, np.sin(ph)))
             best = np.minimum(best, vals.min(axis=1))
-        assert (mine_val <= best + 1e-7 * (1.0 + np.abs(best))).all()
+        every = slice(None, None, 15)
+        slack = 1e-7 * (1.0 + np.abs(best[every]))
+        assert _exact(self.model, z, coords[every], best[every] + slack).all()
         # every grid-certified hit is found
-        assert ((mine_val <= R03 * R03) | (best > R03 * R03)).all()
+        assert (hits | (best > R03 * R03 - 1e-9)).all()
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0])
     def test_floor_keeps_every_decision(self, t):
-        # membership skips the root solve where the coefficient floor
-        # already proves a miss; no decision may change
+        # membership skips the bounds where the coefficient floor already
+        # proves a miss; the exact stage must miss just below that floor,
+        # checked on the samples where it lies nearest the conic ceiling
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(31).uniform(lo, hi, size=(16384, 2))
-        mins = _min_distance(z, coords)
         hits = self.model.membership_chart(z, coords, R03)
-        assert (hits == (mins <= R03 * R03)).all()
         assert hits.any()
 
-        k0, p2, q2, p1, q1 = self.model._angle_coefficients(z, coords)
+        coefs = k0, p2, q2, p1, q1 = self.model._angle_coefficients(z, coords)[0]
         amp2, amp1 = np.hypot(p2, q2), np.hypot(p1, q1)
-        size = np.abs(k0) + amp2 + amp1
-        floor = k0 - amp2 - amp1
-        assert (mins >= floor - 1e-12 * size).all()
-        rejected = floor - volume._GAMMA * size > R03 * R03
-        assert rejected.any()
-        assert (mins[rejected] > R03 * R03).all()
+        floor = k0 - amp2 - amp1 - volume._GAMMA * (np.abs(k0) + amp2 + amp1)
+        rejected = floor > R03 * R03
+        assert rejected.any() and not hits[rejected].any()
+        _, ceiling = self.model._bounds(*coefs, R03 * R03)
+        tight = np.argsort(ceiling - floor)[:200]
+        assert not _exact(self.model, z, coords[tight], np.nextafter(floor[tight], -np.inf)).any()
+        tight = np.flatnonzero(rejected)[np.argsort((ceiling - floor)[rejected])[:200]]
+        assert not _exact(self.model, z, coords[tight], R03 * R03).any()
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
     def test_membership_matches_the_eigvals_reference(self, t):
-        # membership must decide as the eigvals real roots under the trig
-        # form of f.  At t = 8 the trig and rational forms of f split on a
-        # few samples and neither is ground truth, so there the reference
-        # takes those roots under the model's own `_distance`
+        # named for the eigvals referee it once compared with; the
+        # reference is the exact stage, run on the 128 hits and 128 misses
+        # that the bounds decide with the least margin
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(43).uniform(lo, hi, size=(16384, 2))
-        if t < 8.0:
-            mins = _min_distance(z, coords)
-        else:
-            k0, p2, q2, p1, q1 = coefs = self.model._angle_coefficients(z, coords)
-            mins = np.minimum(_eigvals_minimum(
-                self.model, self.model._angle_quartic(p2, q2, p1, q1), coefs), k0 + p2 - p1)
-        reference = mins <= R03 * R03
-        assert reference.any()
-        assert (self.model.membership_chart(z, coords, R03)
-                == reference).all()
+        hits = self.model.membership_chart(z, coords, R03)
+        closest = _closest_calls(self.model, z, coords, 128)
+        reference = _exact(self.model, z, coords[closest], R03 * R03)
+        assert reference.any() and not reference.all()
+        assert (hits[closest] == reference).all()
 
     def test_estimate_at_identity_frozen(self):
         est, err = estimate_volume(self.model, self.model.base_point(),
@@ -334,7 +342,7 @@ class TestHyperboloidModel:
         rng = np.random.default_rng(10)
         for _ in range(100):
             psi, delta = rng.uniform(-math.pi, math.pi), rng.normal() * 2.0
-            pt = self.model.from_chart(np.array([[psi, delta]]))[0]
+            pt = [x[0] for x in self.model.from_chart(np.array([[psi, delta]]))]
             assert pt[0] ** 2 + pt[1] * pt[2] == pytest.approx(1.0)
             back = self.model.to_chart(pt)
             assert back[0] == pytest.approx(psi)
@@ -367,36 +375,33 @@ class TestHyperboloidModel:
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0])
     def test_single_solve_keeps_every_decision(self, t):
+        # one function of x = +-e^s covers both stabilizer components; the
+        # reference decides each component apart, on the 128 hits and 128
+        # misses that the bounds decide with the least margin
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
-        coefs, good = self.model._stabilizer_coefficients(
-            z, self.model.from_chart(coords))
-        # reference: one quartic per sign component of the stabilizer
-        best = _two_solve_minimum(coefs)
-        reference = good & (best <= R03 * R03)
-        assert reference.any()
-        assert (self.model.membership_chart(z, coords, R03) == reference).all()
+        closest = _closest_calls(self.model, z, coords, 128)
+        coefs, good, _ = self.model._stabilizer_coefficients(
+            z, self.model.from_chart(coords[closest]))
+        reference = good & (_component_hits(coefs, 1, R03 * R03)
+                            | _component_hits(coefs, -1, R03 * R03))
+        assert reference.any() and not reference.all()
+        assert (self.model.membership_chart(z, coords, R03)[closest] == reference).all()
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
     def test_membership_matches_the_eigvals_reference(self, t):
-        # membership must decide as the eigvals real roots of one companion
-        # solve per sign component, or at t = 8, where the cosh/sinh and x
-        # forms of f split and neither is ground truth, of one solve under
-        # the model's own `_distance`
+        # named for the eigvals referee it once compared with; the
+        # reference is the exact stage, run on the 128 hits and 128 misses
+        # that the bounds decide with the least margin
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(41).uniform(lo, hi, size=(16384, 2))
-        coefs, good = self.model._stabilizer_coefficients(
-            z, self.model.from_chart(coords))
-        if t < 8.0:
-            mins = _two_solve_minimum(coefs)
-        else:
-            mins = _eigvals_minimum(self.model, self.model._stabilizer_quartic(*coefs), coefs)
-        reference = good & (mins <= R03 * R03)
-        assert reference.any()
-        assert (self.model.membership_chart(z, coords, R03)
-                == reference).all()
+        hits = self.model.membership_chart(z, coords, R03)
+        closest = _closest_calls(self.model, z, coords, 128)
+        reference = _exact(self.model, z, coords[closest], R03 * R03)
+        assert reference.any() and not reference.all()
+        assert (hits[closest] == reference).all()
 
     def test_negative_roots_decide_the_minus_component(self):
         # around the waist point (0, -1, -1) the eigenvector branch flips
@@ -405,13 +410,12 @@ class TestHyperboloidModel:
         z = np.array([0.0, -1.0, -1.0])
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
-        coefs, good = self.model._stabilizer_coefficients(
-            z, self.model.from_chart(coords))
         hits = self.model.membership_chart(z, coords, R03)
-        assert (hits == (good & (_two_solve_minimum(coefs) <= R03 * R03))).all()
-        roots = _real_roots(*self.model._stabilizer_quartic(*coefs))
-        plus = _sign_minimum(1.0, roots, *coefs)
-        assert (hits & (plus > R03 * R03)).sum() > 1000
+        coefs, _, _ = self.model._stabilizer_coefficients(
+            z, self.model.from_chart(coords[hits]))
+        plus = _component_hits(coefs, 1, R03 * R03)
+        assert (plus | _component_hits(coefs, -1, R03 * R03)).all()
+        assert (~plus).sum() > 1000
 
     def test_float_range_is_declared(self):
         assert self.model.membership(self.model.curve(8.3),
@@ -448,27 +452,27 @@ class TestHyperboloidModel:
 @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
 @pytest.mark.parametrize("model", [SPD2Model(), HyperboloidModel()], ids=["spd2", "hyperboloid"])
 def test_conic_bounds_enclose_the_minimum(model, t, monkeypatch):
-    # floor <= min <= ceiling on every seeded chart sample, against the
-    # eigvals references; up to t = 4 the bounds leave at most 5% of the
-    # samples to the referee, so a silent fall-back to the quartic fails
-    # here, and the referee never runs on an empty band
+    # floor <= min <= ceiling, with the exact stage as truth: each sample
+    # hits at r^2 = ceiling and misses just below the floor, on the 64 hits
+    # and 64 misses the bounds decide with the least margin and 128 samples
+    # spread over the batch.  Up to t = 4 the
+    # bounds leave at most 5% of the samples to the exact stage, so a
+    # silent fall-back to it fails here, and it never runs on an empty band
     z = model.curve(t)
     lo, hi = model.chart_box(z, R03)
     coords = np.random.default_rng(47).uniform(lo, hi, size=(16384, 2))
-    if isinstance(model, SPD2Model):
-        coefs = model._angle_coefficients(z, coords)
-        mins = _min_distance(z, coords)
-    else:
-        coefs, _ = model._stabilizer_coefficients(z, model.from_chart(coords))
-        mins = _two_solve_minimum(coefs)
-    floor, ceiling = model._bounds(*coefs, R03 * R03)
-    assert (floor <= mins).all()
-    assert (mins <= ceiling).all()
+    floor, ceiling = model._bounds(*_coefficients(model, z, coords), R03 * R03)
+    picked = np.r_[_closest_calls(model, z, coords, 64), np.arange(0, len(coords), 128)]
+    top = picked[np.isfinite(ceiling[picked])]
+    assert _exact(model, z, coords[top], ceiling[top]).all()
+    bottom = picked[np.isfinite(floor[picked])]
+    assert len(top) > 128 and len(bottom) > 128
+    assert not _exact(model, z, coords[bottom], np.nextafter(floor[bottom], -np.inf)).any()
     reached = []
-    quartic_minimum = volume._quartic_minimum
-    monkeypatch.setattr(volume, "_quartic_minimum",
-                        lambda quartic, *rest: reached.append(len(quartic[0]))
-                        or quartic_minimum(quartic, *rest))
+    exact_hits = model._exact_hits
+    monkeypatch.setattr(model, "_exact_hits",
+                        lambda first, *rest: reached.append(len(first[0]))
+                        or exact_hits(first, *rest))
     model.membership_chart(z, coords, R03)
     assert len(reached) <= 1 and all(reached)
     if t <= 4.0:
@@ -476,8 +480,8 @@ def test_conic_bounds_enclose_the_minimum(model, t, monkeypatch):
 
 
 @pytest.mark.parametrize("model, digest", [
-    (SPD2Model(), "49b4dd16a98df4d6717ec775c44cc8e457bc6719353368a07e40267980064c9a"),
-    (HyperboloidModel(), "5eb08f35727498c9673ae439d7fc3d211adbb9a883dd1d94bfc0903ea1d711d5"),
+    (SPD2Model(), "7ceff15f314c0600932cb30cca2196f9759d9f1961f9c0b88d6c742427a1b9c8"),
+    (HyperboloidModel(), "b00568a757293d0fa7fcb49d1b63927c43b9bbe296d8478aef347b43aefd529c"),
 ], ids=["spd2", "hyperboloid"])
 def test_membership_decisions_are_frozen(model, digest):
     # a refactor of the membership filter must keep every decision: the
@@ -552,8 +556,10 @@ def _mp_spd2_minimum(mp, t, coord):
     vals = [f(phi) for phi in phis]
     p2, q2, p1, q1 = (2 * mp.fsum(v * trig(k * phi) for v, phi in zip(vals, phis)) / 5
                       for k, trig in ((2, mp.cos), (2, mp.sin), (1, mp.cos), (1, mp.sin)))
-    return _mp_real_minimum(mp, list(SPD2Model._angle_quartic(p2, q2, p1, q1)),
-                            lambda x: f(2 * mp.atan(x)), extra=[mp.inf])
+    # with x = tan(phi/2), f'(phi) (1 + x^2)^2 is this quartic; phi = pi is
+    # the one angle the substitution misses
+    quartic = [2 * q2 - q1, 8 * p2 - 2 * p1, -12 * q2, -8 * p2 - 2 * p1, 2 * q2 + q1]
+    return _mp_real_minimum(mp, quartic, lambda x: f(2 * mp.atan(x)), extra=[mp.inf])
 
 
 def _mp_hyperboloid_minimum(mp, t, coord):
@@ -595,92 +601,21 @@ def _mp_hyperboloid_minimum(mp, t, coord):
     return _mp_real_minimum(mp, quartic, f)
 
 
-@pytest.mark.parametrize("t", [0.0, 4.0, 6.0, 7.0])
+@pytest.mark.parametrize("t", [0.0, 4.0, 6.0, 7.0, 7.5, 8.0])
 @pytest.mark.parametrize("model, oracle", [(SPD2Model(), _mp_spd2_minimum),
                                            (HyperboloidModel(), _mp_hyperboloid_minimum)],
                          ids=["spd2", "hyperboloid"])
 def test_decisions_nearest_the_boundary_match_an_80_digit_oracle(model, oracle, t):
-    # the ten seeded chart samples whose float minimum lies nearest r^2,
-    # decided again from the roots of the quartic at 80 digits
+    # the ten seeded chart samples whose minimum lies nearest r^2, decided
+    # again from the roots of the quartic at 80 digits
     mp = pytest.importorskip("mpmath").mp
     z = model.curve(t)
     lo, hi = model.chart_box(z, R03)
     coords = np.random.default_rng(59).uniform(lo, hi, size=(4096, 2))
-    if isinstance(model, SPD2Model):
-        coefs = model._angle_coefficients(z, coords)
-        mins = _eigvals_minimum(model, model._angle_quartic(*coefs[1:]), coefs)
-    else:
-        coefs, _ = model._stabilizer_coefficients(z, model.from_chart(coords))
-        mins = _eigvals_minimum(model, model._stabilizer_quartic(*coefs), coefs)
-    nearest = coords[np.argsort(np.abs(mins - R03 * R03))[:10]]
+    nearest = coords[_nearest(model, z, coords, 10)]
     with mp.workdps(80):
         exact = [oracle(mp, mp.mpf(t), c) <= mp.mpf(R03) ** 2 for c in nearest]
     assert model.membership_chart(z, nearest, R03).tolist() == exact
-
-
-def _adversarial_quartics(rng, n=200):
-    """family -> (coefficient rows (5, n), the known roots (n, 4), relative
-    root tolerance)."""
-    def signed(lo, hi, k):
-        return rng.uniform(lo, hi, k) * rng.choice([-1.0, 1.0], k)
-
-    def from_roots(make):
-        roots = np.array([make() for _ in range(n)], dtype=complex)
-        return np.array([np.poly(r).real for r in roots]).T, roots
-
-    def near_double(d):
-        def make():
-            a = rng.uniform(-3.0, 3.0)
-            return [a, a + d, a + rng.uniform(0.5, 2.0),
-                    a - rng.uniform(0.5, 2.0)]
-        return make
-
-    def complex_pairs():
-        z1, z2 = complex(*signed(0.05, 3.0, 2)), complex(*signed(0.05, 3.0, 2))
-        return [z1, z1.conjugate(), z2, z2.conjugate()]
-
-    def zero_sum_of_products():
-        # three roots of one sign and a fourth that cancels their e2
-        three = rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0])
-        e2 = three[0] * three[1] + three[0] * three[2] + three[1] * three[2]
-        return [*three, -e2 / three.sum()]
-
-    families = {f"near-double {d:g}": (*from_roots(near_double(d)), 1e-6)
-                for d in (0.0, 1e-10, 1e-7, 1e-4)}
-    zero_a2, zero_a2_roots = from_roots(zero_sum_of_products)
-    zero_a2[2] = 0.0  # as in the hyperboloid's quartic; a rounding-sized change
-    families.update({
-        # rounded coefficients fix a root of multiplicity 4 only to about
-        # eps^(1/4), for any solver
-        "quadruple": (*from_roots(lambda: [rng.uniform(-3.0, 3.0)] * 4), 1e-3),
-        # all roots large: |a4| / |a0| near 1e-12, above the nudge of
-        # _quartic_roots, which leaves their leading coefficient as it is
-        "|a4| << |a0|": (*from_roots(lambda: signed(0.5, 1.5, 4) * 1e3), 1e-6),
-        "|a0| << |a4|": (*from_roots(lambda: signed(0.5, 1.5, 4) * 1e-3), 1e-6),
-        "zero a2": (zero_a2, zero_a2_roots, 1e-6),
-        "all complex": (*from_roots(complex_pairs), 1e-6),
-        "1e5 beside 1": (*from_roots(lambda: np.r_[signed(1.0, 5.0, 1) * 1e5,
-                                                   signed(0.05, 3.0, 3)]), 1e-6),
-        "two 1e5 beside 1": (*from_roots(lambda: np.r_[signed(1.0, 5.0, 2) * 1e5,
-                                                       signed(0.05, 3.0, 2)]),
-                             1e-6),
-    })
-    return families
-
-
-class TestQuarticReferee:
-    def test_every_real_root_is_near_a_real_part(self):
-        # each known real root lies within the family's relative tolerance
-        # of the real part of an eigvals root.  Rounding splits a near-double
-        # or quadruple root into a complex pair that keeps its real part, so
-        # a mask of the non-real roots would lose it
-        for family, (coefs, known, tol) in _adversarial_quartics(
-                np.random.default_rng(2024)).items():
-            parts = _quartic_roots(*coefs).real
-            for i, row in enumerate(known):
-                for root in row.real[row.imag == 0.0]:
-                    gap = np.abs(parts[i] - root).min()
-                    assert gap <= tol * abs(root), (family, i, root, parts[i])
 
 
 class TestEstimator:
@@ -690,6 +625,10 @@ class TestEstimator:
             estimate_volume(model, model.base_point(), -0.1, 10_000, 0)
         with pytest.raises(InputError):
             estimate_volume(model, model.base_point(), 0.3, 10, 0)
+        # checked before the batch list [BATCH] * (samples // BATCH) is built
+        for samples in (10 ** 20, 100_000_001):
+            with pytest.raises(InputError, match="at most 100000000 samples"):
+                estimate_volume(model, model.base_point(), 0.3, samples, 0)
         with pytest.raises(InputError):
             get_model("so3-sphere")
 
