@@ -149,7 +149,7 @@ def chi_partial(big_k: int, radius: float = 0.3, p: float = 2.0,
     sup_value = 0.0
     for j, zj in enumerate(base_points, start=1):
         val = sum(k for k, zk in enumerate(base_points, start=1)
-                  if model.membership(zk, zj, radius))
+                  if model.membership_chart(zk, zj[None, :], radius)[0])
         sup_value = max(sup_value, float(val))
     term_last = big_k * vols[-1] ** (1.0 / p)
     term_prev = (big_k - 1) * vols[-2] ** (1.0 / p)

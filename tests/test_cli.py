@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from vaikit.catalog import data_path
+import builders
+from vaikit.catalog import data_path, parse_algebra
 from vaikit.cli import _parse_t_range, main
 from vaikit.volume import get_model, volume_along_curve
 
@@ -471,10 +472,11 @@ class TestEstimate:
                 # far out on the curve the float models give up cleanly
                 (("spd2", "100:101:1"), "0.3", "2000", "1",
                  "spd2: the base point is outside the model's float range"),
+                # past t = 8.35, the range its decisions are checked on, the
+                # hyperboloid refuses the point
                 (("sl2-orbit-hyperboloid", "100:101:1"), "0.3", "2000", "1",
-                 "cancels to 0 in float"),
-                # past t = 8.35 the hyperboloid's determinant rounds by
-                # more than the membership margin
+                 "sl2-orbit-hyperboloid: the point is outside the model's "
+                 "float range"),
                 (("sl2-orbit-hyperboloid", "10:11:1"), "0.3", "2000", "1",
                  "sl2-orbit-hyperboloid: the point is outside the model's "
                  "float range"),
@@ -715,9 +717,12 @@ class TestConsoleEntryPoint:
 
 
 # the CLI contract under malformed input: every run prints one report and
-# exits 0/3/4, or prints one stderr line and exits 2; none reaches exit 5
+# exits 0/3/4, or prints one stderr line and exits 2; none reaches exit 5.
+# A huge exponent in a matrix entry and an algebra rewritten in "sc" form
+# with a broken shape always exit 2
 MUTATIONS = ("drop-key", "bool", "nested-list", "non-rational", "huge-integer",
-             "truncated", "swapped", "name", "scalar")
+             "truncated", "swapped", "name", "scalar", "huge-exponent", "sc-shape")
+ALWAYS_REFUSED = {"huge-exponent", "sc-shape"}
 
 
 def _json_slots(node):
@@ -729,11 +734,36 @@ def _json_slots(node):
         yield from _json_slots(child)
 
 
+def _broken_sc(rng, text):
+    """The algebra of `text` written with its structure tensor "sc", in a
+    shape that is not dim x dim x dim lists."""
+    alg = parse_algebra(json.loads(text))
+    data = builders.algebra_to_dict(type(alg)(alg.sc, name=alg.name))
+    sc = data["sc"]
+    i, j = rng.randrange(len(sc)), rng.randrange(len(sc[0]))
+    kind = rng.randrange(6)
+    if kind == 0:
+        del sc[i]
+    elif kind == 1:
+        del sc[i][j]
+    elif kind == 2:
+        del sc[i][j][rng.randrange(len(sc[i][j]))]
+    elif kind == 3:
+        sc[i] = sc[i][j]  # a plane that is one row
+    elif kind == 4:
+        sc[i][j] = [sc[i][j]]  # a row one level deeper
+    else:
+        data["sc"] = rng.choice((sc[i], sc[i][j], sc[i][j][0], {}, []))
+    return json.dumps(data)
+
+
 def _mutated_text(rng, kind, text, catalog_files):
     if kind == "truncated":
         return text[:rng.randrange(len(text))]
     if kind == "swapped":
         return data_path(rng.choice(catalog_files)).read_text()
+    if kind == "sc-shape":
+        return _broken_sc(rng, text)
     data = json.loads(text)
     if kind == "name":
         data["name"] = rng.choice((False, 7, None, ["a", ["b"]]))
@@ -741,7 +771,9 @@ def _mutated_text(rng, kind, text, catalog_files):
     container, key = rng.choice([
         (c, k) for c, k, v in _json_slots(data)
         if (isinstance(c, dict) if kind == "drop-key" else
-            isinstance(v, list) if kind == "scalar" else not isinstance(v, (dict, list)))])
+            isinstance(v, list) if kind == "scalar" else
+            isinstance(c, list) and not isinstance(v, list) if kind == "huge-exponent" else
+            not isinstance(v, (dict, list)))])
     if kind == "drop-key":
         del container[key]
     else:
@@ -752,6 +784,7 @@ def _mutated_text(rng, kind, text, catalog_files):
             "non-rational": rng.choice(("x", "1/0", "nan", "", "1.5e", "0x10", "1//2")),
             "huge-integer": rng.choice((str(10 ** 40 + 1), "-" + "9" * 60, "1" + "0" * 5000,
                                         10 ** 30, "1e400")),
+            "huge-exponent": rng.choice(("1e1001", "-1e-99999", "1.5E+100000")),
             "scalar": 5,
         }[kind]
     return json.dumps(data)
@@ -767,8 +800,11 @@ def test_mutated_catalog_inputs_keep_the_exit_contract(capsys, tmp_path):
         files = {"--algebra": f"{algebra}.json", "--subalgebra": f"{subalgebra}.json"}
         if option:
             files[option[0]] = f"{option[1]}.json"
-        flag = rng.choice(sorted(files))
         mutation = MUTATIONS[run % len(MUTATIONS)]
+        # scalar and huge-exponent mutate a list, which the theta file has none of
+        needs_list = mutation in ("scalar", "huge-exponent")
+        flag = "--algebra" if mutation == "sc-shape" else rng.choice(
+            [f for f in sorted(files) if not needs_list or "[" in data_path(files[f]).read_text()])
         target = tmp_path / f"{run}.json"
         target.write_text(_mutated_text(rng, mutation, data_path(files[flag]).read_text(),
                                         catalog_files))
@@ -781,6 +817,7 @@ def test_mutated_catalog_inputs_keep_the_exit_contract(capsys, tmp_path):
         else:
             assert code in (0, 3, 4) and err == "", (argv, err)
             assert json.loads(out)["command"] == kind
+        assert code == 2 or mutation not in ALWAYS_REFUSED, argv
         outcomes[mutation, code] = outcomes.get((mutation, code), 0) + 1
     assert {m for m, code in outcomes if code == 2} == set(MUTATIONS)
     assert sum(n for (_, code), n in outcomes.items() if code != 2) > 30

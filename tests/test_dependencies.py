@@ -74,10 +74,11 @@ def _definitions(tree: ast.Module):
 
 def _named_elsewhere(node, path, lines, texts) -> bool:
     """Whether node's name appears in `texts` (path -> text) outside node's
-    own definition; `lines` are path's lines."""
+    own definition and outside any other `def` of the same name (a sibling
+    class's method of that name is no use of it); `lines` are path's lines."""
     first = min([node.lineno] + [d.lineno for d in node.decorator_list])
     outside = lines[:first - 1] + lines[node.end_lineno:]
-    word = re.compile(rf"\b{node.name}\b")
+    word = re.compile(rf"(?<!def )\b{node.name}\b")
     return any(word.search(text) for text in (
         "\n".join(outside), *(t for other, t in texts.items() if other != path)))
 

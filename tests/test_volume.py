@@ -48,7 +48,7 @@ def _coefficients(model, z, coords):
     """The float coefficients the model's filter reads, per chart sample."""
     if isinstance(model, SPD2Model):
         return model._angle_coefficients(z, coords)[0]
-    return model._stabilizer_coefficients(z, model.from_chart(coords))[0]
+    return model._stabilizer_coefficients(z, coords)[0]
 
 
 def _exact(model, z, coords, r2):
@@ -59,10 +59,26 @@ def _exact(model, z, coords, r2):
         _, q, p_inv = model._angle_coefficients(z, coords)
         return np.array([model._exact_hits(tuple(c[i:i + 1] for c in q), p_inv, float(r2[i]))[0]
                          for i in range(len(coords))])
-    _, good, (g, h) = model._stabilizer_coefficients(z, model.from_chart(coords))
-    return good & np.array([model._exact_hits(tuple(e[i:i + 1] for e in g),
-                                              tuple(e[i:i + 1] for e in h), float(r2[i]))[0]
-                            for i in range(len(coords))])
+    _, (g, h) = model._stabilizer_coefficients(z, coords)
+    return np.array([model._exact_hits(tuple(e[i:i + 1] for e in g),
+                                       tuple(e[i:i + 1] for e in h), float(r2[i]))[0]
+                     for i in range(len(coords))])
+
+
+def _chart(model, w):
+    """The chart coordinates of the point w of the model's space."""
+    if isinstance(model, SPD2Model):
+        return np.array([w[0, 1], math.log(w[1, 1])])
+    if isinstance(model, ConeModel):
+        return model._lift(w)
+    if isinstance(model, HyperboloidModel):
+        return model.to_chart(w)
+    return np.asarray(w, dtype=float)
+
+
+def _member(model, z, w, radius):
+    """Whether the point w lies in B_r . z, decided on its chart coordinates."""
+    return bool(model.membership_chart(z, _chart(model, w)[None, :], radius)[0])
 
 
 def _nearest(model, z, coords, count):
@@ -118,30 +134,28 @@ class TestPlaneModel:
     def test_membership_identity(self):
         z = np.array([1.0, 0.0])
         for r in (0.01, 0.3, 1.0):
-            assert self.model.membership(z, z, r)
+            assert _member(self.model, z, z, r)
 
     def test_membership_symmetric(self):
         rng = np.random.default_rng(5)
         z = np.array([0.7, -0.4])
         for _ in range(50):
             w = z + rng.uniform(-0.5, 0.5, size=2)
-            assert (self.model.membership(z, w, R03)
-                    == self.model.membership(w, z, R03))
+            assert (_member(self.model, z, w, R03)
+                    == _member(self.model, w, z, R03))
 
     def test_ball_images_are_members(self):
         rng = np.random.default_rng(6)
         z = np.array([0.8, 0.5])
         for _ in range(200):
             g = random_ball_element(rng, R03)
-            assert self.model.membership(z, self.model.apply(g, z), R03)
+            assert _member(self.model, z, self.model.apply(g, z), R03)
 
     def test_known_non_member(self):
-        assert not self.model.membership(np.array([1.0, 0.0]),
-                                         np.array([2.0, 0.0]), R03)
+        assert not _member(self.model, np.array([1.0, 0.0]), np.array([2.0, 0.0]), R03)
 
     def test_origin_never_member(self):
-        assert not self.model.membership(np.array([1.0, 0.0]),
-                                         np.array([0.0, 0.0]), R03)
+        assert not _member(self.model, np.array([1.0, 0.0]), np.array([0.0, 0.0]), R03)
 
     def test_empty_box_at_origin(self):
         with pytest.raises(EmptyBox):
@@ -150,7 +164,7 @@ class TestPlaneModel:
     def test_estimate_matches_high_resolution_oracle(self):
         # oracle frozen from a 1e7-sample run, seed 1234
         oracle, oracle_err = 0.200012976, 0.0001574844420479761
-        est, err = estimate_volume(self.model, self.model.base_point(),
+        est, err = estimate_volume(self.model, self.model.curve(0.0),
                                    R03, 100_000, 42)
         assert est == pytest.approx(0.2013696)
         assert abs(est - oracle) < 3.0 * (err + oracle_err)
@@ -188,7 +202,7 @@ class TestSPD2Model:
     def test_membership_identity_everywhere_on_curve(self):
         for t in (0.0, 1.0, 2.5, 4.0):
             z = self.model.curve(t)
-            assert self.model.membership(z, z, R03)
+            assert _member(self.model, z, z, R03)
 
     def test_ball_images_are_members(self):
         rng = np.random.default_rng(7)
@@ -196,12 +210,12 @@ class TestSPD2Model:
             z = self.model.curve(t)
             for _ in range(60):
                 g = random_ball_element(rng, R03)
-                assert self.model.membership(z, self.model.apply(g, z), R03)
+                assert _member(self.model, z, self.model.apply(g, z), R03)
 
     def test_far_point_not_member(self):
-        z = self.model.base_point()
+        z = self.model.curve(0.0)
         w = self.model.curve(1.0)  # diag(e^2, e^-2), far outside B_0.3
-        assert not self.model.membership(z, w, R03)
+        assert not _member(self.model, z, w, R03)
 
     def test_angle_minimization_dominates_dense_grid(self):
         # a dense grid certifies hits but can miss razor-thin valleys,
@@ -269,10 +283,9 @@ class TestSPD2Model:
         assert not _exact(self.model, z, coords[tight], R03 * R03).any()
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
-    def test_membership_matches_the_eigvals_reference(self, t):
-        # named for the eigvals referee it once compared with; the
-        # reference is the exact stage, run on the 128 hits and 128 misses
-        # that the bounds decide with the least margin
+    def test_membership_matches_the_exact_stage(self, t):
+        # the exact stage, run alone on the 128 hits and 128 misses that
+        # the bounds decide with the least margin, is the reference
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(43).uniform(lo, hi, size=(16384, 2))
@@ -283,7 +296,7 @@ class TestSPD2Model:
         assert (hits[closest] == reference).all()
 
     def test_estimate_at_identity_frozen(self):
-        est, err = estimate_volume(self.model, self.model.base_point(),
+        est, err = estimate_volume(self.model, self.model.curve(0.0),
                                    R03, 100_000, 42)
         assert est == pytest.approx(0.5619415079796671)
         # 1e6-sample oracle, seed 1234
@@ -318,9 +331,9 @@ class TestConeModel:
         assert moved[0] ** 2 + moved[1] * moved[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_base_volume_equals_plane_volume(self):
-        ec, _ = estimate_volume(self.model, self.model.base_point(),
+        ec, _ = estimate_volume(self.model, self.model.curve(0.0),
                                 R03, 100_000, 42)
-        ep, _ = estimate_volume(PlaneModel(), PlaneModel().base_point(),
+        ep, _ = estimate_volume(PlaneModel(), PlaneModel().curve(0.0),
                                 R03, 100_000, 42)
         assert ec == ep
 
@@ -332,17 +345,25 @@ class TestConeModel:
     def test_membership_identity(self):
         for t in (-2.0, 0.0):
             z = self.model.curve(t)
-            assert self.model.membership(z, z, R03)
+            assert _member(self.model, z, z, R03)
 
 
 class TestHyperboloidModel:
     model = HyperboloidModel()
 
     def test_chart_roundtrip(self):
+        # at z = H the conjugator G is the chart's q: q H q^{-1} is the point
+        # on the quadric with chart (psi, delta), and H = q H
         rng = np.random.default_rng(10)
-        for _ in range(100):
-            psi, delta = rng.uniform(-math.pi, math.pi), rng.normal() * 2.0
-            pt = [x[0] for x in self.model.from_chart(np.array([[psi, delta]]))]
+        coords = np.column_stack([rng.uniform(-math.pi, math.pi, 100), rng.normal(size=100) * 2.0])
+        _, (g, h) = self.model._stabilizer_coefficients(self.model.curve(0.0), coords)
+        for i, (psi, delta) in enumerate(coords):
+            q = np.array([[g[0][i], g[1][i]], [g[2][i], g[3][i]]])
+            assert np.linalg.det(q) == pytest.approx(1.0)
+            assert np.allclose([[h[0][i], h[1][i]], [h[2][i], h[3][i]]], q @ np.diag([1.0, -1.0]))
+            x = q @ np.diag([1.0, -1.0]) @ np.linalg.inv(q)
+            pt = [x[0, 0], x[0, 1], x[1, 0]]
+            assert x[1, 1] == pytest.approx(-x[0, 0], abs=1e-9)
             assert pt[0] ** 2 + pt[1] * pt[2] == pytest.approx(1.0)
             back = self.model.to_chart(pt)
             assert back[0] == pytest.approx(psi)
@@ -351,7 +372,7 @@ class TestHyperboloidModel:
     def test_membership_identity(self):
         for t in (0.0, 1.0, 2.0):
             z = self.model.curve(t)
-            assert self.model.membership(z, z, R03)
+            assert _member(self.model, z, z, R03)
 
     def test_ball_images_are_members(self):
         rng = np.random.default_rng(11)
@@ -359,19 +380,17 @@ class TestHyperboloidModel:
             z = self.model.curve(t)
             for _ in range(60):
                 g = random_ball_element(rng, R03)
-                assert self.model.membership(z, self.model.apply(g, z), R03)
+                assert _member(self.model, z, self.model.apply(g, z), R03)
 
     def test_stabilizer_direction_fixes_base_point(self):
-        z = self.model.base_point()
+        z = self.model.curve(0.0)
         g = np.diag([math.exp(0.8), math.exp(-0.8)])
         assert np.allclose(self.model.apply(g, z), z)
 
     def test_rotation_moves_base_point_off_ball(self):
-        z = self.model.base_point()
-        assert not self.model.membership(z, self.model.apply(rotation(0.4), z),
-                                         R03)
-        assert self.model.membership(z, self.model.apply(rotation(0.1), z),
-                                     R03)
+        z = self.model.curve(0.0)
+        assert not _member(self.model, z, self.model.apply(rotation(0.4), z), R03)
+        assert _member(self.model, z, self.model.apply(rotation(0.1), z), R03)
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0])
     def test_single_solve_keeps_every_decision(self, t):
@@ -382,18 +401,16 @@ class TestHyperboloidModel:
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
         closest = _closest_calls(self.model, z, coords, 128)
-        coefs, good, _ = self.model._stabilizer_coefficients(
-            z, self.model.from_chart(coords[closest]))
-        reference = good & (_component_hits(coefs, 1, R03 * R03)
-                            | _component_hits(coefs, -1, R03 * R03))
+        coefs, _ = self.model._stabilizer_coefficients(z, coords[closest])
+        reference = (_component_hits(coefs, 1, R03 * R03)
+                     | _component_hits(coefs, -1, R03 * R03))
         assert reference.any() and not reference.all()
         assert (self.model.membership_chart(z, coords, R03)[closest] == reference).all()
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
-    def test_membership_matches_the_eigvals_reference(self, t):
-        # named for the eigvals referee it once compared with; the
-        # reference is the exact stage, run on the 128 hits and 128 misses
-        # that the bounds decide with the least margin
+    def test_membership_matches_the_exact_stage(self, t):
+        # the exact stage, run alone on the 128 hits and 128 misses that
+        # the bounds decide with the least margin, is the reference
         z = self.model.curve(t)
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(41).uniform(lo, hi, size=(16384, 2))
@@ -404,28 +421,36 @@ class TestHyperboloidModel:
         assert (hits[closest] == reference).all()
 
     def test_negative_roots_decide_the_minus_component(self):
-        # around the waist point (0, -1, -1) the eigenvector branch flips
-        # the sign of g0 where a < 0, so many hits lie on the -1 component
-        # of the stabilizer, where the one quartic's roots are negative
+        # the conjugator -G puts every hit near the waist point (0, -1, -1)
+        # on the -1 component of the stabilizer, where the one quartic's
+        # roots are negative; (-G, -H) decides each sample as (G, H) does
         z = np.array([0.0, -1.0, -1.0])
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
         hits = self.model.membership_chart(z, coords, R03)
-        coefs, _, _ = self.model._stabilizer_coefficients(
-            z, self.model.from_chart(coords[hits]))
-        plus = _component_hits(coefs, 1, R03 * R03)
-        assert (plus | _component_hits(coefs, -1, R03 * R03)).all()
+        coefs, (g, h) = self.model._stabilizer_coefficients(z, coords)
+        p_co, q_co, r_co, tr_g, tr_h = coefs
+        minus = (p_co, q_co, r_co, -tr_g, -tr_h)  # the coefficients of (-G, -H)
+        assert np.array_equal(self.model._bounds(*minus, R03 * R03),
+                              self.model._bounds(*coefs, R03 * R03), equal_nan=True)
+        closest = _closest_calls(self.model, z, coords, 128)
+        assert (self.model._exact_hits(tuple(-e[closest] for e in g),
+                                       tuple(-e[closest] for e in h), R03 * R03)
+                == hits[closest]).all()
+        minus = tuple(c[hits] for c in minus)
+        plus = _component_hits(minus, 1, R03 * R03)
+        assert (plus | _component_hits(minus, -1, R03 * R03)).all()
         assert (~plus).sum() > 1000
 
     def test_float_range_is_declared(self):
-        assert self.model.membership(self.model.curve(8.3),
-                                     self.model.curve(8.3), R03)
+        z = self.model.curve(8.3)
+        assert _member(self.model, z, z, R03)
+        z = self.model.curve(8.4)
         with pytest.raises(EmptyBox, match="float range"):
-            self.model.membership(self.model.curve(8.4),
-                                  self.model.curve(8.4), R03)
+            _member(self.model, z, z, R03)
 
     def test_estimate_frozen(self):
-        est, err = estimate_volume(self.model, self.model.base_point(),
+        est, err = estimate_volume(self.model, self.model.curve(0.0),
                                    R03, 100_000, 42)
         assert est == pytest.approx(0.5766048)
         # 1e6-sample oracle, seed 1234
@@ -518,7 +543,7 @@ def test_ball_images_stay_in_the_box_at_the_radius_edge(model, edge, beyond, t):
             lift = model._lift(w)
             assert _in_box(lo, hi, lift) != _in_box(lo, hi, -lift)
         else:
-            c = model.to_chart(w)
+            c = _chart(model, w)
             if isinstance(model, HyperboloidModel):  # psi is an angle
                 c[0] += 2.0 * math.pi * np.floor((hi[0] - c[0]) / (2.0 * math.pi))
             assert _in_box(lo, hi, c)
@@ -601,7 +626,7 @@ def _mp_hyperboloid_minimum(mp, t, coord):
     return _mp_real_minimum(mp, quartic, f)
 
 
-@pytest.mark.parametrize("t", [0.0, 4.0, 6.0, 7.0, 7.5, 8.0])
+@pytest.mark.parametrize("t", [0.0, 4.0, 6.0, 7.0, 7.5, 8.0, 8.35])
 @pytest.mark.parametrize("model, oracle", [(SPD2Model(), _mp_spd2_minimum),
                                            (HyperboloidModel(), _mp_hyperboloid_minimum)],
                          ids=["spd2", "hyperboloid"])
@@ -618,17 +643,41 @@ def test_decisions_nearest_the_boundary_match_an_80_digit_oracle(model, oracle, 
     assert model.membership_chart(z, nearest, R03).tolist() == exact
 
 
+def test_hyperboloid_decisions_within_1e_4_of_r2_match_an_80_digit_oracle():
+    # samples at t = 7 and 8 whose minimum lies within 4e-7 to 1.3e-4 of
+    # r^2, about the rounding of a float point (a, b, c) of size |a|^2 eps:
+    # two from `estimate -1:7:0.5 --seed 5` (grid index 16, batches 0 and
+    # 2) and four from the second of two batches drawn with rng 77
+    mp = pytest.importorskip("mpmath").mp
+    model = HyperboloidModel()
+    cases = []
+    z = model.curve(7.0)
+    lo, hi = model.chart_box(z, R03)
+    for batch, k in ((0, 6178), (2, 13994)):
+        rng = np.random.default_rng(np.random.SeedSequence([5, 16, batch]))
+        cases.append((7.0, rng.uniform(lo, hi, size=(volume.BATCH, 2))[k]))
+    z = model.curve(8.0)
+    lo, hi = model.chart_box(z, R03)
+    rng = np.random.default_rng(77)
+    second = [rng.uniform(lo, hi, size=(volume.BATCH, 2)) for _ in range(2)][1]
+    cases += [(8.0, second[k]) for k in (3690, 13042, 13385, 13587)]
+    for t, coord in cases:
+        with mp.workdps(80):
+            exact = _mp_hyperboloid_minimum(mp, mp.mpf(t), coord) <= mp.mpf(R03) ** 2
+        assert model.membership_chart(model.curve(t), coord[None, :], R03)[0] == exact, (t, coord)
+
+
 class TestEstimator:
     def test_input_validation(self):
         model = PlaneModel()
         with pytest.raises(InputError):
-            estimate_volume(model, model.base_point(), -0.1, 10_000, 0)
+            estimate_volume(model, model.curve(0.0), -0.1, 10_000, 0)
         with pytest.raises(InputError):
-            estimate_volume(model, model.base_point(), 0.3, 10, 0)
+            estimate_volume(model, model.curve(0.0), 0.3, 10, 0)
         # checked before the batch list [BATCH] * (samples // BATCH) is built
         for samples in (10 ** 20, 100_000_001):
             with pytest.raises(InputError, match="at most 100000000 samples"):
-                estimate_volume(model, model.base_point(), 0.3, samples, 0)
+                estimate_volume(model, model.curve(0.0), 0.3, samples, 0)
         with pytest.raises(InputError):
             get_model("so3-sphere")
 
@@ -641,7 +690,7 @@ class TestEstimator:
         for name in ("sl2-mod-n", "spd2", "sl2-orbit-cone",
                      "sl2-orbit-hyperboloid"):
             model = get_model(name)
-            est, err = estimate_volume(model, model.base_point(),
+            est, err = estimate_volume(model, model.curve(0.0),
                                        R03, 10_000, 3)
             assert est >= 0.0
             assert math.isfinite(err)
