@@ -102,7 +102,7 @@ def _report(command: str, args, inputs: dict, result: dict) -> dict:
         "argv": list(args._argv),
         "inputs": inputs,
         "version": __version__,
-        "result": result,
+        "result": _jsonify(result),
     }
 
 
@@ -141,24 +141,14 @@ def cmd_check(args) -> tuple[dict, int]:
         "reductive_in_g": verdict.reductive_in_g,
         "vai": verdict.vai,
         "symmetric_pair": verdict.symmetric_pair,
-        "certificate": _jsonify(verdict.certificate),
-        "trace_witness": _jsonify(verdict.trace_witness),
+        "certificate": verdict.certificate,
+        "trace_witness": verdict.trace_witness,
     }
     return _report("check", args, inputs, result), CHECK_EXIT[verdict.vai]
 
 
 # ---------------------------------------------------------------------------
 # witness
-
-
-def _triple_payload(triple) -> dict | None:
-    if triple is None:
-        return None
-    return {
-        "x": _jsonify(triple.x),
-        "u": _jsonify(triple.u),
-        "v": _jsonify(triple.v),
-    }
 
 
 def cmd_witness(args) -> tuple[dict, int]:
@@ -181,7 +171,7 @@ def cmd_witness(args) -> tuple[dict, int]:
                 "type": "error",
                 "error": "GammaNotPositive",
                 "message": str(exc),
-                "payload": _jsonify(exc.payload),
+                "payload": exc.payload,
             }
             return _report("witness", args, inputs, result), 3
         bounded = bool(check_mt_bounded(witness))
@@ -190,17 +180,17 @@ def cmd_witness(args) -> tuple[dict, int]:
             "path": "parabolic",
             "algebra": g.name,
             "subalgebra": h.name,
-            "gamma": _jsonify(witness.gamma),
-            "x": _jsonify(parabolic.x),
-            "p0": _jsonify(parabolic.p0),
-            "l0": _jsonify(parabolic.l0),
-            "n0": _jsonify(parabolic.n0),
-            "nbar0": _jsonify(parabolic.nbar0),
-            "n1": _jsonify(witness.n1),
-            "l1": _jsonify(witness.l1),
-            "v": _jsonify(witness.v),
+            "gamma": witness.gamma,
+            "x": parabolic.x,
+            "p0": parabolic.p0,
+            "l0": parabolic.l0,
+            "n0": parabolic.n0,
+            "nbar0": parabolic.nbar0,
+            "n1": witness.n1,
+            "l1": witness.l1,
+            "v": witness.v,
             "mt_bounded": bounded,
-            "assumptions": list(witness.assumptions),
+            "assumptions": witness.assumptions,
         }
         return _report("witness", args, inputs, result), 0 if bounded else 3
 
@@ -223,12 +213,13 @@ def cmd_witness(args) -> tuple[dict, int]:
         "path": "unipotent",
         "algebra": g.name,
         "subalgebra": h.name,
-        "gamma": _jsonify(witness.gamma),
-        "x": _jsonify(witness.x),
+        "gamma": witness.gamma,
+        "x": witness.x,
         "averaged": witness.averaged,
-        "n1": _jsonify(witness.n1) if witness.n1 is not None else None,
-        "triple": _triple_payload(witness.triple),
-        "assumptions": list(witness.assumptions),
+        "n1": witness.n1,
+        "triple": None if witness.triple is None else {
+            "x": witness.triple.x, "u": witness.triple.u, "v": witness.triple.v},
+        "assumptions": witness.assumptions,
     }
     return _report("witness", args, inputs, result), 0
 
@@ -292,8 +283,8 @@ def _fit_prediction(space: str):
         cert = predict_lower_bound(g, sub, cartan, vec([0, 1, 1]))
         inputs["exponent-subalgebra"] = _input_entry(sub_path)
         extra = {
-            "cosh_exponent": rat_to_str(cert.cosh_exponent),
-            "eigenvalues": _jsonify(cert.eigenvalues),
+            "cosh_exponent": cert.cosh_exponent,
+            "eigenvalues": cert.eigenvalues,
         }
         return Fraction(0), "lower-bound", inputs, extra
     raise InputError(f"no certified exponent for space '{space}'")
@@ -336,9 +327,9 @@ def cmd_estimate(args) -> tuple[dict, int]:
         "radius": series.radius,
         "samples": series.samples,
         "seed": series.seed,
-        "t_values": list(series.t_values),
-        "estimates": list(series.estimates),
-        "stderrs": list(series.stderrs),
+        "t_values": series.t_values,
+        "estimates": series.estimates,
+        "stderrs": series.stderrs,
         "slope": series.slope,
         "intercept": series.intercept,
         "slope_half_width": series.slope_half_width,
@@ -357,7 +348,7 @@ def cmd_estimate(args) -> tuple[dict, int]:
         else:
             slope_ok = abs(slope - target) <= FIT_TOLERANCE
         fit = {
-            "predicted": rat_to_str(predicted),
+            "predicted": predicted,
             "kind": kind,
             "slope": slope,
             "tolerance": FIT_TOLERANCE,

@@ -21,10 +21,6 @@ class InputError(VaikitError):
     """Malformed or inconsistent user-supplied data (maps to exit 2)."""
 
 
-class NotReductive(VaikitError):
-    """The ambient algebra is not reductive, so verdicts are undefined."""
-
-
 class NotSemisimple(VaikitError):
     """An element expected to act semisimply has a repeated-root minimal polynomial."""
 
@@ -35,10 +31,6 @@ class IrrationalSpectrum(VaikitError):
 
 class NotNilpotent(VaikitError):
     """An element expected to act nilpotently does not."""
-
-
-class NotSymmetric(VaikitError):
-    """The pair is not symmetric, so the two-sided exponent is undefined."""
 
 
 class GammaNotPositive(VaikitError):
@@ -56,10 +48,6 @@ class GammaNotPositive(VaikitError):
 
 class NoNormalizer(VaikitError):
     """No suitable grading element exists for the requested certificate."""
-
-
-class EmptyBox(VaikitError):
-    """A sampling box is degenerate (zero or non-finite measure)."""
 
 
 class TooFewPoints(VaikitError):

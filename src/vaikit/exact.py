@@ -7,7 +7,7 @@ and eigenspaces of semisimple matrices with rational spectrum.
 A ``RatMat`` stores integer rows over one positive denominator, reduced
 so that the denominator and the entries share no factor.  Products and
 powers multiply the integer rows, eliminations combine primitive integer
-rows fraction-free, determinants and characteristic polynomials are
+rows fraction-free, leading minors and characteristic polynomials are
 division-free (Bareiss, Berkowitz), and each divides once on the way
 out, so results equal Fraction arithmetic's entry for entry.  One
 integer Sturm sequence decides squarefreeness, isolates rational roots
@@ -215,15 +215,6 @@ class RatMat:
         return RatMat.from_integers(
             [[e * (d // row[i] * self.den) for e in row[n:]] for i, row in enumerate(rows)], d, n)
 
-    def det(self) -> Fraction:
-        """Determinant by fraction-free Bareiss elimination with row exchanges."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of non-square matrix")
-        det, sign = 1, 1
-        for det, sign in _bareiss([list(r) for r in self.num]):
-            pass
-        return Fraction(sign * det, self.den ** self.nrows)
-
     def __repr__(self):
         return f"RatMat({[list(map(str, r)) for r in self.rows]})"
 
@@ -409,17 +400,6 @@ def pivot_indices(vectors) -> list[int]:
 Poly = tuple[Fraction, ...]
 
 
-def poly(coeffs) -> Poly:
-    c = [rat(e) for e in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_is_zero(p: Poly) -> bool:
-    return len(p) == 0
-
-
 def is_squarefree(p: Poly) -> bool:
     """True when p has no repeated roots, i.e. gcd(p, p') is constant.
 
@@ -430,7 +410,7 @@ def is_squarefree(p: Poly) -> bool:
 
 def _sturm_of(p: Poly) -> list[list[int]]:
     """`_sturm` of p's primitive integer coefficients."""
-    if poly_is_zero(p):
+    if not p:
         raise ValueError("zero polynomial")
     return _sturm(_primitive(_integer_row(p)[0]))
 
@@ -549,23 +529,19 @@ def _deflate(a: list[int], p: int, q: int) -> list[int] | None:
     return out if a[0] + carry == 0 else None
 
 
-def rational_roots(p: Poly) -> dict[Fraction, int]:
-    """Rational roots with multiplicities, by Sturm isolation (Sturm 1829).
+def _sturm_roots(seq: list[list[int]]) -> dict[Fraction, int]:
+    """Rational roots with multiplicities of the polynomial whose Sturm
+    sequence is seq, by Sturm isolation (Sturm 1829).
 
-    The polynomial is scaled to primitive integer coefficients a with
-    leading coefficient of modulus c.  A root p/q in lowest terms has q
-    dividing c, so every rational root is a multiple of 1/c and no point
+    seq starts with the polynomial's primitive integer coefficients a,
+    with leading coefficient of modulus c.  A root p/q in lowest terms has
+    q dividing c, so every rational root is a multiple of 1/c and no point
     (2k+1)/(2c) is a root; Sturm counts between such points are exact
     even when a has repeated roots.  Bisection on them, from a Fujiwara
     (1916) bound on the roots, narrows each real root to one multiple of
     1/c, which is divided out by (q x - p) on integers as often as it
     divides; that count is its multiplicity.
     """
-    return _sturm_roots(_sturm_of(p))
-
-
-def _sturm_roots(seq: list[list[int]]) -> dict[Fraction, int]:
-    """`rational_roots` of the polynomial whose Sturm sequence is seq."""
     a = seq[0]
     roots: dict[Fraction, int] = {}
     if len(a) > 1:

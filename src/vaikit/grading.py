@@ -70,15 +70,6 @@ class Grading:
             lo += p.dim
         self._coord = None
 
-    def eigenvalues(self) -> list[Fraction]:
-        return list(self.parts.keys())
-
-    def part(self, lam) -> Subspace:
-        key = Fraction(lam)
-        if key in self.parts:
-            return self.parts[key]
-        return Subspace(self.algebra, [], name=f"g^{key}")
-
     def nonnegative_part(self) -> Subspace:
         basis = [b for lam, p in self.parts.items() if lam >= 0 for b in p.basis]
         return Subspace(self.algebra, basis, name="g^(>=0)")

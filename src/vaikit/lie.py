@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import InvariantViolation, NotReductive
+from .errors import InputError, InvariantViolation
 from .exact import (
     ONE,
     ZERO,
@@ -470,7 +470,7 @@ def is_unimodular_pair(g: LieAlgebra, h: Subalgebra) -> bool:
     adjoint action of h on itself is traceless.
     """
     if not g.is_reductive():
-        raise NotReductive(
+        raise InputError(
             f"ambient algebra {g.name or '?'} is not reductive: radical exceeds center")
     return unimodular_trace_witness(g, h) is None
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import InvariantViolation, NotReductive
+from .errors import InputError, InvariantViolation
 from .exact import (
     RatMat,
     Vec,
@@ -201,7 +201,7 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
               nonzero-trace element is reported.
     """
     if not g.is_reductive():
-        raise NotReductive(
+        raise InputError(
             f"ambient algebra {g.name or '?'} is not reductive")
     if cartan is None:
         cartan = default_cartan(g)

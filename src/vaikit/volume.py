@@ -26,7 +26,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import EmptyBox, InputError, TooFewPoints
+from .errors import InputError, TooFewPoints
 from .exact import real_root_count
 
 BATCH = 16384
@@ -194,38 +194,29 @@ def _require_finite(model_name, coefs):
     return coefs
 
 
-class SpaceModel:
-    """Shared plumbing; concrete models fill in the geometry."""
-
-    name = "abstract"
-    chart_dim = 0
-
-    def curve(self, t: float):
-        raise NotImplementedError
-
-    def chart_box(self, z, radius: float):
-        raise NotImplementedError
-
-    def membership_chart(self, z, coords: np.ndarray, radius: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply(self, g: np.ndarray, point):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"SpaceModel({self.name})"
-
-
 # ---------------------------------------------------------------------------
 # R^2 minus the origin: the model of SL(2,R)/N
 
 
-class PlaneModel(SpaceModel):
+class PlaneModel:
     """Z = R^2 \\ {0} with the linear SL(2,R) action and Lebesgue measure.
 
     Membership has a closed form: solutions of g z = w in SL(2,R) form
     the affine line g(s) = g0 + s * w (z-perp)^T, and ||g(s) - 1||_F^2
     is an explicit quadratic in s.
+
+    The float range is 1e-38 <= |z| <= 1e38 / (1 + 4 r) (|t| <= 86.7 on
+    the curve at r = 0.3).  Membership is invariant under (z, w) ->
+    (c z, c w), and each value `membership_chart` computes is homogeneous
+    of degree 0, 2 or 4 in c; for c a power of two the float evaluation
+    scales exactly as well, while every value stays a normal float, so
+    the decisions are those at 1 <= |z| < 2.  The box keeps |w| <=
+    (1 + 4 r) |z|, and with ||g0||_F <= |w|/|z| + |z|/|w|, the degree-4
+    values |w|^2 |z|^2 and (G.D)^2 <= (|w| + |z|)^4 stay below 2e153 in
+    the range; the tests check the scaling law exactly at both of its
+    ends.  Past about |z| = 1e77, or below 1e-77, those values
+    overflow or underflow and every sample would read as a miss, so a
+    point outside the range is refused.
     """
 
     name = "sl2-mod-n"
@@ -241,7 +232,10 @@ class PlaneModel(SpaceModel):
         nz = float(np.hypot(z[0], z[1]))
         half = 2.0 * radius * nz
         if not (half > 0.0 and np.isfinite(half)):
-            raise EmptyBox("point too close to the deleted origin")
+            raise InputError("point too close to the deleted origin")
+        if not 1e-38 <= nz <= 1e38 / (1.0 + 4.0 * radius):
+            raise InputError(f"{self.name}: the point is outside the model's float range "
+                             "1e-38 <= |z| <= 1e38 / (1 + 4 r)")
         return z - half, z + half
 
     def membership_chart(self, z, coords, radius):
@@ -267,15 +261,12 @@ class PlaneModel(SpaceModel):
         fmin = g_norm2 - g_dot_d * g_dot_d / d_norm2
         return ok & (fmin <= radius * radius)
 
-    def apply(self, g, point):
-        return np.asarray(g, dtype=float) @ np.asarray(point, dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # unit-determinant positive matrices: the model of SL(2,R)/SO(2)
 
 
-class SPD2Model(SpaceModel):
+class SPD2Model:
     """Z = {P symmetric positive definite, det P = 1}, action g.P = gPg^T.
 
     Chart (u, tau) = (P12, log P22) carries the invariant measure as the
@@ -344,7 +335,7 @@ class SPD2Model(SpaceModel):
         sig = math.sqrt(float(evals[-1]))
         lam_min = float(evals[0])
         if lam_min <= 0.0:
-            raise EmptyBox("base point is not positive definite")
+            raise InputError("base point is not positive definite")
         sq11, sq22 = math.sqrt(p[0, 0]), math.sqrt(p[1, 1])
         # exact reachability bounds: w22 = ||L(e2+v)||^2 with ||v|| <= r,
         # w12 = (L(e1+v'), L(e2+v)); the linearized box misses the
@@ -353,7 +344,7 @@ class SPD2Model(SpaceModel):
         w22_hi = (sq22 + radius * sig) ** 2
         w22_lo = lam_min * (1.0 - radius) ** 2
         if not (w22_lo > 0.0 and u_half > 0.0):
-            raise EmptyBox("degenerate base point")
+            raise InputError("degenerate base point")
         lo = np.array([p[0, 1] - 2.0 * u_half, math.log(w22_lo)])
         hi = np.array([p[0, 1] + 2.0 * u_half, math.log(w22_hi)])
         return lo, hi
@@ -438,25 +429,12 @@ class SPD2Model(SpaceModel):
             hit[rest[band]] = self._exact_hits(tuple(c[rest[band]] for c in q), p_inv, r2)
         return hit
 
-    def apply(self, g, point):
-        g = np.asarray(g, dtype=float)
-        return g @ np.asarray(point, dtype=float) @ g.T
-
 
 # ---------------------------------------------------------------------------
 # adjoint orbits in sl(2,R) ~ R^3, points (a, b, c) <-> [[a, b], [c, -a]]
 
 
-def _orbit_matrix(point) -> np.ndarray:
-    a, b, c = (float(x) for x in point)
-    return np.array([[a, b], [c, -a]])
-
-
-def _orbit_coords(m: np.ndarray):
-    return np.array([m[0, 0], m[0, 1], m[1, 0]])
-
-
-class ConeModel(SpaceModel):
+class ConeModel:
     """The nilpotent adjoint orbit of E: {a^2 + bc = 0, (b, c) != (0, 0),
     b >= 0 >= c}, i.e. the image of R^2 \\ {0} under the equivariant
     double cover z -> z (z-perp)^T.  The orbit measure pulls back to
@@ -476,14 +454,15 @@ class ConeModel(SpaceModel):
         a, b, c = (float(x) for x in point)
         if b >= -c:
             if b <= 0.0:
-                raise EmptyBox("point is not on the punctured cone")
+                raise InputError("point is not on the punctured cone")
             z1 = math.sqrt(b)
             return np.array([z1, -a / z1])
         z2 = math.sqrt(-c)
         return np.array([-a / z2, z2])
 
     def chart_box(self, z, radius: float):
-        """The plane's box around the lift l of z, for radius r <= 1/2.
+        """The plane's box around the lift l of z, for radius r <= 1/2, in
+        the plane's float range for |l| (|t| <= 86.7 on the curve).
 
         A sample c counts when c or -c lies in B_r . l, so each orbit point
         counts once only if no member c = g l, |c - l| <= r |l|, has -c in
@@ -494,19 +473,15 @@ class ConeModel(SpaceModel):
         if not radius <= 0.5:
             raise InputError(f"{self.name}: radius {radius:g} is outside the model's "
                              "radius domain r <= 0.5")
-        return self._plane.chart_box(self._lift(z), radius)
+        return PlaneModel.chart_box(self, self._lift(z), radius)  # errors name the cone
 
     def membership_chart(self, z, coords, radius):
         lift = self._lift(z)
         return (self._plane.membership_chart(lift, coords, radius)
                 | self._plane.membership_chart(lift, -coords, radius))
 
-    def apply(self, g, point):
-        g = np.asarray(g, dtype=float)
-        return _orbit_coords(g @ _orbit_matrix(point) @ np.linalg.inv(g))
 
-
-class HyperboloidModel(SpaceModel):
+class HyperboloidModel:
     """The adjoint orbit of H: the one-sheeted quadric {a^2 + bc = 1},
     the model of SL(2,R)/SO(1,1).
 
@@ -584,7 +559,7 @@ class HyperboloidModel(SpaceModel):
         half_delta = 2.0 * radius * bd_delta
         if not (half_psi > 0.0 and half_delta > 0.0
                 and np.isfinite(half_delta)):
-            raise EmptyBox("degenerate orbit point")
+            raise InputError("degenerate orbit point")
         psi = math.atan2(beta, a)
         lo = np.array([psi - half_psi, delta - half_delta])
         hi = np.array([psi + half_psi, delta + half_delta])
@@ -602,7 +577,7 @@ class HyperboloidModel(SpaceModel):
             H = R(psi_w/2) B(t_w + t_z) diag(1, -1) R(-psi_z/2),
         each entry within a few roundings of the matrix's size."""
         if not abs(float(z[0])) <= 9.0e6:
-            raise EmptyBox(f"{self.name}: the point is outside the model's float range "
+            raise InputError(f"{self.name}: the point is outside the model's float range "
                            "|a| <= 9.0e6 (t <= 8.35 on the curve)")
         psi_z, delta_z = self.to_chart(z)
         t_z = -math.asinh(delta_z) / 2.0
@@ -666,8 +641,10 @@ class HyperboloidModel(SpaceModel):
             hit[band] = self._exact_hits(tuple(e[band] for e in g), tuple(e[band] for e in h), r2)
         return hit
 
-    apply = ConeModel.apply
 
+# what the estimator reads of a model: name, chart_dim, curve, chart_box
+# and membership_chart
+SpaceModel = PlaneModel | SPD2Model | ConeModel | HyperboloidModel
 
 SPACES = {
     PlaneModel.name: PlaneModel,
@@ -736,7 +713,7 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
     with np.errstate(over="ignore"):
         box_measure = float(np.prod(hi - lo))
     if not (box_measure > 0.0 and np.isfinite(box_measure)):
-        raise EmptyBox("sampling box has no volume")
+        raise InputError("sampling box has no volume")
 
     counts = [BATCH] * (samples // BATCH) + ([samples % BATCH] if samples % BATCH else [])
     _keep_freed_pages()

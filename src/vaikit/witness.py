@@ -31,7 +31,6 @@ from .errors import (
     NoNormalizer,
     NotNilpotent,
     NotSemisimple,
-    NotSymmetric,
 )
 from .exact import (
     RatMat,
@@ -399,5 +398,5 @@ def predict_symmetric_exponent(g: LieAlgebra, h: Subalgebra,
     from .reductivity import is_symmetric_pair
 
     if not is_symmetric_pair(g, h):
-        raise NotSymmetric("the pair is not symmetric")
+        raise InputError("the pair is not symmetric")
     return u_sub.restriction_matrix(g.ad(vec(x))).trace()

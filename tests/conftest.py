@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import builders
+from vaikit.lie import Subspace
 
 # pytest puts src/ on this process's path (pyproject.toml); the tests that
 # run `python -m vaikit.cli` in a subprocess need it there too
@@ -48,7 +49,7 @@ def assert_bracket_compatible():
         items = list(grading.parts.items())
         for i, (lam, pl) in enumerate(items):
             for mu, pm in items[i:]:
-                target = grading.part(lam + mu)  # empty when not a label
+                target = grading.parts.get(lam + mu, Subspace(g, []))  # 0 when not a label
                 for a in pl.basis:
                     for b in pm.basis:
                         assert target.contains(g.bracket(a, b)), (lam, mu)

@@ -3,7 +3,8 @@
 These are sanity checks of what the exact certificates predict, not
 certificates: the Jacobian sandwich measures the decay rate of a
 ``DecayWitness`` chart, and ``chi_partial`` the weighted patch norms of
-the plane model's step-function counterexample.
+the plane model's step-function counterexample.  ``act`` is the group
+action on each space model, which the membership tests move points by.
 """
 
 import math
@@ -12,7 +13,20 @@ import numpy as np
 
 from vaikit.exact import RatMat
 from vaikit.grading import grading_of
-from vaikit.volume import PlaneModel, estimate_volume
+from vaikit.volume import PlaneModel, SPD2Model, estimate_volume
+
+
+def act(model, g, point) -> np.ndarray:
+    """g . point in the model's space: g z on the plane, g P g^T on spd2, and
+    g X g^-1 on the adjoint orbits, with X = [[a, b], [c, -a]] for (a, b, c)."""
+    g = np.asarray(g, dtype=float)
+    if isinstance(model, PlaneModel):
+        return g @ np.asarray(point, dtype=float)
+    if isinstance(model, SPD2Model):
+        return g @ np.asarray(point, dtype=float) @ g.T
+    a, b, c = (float(x) for x in point)
+    m = g @ np.array([[a, b], [c, -a]]) @ np.linalg.inv(g)
+    return np.array([m[0, 0], m[0, 1], m[1, 0]])
 
 
 def to_floats(m: RatMat) -> np.ndarray:

@@ -492,8 +492,18 @@ class TestEstimate:
                  "sl2-orbit-hyperboloid: t = 400 is outside"),
                 (("sl2-mod-n", "710:711:1"), "0.3", "2000", "1",
                  "sl2-mod-n: t = 710 is outside"),
+                # past |z| = 1e38 / (1 + 4 r), or below 1e-38, the plane and
+                # the cone refuse the point: there every sample read as a miss
                 (("sl2-mod-n", "400:401:1"), "0.3", "2000", "1",
-                 "sampling box has no volume")]:
+                 "sl2-mod-n: the point is outside the model's float range"),
+                (("sl2-mod-n", "200:201:1"), "0.3", "2000", "1",
+                 "sl2-mod-n: the point is outside the model's float range"),
+                (("sl2-mod-n", "-201:-200:1"), "0.3", "2000", "1",
+                 "sl2-mod-n: the point is outside the model's float range"),
+                (("sl2-orbit-cone", "200:201:1"), "0.3", "2000", "1",
+                 "sl2-orbit-cone: the point is outside the model's float range"),
+                (("sl2-orbit-cone", "-201:-200:1"), "0.3", "2000", "1",
+                 "sl2-orbit-cone: the point is outside the model's float range")]:
             # a numpy warning would turn into an exception and exit 5
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

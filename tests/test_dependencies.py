@@ -63,54 +63,80 @@ def test_no_unused_imports():
 
 
 def _definitions(tree: ast.Module):
-    """Top-level defs and classes, and the non-dunder methods of those classes."""
+    """(node, is_method) for the top-level defs and classes, and for the
+    non-dunder methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+            yield from ((m, True) for m in node.body if isinstance(m, ast.FunctionDef)
                         and not (m.name.startswith("__") and m.name.endswith("__")))
 
 
-def _named_elsewhere(node, path, lines, texts) -> bool:
-    """Whether node's name appears in `texts` (path -> text) outside node's
-    own definition and outside any other `def` of the same name (a sibling
-    class's method of that name is no use of it); `lines` are path's lines."""
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names(paths, strings=()) -> dict:
+    """name -> [(path, line, is_attribute)] for each loaded Name, Attribute
+    and import alias in `paths`, and each part of a dotted-name string in
+    `strings`' files (how perfbench's TARGETS keep names alive), which
+    counts as an attribute."""
+    found: dict = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named = [(node.id, False)]
+            elif isinstance(node, ast.Attribute):
+                named = [(node.attr, True)]
+            elif isinstance(node, ast.alias):
+                named = [(node.name, False)]
+            elif (path in strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and _DOTTED.fullmatch(node.value)):
+                named = [(part, True) for part in node.value.split(".")]
+            else:
+                continue
+            for name, is_attribute in named:
+                found.setdefault(name, []).append((path, node.lineno, is_attribute))
+    return found
+
+
+def _named_elsewhere(node, path, names, is_method=False) -> bool:
+    """Whether `names` (from `_names`) holds node's name outside node's own
+    body; a method is named only as an attribute."""
     first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    outside = lines[:first - 1] + lines[node.end_lineno:]
-    word = re.compile(rf"(?<!def )\b{node.name}\b")
-    return any(word.search(text) for text in (
-        "\n".join(outside), *(t for other, t in texts.items() if other != path)))
+    return any((is_attribute or not is_method)
+               and (other != path or not first <= line <= node.end_lineno)
+               for other, line, is_attribute in names.get(node.name, ()))
 
 
 def test_every_top_level_definition_is_used():
     """Each top-level def or class of the package, and each non-dunder
     method of a top-level class, is named somewhere in src/ or perfbench/
-    outside its own definition.  Tests do not count as callers: what only
-    tests need lives in tests/."""
+    outside its own body: by a loaded name, an attribute, an import or,
+    in perfbench/, a dotted-name string.  A method counts only as an
+    attribute or such a string.  Docstrings, comments and local variables
+    do not count, nor do tests: what only tests need lives in tests/."""
     root = PACKAGE.parent.parent
-    lines = {path: path.read_text().splitlines() for folder in ("src", "perfbench")
-             for path in sorted((root / folder).rglob("*.py"))}
-    texts = {path: "\n".join(text) for path, text in lines.items()}
+    perfbench = sorted((root / "perfbench").rglob("*.py"))
+    names = _names(sorted((root / "src").rglob("*.py")) + perfbench, set(perfbench))
     unused = [f"{path.name}:{node.lineno} {node.name}"
               for path in sorted(PACKAGE.rglob("*.py"))
-              for node in _definitions(ast.parse(texts[path], str(path)))
-              if not _named_elsewhere(node, path, lines[path], texts)]
+              for node, is_method in _definitions(ast.parse(path.read_text(), str(path)))
+              if not _named_elsewhere(node, path, names, is_method)]
     assert unused == []
 
 
 def test_every_test_helper_is_used():
     """Each module-level def or class in tests/ other than a test (test_*
     functions, Test* classes) is named somewhere in tests/ outside its own
-    definition, so no helper outlives the tests that needed it."""
-    tests = Path(__file__).resolve().parent
-    lines = {path: path.read_text().splitlines() for path in sorted(tests.rglob("*.py"))}
-    texts = {path: "\n".join(text) for path, text in lines.items()}
+    body, by the rule above, so no helper outlives the tests that needed it."""
+    paths = sorted(Path(__file__).resolve().parent.rglob("*.py"))
+    names = _names(paths)
     unused = [f"{path.name}:{node.lineno} {node.name}"
-              for path, text in texts.items() for node in ast.parse(text, str(path)).body
+              for path in paths for node in ast.parse(path.read_text(), str(path)).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith(("test_", "Test"))
-              and not _named_elsewhere(node, path, lines[path], texts)]
+              and not _named_elsewhere(node, path, names)]
     assert unused == []
 
 

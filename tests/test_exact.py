@@ -10,21 +10,45 @@ from vaikit import exact
 from vaikit.errors import IrrationalSpectrum, NotSemisimple
 from vaikit.exact import (
     RatMat,
+    _bareiss,
+    _sturm_of,
+    _sturm_roots,
     char_poly,
     is_squarefree,
     kernel,
     minimal_polynomial,
     pivot_indices,
-    poly,
     rational_eigen_decomposition,
-    rational_roots,
     rref,
     solve,
     vec,
 )
 from vaikit.lie import BilinearForm, LieAlgebra
 
-# polynomial product and evaluation at a matrix, for the identities below
+# polynomials, their roots and determinants, for the identities below
+
+
+def poly(coeffs):
+    """Fraction coefficients, ascending, with trailing zeros dropped."""
+    c = [F(e) for e in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def rational_roots(p):
+    """Rational roots of p with multiplicities, as rational_eigen_decomposition
+    finds them: by Sturm isolation on p's Sturm sequence."""
+    return _sturm_roots(_sturm_of(p))
+
+
+def det(m):
+    """m's determinant: the last pivot, times its sign, of a Bareiss pass on
+    m's integer rows, over den^n."""
+    pivot, sign = 1, 1
+    for pivot, sign in _bareiss([list(r) for r in m.num]):
+        pass
+    return F(sign * pivot, m.den ** m.nrows)
 
 
 def poly_mul(a, b):
@@ -121,8 +145,8 @@ def test_det_and_charpoly_agree():
     cp = char_poly(m)
     # det(xI - m) = x^2 - 5x + 5
     assert cp == poly([5, -5, 1])
-    assert m.det() == F(5)
-    assert cp[0] == m.det()  # det(xI - m) at x = 0; n even: det(-m) = det(m)
+    assert det(m) == F(5)
+    assert cp[0] == det(m)  # det(xI - m) at x = 0; n even: det(-m) = det(m)
 
 
 def test_charpoly_cayley_hamilton_randomized():
@@ -384,7 +408,7 @@ def test_pivot_indices_match_fraction_span():
 def test_char_poly_and_det_match_fraction_references():
     for m in _random_matrices(109, 1000, square=True):
         assert char_poly(m) == _ref_char_poly(m.rows)
-        assert m.det() == _ref_det(m.rows)
+        assert det(m) == _ref_det(m.rows)
 
 
 def test_positive_definite_matches_sylvester():
@@ -632,7 +656,7 @@ def test_ratmat_operations_match_fraction_references():
         assert [list(r) for r in (m ** power).rows] == [list(r) for r in ref_power]
         _assert_canonical(m ** power)
         assert m.trace() == sum((rows[i][i] for i in range(nr)), F(0))
-        assert m.det() == _ref_det(rows)
+        assert det(m) == _ref_det(rows)
         assert char_poly(m) == _ref_char_poly(rows)
         assert minimal_polynomial(m) == (_ref_minimal_polynomial(rows) if nr else (F(1),))
         inverse = _ref_inverse(rows)
@@ -694,7 +718,7 @@ def _conjugate(rng, m):
     while True:
         s = RatMat([[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(m.nrows)]
                     for _ in range(m.nrows)])
-        if s.det() != 0:
+        if det(s) != 0:
             return s @ m @ s.inverse()
 
 

@@ -32,10 +32,10 @@ from vaikit.lie import Subalgebra, Subspace
 def test_grading_sl2_by_h(sl2, assert_bracket_compatible):
     gr = grading_of(sl2, vec([1, 0, 0]))
     assert_bracket_compatible(gr)
-    assert gr.eigenvalues() == [-2, 0, 2]
-    assert gr.part(2).same_span(Subspace(sl2, [vec([0, 1, 0])]))
-    assert gr.part(0).same_span(Subspace(sl2, [vec([1, 0, 0])]))
-    assert gr.part(-2).same_span(Subspace(sl2, [vec([0, 0, 1])]))
+    assert list(gr.parts) == [-2, 0, 2]
+    assert gr.parts[2].same_span(Subspace(sl2, [vec([0, 1, 0])]))
+    assert gr.parts[0].same_span(Subspace(sl2, [vec([1, 0, 0])]))
+    assert gr.parts[-2].same_span(Subspace(sl2, [vec([0, 0, 1])]))
     assert gr.nonnegative_part().dim == 2
 
 
@@ -44,18 +44,18 @@ def test_grading_sl3_by_block_element(sl3, assert_bracket_compatible):
     x = vec([2, 1, 0, 0, 0, 0, 0, 0])
     gr = grading_of(sl3, x)
     assert_bracket_compatible(gr)
-    assert gr.eigenvalues() == [-3, 0, 3]
+    assert list(gr.parts) == [-3, 0, 3]
     e12, e13 = sl3.basis_vector(2), sl3.basis_vector(3)
-    assert gr.part(3).same_span(Subspace(sl3, [e12, e13]))
-    assert gr.part(0).dim == 4
-    assert gr.part(-3).dim == 2
+    assert gr.parts[3].same_span(Subspace(sl3, [e12, e13]))
+    assert gr.parts[0].dim == 4
+    assert gr.parts[-3].dim == 2
 
 
 def test_grading_by_zero(sl2, assert_bracket_compatible):
     gr = grading_of(sl2, vec([0, 0, 0]))
     assert_bracket_compatible(gr)
-    assert gr.eigenvalues() == [0]
-    assert gr.part(0).dim == 3
+    assert list(gr.parts) == [0]
+    assert gr.parts[0].dim == 3
 
 
 def test_grading_rejects_nilpotent(sl2):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import builders
-from vaikit.errors import InvariantViolation, NotReductive
+from vaikit.errors import InputError, InvariantViolation
 from vaikit.exact import RatMat, rat, rref, vec
 from vaikit.grading import grading_of
 from vaikit.lie import (
@@ -220,7 +220,7 @@ def test_unimodular_requires_reductive_ambient():
     # affine line algebra: [x, y] = y is solvable, not reductive
     sc = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
     g = LieAlgebra([[[rat(c) for c in r] for r in p] for p in sc], name="aff1")
-    with pytest.raises(NotReductive):
+    with pytest.raises(InputError, match="not reductive"):
         is_unimodular_pair(g, Subalgebra(g, [g.basis_vector(i) for i in range(g.dim)]))
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import builders
 from vaikit import catalog
-from vaikit.errors import InvariantViolation, NotReductive
+from vaikit.errors import InputError, InvariantViolation
 from vaikit.exact import RatMat, kernel, vec
 from vaikit.lie import LieAlgebra, Subalgebra, Subspace
 from vaikit.reductivity import (
@@ -165,7 +165,7 @@ def test_verdict_no_measure_borel(sl2, sl2_subs):
 def test_verdict_requires_reductive_ambient():
     sc = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
     aff = LieAlgebra([[[int(c) for c in r] for r in p] for p in sc], name="aff1")
-    with pytest.raises(NotReductive):
+    with pytest.raises(InputError, match="not reductive"):
         vai_verdict(aff, Subalgebra(aff, [aff.basis_vector(i) for i in range(aff.dim)]))
 
 

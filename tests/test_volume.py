@@ -8,10 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from float_checks import chi_partial
+from float_checks import act, chi_partial
 from vaikit import volume
 from vaikit.exact import _sturm
-from vaikit.errors import EmptyBox, InputError, TooFewPoints
+from vaikit.errors import InputError, TooFewPoints
 from vaikit.volume import (
     ConeModel,
     HyperboloidModel,
@@ -149,7 +149,7 @@ class TestPlaneModel:
         z = np.array([0.8, 0.5])
         for _ in range(200):
             g = random_ball_element(rng, R03)
-            assert _member(self.model, z, self.model.apply(g, z), R03)
+            assert _member(self.model, z, act(self.model, g, z), R03)
 
     def test_known_non_member(self):
         assert not _member(self.model, np.array([1.0, 0.0]), np.array([2.0, 0.0]), R03)
@@ -158,7 +158,7 @@ class TestPlaneModel:
         assert not _member(self.model, np.array([1.0, 0.0]), np.array([0.0, 0.0]), R03)
 
     def test_empty_box_at_origin(self):
-        with pytest.raises(EmptyBox):
+        with pytest.raises(InputError, match="deleted origin"):
             self.model.chart_box(np.array([0.0, 0.0]), R03)
 
     def test_estimate_matches_high_resolution_oracle(self):
@@ -210,7 +210,7 @@ class TestSPD2Model:
             z = self.model.curve(t)
             for _ in range(60):
                 g = random_ball_element(rng, R03)
-                assert _member(self.model, z, self.model.apply(g, z), R03)
+                assert _member(self.model, z, act(self.model, g, z), R03)
 
     def test_far_point_not_member(self):
         z = self.model.curve(0.0)
@@ -326,7 +326,7 @@ class TestConeModel:
         rng = np.random.default_rng(9)
         z = np.array([0.3, 0.9, -0.1])
         g = random_ball_element(rng, 0.8)
-        moved = self.model.apply(g, z)
+        moved = act(self.model, g, z)
         # a^2 + bc = 0 is preserved
         assert moved[0] ** 2 + moved[1] * moved[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -380,17 +380,17 @@ class TestHyperboloidModel:
             z = self.model.curve(t)
             for _ in range(60):
                 g = random_ball_element(rng, R03)
-                assert _member(self.model, z, self.model.apply(g, z), R03)
+                assert _member(self.model, z, act(self.model, g, z), R03)
 
     def test_stabilizer_direction_fixes_base_point(self):
         z = self.model.curve(0.0)
         g = np.diag([math.exp(0.8), math.exp(-0.8)])
-        assert np.allclose(self.model.apply(g, z), z)
+        assert np.allclose(act(self.model, g, z), z)
 
     def test_rotation_moves_base_point_off_ball(self):
         z = self.model.curve(0.0)
-        assert not _member(self.model, z, self.model.apply(rotation(0.4), z), R03)
-        assert _member(self.model, z, self.model.apply(rotation(0.1), z), R03)
+        assert not _member(self.model, z, act(self.model, rotation(0.4), z), R03)
+        assert _member(self.model, z, act(self.model, rotation(0.1), z), R03)
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0])
     def test_single_solve_keeps_every_decision(self, t):
@@ -446,7 +446,7 @@ class TestHyperboloidModel:
         z = self.model.curve(8.3)
         assert _member(self.model, z, z, R03)
         z = self.model.curve(8.4)
-        with pytest.raises(EmptyBox, match="float range"):
+        with pytest.raises(InputError, match="float range"):
             _member(self.model, z, z, R03)
 
     def test_estimate_frozen(self):
@@ -462,7 +462,7 @@ class TestHyperboloidModel:
         z = self.model.curve(1.0)
         base, se = estimate_volume(self.model, z, R03, 50_000, 7)
         for theta in (0.7, 1.2):
-            moved = self.model.apply(rotation(theta), z)
+            moved = act(self.model, rotation(theta), z)
             est, err = estimate_volume(self.model, moved, R03, 50_000, 11)
             assert abs(est - base) < 3.0 * (err + se)
 
@@ -538,7 +538,7 @@ def test_ball_images_stay_in_the_box_at_the_radius_edge(model, edge, beyond, t):
     lo, hi = model.chart_box(z, edge)
     rng = np.random.default_rng(61)
     for _ in range(2000):
-        w = model.apply(random_ball_element(rng, edge), z)
+        w = act(model, random_ball_element(rng, edge), z)
         if isinstance(model, ConeModel):
             lift = model._lift(w)
             assert _in_box(lo, hi, lift) != _in_box(lo, hi, -lift)
@@ -549,6 +549,30 @@ def test_ball_images_stay_in_the_box_at_the_radius_edge(model, edge, beyond, t):
             assert _in_box(lo, hi, c)
     with pytest.raises(InputError, match="radius domain"):
         model.chart_box(z, beyond)
+
+
+@pytest.mark.parametrize("model", [PlaneModel(), ConeModel()], ids=["plane", "cone"])
+def test_plane_float_range_keeps_the_scaling_law_at_its_ends(model):
+    # with z and the samples scaled by 2^k, the decisions at the ends of the
+    # plane's float range, 1e-38 <= |z| <= 1e38 / (1 + 4 r), are those at
+    # |z| = 1 bit for bit (the cone at (0, 4^k, 0), whose lift is (2^k, 0)),
+    # and just past either end chart_box refuses the point
+    def base_point(k):
+        return (np.array([2.0 ** k, 0.0]) if isinstance(model, PlaneModel)
+                else np.array([0.0, 4.0 ** k, 0.0]))
+
+    lo, hi = model.chart_box(base_point(0), R03)
+    coords = np.random.default_rng(67).uniform(lo, hi, size=(volume.BATCH, 2))
+    hits = model.membership_chart(base_point(0), coords, R03)
+    assert hits.any() and not hits.all()
+    for k in (-126, 125):
+        z = base_point(k)
+        assert all(np.array_equal(e, 2.0 ** k * b) for e, b in zip(model.chart_box(z, R03), (lo, hi)))
+        assert np.array_equal(model.membership_chart(z, 2.0 ** k * coords, R03), hits)
+    for k in (-127, 126):
+        with pytest.raises(InputError, match=f"{model.name}: the point is outside the "
+                                             "model's float range"):
+            model.chart_box(base_point(k), R03)
 
 
 def _mp_real_minimum(mp, quartic, f, extra=()):
@@ -729,7 +753,7 @@ class TestEstimator:
         for model, z in ((PlaneModel(), np.array([0.5, -0.8])),
                          (SPD2Model(), SPD2Model().curve(1.0))):
             base, se = estimate_volume(model, z, R03, 50_000, 7)
-            moved = model.apply(rotation(0.9), z)
+            moved = act(model, rotation(0.9), z)
             est, err = estimate_volume(model, moved, R03, 50_000, 11)
             assert abs(est - base) < 3.0 * (err + se)
 

@@ -13,7 +13,6 @@ from vaikit.errors import (
     InputError,
     InvariantViolation,
     NotNilpotent,
-    NotSymmetric,
 )
 from vaikit.exact import RatMat, pivot_indices, vec
 from vaikit.grading import grading_of
@@ -417,5 +416,5 @@ class TestSymmetricExponent:
     def test_not_symmetric(self, sl3):
         h = Subalgebra(sl3, [sl3.basis_vector(0)])
         u = Subspace(sl3, [sl3.basis_vector(2)])
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(InputError, match="not symmetric"):
             predict_symmetric_exponent(sl3, h, u, sl3.basis_vector(0))
