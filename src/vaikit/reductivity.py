@@ -87,16 +87,16 @@ class ReductivityReport:
     subalgebra: str
     unimodular: bool
     reductive_in_g: bool
-    vai: str
     certificate: dict | None
     symmetric_pair: bool
     trace_witness: Vec | None = None
 
-    def __post_init__(self):
-        expected = (VAI_NO_MEASURE if not self.unimodular
-                    else VAI_HOLDS if self.reductive_in_g else VAI_FAILS)
-        if self.vai != expected:
-            raise InvariantViolation("verdict disagrees with its ingredients")
+    @property
+    def vai(self) -> str:
+        """Holds exactly when the pair is unimodular and h is reductive in g."""
+        if not self.unimodular:
+            return VAI_NO_MEASURE
+        return VAI_HOLDS if self.reductive_in_g else VAI_FAILS
 
 
 def is_reductive_in_g(g: LieAlgebra, h: Subalgebra) -> tuple[bool, dict | None]:
@@ -208,12 +208,6 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
     trace_witness = unimodular_trace_witness(g, h)
     unimodular = trace_witness is None
     reductive, failure_cert = is_reductive_in_g(g, h)
-    if not unimodular:
-        vai = VAI_NO_MEASURE
-    elif reductive:
-        vai = VAI_HOLDS
-    else:
-        vai = VAI_FAILS
 
     certificate = None
     stable, q = (False, None) if cartan is None else check_theta_stable(g, h, cartan)
@@ -221,7 +215,7 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
         certificate = {"kind": "theta-stable", "q": q.basis}
     else:
         q = killing_complement(g, h)
-    if vai != VAI_HOLDS and failure_cert is not None:
+    if not reductive:
         certificate = failure_cert
 
     return ReductivityReport(
@@ -229,7 +223,6 @@ def vai_verdict(g: LieAlgebra, h: Subalgebra,
         subalgebra=h.name,
         unimodular=unimodular,
         reductive_in_g=reductive,
-        vai=vai,
         certificate=certificate,
         symmetric_pair=_brackets_into(g, h, q),
         trace_witness=trace_witness,

@@ -8,6 +8,14 @@ ball is B_r = {g in SL(2,R): ||g - 1||_F <= r}; for determinant-one
 2x2 matrices ||g^{-1} - 1||_F = ||g - 1||_F, so B_r is automatically
 inverse-closed and membership is symmetric in (z, w).
 
+The plane and the cone decide membership in closed form.  spd2 and the
+hyperboloid ask one question: is the least value of ||v1 M1 + v2 M2 -
+1||_F^2 on a conic, the unit circle or the hyperbola v1 v2 = 1, at most
+r^2?  Each builds the float entries of its two matrices M1 and M2 per
+sample and names its conic; `_conic_hits` answers for both, by certified
+bounds and, where they leave a sample undecided, an exact count of the
+real roots of an integer quartic.
+
 Estimation is hit-or-miss: every chart carries the invariant measure
 as Lebesgue measure, so sample the box uniformly, count hits and
 multiply the hit rate by box measure.  Sampling is batched with
@@ -85,24 +93,37 @@ def _conic_bounds(k, a, b, starts, circle, r2):
       outside the positive-definite range gives floor -inf.
 
     Rounding (Higham 2002, §3; u = 2^-53, gamma_n = nu / (1 - nu)).  The
-    code evaluates f, m, r_i = (A v - mu C v + b/2)_i, det M and
-    w = r.adj(M) r as sums of products with at most 6 roundings on any
-    term's path (C's entries 0, 1/2, 1 make mu C exact, so each entry of
-    M carries one rounding), so each is within gamma_6 of its exact value
-    times |.|, the same sum in absolute values (Lemma 3.1, eq. (3.4)).
-    Hence f <= f~ + gamma_6 |f|, d = |1 - m~| + gamma_6 |m| >= |1 - m|,
+    caller computes the coefficients from the float entries of M1 and M2
+    (`_conic_hits`), and every stage decides the f those entries define.
+    - The coefficients carry at most 6 roundings on any term's path.
+      a11 = |M1|^2 and a22 = |M2|^2 are sums of four squares, summed in
+      pairs, so each is within gamma_3 of itself.  M1.M2 (a12 on the
+      circle, half of k - 2 on the hyperbola) is within gamma_3 of
+      sum |M1_ij M2_ij|, and 2 |v1 v2| |M1_ij M2_ij| <= v1^2 M1_ij^2 +
+      v2^2 M2_ij^2 (AM-GM; on the hyperbola at the conic point, v1 v2 = 1)
+      bounds its error in f by gamma_3 (a11 v1^2 + a22 v2^2), terms the
+      bounds already count.  Each trace, so each b_i, carries one
+      rounding, and so does k = 2 + 2 M1.M2 on the hyperbola.
+    - The code evaluates f, m, r_i = (A v - mu C v + b/2)_i, det M and
+      w = r.adj(M) r from the coefficients as sums of products with at
+      most 6 roundings on any term's path (C's entries 0, 1/2, 1 make
+      mu C exact, so each entry of M carries one rounding), so each is
+      within gamma_6 of its exact value times |.|, the same sum in
+      absolute values (Lemma 3.1, eq. (3.4)).
+    Hence |f - f~| <= gamma_12 |f|, d = |1 - m~| + gamma_6 |m| >= |1 - m|,
     M > 0 where m11 > 0 and det~ > gamma_6 |det|, and, adj(M) <= tr(M) I
     making sqrt(r.adj(M) r) a norm, r.adj(M) r <= (sqrt(w~ + gamma_6 |w|)
     + sqrt(tr M) |r - r~|)^2 with |r_i - r~_i| <= gamma_6 |r_i|.  So
         ceiling = f~ + (gamma + 2 d) |f|
         floor   = f~ - gamma |f| - |mu| d - (that bound) / (det~ - gamma |det|)
-    with gamma = gamma_16 where gamma_6 is proved: the 10u of relative
-    slack in each term covers the at most 10 roundings of the terms' own
-    evaluation (sums, products, square roots and quotients of nonnegative
-    floats) and one rounding in each of the caller's coefficients.  A
-    float comparison with r^2 keeps the sign of the exact difference, so
-    ceiling < r^2 proves a hit and floor > r^2 proves a miss; nan proves
-    neither.
+    with gamma = gamma_16 where gamma_12 is proved: the 4u of relative
+    slack covers the at most 3 roundings of the subtractions that form
+    floor and ceiling, each within u of a partial sum no larger than |f|
+    where they lie near r^2, and, to second order, the evaluation of the
+    slack terms themselves (sums, products, square roots and quotients of
+    nonnegative floats).  A float comparison with r^2 keeps the sign of
+    the exact difference, so ceiling < r^2 proves a hit and floor > r^2
+    proves a miss; nan proves neither.
     """
     a11, a12, a22 = a
     b1, b2 = b
@@ -185,13 +206,88 @@ def _conic_bounds(k, a, b, starts, circle, r2):
     return floor, ceiling
 
 
-def _require_finite(model_name, coefs):
-    """The membership coefficients, or InputError if any is not finite."""
-    if not all(np.isfinite(c).all() for c in coefs):
-        raise InputError(
-            f"{model_name}: the base point is outside the model's float "
-            "range (membership coefficients are not finite)")
-    return coefs
+@np.errstate(all="ignore")
+def _conic_hits(m1, m2, circle, r2):
+    """Per sample, whether f(v) = ||v1 M1 + v2 M2 - 1||_F^2 <= r2 somewhere
+    on a conic: the unit circle, or the hyperbola v1 v2 = 1.  m1 and m2 are
+    the float entries (11, 12, 21, 22) of M1 and M2, an array each.
+
+    f = k + v.A v + b.v with the Gram coefficients b = -2 (tr M1, tr M2)
+    and, on the circle, k = 2 and A = [[|M1|^2, M1.M2], [M1.M2, |M2|^2]];
+    on the hyperbola, where 2 v1 v2 M1.M2 is the constant 2 M1.M2,
+    k = 2 + 2 M1.M2 and A = diag(|M1|^2, |M2|^2).  Every stage decides the
+    f that the eight float entries define.
+    - Pre-floor, circle only: f >= k0 - amp2 - amp1 at every angle, where
+      k0 = k + (a11 + a22)/2 and amp2 = |((a11 - a22)/2, a12)| and
+      amp1 = |b| are the amplitudes of f's second and first harmonics.
+      On the circle, a11 v1^2 + a22 v2^2 <= max(a11, a22) <= k0 + amp2
+      and |b1 v1| + |b2 v2| <= amp1, so the coefficients' rounding (see
+      `_conic_bounds`) is within gamma_6 of S = k0 + amp2 + amp1
+      everywhere on it.  The float value carries at most 5 roundings
+      relative to S: two in k0, one in a11 - a22, which moves amp2 by at
+      most u k0, the square, sum and square root in each amplitude (the
+      root halves the error it is given), and the two subtractions.  So
+      subtracting `_GAMMA` S leaves a certified floor, and a sample where
+      it exceeds r2 is a miss.
+    - Bounds: `_conic_bounds` from the best of the starts, the two minima
+      of v.A v and the minimum of b.v on the circle, the minima of v.A v
+      on both branches of the hyperbola.
+    - Exact stage (`_exact_hits`), for the samples the bounds leave
+      undecided.
+    """
+    (p11, p12, p21, p22), (q11, q12, q21, q22) = m1, m2
+    a11 = (p11 * p11 + p12 * p12) + (p21 * p21 + p22 * p22)
+    a22 = (q11 * q11 + q12 * q12) + (q21 * q21 + q22 * q22)
+    cross = (p11 * q11 + p12 * q12) + (p21 * q21 + p22 * q22)
+    b1, b2 = -2.0 * (p11 + p22), -2.0 * (q11 + q22)
+    if circle:
+        k0, p2 = 2.0 + (a11 + a22) / 2.0, (a11 - a22) / 2.0
+        amp2, amp1 = np.sqrt(p2 * p2 + cross * cross), np.sqrt(b1 * b1 + b2 * b2)
+        pre_floor = k0 - amp2 - amp1 - _GAMMA * (k0 + amp2 + amp1)
+        rest = np.flatnonzero(pre_floor <= r2)
+        a11, a12, a22, b1, b2, p2, amp1 = (
+            x[rest] for x in (a11, cross, a22, b1, b2, p2, amp1))
+        half = np.arctan2(a12, p2) / 2.0
+        c, s = -np.sin(half), np.cos(half)
+        k, starts = 2.0, [(c, s), (-c, -s), (-b1 / amp1, -b2 / amp1)]
+    else:
+        rest, k, a12 = np.arange(len(a11)), 2.0 + 2.0 * cross, 0.0
+        x = np.sqrt(np.sqrt(a22 / a11))
+        starts = [(x, 1.0 / x), (-x, -1.0 / x)]
+    floor, ceiling = _conic_bounds(k, (a11, a12, a22), (b1, b2), starts, circle, r2)
+    hit = np.zeros(len(p11), dtype=bool)
+    hit[rest] = ceiling < r2
+    band = rest[~((ceiling < r2) | (floor > r2))]
+    if band.size:
+        hit[band] = _exact_hits(tuple(e[band] for e in m1), tuple(e[band] for e in m2),
+                                circle, r2)
+    return hit
+
+
+def _exact_hits(m1, m2, circle, r2):
+    """`_conic_hits`' decisions, exactly, against the float r2: each
+    sample's eight entries are read as integers N1, N2 over one power of
+    two d, and f - r2 times a positive weight becomes an integer quartic F
+    in x, with 1 = diag(d, d):
+    - circle, v = (1 - x^2, 2 x) / (1 + x^2), x = tan(phi/2):
+      d^2 (1 + x^2)^2 (f - r2) = ||x^2 (N1 + 1) - 2 x N2 - (N1 - 1)||_F^2
+      - r2 d^2 (1 + x^2)^2, whose x^4 coefficient is d^2 (f - r2) at
+      v = (-1, 0), the one point x misses;
+    - hyperbola, v = (x, 1/x): d^2 x^2 (f - r2) = ||x^2 N1 - x 1 + N2||_F^2
+      - r2 d^2 x^2, with F(0) > 0.
+    So a sample is a hit exactly when `_reaches` finds F <= 0.
+    """
+    hits = []
+    for row in zip(*(e.tolist() for e in (*m1, *m2))):
+        ints, d = _dyadic(row)
+        n1, n2, one = ints[:4], ints[4:], (d, 0, 0, d)
+        if circle:
+            quartic = ([x + e for x, e in zip(n1, one)], [-2 * x for x in n2],
+                       [e - x for x, e in zip(n1, one)], (d * d, 0, 2 * d * d, 0, d * d))
+        else:
+            quartic = (n1, [-e for e in one], n2, (0, 0, d * d, 0, 0))
+        hits.append(_reaches(*quartic, r2))
+    return np.array(hits, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -270,39 +366,18 @@ class SPD2Model:
     """Z = {P symmetric positive definite, det P = 1}, action g.P = gPg^T.
 
     Chart (u, tau) = (P12, log P22) carries the invariant measure as the
-    plain Lebesgue measure du dtau.  Membership reduces to minimizing
-    ||q R(phi) p^{-1} - 1||_F^2 over the rotation angle, a trig
-    polynomial with harmonics at phi and 2*phi (the second harmonic
-    vanishes only at the identity base point).
+    plain Lebesgue measure du dtau.  With q = sqrt(W), the group elements
+    taking P to W are q R(phi) p^{-1/2}, p = sqrt(P), and R(phi) = cos phi
+    1 + sin phi J, J the rotation generator.  So W is in B_r . P exactly
+    when f(v) = ||v1 M1 + v2 M2 - 1||_F^2 <= r^2 somewhere on the unit
+    circle, with M1 = q p^{-1/2} and M2 = q J p^{-1/2}: `_matrices` builds
+    their float entries per sample and `_conic_hits` decides.
 
-    Membership decides in three steps, with f = k0 + p2 cos 2phi +
-    q2 sin 2phi + p1 cos phi + q1 sin phi.
-    - Pre-floor: every value of f is at least k0 - |(p2, q2)| - |(p1, q1)|
-      (the Lagrangian dual of the next step at the fixed multiplier
-      -|(p2, q2)| - |(p1, q1)|/2).  Its float value carries at most
-      4 roundings on any term's path (a square, the sum of squares, the
-      square root, which halves the relative error it is given, and the
-      two subtractions), so it is within gamma_4 (|k0| + |(p2, q2)| +
-      |(p1, q1)|) of the exact floor, and subtracting `_GAMMA` times that
-      sum, whose own evaluation the 12u of slack covers, leaves a
-      certified floor: a sample where it exceeds r^2 is a miss.
-    - Filter: f is a quadratic on the circle (cos phi, sin phi), and
-      `_conic_bounds` gives a certified ceiling (a hit below r^2) and
-      floor (a miss above it), at the best start for almost every sample
-      and after two Newton steps for the few that start leaves undecided.
-      On the benchmark grid, t <= 4, it decides all but about 1 in 10^5
-      of the samples past the pre-floor; the undecided share grows past
-      t = 6, where f's rounding nears r^2.
-    - Exact stage, for the samples left: with the float q = sqrt(W) and
-      p^{-1/2} read as integers over powers of two, U = q p^{-1/2} and
-      V = q J p^{-1/2} (J the rotation generator) give f = ||cos phi U +
-      sin phi V - 1||_F^2.  With x = tan(phi/2), F(x) = (f - r^2)(1 + x^2)^2
-      is an integer quartic with x^4 coefficient f(pi) - r^2, so the sample
-      is a hit exactly when that is <= 0 or F has a real root (`_reaches`),
-      against the float r^2 the filter compares with.
-
-    The radius domain is r < 1, where `chart_box` is proved to hold every
-    ball image.
+    The float range is tr P <= 4.9e8 (|t| <= 10 on the curve), the domain
+    the decisions are checked on: there the tests match them with an
+    80-digit oracle on the samples nearest r^2, up to t = 10 itself.  A
+    point past it is refused.  The radius domain is r < 1, where
+    `chart_box` is proved to hold every ball image.
     """
 
     name = "spd2"
@@ -349,85 +424,27 @@ class SPD2Model:
         hi = np.array([p[0, 1] + 2.0 * u_half, math.log(w22_hi)])
         return lo, hi
 
-    def _angle_coefficients(self, z, coords):
-        """(k0, p2, q2, p1, q1) of the distance as a trig polynomial,
-        f(phi) = k0 + p2 cos 2phi + q2 sin 2phi + p1 cos phi + q1 sin phi;
-        (q11, q12, q22) of q = sqrt(W) per sample; and p^{-1/2}."""
+    def _matrices(self, z, coords):
+        """The float entries of M1 = q p^{-1/2} and M2 = q J p^{-1/2} per
+        chart sample, q = sqrt(W) = (W + 1)/sqrt(tr W + 2)."""
         p = np.asarray(z, dtype=float)
-        p_inv = np.linalg.inv(self._sqrt_spd(p))
-        big_p_inv = np.linalg.inv(p)
-        beta = (big_p_inv[0, 0] + big_p_inv[1, 1]) / 2.0
-        b1 = big_p_inv[0, 0] - beta
-        b2 = big_p_inv[0, 1]
-
+        if not p[0, 0] + p[1, 1] <= 4.9e8:
+            raise InputError(f"{self.name}: the base point is outside the model's float "
+                             "range tr P <= 4.9e8 (|t| <= 10 on the curve)")
+        (i11, i12), (i21, i22) = np.linalg.inv(self._sqrt_spd(p))
         u, tau = coords[:, 0], coords[:, 1]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w22 = np.exp(tau)
-            w11 = (1.0 + u * u) / w22
-            alpha = (w11 + w22) / 2.0
-            a1 = (w11 - w22) / 2.0
-            a2 = u
-            # q = sqrt(W) = (W + I)/sqrt(tr W + 2); C = p^{-1/2-inv} q
-            s = np.sqrt(w11 + w22 + 2.0)
-            q11, q12, q22 = (w11 + 1.0) / s, u / s, (w22 + 1.0) / s
-            c11 = p_inv[0, 0] * q11 + p_inv[0, 1] * q12
-            c12 = p_inv[0, 0] * q12 + p_inv[0, 1] * q22
-            c21 = p_inv[1, 0] * q11 + p_inv[1, 1] * q12
-            c22 = p_inv[1, 0] * q12 + p_inv[1, 1] * q22
-
-            k0 = 2.0 * alpha * beta + 2.0
-            p2 = 2.0 * (a1 * b1 + a2 * b2)
-            q2 = 2.0 * (a2 * b1 - a1 * b2)
-            p1 = -2.0 * (c11 + c22)
-            q1 = -2.0 * (c12 - c21)
-        return _require_finite(self.name, (k0, p2, q2, p1, q1)), (q11, q12, q22), p_inv
-
-    @staticmethod
-    def _bounds(k0, p2, q2, p1, q1, r2):
-        """`_conic_bounds` of f on the circle (cos phi, sin phi), where
-        f = k0 + (c, s).[[p2, q2], [q2, -p2]] (c, s) + (p1, q1).(c, s);
-        starts: the two minima of the second harmonic, the first's minimum."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            half = np.arctan2(q2, p2) / 2.0
-            c, s, amp1 = -np.sin(half), np.cos(half), np.sqrt(p1 * p1 + q1 * q1)
-            return _conic_bounds(k0, (p2, q2, -p2), (p1, q1),
-                                 [(c, s), (-c, -s), (-p1 / amp1, -q1 / amp1)],
-                                 circle=True, r2=r2)
-
-    @staticmethod
-    def _exact_hits(q, p_inv, r2):
-        """The exact stage's decisions, from the float q (q11, q12, q22) and p_inv."""
-        (i11, i12, i21, i22), d_p = _dyadic(p_inv.ravel().tolist())
-        hits = []
-        for row in zip(*(c.tolist() for c in q)):
-            (a, b, c), d_q = _dyadic(row)
-            s = d_p * d_q
-            u = (a * i11 + b * i21, a * i12 + b * i22, b * i11 + c * i21, b * i12 + c * i22)
-            v = (b * i11 - a * i21, b * i12 - a * i22, c * i11 - b * i21, c * i12 - b * i22)
-            # s^2 F = ||x^2 (U + 1) - 2 x V - (U - 1)||^2 - r2 s^2 (1 + x^2)^2
-            hits.append(_reaches((u[0] + s, u[1], u[2], u[3] + s), [-2 * e for e in v],
-                                 (s - u[0], -u[1], -u[2], s - u[3]),
-                                 (s * s, 0, 2 * s * s, 0, s * s), r2))
-        return np.array(hits, dtype=bool)
+        w22 = np.exp(tau)
+        w11 = (1.0 + u * u) / w22
+        s = np.sqrt(w11 + w22 + 2.0)
+        q11, q12, q22 = (w11 + 1.0) / s, u / s, (w22 + 1.0) / s
+        # J p^{-1/2} has rows (-i21, -i22) and (i11, i12)
+        return ((q11 * i11 + q12 * i21, q11 * i12 + q12 * i22,
+                 q12 * i11 + q22 * i21, q12 * i12 + q22 * i22),
+                (q12 * i11 - q11 * i21, q12 * i12 - q11 * i22,
+                 q22 * i11 - q12 * i21, q22 * i12 - q12 * i22))
 
     def membership_chart(self, z, coords, radius):
-        coefs, q, p_inv = self._angle_coefficients(z, coords)
-        k0, p2, q2, p1, q1 = coefs
-        r2 = radius * radius
-        # f >= k0 - amp2 - amp1 at every phi, so a pre-floor above r^2
-        # is a certified miss; only the rest need the bounds
-        with np.errstate(over="ignore"):  # an overflowing square: floor -inf
-            amp2, amp1 = np.sqrt(p2 * p2 + q2 * q2), np.sqrt(p1 * p1 + q1 * q1)
-            pre_floor = k0 - amp2 - amp1 - _GAMMA * (np.abs(k0) + amp2 + amp1)
-        rest = np.flatnonzero(pre_floor <= r2)
-        coefs = tuple(c[rest] for c in coefs)
-        floor, ceiling = self._bounds(*coefs, r2)
-        hit = np.zeros(len(coords), dtype=bool)
-        hit[rest] = ceiling < r2
-        band = np.flatnonzero(~((ceiling < r2) | (floor > r2)))
-        if band.size:
-            hit[rest[band]] = self._exact_hits(tuple(c[rest[band]] for c in q), p_inv, r2)
-        return hit
+        return _conic_hits(*self._matrices(z, coords), True, radius * radius)
 
 
 # ---------------------------------------------------------------------------
@@ -489,23 +506,17 @@ class HyperboloidModel:
     a^2 + beta^2 - delta^2 = 1; cylindrical coordinates (psi, delta),
     a = rho cos psi, beta = rho sin psi, rho = sqrt(1 + delta^2), give a
     global chart in which the Gelfand-Leray measure of a^2 + bc (i.e.
-    da db dc / |grad|) is exactly dpsi ddelta.  Membership: each chart
-    point w has a conjugator q_w with q_w H q_w^{-1} = X_w in closed form
-    (`_stabilizer_coefficients`), g0 = q_w q_z^{-1} takes z to w, the
-    stabilizer is {+-exp(s X_z)}, and with G = g0, H = g0 X_z (X_z^2 = 1),
-    f = ||+-(cosh s G + sinh s H) - 1||_F^2 is minimized over s on both
-    sign components.  With x = +-e^s on the +-1 component the matrix is
-    (x (G + H) + (G - H) / x) / 2, one function of x for both.  Membership
-    decides in two steps.
-    - Filter: with y = 1/x, f is a quadratic in (x, y) on the hyperbola
-      x y = 1, its coefficients from `_stabilizer_coefficients`, and
-      `_conic_bounds` decides it as in SPD2Model (no pre-floor): every
-      sample measured at t <= 4, 97% of them at t = 7 and 32% at t = 8.
-    - Exact stage, for the samples left: with the float G and H read as
-      integers over a power of two, F(x) = 4 x^2 (f - r^2) = ||x^2 (G + H)
-      + (G - H) - 2 x 1||_F^2 - 4 r^2 x^2 is an integer quartic with
-      F(0) > 0, so the sample is a hit exactly when F has a real root
-      (`_reaches`), against the float r^2 the filter compares with.
+    da db dc / |grad|) is exactly dpsi ddelta.  Each chart point w has the
+    conjugator q_w = R(psi/2) B(t), B(t) = exp(t [[0, 1], [1, 0]]) and
+    sinh 2t = -delta, with q_w H q_w^{-1} = X_w: B(t) moves the point H to
+    (a, beta, delta) = (rho, 0, delta), and R(psi/2) turns (a, beta) by psi.
+    The group elements taking z to w are q_w (+-exp(s H)) q_z^{-1}, and with
+    x = +-e^s that is x M1 + M2 / x, M1 = q_w diag(1, 0) q_z^{-1} and
+    M2 = q_w diag(0, 1) q_z^{-1}.  So w is in B_r . z exactly when
+    f(v) = ||v1 M1 + v2 M2 - 1||_F^2 <= r^2 somewhere on the hyperbola
+    v1 v2 = 1: `_matrices` builds the float entries of these rank-one
+    matrices per sample and `_conic_hits` decides.
+
     The float range is |a| <= 9.0e6 (t <= 8.35 on the curve), the domain
     the decisions are checked on: there the tests match them with an
     80-digit oracle on the samples nearest r^2, up to t = 8.35 itself.  A
@@ -565,81 +576,33 @@ class HyperboloidModel:
         hi = np.array([psi + half_psi, delta + half_delta])
         return lo, hi
 
-    def _stabilizer_coefficients(self, z, coords):
-        """Per chart sample (psi, delta): (P, Q, R, tr G, tr H) of ||G exp(s X_z)
-        - 1||_F^2, and the entries of G and H = G X_z.
-
-        With B(t) = exp(t [[0, 1], [1, 0]]) and sinh 2t = -delta, the matrix
-        q = R(psi/2) B(t) has q diag(1, -1) q^{-1} = X_w: B(t) moves the point
-        H to (a, beta, delta) = (rho, 0, delta), and R(psi/2) turns (a, beta)
-        by psi.  So G = q_w q_z^{-1} and H = q_w diag(1, -1) q_z^{-1} are
-            G = R(psi_w/2) B(t_w - t_z) R(-psi_z/2),
-            H = R(psi_w/2) B(t_w + t_z) diag(1, -1) R(-psi_z/2),
-        each entry within a few roundings of the matrix's size."""
+    def _matrices(self, z, coords):
+        """The float entries of M1 = (q_w e1)(e1^T q_z^{-1}) and
+        M2 = (q_w e2)(e2^T q_z^{-1}) per chart sample (psi, delta), from
+        q_w e1 = R(psi_w/2) (cosh t_w, sinh t_w), q_w e2 = R(psi_w/2)
+        (sinh t_w, cosh t_w), e1^T q_z^{-1} = (cosh t_z, -sinh t_z)
+        R(-psi_z/2) and e2^T q_z^{-1} = (-sinh t_z, cosh t_z) R(-psi_z/2):
+        each entry is one product of two factors a few roundings each."""
         if not abs(float(z[0])) <= 9.0e6:
             raise InputError(f"{self.name}: the point is outside the model's float range "
-                           "|a| <= 9.0e6 (t <= 8.35 on the curve)")
+                             "|a| <= 9.0e6 (t <= 8.35 on the curve)")
         psi_z, delta_z = self.to_chart(z)
         t_z = -math.asinh(delta_z) / 2.0
         cz, sz = math.cos(psi_z / 2.0), math.sin(psi_z / 2.0)
+        chz, shz = math.cosh(t_z), math.sinh(t_z)
+        rows = ((chz * cz + shz * sz, chz * sz - shz * cz),
+                (-shz * cz - chz * sz, chz * cz - shz * sz))
         psi, delta = coords[:, 0], coords[:, 1]
         t_w = -np.arcsinh(delta) / 2.0
         cw, sw = np.cos(psi / 2.0), np.sin(psi / 2.0)
-
-        def conjugator(t, sign):  # R(psi_w/2) B(t) diag(1, sign) R(-psi_z/2)
-            ch, sh = np.cosh(t), np.sinh(t)
-            rows = ((cw * ch - sw * sh, cw * sh - sw * ch),
-                    (sw * ch + cw * sh, cw * ch + sw * sh))
-            return tuple(e for x, y in rows for e in (x * cz - sign * y * sz, x * sz + sign * y * cz))
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            g11, g12, g21, g22 = conjugator(t_w - t_z, 1.0)
-            h11, h12, h21, h22 = conjugator(t_w + t_z, -1.0)
-
-            norm_g = g11 ** 2 + g12 ** 2 + g21 ** 2 + g22 ** 2
-            norm_h = h11 ** 2 + h12 ** 2 + h21 ** 2 + h22 ** 2
-            cross = g11 * h11 + g12 * h12 + g21 * h21 + g22 * h22
-            tr_g = g11 + g22
-            tr_h = h11 + h22
-
-            p_co = (norm_g + norm_h) / 2.0
-            q_co = cross
-            r_co = (norm_g - norm_h) / 2.0 + 2.0
-        coefs = (p_co, q_co, r_co, tr_g, tr_h)
-        return (_require_finite(self.name, coefs),
-                ((g11, g12, g21, g22), (h11, h12, h21, h22)))
-
-    @staticmethod
-    def _bounds(p_co, q_co, r_co, tr_g, tr_h, r2):
-        """`_conic_bounds` of f = a11 x^2 + a22 y^2 + R - (tr G + tr H) x
-        - (tr G - tr H) y on the hyperbola x y = 1, a11, a22 = (P +- Q) / 2;
-        starts: the minima of the quadratic part on both branches."""
-        a11, a22 = (p_co + q_co) / 2.0, (p_co - q_co) / 2.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.sqrt(np.sqrt(a22 / a11))
-            return _conic_bounds(r_co, (a11, 0.0, a22), (-(tr_g + tr_h), -(tr_g - tr_h)),
-                                 [(x, 1.0 / x), (-x, -1.0 / x)], circle=False, r2=r2)
-
-    @staticmethod
-    def _exact_hits(g, h, r2):
-        """The exact stage's decisions, from the float entries of G and H."""
-        hits = []
-        for row in zip(*(e.tolist() for e in (*g, *h))):
-            ints, d = _dyadic(row)
-            pairs = list(zip(ints[:4], ints[4:]))
-            hits.append(_reaches([x + y for x, y in pairs], (-2 * d, 0, 0, -2 * d),
-                                 [x - y for x, y in pairs], (0, 0, 4 * d * d, 0, 0), r2))
-        return np.array(hits, dtype=bool)
+        ch, sh = np.cosh(t_w), np.sinh(t_w)
+        cols = ((cw * ch - sw * sh, sw * ch + cw * sh),
+                (cw * sh - sw * ch, sw * sh + cw * ch))
+        return tuple((x1 * y1, x1 * y2, x2 * y1, x2 * y2)
+                     for (x1, x2), (y1, y2) in zip(cols, rows))
 
     def membership_chart(self, z, coords, radius):
-        coefs, (g, h) = self._stabilizer_coefficients(z, coords)
-        r2 = radius * radius
-        floor, ceiling = self._bounds(*coefs, r2)
-        hit = ceiling < r2
-        band = np.flatnonzero(~(hit | (floor > r2)))
-        if band.size:
-            hit[band] = self._exact_hits(tuple(e[band] for e in g), tuple(e[band] for e in h), r2)
-        return hit
+        return _conic_hits(*self._matrices(z, coords), False, radius * radius)
 
 
 # what the estimator reads of a model: name, chart_dim, curve, chart_box

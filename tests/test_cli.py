@@ -472,6 +472,12 @@ class TestEstimate:
                 # far out on the curve the float models give up cleanly
                 (("spd2", "100:101:1"), "0.3", "2000", "1",
                  "spd2: the base point is outside the model's float range"),
+                # just past t = 10, the range its decisions are checked on
+                (("spd2", "10.01:10.01:1"), "0.3", "2000", "1",
+                 "spd2: the base point is outside the model's float range "
+                 "tr P <= 4.9e8 (|t| <= 10 on the curve)"),
+                (("spd2", "-10.01:-10.01:1"), "0.3", "2000", "1",
+                 "spd2: the base point is outside the model's float range"),
                 # past t = 8.35, the range its decisions are checked on, the
                 # hyperboloid refuses the point
                 (("sl2-orbit-hyperboloid", "100:101:1"), "0.3", "2000", "1",

@@ -194,6 +194,11 @@ def test_theta_stable_consistency_catalog(sl2, sl3, sl5, sl2_subs):
             assert reductive, (g.name, h.name)
         if not reductive:
             assert not stable, (g.name, h.name)
+        # the verdict carries a failure certificate exactly when h is not
+        # reductive in g
+        certificate = vai_verdict(g, h, cartan).certificate
+        failure = certificate is not None and certificate["kind"] != "theta-stable"
+        assert failure == (not reductive), (g.name, h.name)
 
 
 def test_verdict_invariant_under_h_basis_change(sl2, sl2_subs):

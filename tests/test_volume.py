@@ -25,6 +25,8 @@ from vaikit.volume import (
 )
 
 R03 = 0.3
+EPS = np.finfo(float).eps
+SPD2_T = 10.0  # the end of spd2's float range on the curve
 
 
 def rotation(theta):
@@ -44,24 +46,43 @@ def random_ball_element(rng, radius):
             return g
 
 
-def _coefficients(model, z, coords):
-    """The float coefficients the model's filter reads, per chart sample."""
-    if isinstance(model, SPD2Model):
-        return model._angle_coefficients(z, coords)[0]
-    return model._stabilizer_coefficients(z, coords)[0]
+def _circle(model):
+    """Whether the model's conic is the unit circle (else the hyperbola)."""
+    return isinstance(model, SPD2Model)
+
+
+class _Handed(Exception):
+    """Raised in place of `_conic_bounds` with the arguments it was handed."""
+
+
+def _handed(m1, m2, circle):
+    """(k, a, b, starts, circle): what `_conic_hits` hands `_conic_bounds`
+    for the float entries m1, m2, taken from a call at r^2 = inf, where the
+    circle's pre-floor passes every sample on."""
+    def hand(*args):
+        raise _Handed(args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(volume, "_conic_bounds", hand)
+        with pytest.raises(_Handed) as handed:
+            volume._conic_hits(m1, m2, circle, math.inf)
+    return handed.value.args[0][:-1]
+
+
+def _bounds(model, z, coords):
+    """The floor and ceiling of each chart sample against r^2, from
+    `_conic_bounds` on the coefficients and starts membership gives it."""
+    return volume._conic_bounds(*_handed(*model._matrices(z, coords), _circle(model)),
+                                R03 * R03)
 
 
 def _exact(model, z, coords, r2):
     """The exact stage's decision for each chart sample against its own r^2
     (one float, or one per sample), whatever the filter would decide."""
     r2 = np.broadcast_to(r2, len(coords))
-    if isinstance(model, SPD2Model):
-        _, q, p_inv = model._angle_coefficients(z, coords)
-        return np.array([model._exact_hits(tuple(c[i:i + 1] for c in q), p_inv, float(r2[i]))[0]
-                         for i in range(len(coords))])
-    _, (g, h) = model._stabilizer_coefficients(z, coords)
-    return np.array([model._exact_hits(tuple(e[i:i + 1] for e in g),
-                                       tuple(e[i:i + 1] for e in h), float(r2[i]))[0]
+    m1, m2 = model._matrices(z, coords)
+    return np.array([volume._exact_hits(tuple(e[i:i + 1] for e in m1), tuple(e[i:i + 1] for e in m2),
+                                        _circle(model), float(r2[i]))[0]
                      for i in range(len(coords))])
 
 
@@ -88,7 +109,7 @@ def _nearest(model, z, coords, count):
     the floor's rounding slack, so the pool is the samples whose point a
     third of the way from floor to ceiling lies nearest r^2.  The exact
     stage then bisects each pool minimum to within 4e-5 of r^2."""
-    floor, ceiling = model._bounds(*_coefficients(model, z, coords), R03 * R03)
+    floor, ceiling = _bounds(model, z, coords)
     with np.errstate(invalid="ignore"):
         gap = np.abs((2.0 * floor + ceiling) / 3.0 - R03 * R03)
     pool = np.argsort(gap, kind="stable")[:100]  # nan sorts last
@@ -104,7 +125,7 @@ def _nearest(model, z, coords, count):
 def _closest_calls(model, z, coords, count):
     """Indices of the `count` hits and the `count` misses that the bounds
     decide with the least margin to r^2."""
-    floor, ceiling = model._bounds(*_coefficients(model, z, coords), R03 * R03)
+    floor, ceiling = _bounds(model, z, coords)
     hit_margin = np.where(ceiling < R03 * R03, R03 * R03 - ceiling, np.inf)
     miss_margin = np.where(floor > R03 * R03, floor - R03 * R03, np.inf)
     return np.r_[np.argsort(hit_margin)[:count], np.argsort(miss_margin)[:count]]
@@ -112,17 +133,16 @@ def _closest_calls(model, z, coords, count):
 
 def _component_hits(coefs, sign, r2):
     """Exact decisions of the +1 or the -1 stabilizer component alone, from
-    the float coefficients in the cosh/sinh form: whether 4 u^2 (f - r2),
-    u = e^s, f = P cosh 2s + Q sinh 2s + R - 2 sign (tr G cosh s + tr H sinh s),
-    has a root u > 0, by V(0) - V(+inf) of its Sturm sequence."""
+    the float Gram coefficients (k, a11, a22, b1, b2) on the hyperbola:
+    whether u^2 (f - r2), f = k + a11 x^2 + a22 / x^2 + b1 x + b2 / x at
+    x = sign u, has a root u > 0, by V(0) - V(+inf) of its Sturm sequence."""
     def changes(signs):
         return sum(x != y for x, y in zip(signs, signs[1:]))
 
     hits = []
     for row in zip(*(c.tolist() for c in coefs)):
-        (p_co, q_co, r_co, tr_g, tr_h, r2_int), _ = volume._dyadic((*row, r2))
-        seq = _sturm([2 * (p_co - q_co), -4 * sign * (tr_g - tr_h), 4 * (r_co - r2_int),
-                      -4 * sign * (tr_g + tr_h), 2 * (p_co + q_co)])
+        (k, a11, a22, b1, b2, r2_int), _ = volume._dyadic((*row, r2))
+        seq = _sturm([a22, sign * b2, k - r2_int, sign * b1, a11])
         at_zero, at_inf = [b[0] > 0 for b in seq if b[0]], [b[-1] > 0 for b in seq]
         hits.append(changes(at_zero) > changes(at_inf))
     return np.array(hits, dtype=bool)
@@ -271,12 +291,13 @@ class TestSPD2Model:
         hits = self.model.membership_chart(z, coords, R03)
         assert hits.any()
 
-        coefs = k0, p2, q2, p1, q1 = self.model._angle_coefficients(z, coords)[0]
-        amp2, amp1 = np.hypot(p2, q2), np.hypot(p1, q1)
-        floor = k0 - amp2 - amp1 - volume._GAMMA * (np.abs(k0) + amp2 + amp1)
+        k, (a11, a12, a22), (b1, b2), *_ = _handed(*self.model._matrices(z, coords), True)
+        k0 = k + (a11 + a22) / 2.0
+        amp2, amp1 = np.hypot((a11 - a22) / 2.0, a12), np.hypot(b1, b2)
+        floor = k0 - amp2 - amp1 - volume._GAMMA * (k0 + amp2 + amp1)
         rejected = floor > R03 * R03
         assert rejected.any() and not hits[rejected].any()
-        _, ceiling = self.model._bounds(*coefs, R03 * R03)
+        _, ceiling = _bounds(self.model, z, coords)
         tight = np.argsort(ceiling - floor)[:200]
         assert not _exact(self.model, z, coords[tight], np.nextafter(floor[tight], -np.inf)).any()
         tight = np.flatnonzero(rejected)[np.argsort((ceiling - floor)[rejected])[:200]]
@@ -294,6 +315,15 @@ class TestSPD2Model:
         reference = _exact(self.model, z, coords[closest], R03 * R03)
         assert reference.any() and not reference.all()
         assert (hits[closest] == reference).all()
+
+    def test_float_range_is_declared(self):
+        for t in (-SPD2_T, SPD2_T):
+            z = self.model.curve(t)
+            assert _member(self.model, z, z, R03)
+        for t in (-10.01, 10.01):
+            z = self.model.curve(t)
+            with pytest.raises(InputError, match=r"float range tr P <= 4.9e8 \(\|t\| <= 10 "):
+                _member(self.model, z, z, R03)
 
     def test_estimate_at_identity_frozen(self):
         est, err = estimate_volume(self.model, self.model.curve(0.0),
@@ -322,13 +352,14 @@ class TestConeModel:
             back = np.array([-lift[0] * lift[1], lift[0] ** 2, -lift[1] ** 2])
             assert np.allclose(back, x, atol=1e-12)
 
-    def test_apply_is_conjugation_equivariant(self):
+    def test_ball_images_are_members(self):
         rng = np.random.default_rng(9)
-        z = np.array([0.3, 0.9, -0.1])
-        g = random_ball_element(rng, 0.8)
-        moved = act(self.model, g, z)
-        # a^2 + bc = 0 is preserved
-        assert moved[0] ** 2 + moved[1] * moved[2] == pytest.approx(0.0, abs=1e-12)
+        for z in (np.array([0.3, 0.9, -0.1]), self.model.curve(-1.0)):
+            for _ in range(100):
+                moved = act(self.model, random_ball_element(rng, R03), z)
+                # a^2 + bc = 0 is preserved
+                assert moved[0] ** 2 + moved[1] * moved[2] == pytest.approx(0.0, abs=1e-12)
+                assert _member(self.model, z, moved, R03)
 
     def test_base_volume_equals_plane_volume(self):
         ec, _ = estimate_volume(self.model, self.model.curve(0.0),
@@ -352,15 +383,18 @@ class TestHyperboloidModel:
     model = HyperboloidModel()
 
     def test_chart_roundtrip(self):
-        # at z = H the conjugator G is the chart's q: q H q^{-1} is the point
-        # on the quadric with chart (psi, delta), and H = q H
+        # at z = H the conjugator M1 + M2 is the chart's q: q H q^{-1} is the
+        # point on the quadric with chart (psi, delta), and M1 - M2 = q H
         rng = np.random.default_rng(10)
         coords = np.column_stack([rng.uniform(-math.pi, math.pi, 100), rng.normal(size=100) * 2.0])
-        _, (g, h) = self.model._stabilizer_coefficients(self.model.curve(0.0), coords)
+        m1, m2 = self.model._matrices(self.model.curve(0.0), coords)
         for i, (psi, delta) in enumerate(coords):
-            q = np.array([[g[0][i], g[1][i]], [g[2][i], g[3][i]]])
+            q = np.array([[m1[0][i] + m2[0][i], m1[1][i] + m2[1][i]],
+                          [m1[2][i] + m2[2][i], m1[3][i] + m2[3][i]]])
             assert np.linalg.det(q) == pytest.approx(1.0)
-            assert np.allclose([[h[0][i], h[1][i]], [h[2][i], h[3][i]]], q @ np.diag([1.0, -1.0]))
+            assert np.allclose([[m1[0][i] - m2[0][i], m1[1][i] - m2[1][i]],
+                                [m1[2][i] - m2[2][i], m1[3][i] - m2[3][i]]],
+                               q @ np.diag([1.0, -1.0]))
             x = q @ np.diag([1.0, -1.0]) @ np.linalg.inv(q)
             pt = [x[0, 0], x[0, 1], x[1, 0]]
             assert x[1, 1] == pytest.approx(-x[0, 0], abs=1e-9)
@@ -401,7 +435,8 @@ class TestHyperboloidModel:
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
         closest = _closest_calls(self.model, z, coords, 128)
-        coefs, _ = self.model._stabilizer_coefficients(z, coords[closest])
+        k, (a11, _, a22), (b1, b2), *_ = _handed(*self.model._matrices(z, coords[closest]), False)
+        coefs = (k, a11, a22, b1, b2)
         reference = (_component_hits(coefs, 1, R03 * R03)
                      | _component_hits(coefs, -1, R03 * R03))
         assert reference.any() and not reference.all()
@@ -421,23 +456,24 @@ class TestHyperboloidModel:
         assert (hits[closest] == reference).all()
 
     def test_negative_roots_decide_the_minus_component(self):
-        # the conjugator -G puts every hit near the waist point (0, -1, -1)
-        # on the -1 component of the stabilizer, where the one quartic's
-        # roots are negative; (-G, -H) decides each sample as (G, H) does
+        # the conjugator -(M1 + M2) puts every hit near the waist point
+        # (0, -1, -1) on the -1 component of the stabilizer, where the one
+        # quartic's roots are negative; (-M1, -M2) decides each sample as
+        # (M1, M2) does
         z = np.array([0.0, -1.0, -1.0])
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
         hits = self.model.membership_chart(z, coords, R03)
-        coefs, (g, h) = self.model._stabilizer_coefficients(z, coords)
-        p_co, q_co, r_co, tr_g, tr_h = coefs
-        minus = (p_co, q_co, r_co, -tr_g, -tr_h)  # the coefficients of (-G, -H)
-        assert np.array_equal(self.model._bounds(*minus, R03 * R03),
-                              self.model._bounds(*coefs, R03 * R03), equal_nan=True)
+        m1, m2 = self.model._matrices(z, coords)
+        minus = tuple(-e for e in m1), tuple(-e for e in m2)
+        bounds = volume._conic_bounds(*_handed(m1, m2, False), R03 * R03)
+        assert np.array_equal(volume._conic_bounds(*_handed(*minus, False), R03 * R03), bounds,
+                              equal_nan=True)
         closest = _closest_calls(self.model, z, coords, 128)
-        assert (self.model._exact_hits(tuple(-e[closest] for e in g),
-                                       tuple(-e[closest] for e in h), R03 * R03)
+        assert (volume._exact_hits(*(tuple(e[closest] for e in m) for m in minus), False, R03 * R03)
                 == hits[closest]).all()
-        minus = tuple(c[hits] for c in minus)
+        k, (a11, _, a22), (b1, b2), *_ = _handed(*minus, False)
+        minus = tuple(c[hits] for c in (k, a11, a22, b1, b2))
         plus = _component_hits(minus, 1, R03 * R03)
         assert (plus | _component_hits(minus, -1, R03 * R03)).all()
         assert (~plus).sum() > 1000
@@ -486,7 +522,7 @@ def test_conic_bounds_enclose_the_minimum(model, t, monkeypatch):
     z = model.curve(t)
     lo, hi = model.chart_box(z, R03)
     coords = np.random.default_rng(47).uniform(lo, hi, size=(16384, 2))
-    floor, ceiling = model._bounds(*_coefficients(model, z, coords), R03 * R03)
+    floor, ceiling = _bounds(model, z, coords)
     picked = np.r_[_closest_calls(model, z, coords, 64), np.arange(0, len(coords), 128)]
     top = picked[np.isfinite(ceiling[picked])]
     assert _exact(model, z, coords[top], ceiling[top]).all()
@@ -494,8 +530,8 @@ def test_conic_bounds_enclose_the_minimum(model, t, monkeypatch):
     assert len(top) > 128 and len(bottom) > 128
     assert not _exact(model, z, coords[bottom], np.nextafter(floor[bottom], -np.inf)).any()
     reached = []
-    exact_hits = model._exact_hits
-    monkeypatch.setattr(model, "_exact_hits",
+    exact_hits = volume._exact_hits
+    monkeypatch.setattr(volume, "_exact_hits",
                         lambda first, *rest: reached.append(len(first[0]))
                         or exact_hits(first, *rest))
     model.membership_chart(z, coords, R03)
@@ -586,20 +622,30 @@ def _mp_real_minimum(mp, quartic, f, extra=()):
     return min(f(mp.re(x)) for x in [*roots, *extra])
 
 
+def _mp_spd2_factors(mp, t, coord):
+    """q = sqrt(W) for the chart point (u, tau) and p^{-1} = P^{-1/2} for
+    the curve point P at t, at working precision."""
+    eye = mp.eye(2)
+    p = mp.diag([mp.exp(2 * t), mp.exp(-2 * t)])
+    u, tau = (mp.mpf(float(c)) for c in coord)
+    w = mp.matrix([[(1 + u * u) / mp.exp(tau), u], [u, mp.exp(tau)]])
+    return ((w + eye) / mp.sqrt(w[0, 0] + w[1, 1] + 2),
+            ((p + eye) / mp.sqrt(p[0, 0] + p[1, 1] + 2)) ** -1)
+
+
+def _mp_rotation(mp, phi):
+    return mp.matrix([[mp.cos(phi), -mp.sin(phi)], [mp.sin(phi), mp.cos(phi)]])
+
+
 def _mp_spd2_minimum(mp, t, coord):
     """min over phi of ||q R(phi) p^{-1} - 1||_F^2 for the curve point at t
     and the chart point (u, tau), its trig coefficients taken by a 5-point
     DFT of the matrix form."""
     eye = mp.eye(2)
-    p = mp.diag([mp.exp(2 * t), mp.exp(-2 * t)])
-    p_inv = ((p + eye) / mp.sqrt(p[0, 0] + p[1, 1] + 2)) ** -1
-    u, tau = (mp.mpf(float(c)) for c in coord)
-    w = mp.matrix([[(1 + u * u) / mp.exp(tau), u], [u, mp.exp(tau)]])
-    q = (w + eye) / mp.sqrt(w[0, 0] + w[1, 1] + 2)
+    q, p_inv = _mp_spd2_factors(mp, t, coord)
 
     def f(phi):
-        rot = mp.matrix([[mp.cos(phi), -mp.sin(phi)], [mp.sin(phi), mp.cos(phi)]])
-        return mp.norm(q * rot * p_inv - eye, 2) ** 2
+        return mp.norm(q * _mp_rotation(mp, phi) * p_inv - eye, 2) ** 2
 
     phis = [2 * mp.pi * j / 5 for j in range(5)]
     vals = [f(phi) for phi in phis]
@@ -611,29 +657,35 @@ def _mp_spd2_minimum(mp, t, coord):
     return _mp_real_minimum(mp, quartic, lambda x: f(2 * mp.atan(x)), extra=[mp.inf])
 
 
+def _mp_hyperboloid_matrices(mp, t, coord):
+    """g = q_w q_z^{-1}, which takes the curve point X_z at t to the chart
+    point X_w at (psi, delta), and h = g X_z, at working precision.  q is
+    the chart's conjugator R(psi/2) B(s), B(s) = exp(s [[0, 1], [1, 0]]) and
+    sinh 2s = -delta; q H q^{-1} is checked against X built from the chart."""
+    def conjugator(psi, delta):
+        s = -mp.asinh(delta) / 2
+        return _mp_rotation(mp, psi / 2) * mp.matrix([[mp.cosh(s), mp.sinh(s)],
+                                                      [mp.sinh(s), mp.cosh(s)]])
+
+    def orbit_point(psi, delta):  # [[a, b], [c, -a]] with a = rho cos psi, (b + c)/2 = rho sin psi
+        rho = mp.sqrt(1 + delta * delta)
+        a, beta = rho * mp.cos(psi), rho * mp.sin(psi)
+        return mp.matrix([[a, beta + delta], [beta - delta, -a]])
+
+    psi, delta = (mp.mpf(float(c)) for c in coord)
+    x_z = mp.matrix([[mp.cosh(2 * t), -mp.sinh(2 * t)], [mp.sinh(2 * t), -mp.cosh(2 * t)]])
+    q_w, q_z = conjugator(psi, delta), conjugator(0, -mp.sinh(2 * t))
+    for q, x in ((q_w, orbit_point(psi, delta)), (q_z, x_z)):
+        assert mp.norm(q * mp.diag([1, -1]) * q ** -1 - x, 2) < mp.mpf(10) ** -50 * mp.norm(x, 2)
+    g = q_w * q_z ** -1
+    return g, g * x_z
+
+
 def _mp_hyperboloid_minimum(mp, t, coord):
     """min over s and both signs of ||+-g0 exp(s X_z) - 1||_F^2 for the
     curve point at t and the chart point (psi, delta)."""
     eye = mp.eye(2)
-
-    def diagonalizer(x):
-        # columns: eigenvectors of x (x^2 = 1) for +1 and -1, det 1
-        cols = []
-        for m in (eye + x, eye - x):
-            j = 0 if mp.norm(m.column(0)) >= mp.norm(m.column(1)) else 1
-            cols.append(m.column(j))
-        d = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-        if d < 0:
-            cols[1], d = -cols[1], -d
-        return mp.matrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]) / mp.sqrt(d)
-
-    x_z = mp.matrix([[mp.cosh(2 * t), -mp.sinh(2 * t)], [mp.sinh(2 * t), -mp.cosh(2 * t)]])
-    psi, delta = (mp.mpf(float(c)) for c in coord)
-    rho = mp.sqrt(1 + delta * delta)
-    a, beta = rho * mp.cos(psi), rho * mp.sin(psi)
-    x_w = mp.matrix([[a, beta + delta], [beta - delta, -a]])
-    g = diagonalizer(x_w) * diagonalizer(x_z) ** -1
-    h = g * x_z
+    g, h = _mp_hyperboloid_matrices(mp, t, coord)
 
     def f(x):  # x = +-e^s on the +-1 component
         if x == 0:
@@ -650,10 +702,14 @@ def _mp_hyperboloid_minimum(mp, t, coord):
     return _mp_real_minimum(mp, quartic, f)
 
 
-@pytest.mark.parametrize("t", [0.0, 4.0, 6.0, 7.0, 7.5, 8.0, 8.35])
-@pytest.mark.parametrize("model, oracle", [(SPD2Model(), _mp_spd2_minimum),
-                                           (HyperboloidModel(), _mp_hyperboloid_minimum)],
-                         ids=["spd2", "hyperboloid"])
+ORACLE_TS = (0.0, 4.0, 6.0, 7.0, 7.5, 8.0, 8.35)
+
+
+# spd2's also at the end of its float range
+@pytest.mark.parametrize("model, oracle, t", [
+    *(pytest.param(SPD2Model(), _mp_spd2_minimum, t, id=f"spd2-{t}") for t in (*ORACLE_TS, SPD2_T)),
+    *(pytest.param(HyperboloidModel(), _mp_hyperboloid_minimum, t, id=f"hyperboloid-{t}")
+      for t in ORACLE_TS)])
 def test_decisions_nearest_the_boundary_match_an_80_digit_oracle(model, oracle, t):
     # the ten seeded chart samples whose minimum lies nearest r^2, decided
     # again from the roots of the quartic at 80 digits
@@ -665,6 +721,50 @@ def test_decisions_nearest_the_boundary_match_an_80_digit_oracle(model, oracle, 
     with mp.workdps(80):
         exact = [oracle(mp, mp.mpf(t), c) <= mp.mpf(R03) ** 2 for c in nearest]
     assert model.membership_chart(z, nearest, R03).tolist() == exact
+
+
+@pytest.mark.parametrize("t", [0.0, 4.0, 8.0])
+def test_hyperboloid_matrices_are_the_halves_of_g_plus_minus_h(t):
+    # M1 and M2 are (g + h)/2 and (g - h)/2 of the oracle's g and h, each
+    # entry within a few ulps of the matrix's size
+    mp = pytest.importorskip("mpmath").mp
+    model = HyperboloidModel()
+    z = model.curve(t)
+    lo, hi = model.chart_box(z, R03)
+    coords = np.random.default_rng(71).uniform(lo, hi, size=(32, 2))
+    m1, m2 = model._matrices(z, coords)
+    with mp.workdps(60):
+        for i, coord in enumerate(coords):
+            g, h = _mp_hyperboloid_matrices(mp, mp.mpf(t), coord)
+            for m, half in ((m1, (g + h) / 2), (m2, (g - h) / 2)):
+                want = np.array([float(half[j, k]) for j in (0, 1) for k in (0, 1)])
+                got = np.array([e[i] for e in m])
+                assert np.abs(got - want).max() <= 8 * EPS * np.abs(want).max(), (t, i)
+
+
+@pytest.mark.parametrize("t", [0.0, 4.0, 8.0])
+def test_spd2_matrices_give_the_distance_along_the_circle(t):
+    # ||cos phi M1 + sin phi M2 - 1||^2 is ||q R(phi) p^{-1/2} - 1||^2 of the
+    # oracle's q and p^{-1/2}, at 60 digits and random phi, within a few
+    # ulps of |f|'s size
+    mp = pytest.importorskip("mpmath").mp
+    model = SPD2Model()
+    z = model.curve(t)
+    lo, hi = model.chart_box(z, R03)
+    rng = np.random.default_rng(73)
+    coords = rng.uniform(lo, hi, size=(32, 2))
+    phis = rng.uniform(-math.pi, math.pi, size=32)
+    m1, m2 = model._matrices(z, coords)
+    with mp.workdps(60):
+        eye = mp.eye(2)
+        for i, (coord, phi) in enumerate(zip(coords, phis)):
+            q, p_inv = _mp_spd2_factors(mp, mp.mpf(t), coord)
+            phi = mp.mpf(phi)
+            want = mp.norm(q * _mp_rotation(mp, phi) * p_inv - eye, 2) ** 2
+            n1, n2 = (mp.matrix([[m[0][i], m[1][i]], [m[2][i], m[3][i]]]) for m in (m1, m2))
+            got = mp.norm(mp.cos(phi) * n1 + mp.sin(phi) * n2 - eye, 2) ** 2
+            size = (mp.norm(n1, 2) + mp.norm(n2, 2) + mp.sqrt(2)) ** 2
+            assert abs(got - want) <= 8 * EPS * size, (t, i)
 
 
 def test_hyperboloid_decisions_within_1e_4_of_r2_match_an_80_digit_oracle():
