@@ -19,7 +19,10 @@ real roots of an integer quartic.
 Estimation is hit-or-miss: every chart carries the invariant measure
 as Lebesgue measure, so sample the box uniformly, count hits and
 multiply the hit rate by box measure.  Sampling is batched with
-substreams keyed by (seed, point index, batch index), so results are
+substreams keyed by (seed, point index, batch index).  The parent checks
+the inputs and builds every grid point's box; then the batches of all
+points run at once on forked worker processes, one per usable CPU, and
+their integer hit counts are summed per point, so results are
 bit-identical for a fixed seed at any worker count.
 """
 
@@ -28,9 +31,10 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -517,10 +521,13 @@ class HyperboloidModel:
     v1 v2 = 1: `_matrices` builds the float entries of these rank-one
     matrices per sample and `_conic_hits` decides.
 
-    The float range is |a| <= 9.0e6 (t <= 8.35 on the curve), the domain
-    the decisions are checked on: there the tests match them with an
-    80-digit oracle on the samples nearest r^2, up to t = 8.35 itself.  A
-    point past it is refused.  The radius domain is r <= 1.2, where
+    The float range is rho = sqrt(a^2 + beta^2) <= 9.0e6 (t <= 8.35 on
+    the curve, where beta = 0 and rho = |a|), the domain the decisions are
+    checked on: there the tests match them with an 80-digit oracle on the
+    samples nearest r^2, up to t = 8.35 itself.  A point past it is
+    refused.  rho, unlike |a|, is unchanged by the rotations R(theta),
+    which turn (a, beta) and keep delta, so a rotated curve point meets
+    the same bound.  The radius domain is r <= 1.2, where
     `chart_box` is proved to hold every ball image.
     """
 
@@ -583,9 +590,10 @@ class HyperboloidModel:
         (sinh t_w, cosh t_w), e1^T q_z^{-1} = (cosh t_z, -sinh t_z)
         R(-psi_z/2) and e2^T q_z^{-1} = (-sinh t_z, cosh t_z) R(-psi_z/2):
         each entry is one product of two factors a few roundings each."""
-        if not abs(float(z[0])) <= 9.0e6:
+        a, b, c = (float(x) for x in z)
+        if not math.hypot(a, (b + c) / 2.0) <= 9.0e6:
             raise InputError(f"{self.name}: the point is outside the model's float range "
-                             "|a| <= 9.0e6 (t <= 8.35 on the curve)")
+                             "rho = sqrt(a^2 + beta^2) <= 9.0e6 (t <= 8.35 on the curve)")
         psi_z, delta_z = self.to_chart(z)
         t_z = -math.asinh(delta_z) / 2.0
         cz, sz = math.cos(psi_z / 2.0), math.sin(psi_z / 2.0)
@@ -637,7 +645,9 @@ def _keep_freed_pages():
     trim threshold, which starts at 128 KiB and only rises when a freed
     block larger than the threshold was mmapped; below that, every batch
     faults its working set in again.  64 MiB is the most glibc's own rule
-    reaches (twice its 32 MiB mmap threshold maximum).  Elsewhere, no-op.
+    reaches (twice its 32 MiB mmap threshold maximum).  The estimator
+    calls it before it forks, so the workers inherit the setting; set in
+    a worker, it would be lost with the worker.  Elsewhere, no-op.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -647,23 +657,9 @@ def _keep_freed_pages():
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD is -1
 
 
-def _batch_partial(model, z, lo, hi, radius, seed, point_index, batch_index,
-                   count):
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, point_index, batch_index]))
-    coords = rng.uniform(lo, hi, size=(count, model.chart_dim))
-    return int(np.count_nonzero(model.membership_chart(z, coords, radius)))
-
-
-def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
-                    samples: int = 100_000, seed: int = 0,
-                    point_index: int = 0) -> tuple[float, float]:
-    """Hit-or-miss volume of the orbit patch B_r . z.
-
-    Returns (estimate, stderr).  Estimate = box measure times the hit
-    rate of uniform box samples; stderr propagates the sample variance
-    of the hit indicator.
-    """
+def _box(model: SpaceModel, z, radius: float, samples: int, seed: int):
+    """The sampling parameters checked, and the chart box (lo, hi) around
+    z with its measure."""
     if not (math.isfinite(radius) and radius > 0.0):
         raise InputError("radius must be positive and finite")
     if seed < 0:
@@ -677,22 +673,67 @@ def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
         box_measure = float(np.prod(hi - lo))
     if not (box_measure > 0.0 and np.isfinite(box_measure)):
         raise InputError("sampling box has no volume")
+    return lo, hi, box_measure
 
+
+def _batch_hits(model, radius, seed, z, lo, hi, point_index, batch_index, count):
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, point_index, batch_index]))
+    coords = rng.uniform(lo, hi, size=(count, model.chart_dim))
+    return int(np.count_nonzero(model.membership_chart(z, coords, radius)))
+
+
+def _estimates(model: SpaceModel, points, radius: float, samples: int,
+               seed: int) -> list[tuple[float, float]]:
+    """(estimate, stderr) per (point index, z, lo, hi, box measure) in
+    `points`, each box from `_box`.
+
+    Every (point, batch) task of the call goes to one pool of forked
+    workers at once, one per CPU this process may use and at most one per
+    task; with one worker the tasks run here and nothing forks.  A forked
+    worker starts from the parent's memory, imports included; spawned
+    workers would import numpy and vaikit again on every call.  The hit
+    counts are integers, summed per point in task order, so the results
+    are the same at any worker count.
+    """
     counts = [BATCH] * (samples // BATCH) + ([samples % BATCH] if samples % BATCH else [])
-    _keep_freed_pages()
-    batch = partial(_batch_partial, model, z, lo, hi, radius, seed, point_index)
-    # numpy releases the GIL in the membership kernels; workers past one
-    # per CPU this process may use, or one per batch, only contend
+    tasks = [(z, lo, hi, index, batch, count) for index, z, lo, hi, _ in points
+             for batch, count in enumerate(counts)]
+    run = partial(_batch_hits, model, radius, seed)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=min(cpus, len(counts))) as pool:
-        hits = list(pool.map(batch, range(len(counts)), counts))
-    # each sample scores 0 or 1, so its second moment equals the mean
-    mean = sum(hits) / samples
-    var = max(mean - mean * mean, 0.0)
-    estimate = box_measure * mean
-    stderr = box_measure * math.sqrt(var / samples)
-    return estimate, stderr
+    workers = min(cpus, len(tasks))
+    _keep_freed_pages()
+    if workers <= 1:
+        hits = [run(*task) for task in tasks]
+    else:
+        # the pool forks every worker on the first submit, before it
+        # starts its own threads; leaving the block joins them all.  About
+        # four chunks per worker: each chunk is one round trip through the
+        # parent, and the last leaves a quarter of a share unbalanced
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            hits = list(pool.map(run, *zip(*tasks),
+                                 chunksize=-(-len(tasks) // (4 * workers))))
+    results = []
+    for i, (*_, box_measure) in enumerate(points):
+        # each sample scores 0 or 1, so its second moment equals the mean
+        mean = sum(hits[i * len(counts):(i + 1) * len(counts)]) / samples
+        var = max(mean - mean * mean, 0.0)
+        results.append((box_measure * mean, box_measure * math.sqrt(var / samples)))
+    return results
+
+
+def estimate_volume(model: SpaceModel, z, radius: float = 0.3,
+                    samples: int = 100_000, seed: int = 0,
+                    point_index: int = 0) -> tuple[float, float]:
+    """Hit-or-miss volume of the orbit patch B_r . z.
+
+    Returns (estimate, stderr).  Estimate = box measure times the hit
+    rate of uniform box samples; stderr propagates the sample variance
+    of the hit indicator.
+    """
+    point = (point_index, z, *_box(model, z, radius, samples, seed))
+    return _estimates(model, [point], radius, samples, seed)[0]
 
 
 @dataclass
@@ -751,20 +792,17 @@ def volume_along_curve(model: SpaceModel, t_grid=(), radius: float = 0.3,
     depend on the grid being re-sliced.
     """
     t_values = [float(t) for t in t_grid]
-    estimates = []
-    stderrs = []
+    points = []
     for i, t in enumerate(t_values):
         try:
             z = model.curve(t)
         except OverflowError:
             raise InputError(
                 f"{model.name}: t = {t:g} is outside the model's float range") from None
-        est, err = estimate_volume(model, z, radius=radius,
-                                   samples=samples, seed=seed, point_index=i)
-        estimates.append(est)
-        stderrs.append(err)
-    series = VolumeSeries(t_values, estimates, stderrs, samples, seed,
-                          radius, model.name)
+        points.append((i, z, *_box(model, z, radius, samples, seed)))
+    results = _estimates(model, points, radius, samples, seed)
+    series = VolumeSeries(t_values, [est for est, _ in results], [err for _, err in results],
+                          samples, seed, radius, model.name)
     try:
         (series.slope, series.intercept,
          series.slope_half_width) = fit_log_slope(series)

@@ -2,11 +2,12 @@
 
 Most tests drive ``main()`` in process and parse the JSON report from
 captured stdout; a few spawn real subprocesses to cover the console
-entry point and byte-level determinism across thread counts.
+entry point and byte-level determinism across worker counts.
 """
 
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -453,6 +454,17 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert err == f"error: need at most 100000000 samples, got {samples}\n"
 
+    def test_worker_refusal_exits_2_with_one_line(self, capsys, monkeypatch):
+        # two usable CPUs, so the second point's refusal comes from a worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out, err = run_cli(
+            capsys, "estimate", "--space", "spd2", "--t-range", "0:10.01:10.01",
+            "--radius", "0.3", "--samples", "20000", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: spd2: the base point is outside the model's float range "
+                       "tr P <= 4.9e8 (|t| <= 10 on the curve)\n")
+        assert multiprocessing.active_children() == []
+
     def test_unknown_space(self, capsys):
         code, _, err = run_cli(
             capsys, "estimate", "--space", "so-what",
@@ -689,21 +701,26 @@ class TestConsoleEntryPoint:
         assert report["result"]["vai"] == "fails"
 
     def test_check_never_loads_numpy(self):
+        """Neither numpy nor the estimator's process pool is imported by
+        check or witness."""
         script = (
             "import contextlib, io, sys\n"
+            "def unloaded(where):\n"
+            "    for name in ('numpy', 'multiprocessing', 'concurrent.futures'):\n"
+            "        assert name not in sys.modules, f'{where} imports {name}'\n"
             "import vaikit.cli\n"
-            "assert 'numpy' not in sys.modules, 'import vaikit.cli'\n"
+            "unloaded('import vaikit.cli')\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = vaikit.cli.main(['check', '--algebra', {d('sl5.json')!r},\n"
             f"                            '--subalgebra', {d('sl5-nilpair.json')!r}])\n"
             "assert code == 3\n"
-            "assert 'numpy' not in sys.modules, 'check sl5'\n"
+            "unloaded('check sl5')\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = vaikit.cli.main(['witness', '--algebra', {d('sl3.json')!r},\n"
             f"                            '--subalgebra', {d('sl3-e12.json')!r},\n"
             f"                            '--parabolic', {d('sl3-flag-parabolic.json')!r}])\n"
             "assert code == 0\n"
-            "assert 'numpy' not in sys.modules, 'witness --parabolic sl3'\n")
+            "unloaded('witness --parabolic sl3')\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ values, determinism, and the fitting/counterexample helpers."""
 
 import hashlib
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -485,6 +486,19 @@ class TestHyperboloidModel:
         with pytest.raises(InputError, match="float range"):
             _member(self.model, z, z, R03)
 
+    def test_float_range_bounds_rho_off_the_curve(self, monkeypatch):
+        # R(pi/4) turns the curve point's size from a into beta; two
+        # batches on two workers, so the refusal crosses the worker boundary
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        z = act(self.model, rotation(math.pi / 4.0), self.model.curve(8.0))
+        assert abs(z[0]) < 1e-3
+        est, _ = estimate_volume(self.model, z, R03, 20_000, 1)
+        assert est > 0.0
+        for t in (9.0, 12.0):
+            z = act(self.model, rotation(math.pi / 4.0), self.model.curve(t))
+            with pytest.raises(InputError, match=r"float range rho = sqrt\(a\^2 \+ beta\^2\)"):
+                estimate_volume(self.model, z, R03, 20_000, 1)
+
     def test_estimate_frozen(self):
         est, err = estimate_volume(self.model, self.model.curve(0.0),
                                    R03, 100_000, 42)
@@ -825,29 +839,77 @@ class TestEstimator:
         b = estimate_volume(model, model.curve(1.0), R03, 30_000, 5)
         assert a == b
 
-    def test_thread_count_does_not_change_bytes(self, monkeypatch):
-        """The pool takes one worker per usable CPU, at most one per batch,
-        and the CSV is the same at 1 and 4 workers on any host."""
+    @staticmethod
+    def _record_pools(monkeypatch):
+        """Worker counts of the pools the estimator opens, in order."""
         workers = []
 
-        class RecordingPool(volume.ThreadPoolExecutor):
-            def __init__(self, max_workers):
+        class RecordingPool(volume.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
                 workers.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(volume, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(volume, "ProcessPoolExecutor", RecordingPool)
+        return workers
+
+    @staticmethod
+    def _usable_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    @staticmethod
+    def _refuse_fork(monkeypatch):
+        def fork():
+            raise AssertionError("the estimator forked")
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        """The pool takes one worker per usable CPU, at most one per
+        (point, batch) task, and the CSV is the same at 1 and 4 usable
+        CPUs on any host; one CPU runs the tasks in this process."""
+        workers = self._record_pools(monkeypatch)
         csvs = []
         for cpus in (1, 4):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, n=cpus: set(range(n)), raising=False)
-            # five batches per grid point
-            csvs.append(volume_along_curve(SPD2Model(), [0.0, 0.5, 1.0],
-                                           R03, 70_000, 42).to_csv())
+            self._usable_cpus(monkeypatch, cpus)
+            with monkeypatch.context() as inline:
+                if cpus == 1:
+                    self._refuse_fork(inline)
+                # three points of five batches: 15 tasks
+                csvs.append(volume_along_curve(SPD2Model(), [0.0, 0.5, 1.0],
+                                               R03, 70_000, 42).to_csv())
         assert csvs[0] == csvs[1]
-        assert workers == [1] * 3 + [4] * 3
-        # two batches: two workers, not four
+        assert workers == [4]
+        # two tasks: two workers, not four; one task runs inline
         estimate_volume(SPD2Model(), SPD2Model().curve(0.0), R03, 20_000, 42)
-        assert workers[-1] == 2
+        assert workers == [4, 2]
+        self._refuse_fork(monkeypatch)
+        estimate_volume(SPD2Model(), SPD2Model().curve(0.0), R03, 16_384, 42)
+        assert workers == [4, 2]
+
+    def test_pool_leaves_no_child_process(self, monkeypatch):
+        workers = self._record_pools(monkeypatch)
+        self._usable_cpus(monkeypatch, 2)
+        volume_along_curve(PlaneModel(), [0.0, 1.0], R03, 20_000, 3)
+        assert multiprocessing.active_children() == []
+        # the second point's float-range refusal is raised in a worker
+        with pytest.raises(InputError, match="float range tr P <= 4.9e8"):
+            volume_along_curve(SPD2Model(), [0.0, 10.01], R03, 20_000, 3)
+        assert multiprocessing.active_children() == []
+        assert workers == [2, 2]
+
+    def test_sampling_errors_are_raised_before_any_fork(self, monkeypatch):
+        self._usable_cpus(monkeypatch, 2)
+        self._refuse_fork(monkeypatch)
+        model = SPD2Model()
+        for radius, samples, seed, message in [
+                (-R03, 20_000, 0, "radius must be positive"), (R03, 20_000, -1, "seed"),
+                (R03, 999, 0, "at least 1000"), (R03, 10 ** 8 + 1, 0, "at most"),
+                (1.0, 20_000, 0, "radius domain")]:
+            with pytest.raises(InputError, match=message):
+                volume_along_curve(model, [0.0, 1.0], radius, samples, seed)
+        # a refused later point stops the grid before the first is sampled
+        with pytest.raises(InputError, match="t = 400"):
+            volume_along_curve(model, [0.0, 400.0], R03, 20_000, 0)
 
     def test_rotation_invariance_plane_and_spd2(self):
         for model, z in ((PlaneModel(), np.array([0.5, -0.8])),
