@@ -13,10 +13,12 @@ out, so results equal Fraction arithmetic's entry for entry.  One
 integer Sturm sequence decides squarefreeness, isolates rational roots
 and counts real roots, so no coefficient is ever factored.
 
-Fractions appear only at the edges: in the entries ``rat``/``vec`` and
-the ``RatMat`` constructor parse, in the vectors, scalars and
-polynomials the functions here return, and in a matrix's ``rows`` view,
-which is built on first use for reports and tests.
+Fractions appear only at the edges: in parsed input (``rat``/``vec`` and
+the ``RatMat`` constructor), in a matrix's ``rows`` view, built on first
+use, in returned scalars and polynomials, and in the entry points
+``apply``, ``kernel``, ``solve`` and ``rational_eigen_decomposition``,
+each one parse into, or view of, the integer routine the package calls
+(``_null_space``, ``_solve``, ``_eigenspaces``).
 
 Everything here is deterministic.  Pivots are chosen leftmost-first and
 rows are scanned top to bottom, kernel bases set each free variable to 1
@@ -55,18 +57,6 @@ def vec(entries) -> Vec:
     return tuple(rat(e) for e in entries)
 
 
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x if x else ZERO for x in a)
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
-
-
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 class RatMat:
     """Immutable dense matrix over the rationals: ``num / den``.
 
@@ -88,8 +78,9 @@ class RatMat:
         # the lcm of reduced denominators already shares no factor with
         # every numerator: a prime at its full power there divides one
         # denominator exactly, and not that entry's numerator
-        num, den = _integer_matrix(rows)
-        self._set(tuple(map(tuple, num)), den, ncols or 0)
+        den = lcm(*[e.denominator for r in rows for e in r])
+        self._set(tuple(tuple(e.numerator * (den // e.denominator) for e in r) for r in rows),
+                  den, ncols or 0)
 
     def _set(self, num: tuple, den: int, ncols: int):
         self.num, self.den = num, den
@@ -117,21 +108,14 @@ class RatMat:
     def identity(cls, n: int) -> "RatMat":
         return cls.from_integers([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
-    @classmethod
-    def from_cols(cls, cols) -> "RatMat":
-        return cls(list(zip(*cols)), ncols=len(cols))
-
     @property
     def rows(self) -> tuple[Vec, ...]:
         if self._rows is None:
             self._rows = tuple(_fraction_row(r, self.den) for r in self.num)
         return self._rows
 
-    def col(self, j: int) -> Vec:
-        return _fraction_row([r[j] for r in self.num], self.den)
-
     def cols(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.ncols)]
+        return list(self.transpose().rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMat) and self.ncols == other.ncols
@@ -215,9 +199,6 @@ class RatMat:
         return RatMat.from_integers(
             [[e * (d // row[i] * self.den) for e in row[n:]] for i, row in enumerate(rows)], d, n)
 
-    def __repr__(self):
-        return f"RatMat({[list(map(str, r)) for r in self.rows]})"
-
 
 # ---------------------------------------------------------------------------
 # integer elimination; Fractions only enter and leave at the boundary
@@ -232,12 +213,16 @@ def _integer_row(r) -> tuple[list[int], int]:
     return [e.numerator * (d // q) for e, q in zip(r, dens)], d
 
 
-def _integer_matrix(rows) -> tuple[list[list[int]], int]:
-    """Rows of Fractions times the lcm d of all their denominators, and d."""
-    d = lcm(*[e.denominator for r in rows for e in r])
-    if d == 1:
-        return [[e.numerator for e in r] for r in rows], 1
-    return [[e.numerator * (d // e.denominator) for e in r] for r in rows], d
+def _common(parts) -> tuple[list[list[int]], int]:
+    """The rows of the ``(rows, den)`` pairs of parts, in order, over one denominator."""
+    d = lcm(*[den for _, den in parts])
+    return [[e * (d // den) for e in r] for rows, den in parts for r in rows], d
+
+
+def _is_eigenvector(m: RatMat, lam: Fraction, b) -> bool:
+    """Is m b = lam b for the integer vector b?"""
+    return ([lam.denominator * sum(map(mul, r, b)) for r in m.num]
+            == [lam.numerator * m.den * e for e in b])
 
 
 def _rescale(rows, f: int):
@@ -341,24 +326,28 @@ def kernel(m: RatMat) -> list[Vec]:
     coordinate, the back-substituted pivot entries, and 0 in every other
     free coordinate.  Free columns are visited in index order.
     """
-    return _null_space([list(r) for r in m.num], m.ncols)
+    basis, d = _null_space([list(r) for r in m.num], m.ncols)
+    return [_fraction_row(v, d) for v in basis]
 
 
-def _null_space(rows: list[list[int]], nc: int) -> list[Vec]:
-    """``kernel`` of the matrix with integer rows ``rows``, which it eliminates."""
+def _null_space(rows: list[list[int]], nc: int) -> tuple[list[list[int]], int]:
+    """``kernel`` of the matrix with integer rows ``rows``, which it
+    eliminates, as integer rows over one positive denominator."""
     pivots = _gauss_jordan(rows, nc)
     pivset = set(pivots)
-    basis: list[Vec] = []
+    # row i of the RREF is rows[i] / rows[i][pivots[i]]
+    d = lcm(*[rows[i][p] for i, p in enumerate(pivots)])
+    basis = []
     for free in range(nc):
         if free in pivset:
             continue
-        v = [ZERO] * nc
-        v[free] = ONE
+        v = [0] * nc
+        v[free] = d
         for i, p in enumerate(pivots):
             if rows[i][free]:
-                v[p] = Fraction(-rows[i][free], rows[i][p])
-        basis.append(tuple(v))
-    return basis
+                v[p] = -rows[i][free] * (d // rows[i][p])
+        basis.append(v)
+    return basis, d
 
 
 def solve(m: RatMat, b: Vec) -> Vec | None:
@@ -368,29 +357,34 @@ def solve(m: RatMat, b: Vec) -> Vec | None:
     """
     if len(b) != m.nrows:
         raise ValueError("shape mismatch")
-    bs, db = _integer_row(b)
+    x = _solve(m, *_integer_row(b))
+    return None if x is None else _fraction_row(*x)
+
+
+def _solve(m: RatMat, bs: list[int], db: int) -> tuple[list[int], int] | None:
+    """``solve`` for b = bs / db, as integers over one positive denominator."""
     # m x = b is (db num) x = den bs on integers
     rows = [[e * db for e in r] + [m.den * y] for r, y in zip(m.num, bs)]
     nc = m.ncols
     pivots = _gauss_jordan(rows, nc + 1)
     if nc in pivots:
         return None
-    x = [ZERO] * nc
+    d = lcm(*[rows[i][p] for i, p in enumerate(pivots)])
+    x = [0] * nc
     for i, p in enumerate(pivots):
-        if rows[i][nc]:
-            x[p] = Fraction(rows[i][nc], rows[i][p])
-    return tuple(x)
+        x[p] = rows[i][nc] * (d // rows[i][p])
+    return x, d
 
 
 def pivot_indices(vectors) -> list[int]:
-    """Indices of the vectors that enlarge the span of the vectors before them.
+    """Indices of the integer vectors that enlarge the span of the vectors
+    before them; scaling a vector does not change them.
 
     They are the pivot columns of the matrix whose columns are the
     vectors: column j is a pivot exactly when it is no combination of
     columns 0, ..., j - 1.
     """
-    cols = [_integer_row(v)[0] for v in vectors]
-    return _gauss_jordan([list(r) for r in zip(*cols)], len(cols))
+    return _gauss_jordan([list(r) for r in zip(*vectors)], len(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +586,24 @@ def rational_eigen_decomposition(m: RatMat) -> dict[Fraction, tuple[Vec, ...]]:
     minimal polynomial has a repeated root, and ``IrrationalSpectrum``
     when the rational eigenspaces do not fill the space.
     """
+    return {lam: tuple(_fraction_row(v, d) for v in basis)
+            for lam, (basis, d) in _eigenspaces(m).items()}
+
+
+def _eigenspaces(m: RatMat) -> dict[Fraction, tuple[list[list[int]], int]]:
+    """``rational_eigen_decomposition`` with each kernel basis as integer
+    rows over one positive denominator."""
     seq = _sturm_of(minimal_polynomial(m))
     if len(seq[-1]) != 1:  # is_squarefree
         raise NotSemisimple("not semisimple: the minimal polynomial has a repeated root")
-    spaces: dict[Fraction, tuple[Vec, ...]] = {}
+    spaces = {}
     for lam in _sturm_roots(seq):
         # q den (m - p/q) on integers; the kernel ignores the scale
         p, q = lam.numerator, lam.denominator
         shifted = [[e * q - p * m.den if i == j else e * q for j, e in enumerate(r)]
                    for i, r in enumerate(m.num)]
-        spaces[lam] = tuple(_null_space(shifted, m.ncols))
-    filled = sum(len(b) for b in spaces.values())
+        spaces[lam] = _null_space(shifted, m.ncols)
+    filled = sum(len(b) for b, _ in spaces.values())
     if filled < m.nrows:
         raise IrrationalSpectrum(
             f"irrational spectrum: rational eigenvectors span {filled} of {m.nrows} dimensions")

@@ -11,24 +11,22 @@ rates on non-reductive quotients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvariantViolation, NotNilpotent
 from .exact import (
     RatMat,
     Vec,
-    _integer_matrix,
+    _common,
+    _eigenspaces,
     _integer_row,
-    kernel,
+    _is_eigenvector,
+    _null_space,
+    _primitive,
+    _solve,
     pivot_indices,
-    rational_eigen_decomposition,
-    solve,
     vec,
-    vec_is_zero,
-    vec_scale,
-    zero_vec,
 )
-from .lie import LieAlgebra, Subspace, _Coordinatizer
+from .lie import LieAlgebra, Subspace, _direct_sum
 
 
 class Grading:
@@ -41,71 +39,55 @@ class Grading:
     Jacobi (validated, read off matrices, or restricted by abstract()),
     so ad x is a derivation and [a, b] lies in the (lam+mu)-eigenspace,
     which is parts[lam+mu] or 0.
-
-    The union of the parts' bases is a basis of g, so ``components_of``
-    needs no independence check: each part's basis is independent (its
-    Subspace checks that), eigenvectors of distinct eigenvalues are
-    independent, and the dimensions fill g.  Its coordinatizer is built
-    on the first ``components_of`` call.
     """
 
     def __init__(self, g: LieAlgebra, x: Vec, parts: dict[Fraction, Subspace]):
+        self._set(g, g.ad(vec(x)), parts)
+
+    @classmethod
+    def from_ad(cls, g: LieAlgebra, ad: RatMat, parts: dict[Fraction, Subspace]) -> "Grading":
+        """The grading by x with ``ad = g.ad(x)``; the parts are checked as in the constructor."""
+        grading = cls.__new__(cls)
+        grading._set(g, ad, parts)
+        return grading
+
+    def _set(self, g: LieAlgebra, ad: RatMat, parts: dict[Fraction, Subspace]):
         self.algebra = g
-        self.x = vec(x)
         self.parts = dict(sorted(parts.items()))
         if sum(p.dim for p in self.parts.values()) != g.dim:
             raise InvariantViolation("eigenspaces do not fill the algebra")
-        # [x, b] = lam b for the integer basis rows b of each part, on integers
-        xs, dx = _integer_row(self.x)
         for lam, p in self.parts.items():
-            f = lam.numerator * dx * g._den
-            for b in p._num:
-                if [e * lam.denominator for e in g._int_bracket(xs, b)] != [f * e for e in b]:
-                    raise InvariantViolation(
-                        f"labeled eigenvalue {lam} is not the ad-x eigenvalue")
-        self._slices = {}
-        lo = 0
-        for lam, p in self.parts.items():
-            self._slices[lam] = (lo, lo + p.dim)
-            lo += p.dim
-        self._coord = None
+            if not all(_is_eigenvector(ad, lam, b) for b in p._num):
+                raise InvariantViolation(
+                    f"labeled eigenvalue {lam} is not the ad-x eigenvalue")
 
-    def nonnegative_part(self) -> Subspace:
-        basis = [b for lam, p in self.parts.items() if lam >= 0 for b in p.basis]
-        return Subspace(self.algebra, basis, name="g^(>=0)")
-
-    def components_of(self, v: Vec) -> dict[Fraction, Vec]:
-        """Split v into its eigenvalue components; zero parts omitted."""
-        if self._coord is None:
-            cols = [b for p in self.parts.values() for b in p.basis]
-            self._coord = _Coordinatizer(*_integer_matrix(cols), self.algebra.dim)
-        c = self._coord.coords(v)
-        out = {}
-        for lam, (lo, hi) in self._slices.items():
-            if any(e != 0 for e in c[lo:hi]):
-                out[lam] = self.parts[lam].from_coords(c[lo:hi])
-        return out
-
-    def __repr__(self):
-        body = ", ".join(f"{lam}:{p.dim}" for lam, p in self.parts.items())
-        return f"Grading({body})"
+    def at_least(self, low: Fraction) -> Subspace:
+        """The sum of the parts with labels >= low."""
+        return _direct_sum(self.algebra, [p for lam, p in self.parts.items() if lam >= low],
+                           f"g^(>={low})")
 
 
 class SL2Triple:
-    """Elements (x, u, v) with [x,u] = 2u, [x,v] = -2v, [u,v] = x."""
+    """Elements (x, u, v) with [x,u] = 2u, [x,v] = -2v, [u,v] = x.
 
-    def __init__(self, g: LieAlgebra, x: Vec, u: Vec, v: Vec):
+    Given and stored as the rows of one RatMat ``xuv``; ``x``, ``u`` and
+    ``v`` are its Fraction rows.
+    """
+
+    def __init__(self, g: LieAlgebra, xuv: RatMat):
+        if xuv.nrows != 3 or xuv.ncols != g.dim:
+            raise InvariantViolation(f"a triple is 3 vectors with {g.dim} entries")
         self.algebra = g
-        self.x, self.u, self.v = vec(x), vec(u), vec(v)
-        if g.bracket(self.x, self.u) != vec_scale(Fraction(2), self.u):
+        self.xuv = xuv
+        self.x, self.u, self.v = xuv.rows
+        (x, u, v), f = xuv.num, g._den * xuv.den
+        # brackets of the rows are g._den den^2 times the true ones
+        if g._int_bracket(x, u) != [2 * f * e for e in u]:
             raise InvariantViolation("[x, u] != 2u")
-        if g.bracket(self.x, self.v) != vec_scale(Fraction(-2), self.v):
+        if g._int_bracket(x, v) != [-2 * f * e for e in v]:
             raise InvariantViolation("[x, v] != -2v")
-        if g.bracket(self.u, self.v) != self.x:
+        if g._int_bracket(u, v) != [f * e for e in x]:
             raise InvariantViolation("[u, v] != x")
-
-    def __repr__(self):
-        return f"SL2Triple(x={self.x}, u={self.u}, v={self.v})"
 
 
 def grading_of(g: LieAlgebra, x: Vec) -> Grading:
@@ -115,9 +97,14 @@ def grading_of(g: LieAlgebra, x: Vec) -> Grading:
     ``rational_eigen_decomposition``, which raises NotSemisimple or
     IrrationalSpectrum otherwise.
     """
-    parts = {lam: Subspace(g, basis, name=f"g^{lam}")
-             for lam, basis in rational_eigen_decomposition(g.ad(x)).items()}
-    return Grading(g, x, parts)
+    return _grading(g, g.ad(x))
+
+
+def _grading(g: LieAlgebra, ad: RatMat) -> Grading:
+    """``grading_of`` the x with ``ad = g.ad(x)``."""
+    parts = {lam: Subspace.from_integers(g, basis, d, f"g^{lam}")
+             for lam, (basis, d) in _eigenspaces(ad).items()}
+    return Grading.from_ad(g, ad, parts)
 
 
 def is_ad_nilpotent(g: LieAlgebra, u: Vec) -> bool:
@@ -131,14 +118,15 @@ def acts_nilpotently(g: LieAlgebra, n) -> bool:
     Computed via the joint lower central series of the module:
     W_0 = g, W_{k+1} = [n, W_k]; nilpotent action iff the series hits
     zero.  This is the honest subalgebra-level test; nilpotency of the
-    individual basis actions alone would not suffice.
+    individual basis actions alone would not suffice.  The W_k are kept
+    as primitive integer rows, as scaling a vector changes no span.
     """
-    current = [g.basis_vector(i) for i in range(g.dim)]
+    current = RatMat.identity(g.dim).num
     for _ in range(g.dim + 1):
         if not current:
             return True
-        images = [g.bracket(b, w) for b in n.basis for w in current]
-        nxt = [images[i] for i in pivot_indices(images)]
+        images = [g._int_bracket(b, w) for b in n._num for w in current]
+        nxt = [_primitive(images[i]) for i in pivot_indices(images)]
         if len(nxt) >= len(current):
             # series stalled above zero
             return False
@@ -158,24 +146,28 @@ def jacobson_morozov(g: LieAlgebra, u: Vec) -> SL2Triple:
     system therefore signals corrupted input.
     """
     u = vec(u)
-    if vec_is_zero(u):
+    if not any(u):
         raise NotNilpotent("zero element admits no sl2-triple")
     if not is_ad_nilpotent(g, u):
         raise NotNilpotent("element is not ad-nilpotent")
-    adu = g.ad(u)
-    w = solve(adu @ adu, vec_scale(Fraction(-2), u))
+    return _jacobson_morozov(g, *_integer_row(u))
+
+
+def _jacobson_morozov(g: LieAlgebra, us: list[int], du: int) -> SL2Triple:
+    """``jacobson_morozov`` of the nonzero ad-nilpotent u = us / du, us
+    integers, such as a center element of a subalgebra acting nilpotently."""
+    adu = g._int_ad(us, du)
+    w = _solve(adu @ adu, [-2 * e for e in us], du)
     if w is None:
         raise InvariantViolation("(ad u)^2 w = -2u is unsolvable; input corrupted")
-    x = g.bracket(u, w)
-    low = g.ad(x) + RatMat.identity(g.dim).scale(2)
-    d = lcm(adu.den, low.den)
-    stacked = RatMat.from_integers([[e * (d // m.den) for e in r]
-                                    for m in (adu, low) for r in m.num], d, g.dim)
-    rhs = tuple(x) + zero_vec(g.dim)
-    v = solve(stacked, rhs)
+    xs, dx = g._int_bracket(us, w[0]), du * w[1] * g._den  # x = [u, w]
+    low = g._int_ad(xs, dx) + RatMat.identity(g.dim).scale(2)
+    stacked = RatMat.from_integers(*_common([(m.num, m.den) for m in (adu, low)]), g.dim)
+    v = _solve(stacked, xs + [0] * g.dim, dx)
     if v is None:
         raise InvariantViolation("triple completion system is unsolvable; input corrupted")
-    return SL2Triple(g, x, u, v)
+    return SL2Triple(g, RatMat.from_integers(
+        *_common([([xs], dx), ([us], du), ([v[0]], v[1])]), g.dim))
 
 
 def verify_nonnegative_grading(g: LieAlgebra, n, triple: SL2Triple) -> bool:
@@ -189,13 +181,13 @@ def verify_nonnegative_grading(g: LieAlgebra, n, triple: SL2Triple) -> bool:
     A triple whose u is missing from the center of n certifies nothing
     and yields False outright.
     """
-    if not n.contains(triple.u):
+    (x, u, _), d = triple.xuv.num, triple.xuv.den
+    if not n._holds(u):
         return False
-    if any(not vec_is_zero(g.bracket(triple.u, b)) for b in n.basis):
+    if any(any(g._int_bracket(u, b)) for b in n._num):
         return False
-    grading = grading_of(g, triple.x)
-    nonneg = grading.nonnegative_part()
-    if not all(nonneg.contains(b) for b in n.basis):
+    nonneg = _grading(g, g._int_ad(x, d)).at_least(0)
+    if not all(nonneg._holds(b) for b in n._num):
         return False
-    centralizer = kernel(g.ad(triple.u))
-    return all(nonneg.contains(z) for z in centralizer)
+    centralizer, _ = _null_space([list(r) for r in g._int_ad(u, d).num], g.dim)
+    return all(nonneg._holds(z) for z in centralizer)

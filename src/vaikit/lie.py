@@ -9,10 +9,16 @@ realization: one matrix per basis element, with the tensor read off
 their commutators, so it agrees with the tensor and inherits both
 properties; only span closure is checked there.
 
-The public tensor ``sc`` holds Fractions, but all arithmetic runs on a
-sparse integer view of it over one common denominator; brackets, ``ad``,
-the Killing form and the realization's commutators divide once on the
-way out, so they equal Fraction arithmetic's results entry for entry.
+The tensor is stored once, as sparse integers over one reduced
+denominator, and a subspace's basis once, as integer rows over one
+reduced denominator; the producers here and in ``reductivity``,
+``grading`` and ``witness`` build both from integers
+(``from_integers``).  Fractions appear only in parsed input (the public
+constructors), in the ``basis`` view, built on first use, in returned
+scalars, and in the entry points ``bracket``, ``ad`` and ``contains``,
+each one parse into the integer routine the package calls.  Arithmetic
+divides once on the way out, so it equals Fraction arithmetic's results
+entry for entry.
 
 Subspaces and subalgebras remember their ambient algebra and their
 spanning vectors in ambient coordinates.  All derived data (centers,
@@ -21,7 +27,6 @@ derived subalgebras, radicals, Killing forms) is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -33,42 +38,52 @@ from .exact import (
     Vec,
     _augmented,
     _bareiss,
+    _common,
     _fraction_row,
     _gauss_jordan,
     _int_matmul,
-    _integer_matrix,
     _integer_row,
     _null_space,
-    kernel,
-    rat,
     rref,
-    vec,
-    zero_vec,
 )
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q with a fixed ordered basis."""
+    """Finite-dimensional Lie algebra over Q with a fixed ordered basis.
 
-    def __init__(self, structure, name: str = "", _validate: bool = True):
-        sc = tuple(tuple(tuple(rat(c) for c in row) for row in plane) for plane in structure)
-        self.dim = len(sc)
-        if any(len(plane) != self.dim or any(len(row) != self.dim for row in plane)
-               for plane in sc):
+    The tensor is stored once, over one reduced denominator ``_den``:
+    ``_nz[i][j]`` lists ``(k, c[i][j][k] * _den)`` for the nonzero entries.
+    """
+
+    def __init__(self, structure, name: str = ""):
+        sc = [[list(row) for row in plane] for plane in structure]
+        n = len(sc)
+        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in sc):
             raise InvariantViolation("structure tensor must be dim x dim x dim")
-        self.sc = sc
+        self._set(RatMat([row for plane in sc for row in plane], ncols=n), name)
+        self._validate()
+
+    @classmethod
+    def from_integers(cls, rows, den: int, name: str) -> "LieAlgebra":
+        """The algebra with c[i][j] = ``rows[i * dim + j] / den``, unchecked.
+
+        For tensors that are antisymmetric and satisfy Jacobi by
+        construction: read off matrices, or restricted to a subalgebra.
+        """
+        alg = cls.__new__(cls)
+        alg._set(RatMat.from_integers(rows, den, len(rows[0]) if rows else 0), name)
+        return alg
+
+    def _set(self, tensor: RatMat, name: str):
+        n, rows, self._den = tensor.ncols, tensor.num, tensor.den
+        self.dim = n
+        self._nz = tuple(tuple(tuple((k, x) for k, x in enumerate(rows[i * n + j]) if x)
+                               for j in range(n)) for i in range(n))
         self.name = name
         self.realization = self._realization_coord = None  # set by from_realization
-        # integer view: _nz[i][j] lists (k, c[i][j][k] * _den) for c[i][j][k] != 0
-        n = self.dim
-        ints, self._den = _integer_matrix([row for plane in sc for row in plane])
-        self._nz = tuple(tuple(tuple((k, x) for k, x in enumerate(ints[i * n + j]) if x)
-                               for j in range(n)) for i in range(n))
         self._killing = None
         self._cartan: tuple = ()  # (default_cartan(self),) once computed
         self._reductive = None
-        if _validate:
-            self._validate()
 
     # -- construction -----------------------------------------------------
 
@@ -90,20 +105,20 @@ class LieAlgebra:
         den = lcm(*[m.den for m in mats])
         ints = [[[e * (den // m.den) for e in r] for r in m.num] for m in mats]
         coord = _Coordinatizer([[e for r in a for e in r] for a in ints], den, d * d)
-        structure: list[list] = [[zero_vec(n)] * n for _ in range(n)]
+        rows = [[0] * n] * (n * n)
         for i, ai in enumerate(ints):
             for j in range(i):
                 ab, ba = _int_matmul(ai, ints[j]), _int_matmul(ints[j], ai)
-                flat = [x - y for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
-                c = coord.int_coords(flat, den * den)
+                c = coord.eliminate([x - y for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)])
                 if c is None:
                     raise InvariantViolation(
                         f"span not closed under brackets at basis pair ({i}, {j})")
-                structure[i][j] = c
-                structure[j][i] = tuple(-e for e in c)
-        # commutators of actual matrices satisfy antisymmetry and Jacobi,
-        # so the tensor read off here needs no re-validation
-        alg = cls(structure, name=name, _validate=False)
+                rows[i * n + j] = c
+                rows[j * n + i] = [-e for e in c]
+        # the commutator is s c / den^2 in the ints_k = den m_k, i.e. c / (s den)
+        # in the m_k; commutators of actual matrices satisfy antisymmetry
+        # and Jacobi, so the tensor read off here needs no validation
+        alg = cls.from_integers(rows, coord.s * den, name)
         alg.realization, alg._realization_coord = tuple(mats), coord
         return alg
 
@@ -167,7 +182,10 @@ class LieAlgebra:
         if len(x) != self.dim:
             raise InvariantViolation(
                 f"ad of a vector with {len(x)} entries in dimension {self.dim}")
-        xs, dx = _integer_row(x)
+        return self._int_ad(*_integer_row(x))
+
+    def _int_ad(self, xs, dx: int) -> RatMat:
+        """``ad`` of the vector xs / dx, xs integers."""
         rows = [[0] * self.dim for _ in range(self.dim)]
         for i, xi in enumerate(xs):
             if xi:
@@ -185,17 +203,11 @@ class LieAlgebra:
                 out = out + self.realization[i].scale(xi)
         return out
 
-    def realization_coords(self, m: RatMat) -> Vec | None:
-        """Coordinates of a matrix in the realized basis; None if outside."""
-        if self.realization is None:
-            raise InvariantViolation(f"{self.name or 'algebra'} has no matrix realization")
-        return self._realization_coord.int_coords([e for row in m.num for e in row], m.den)
-
     def killing_form(self) -> "BilinearForm":
         """Killing form kappa(x, y) = tr(ad x ad y), computed once.
 
         On the basis, tr(ad e_i ad e_j) = sum_{k,l} c[i][k][l] c[j][l][k],
-        summed on the integer view and divided by _den^2 at the end.
+        summed on the integer tensor and divided by _den^2 at the end.
         """
         if self._killing is None:
             n, nz = self.dim, self._nz
@@ -221,12 +233,10 @@ class LieAlgebra:
         a reductive g = z + s has ker kappa = z (Cartan's criterion on s).
         """
         if self._reductive is None:
-            self._reductive = all(self.ad(k).is_zero()
-                                  for k in kernel(self.killing_form().gram))
+            gram = self.killing_form().gram
+            basis, _ = _null_space([list(r) for r in gram.num], self.dim)
+            self._reductive = all(self._int_ad(k, 1).is_zero() for k in basis)
         return self._reductive
-
-    def __repr__(self):
-        return f"LieAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
 
 class _Coordinatizer:
@@ -237,7 +247,8 @@ class _Coordinatizer:
     with R = T V: R is the RREF of the span, with pivot columns p_i, and
     T holds the combinations.  A vector w lies in the span exactly when
     w = sum_i w[p_i] R_i, and then its coordinates in the vectors[j] are
-    sum_i w[p_i] T_ij, den times those in the basis.
+    sum_i w[p_i] T_ij, den times those in the basis.  R and T are kept
+    times ``s``, the lcm of the pivot entries.
     """
 
     def __init__(self, vectors, den: int, n: int):
@@ -246,33 +257,21 @@ class _Coordinatizer:
         pivots = _gauss_jordan(rows, n)
         if len(pivots) < k:
             raise InvariantViolation("basis vectors are linearly dependent")
-        # s R and s T over the common denominator s of the pivot entries
-        self._s = s = lcm(*[row[p] for row, p in zip(rows, pivots)])
+        self.s = s = lcm(*[row[p] for row, p in zip(rows, pivots)])
         rows = [[e * (s // row[p]) for e in row] for row, p in zip(rows, pivots)]
         self.den, self.n, self._pivots = den, n, pivots
         self._free_cols = [(c, [r[c] for r in rows]) for c in range(n) if c not in pivots]
         self._t_cols = [[r[n + j] for r in rows] for j in range(k)]
 
-    def eliminate(self, w: list[int]) -> list[int] | None:
+    def eliminate(self, w) -> list[int] | None:
         """s times the coordinates of w in the vectors[j]; None when w is outside."""
         if len(w) != self.n:
             raise InvariantViolation(f"vector with {len(w)} entries in dimension {self.n}")
         u = [w[p] for p in self._pivots]
-        s = self._s
+        s = self.s
         if any(s * w[c] != sum(map(mul, u, col)) for c, col in self._free_cols):
             return None
         return [sum(map(mul, u, col)) for col in self._t_cols]
-
-    def coords(self, v: Vec) -> Vec | None:
-        return self.int_coords(*_integer_row(v))
-
-    def int_coords(self, w: list[int], dw: int) -> Vec | None:
-        """Coordinates of the vector ``w / dw``, w integers."""
-        x = self.eliminate(w)
-        if x is None:
-            return None
-        d = self._s * dw
-        return tuple(Fraction(e * self.den, d) if e else ZERO for e in x)
 
     def matrix(self, ws, dw: int) -> RatMat | None:
         """The matrix whose column j holds the coordinates of ``ws[j] / dw``."""
@@ -281,7 +280,7 @@ class _Coordinatizer:
             return None
         return RatMat.from_integers([[c[i] * self.den for c in cols]
                                      for i in range(len(self._t_cols))],
-                                    self._s * dw, len(cols))
+                                    self.s * dw, len(cols))
 
 
 class BilinearForm:
@@ -294,9 +293,6 @@ class BilinearForm:
             raise InvariantViolation("form is not symmetric")
         self.algebra = algebra
         self.gram = gram
-
-    def value(self, x: Vec, y: Vec) -> Fraction:
-        return sum((xi * e for xi, e in zip(x, self.gram.apply(y), strict=True)), ZERO)
 
     def is_positive_definite(self) -> bool:
         """Sylvester criterion: all leading principal minors positive.
@@ -311,62 +307,46 @@ class BilinearForm:
 class Subspace:
     """Linear subspace of an ambient algebra, basis in ambient coordinates.
 
-    ``basis`` holds Fraction vectors; the arithmetic uses the same basis
-    as integer rows ``_num`` over one denominator ``_den``.
+    The basis is stored once, as the rows of a RatMat: integer rows
+    ``_num`` over one reduced denominator ``_den``; ``basis`` is its
+    Fraction ``rows`` view, built on first use.
     """
 
     def __init__(self, algebra: LieAlgebra, basis, name: str = ""):
+        basis = [list(b) for b in basis]
+        if any(len(b) != algebra.dim for b in basis):
+            raise InvariantViolation("basis vector has wrong length")
+        self._set(algebra, RatMat(basis, ncols=algebra.dim), name)
+
+    @classmethod
+    def from_integers(cls, algebra: LieAlgebra, num, den: int, name: str) -> "Subspace":
+        """The span of the integer rows ``num / den``; a Subalgebra's
+        closure is not checked, so its caller must have proven it."""
+        space = cls.__new__(cls)
+        space._set(algebra, RatMat.from_integers(num, den, algebra.dim), name)
+        return space
+
+    def _set(self, algebra: LieAlgebra, rows: RatMat, name: str):
         self.algebra = algebra
-        self.basis: tuple[Vec, ...] = tuple(vec(b) for b in basis)
         self.name = name
-        for b in self.basis:
-            if len(b) != algebra.dim:
-                raise InvariantViolation("basis vector has wrong length")
-        self.dim = len(self.basis)
-        self._num, self._den = _integer_matrix(self.basis)
+        self._rows, self._num, self._den = rows, rows.num, rows.den
+        self.dim = len(self._num)
         # raises on a linearly dependent basis
-        self._coord = _Coordinatizer(self._num, self._den, algebra.dim) if self.dim else None
+        self._coord = _Coordinatizer(self._num, self._den, algebra.dim)
 
-    def _integer_vector(self, v: Vec) -> tuple[list[int], int]:
-        if len(v) != self.algebra.dim:
-            raise InvariantViolation(
-                f"vector with {len(v)} entries in dimension {self.algebra.dim}")
-        return _integer_row(v)
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        return self._rows.rows
 
-    def contains(self, v: Vec) -> bool:
-        w, _ = self._integer_vector(v)
-        if self._coord is None:
-            return not any(w)
+    def _holds(self, w) -> bool:
+        """Does the span contain the integer vector w?"""
         return self._coord.eliminate(w) is not None
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
+    def contains(self, v: Vec) -> bool:
+        return self._holds(_integer_row(v)[0])
 
     def same_span(self, other: "Subspace") -> bool:
-        return self.dim == other.dim and self.contains_subspace(other)
-
-    def coords(self, v: Vec) -> Vec | None:
-        """Coefficients of v in this basis; None when v is outside."""
-        w, dw = self._integer_vector(v)
-        if self._coord is None:
-            return None if any(w) else ()
-        return self._coord.int_coords(w, dw)
-
-    def coords_strict(self, v: Vec) -> Vec:
-        c = self.coords(v)
-        if c is None:
-            raise InvariantViolation("vector outside subspace")
-        return c
-
-    def from_coords(self, c: Vec) -> Vec:
-        if len(c) != self.dim:
-            raise ValueError("coordinate vector has wrong length")
-        cs, dc = _integer_row(c)
-        out = [0] * self.algebra.dim
-        for x, b in zip(cs, self._num):
-            if x:
-                out = [o + x * e for o, e in zip(out, b)]
-        return _fraction_row(out, dc * self._den)
+        return self.dim == other.dim and all(self._holds(r) for r in other._num)
 
     def restriction_matrix(self, op: RatMat) -> RatMat:
         """Matrix of ``op`` restricted to this subspace, in this basis.
@@ -375,51 +355,46 @@ class Subspace:
         """
         if op.nrows != self.algebra.dim or op.ncols != self.algebra.dim:
             raise ValueError("shape mismatch")
-        if self._coord is None:
-            return RatMat.zeros(0, 0)
         images = [[sum(map(mul, r, b)) for r in op.num] for b in self._num]
         m = self._coord.matrix(images, op.den * self._den)
         if m is None:
             raise InvariantViolation("subspace not invariant under operator")
         return m
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.name or '?'}, dim={self.dim})"
+
+def _direct_sum(g: LieAlgebra, spaces, name: str) -> Subspace:
+    """The span of the bases of spaces, in order; raises when they are dependent."""
+    return Subspace.from_integers(g, *_common([(s._num, s._den) for s in spaces]), name)
 
 
 class Subalgebra(Subspace):
     """Subspace closed under the bracket; closure is checked exactly.
 
-    Callers that proved closure (``center``, ``radical``) skip the check
-    with ``_validate=False``.
+    ``from_integers`` skips the check, for the producers that proved
+    closure (``center``, ``radical``, ``derived_subalgebra``).
     """
 
-    def __init__(self, algebra: LieAlgebra, basis, name: str = "", _validate: bool = True):
+    def __init__(self, algebra: LieAlgebra, basis, name: str = ""):
         super().__init__(algebra, basis, name=name)
-        if _validate:
-            num = self._num
-            for i, bi in enumerate(num):
-                for j in range(i + 1, self.dim):
-                    if self._coord.eliminate(algebra._int_bracket(bi, num[j])) is None:
-                        raise InvariantViolation(
-                            f"not closed under bracket at basis pair ({i}, {j})")
-        self._abstract = None
+        num = self._num
+        for i, bi in enumerate(num):
+            for j in range(i + 1, self.dim):
+                if not self._holds(algebra._int_bracket(bi, num[j])):
+                    raise InvariantViolation(
+                        f"not closed under bracket at basis pair ({i}, {j})")
 
     def abstract(self) -> LieAlgebra:
         """This subalgebra as a standalone algebra in its own basis."""
-        if self._abstract is None:
-            g = self.algebra
-            if self.dim == g.dim and all(
-                    b == g.basis_vector(i) for i, b in enumerate(self.basis)):
-                self._abstract = g
-            else:
-                # closure was proven at construction, so no coordinate is None
-                den = g._den * self._den ** 2
-                structure = [[self._coord.int_coords(g._int_bracket(bi, bj), den)
-                              for bj in self._num] for bi in self._num]
-                self._abstract = LieAlgebra(structure, name=f"{self.name or 'h'}|abstract",
-                                            _validate=False)
-        return self._abstract
+        g = self.algebra
+        if self._den == 1 and self._num == RatMat.identity(g.dim).num:
+            return g
+        # [b_i, b_j] = bracket / (g._den _den^2) for the rows b_i = _num[i] / _den;
+        # its coordinates are _den eliminate / (s g._den _den^2), and
+        # closure was proven at construction, so none is None
+        rows = [self._coord.eliminate(g._int_bracket(bi, bj))
+                for bi in self._num for bj in self._num]
+        return LieAlgebra.from_integers(rows, self._coord.s * g._den * self._den,
+                                        f"{self.name or 'h'}|abstract")
 
 
 def center(h: Subalgebra) -> Subalgebra:
@@ -431,17 +406,16 @@ def center(h: Subalgebra) -> Subalgebra:
     # brackets of the integer basis rows, all at the same scale
     brackets = [[g._int_bracket(bi, bj) for bj in num] for bi in num]
     rows = [[brackets[i][j][l] for i in range(h.dim)] for j in range(h.dim) for l in range(g.dim)]
-    coeffs = _null_space(rows, h.dim)
-    return Subalgebra(g, [h.from_coords(c) for c in coeffs], name=f"z({h.name})",
-                      _validate=False)
+    coeffs, d = _null_space(rows, h.dim)
+    return Subalgebra.from_integers(g, _int_matmul(coeffs, num), d * h._den, f"z({h.name})")
 
 
 def derived_subalgebra(h: Subalgebra) -> Subalgebra:
-    """Span of all brackets [h, h]."""
+    """Span of all brackets [h, h], an ideal of h, so a subalgebra."""
     g, num = h.algebra, h._num
     brackets = [g._int_bracket(bi, bj) for i, bi in enumerate(num) for bj in num[i + 1:]]
     r, pivots = rref(RatMat.from_integers(brackets, 1, g.dim))
-    return Subalgebra(g, r.rows[:len(pivots)], name=f"[{h.name},{h.name}]")
+    return Subalgebra.from_integers(g, r.num[:len(pivots)], r.den, f"[{h.name},{h.name}]")
 
 
 def radical(h: Subalgebra) -> Subalgebra:
@@ -453,14 +427,19 @@ def radical(h: Subalgebra) -> Subalgebra:
     The radical is an ideal of h, so a subalgebra; it is not re-checked.
     """
     habs = h.abstract()
-    derived, _ = _integer_matrix([habs.sc[i][j] for i in range(h.dim)
-                                  for j in range(i + 1, h.dim)])
+    derived = []
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            row = [0] * h.dim
+            for k, c in habs._nz[i][j]:
+                row[k] = c
+            derived.append(row)
     rank = len(_gauss_jordan(derived, h.dim))
     # K is symmetric, so the row d K of each derived row d is (K d)^T
     rows = _int_matmul(derived[:rank], habs.killing_form().gram.num)
-    coeffs = _null_space(rows, h.dim)
-    return Subalgebra(h.algebra, [h.from_coords(c) for c in coeffs], name=f"rad({h.name})",
-                      _validate=False)
+    coeffs, d = _null_space(rows, h.dim)
+    return Subalgebra.from_integers(h.algebra, _int_matmul(coeffs, h._num), d * h._den,
+                                    f"rad({h.name})")
 
 
 def is_unimodular_pair(g: LieAlgebra, h: Subalgebra) -> bool:
@@ -477,8 +456,8 @@ def is_unimodular_pair(g: LieAlgebra, h: Subalgebra) -> bool:
 
 def unimodular_trace_witness(g: LieAlgebra, h: Subalgebra) -> Vec | None:
     """A basis element of h whose adjoint trace on h is nonzero, if any."""
-    for x in h.basis:
-        if h.restriction_matrix(g.ad(x)).trace() != 0:
+    for x, xs in zip(h.basis, h._num):
+        if h.restriction_matrix(g._int_ad(xs, h._den)).trace() != 0:
             return x
     return None
 
@@ -490,10 +469,10 @@ def negative_transpose_involution(g: LieAlgebra) -> RatMat:
     """
     if g.realization is None:
         raise InvariantViolation("negative-transpose involution needs a matrix realization")
-    cols = []
-    for m in g.realization:
-        c = g.realization_coords(-(m.transpose()))
-        if c is None:
-            raise InvariantViolation("span is not stable under negative transpose")
-        cols.append(c)
-    return RatMat.from_cols(cols)
+    coord = g._realization_coord
+    # -m^T for m = num / m.den, flattened, over the realization's common denominator
+    theta = coord.matrix([[-e * (coord.den // m.den) for col in zip(*m.num) for e in col]
+                          for m in g.realization], coord.den)
+    if theta is None:
+        raise InvariantViolation("span is not stable under negative transpose")
+    return theta

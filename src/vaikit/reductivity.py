@@ -60,11 +60,12 @@ class CartanData:
             raise InvariantViolation("involution matrix has wrong shape")
         if theta @ theta != RatMat.identity(n):
             raise InvariantViolation("involution does not square to the identity")
+        cols = list(zip(*theta.num))
         for i in range(n):
-            ti = theta.col(i)
             for j in range(i + 1, n):
-                lhs = theta.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-                if lhs != g.bracket(ti, theta.col(j)):
+                # theta [e_i, e_j] and [theta e_i, theta e_j], both times den^2 _den
+                lhs = [theta.den * sum(c * r[k] for k, c in g._nz[i][j]) for r in theta.num]
+                if lhs != g._int_bracket(cols[i], cols[j]):
                     raise InvariantViolation(
                         f"involution is not an automorphism at basis pair ({i}, {j})")
         # <x, y> = -kappa(theta x, y): the Gram matrix is -(theta^T K)
@@ -115,15 +116,15 @@ def is_reductive_in_g(g: LieAlgebra, h: Subalgebra) -> tuple[bool, dict | None]:
     if not r.same_span(z):
         # the center always sits inside the radical, so some radical
         # basis vector escapes the center
-        witness = next(b for b in r.basis if not z.contains(b))
+        witness = next(b for b, w in zip(r.basis, r._num) if not z._holds(w))
         return False, {
             "kind": "radical-witness",
             "element": witness,
             "radical_dim": r.dim,
             "center_dim": z.dim,
         }
-    for zv in z.basis:
-        mp = minimal_polynomial(g.ad(zv))
+    for zv, w in zip(z.basis, z._num):
+        mp = minimal_polynomial(g._int_ad(w, z._den))
         if not is_squarefree(mp):
             return False, {"kind": "center-witness", "element": zv, "minpoly": mp}
     return True, None
@@ -140,7 +141,7 @@ def killing_complement(g: LieAlgebra, h: Subalgebra) -> Subspace | None:
     on_h = [[sum(map(mul, r, b)) for b in h._num] for r in rows]
     if len(_gauss_jordan(on_h, h.dim)) < h.dim:
         return None
-    return Subspace(g, _null_space(rows, g.dim), name="q")
+    return Subspace.from_integers(g, *_null_space(rows, g.dim), "q")
 
 
 def check_theta_stable(g: LieAlgebra, h: Subalgebra,
@@ -150,7 +151,8 @@ def check_theta_stable(g: LieAlgebra, h: Subalgebra,
     Then q exists: kappa(x, theta x) = -B(x, x) < 0 on h for the positive
     definite B(x, y) = -kappa(theta x, y) of CartanData.
     """
-    if not all(h.contains(cartan.theta.apply(b)) for b in h.basis):
+    theta = cartan.theta.num
+    if not all(h._holds([sum(map(mul, r, b)) for r in theta]) for b in h._num):
         return False, None
     return True, killing_complement(g, h)
 
@@ -169,9 +171,9 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra) -> bool:
 
 def _brackets_into(g: LieAlgebra, h: Subalgebra, q: Subspace | None) -> bool:
     """Is q = ``killing_complement(g, h)`` present with [q, q] in h?"""
-    return q is not None and all(h.contains(g.bracket(x, y))
-                                 for i, x in enumerate(q.basis)
-                                 for y in q.basis[i + 1:])
+    return q is not None and all(h._holds(g._int_bracket(x, y))
+                                 for i, x in enumerate(q._num)
+                                 for y in q._num[i + 1:])
 
 
 def default_cartan(g: LieAlgebra) -> CartanData | None:

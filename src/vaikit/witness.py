@@ -22,6 +22,7 @@ Every claim is decided on exact rationals; nothing here uses floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     GammaNotPositive,
@@ -35,22 +36,25 @@ from .errors import (
 from .exact import (
     RatMat,
     Vec,
-    kernel,
+    _common,
+    _eigenspaces,
+    _fraction_row,
+    _int_matmul,
+    _integer_row,
+    _is_eigenvector,
+    _null_space,
     pivot_indices,
     rat,
-    rational_eigen_decomposition,
     vec,
-    vec_is_zero,
-    vec_scale,
 )
 from .grading import (
     SL2Triple,
+    _grading,
+    _jacobson_morozov,
     acts_nilpotently,
-    grading_of,
-    jacobson_morozov,
     verify_nonnegative_grading,
 )
-from .lie import LieAlgebra, Subalgebra, Subspace, center
+from .lie import LieAlgebra, Subalgebra, Subspace, _direct_sum, center
 
 # the base point's escape along the contracted direction is a geometric
 # fact about the group, not decidable from structure constants; every
@@ -71,7 +75,8 @@ class ParabolicData:
     Validated exactly: the length of x, the Levi/nilradical split (the
     ``_split`` subspace rejects an l0/n0 overlap), the ideal property of
     n0, centrality of x in l0, the full split g = n̄0 + l0 + n0, and a
-    semisimple positive ad-x spectrum on n0.
+    semisimple positive ad-x spectrum on n0.  ``n0_eigen`` maps each
+    ad-x eigenvalue on n0 to its eigenspace, in ambient coordinates.
     """
 
     def __init__(self, g: LieAlgebra, p0, l0, n0, nbar0, x):
@@ -87,37 +92,36 @@ class ParabolicData:
                 f"x has {len(self.x)} entries, the algebra has dimension {g.dim}")
         if self.l0.dim + self.n0.dim != self.p0.dim:
             raise InvariantViolation("p0 dimension is not dim l0 + dim n0")
-        self._split = Subspace(g, self.l0.basis + self.n0.basis, name="l0|n0")
-        if not all(self.p0.contains(b) for b in self.l0.basis + self.n0.basis):
+        self._split = _direct_sum(g, [self.l0, self.n0], "l0|n0")
+        if not all(self.p0._holds(b) for b in self._split._num):
             raise InvariantViolation("l0 + n0 does not lie in p0")
-        for a in self.p0.basis:
-            for b in self.n0.basis:
-                if not self.n0.contains(g.bracket(a, b)):
+        for a in self.p0._num:
+            for b in self.n0._num:
+                if not self.n0._holds(g._int_bracket(a, b)):
                     raise InvariantViolation("n0 is not an ideal of p0")
         if not self.l0.contains(self.x):
             raise InvariantViolation("x must lie in l0")
-        for b in self.l0.basis:
-            if not vec_is_zero(g.bracket(self.x, b)):
+        self.ad_x = g.ad(self.x)
+        for b in self.l0._num:
+            if any(sum(map(mul, r, b)) for r in self.ad_x.num):
                 raise InvariantViolation("x must centralize l0")
-        full = self.nbar0.basis + self._split.basis
+        full = self.nbar0._num + self._split._num
         if len(pivot_indices(full)) < len(full):
             raise InvariantViolation("nbar0 overlaps l0 + n0")
         if len(full) != g.dim:
             raise InvariantViolation("nbar0 + l0 + n0 does not fill the algebra")
 
-        m = self.n0.restriction_matrix(g.ad(self.x))
-        eigen = rational_eigen_decomposition(m)
+        m = self.n0.restriction_matrix(self.ad_x)
+        eigen = _eigenspaces(m)
         if any(lam <= 0 for lam in eigen):
             raise InvariantViolation("ad x must be positive on n0")
-        # eigenbasis of n0 in ambient coordinates, rref order per eigenvalue
-        self.n0_eigen: dict[Fraction, list[Vec]] = {
-            lam: [self.n0.from_coords(c) for c in basis] for lam, basis in eigen.items()
+        # eigenbases in n0 coordinates, rref order per eigenvalue, taken to g
+        self.n0_eigen: dict[Fraction, Subspace] = {
+            lam: Subspace.from_integers(g, _int_matmul(basis, self.n0._num),
+                                        d * self.n0._den, f"n0^{lam}")
+            for lam, (basis, d) in eigen.items()
         }
         self.n0_trace = m.trace()
-
-    def __repr__(self):
-        return (f"ParabolicData(p0={self.p0.dim}, l0={self.l0.dim}, "
-                f"n0={self.n0.dim})")
 
 
 class DecayWitness:
@@ -127,6 +131,7 @@ class DecayWitness:
     n1 a proper ad-x stable subspace of n0, and gamma the positive trace
     gap.  ParabolicData gives g = n̄0 + p0, so g = h + v is direct for
     v = n̄0 + l1 + n1 and the (v | h) coordinate matrix is invertible.
+    ``projection`` is the matrix of the projection onto v along h.
     """
 
     def __init__(self, g: LieAlgebra, h: Subalgebra, parabolic: ParabolicData,
@@ -140,42 +145,30 @@ class DecayWitness:
         self.assumptions = (ESCAPE_ASSUMPTION,)
 
         p = parabolic
-        if not all(p.p0.contains(b) for b in h.basis):
+        if not all(p.p0._holds(b) for b in h._num):
             raise InvariantViolation("h does not lie in p0")
-        if not all(p.n0.contains(b) for b in self.n1.basis):
+        if not all(p.n0._holds(b) for b in self.n1._num):
             raise InvariantViolation("n1 does not lie in n0")
         if self.n1.dim >= p.n0.dim:
             raise InvariantViolation("n1 must be a proper subspace of n0")
-        ad_x = g.ad(p.x)
-        n1_trace = self.n1.restriction_matrix(ad_x).trace()
+        n1_trace = self.n1.restriction_matrix(p.ad_x).trace()
         if self.gamma != p.n0_trace - n1_trace:
             raise InvariantViolation("gamma must be the ad-x trace gap")
         if self.gamma <= 0:
             raise InvariantViolation("gamma must be positive")
-        parts = self.l1.basis + h.basis + self.n1.basis
+        parts = self.l1._num + h._num + self.n1._num
         if len(pivot_indices(parts)) < len(parts):
             raise InvariantViolation("l1, h, n1 are not independent")
         if len(parts) != p.p0.dim or not all(
-                p.p0.contains(b) for b in self.l1.basis):
+                p.p0._holds(b) for b in self.l1._num):
             raise InvariantViolation("l1 + h + n1 does not equal p0")
 
-        self.v = Subspace(
-            g, p.nbar0.basis + self.l1.basis + self.n1.basis, name="v")
-        # coordinates (v | h); the v block realizes the projection along h
-        self._vh = RatMat.from_cols(list(self.v.basis) + list(h.basis))
-        self._vh_inv = self._vh.inverse()
-
-    def v_coordinates(self, u: Vec) -> Vec:
-        """Coordinates of the v-component of u in the v basis."""
-        return self._vh_inv.apply(u)[: self.v.dim]
-
-    def project_v(self, u: Vec) -> Vec:
-        """Projection of u onto v along h, in ambient coordinates."""
-        return self.v.from_coords(self.v_coordinates(u))
-
-    def __repr__(self):
-        return (f"DecayWitness(gamma={self.gamma}, n1={self.n1.dim}, "
-                f"l1={self.l1.dim}, v={self.v.dim})")
+        self.v = _direct_sum(g, [p.nbar0, self.l1, self.n1], "v")
+        # the v block of the coordinates in (v | h), taken back to g by v's basis
+        inv = RatMat.from_integers(*_common([(self.v._num, self.v._den), (h._num, h._den)]),
+                                   g.dim).transpose().inverse()
+        self.projection = (self.v._rows.transpose()
+                           @ RatMat.from_integers(inv.num[: self.v.dim], inv.den, g.dim))
 
 
 def build_n1(g: LieAlgebra, h: Subalgebra, parabolic: ParabolicData) -> DecayWitness:
@@ -193,47 +186,50 @@ def build_n1(g: LieAlgebra, h: Subalgebra, parabolic: ParabolicData) -> DecayWit
     with the smaller pair's data attached rather than recursed into.
     """
     p = parabolic
-    if not all(p.p0.contains(b) for b in h.basis):
+    if not all(p.p0._holds(b) for b in h._num):
         raise InvariantViolation("h does not lie in p0")
-    chosen, lams = _greedy_complement(h, p.n0_eigen)
-    if len(chosen) == p.n0.dim:
-        proj = _levi_projection(h, p)
+    n1, lams = _greedy_complement(g, h, p.n0_eigen, "n1")
+    if n1.dim == p.n0.dim:
+        rows, d = _levi_projection(h, p)
         raise GammaNotPositive(
             "h meets the nilradical trivially; recurse on the Levi factor",
-            payload={"levi": p.l0.basis, "h_projected": proj})
+            payload={"levi": p.l0.basis,
+                     "h_projected": [_fraction_row(r, d * p.l0._den)
+                                     for r in _int_matmul(rows, p.l0._num)]})
     gamma = p.n0_trace - sum(lams, Fraction(0))
-    l1 = _levi_complement(h, p)
-    return DecayWitness(g, h, p, chosen, l1, gamma)
+    return DecayWitness(g, h, p, n1, _levi_complement(g, h, p), gamma)
 
 
-def _greedy_complement(h: Subalgebra, eigen) -> tuple[list[Vec], list[Fraction]]:
-    """Eigenvectors extending h to a direct sum, with their eigenvalues.
+def _greedy_complement(g: LieAlgebra, h: Subalgebra, eigen: dict[Fraction, Subspace],
+                       name: str) -> tuple[Subspace, list[Fraction]]:
+    """Eigenvectors extending h to a direct sum, and their eigenvalues.
 
-    Walks the eigenvalues of ``eigen`` (eigenvalue to basis) from the
-    largest down and each basis in order, and takes a vector exactly
+    Walks the eigenvalues of ``eigen`` (eigenvalue to eigenspace) from
+    the largest down and each basis in order, and takes a vector exactly
     when it enlarges the span of h and the vectors already taken.
     """
-    walk = [(lam, b) for lam in sorted(eigen, reverse=True) for b in eigen[lam]]
-    # h.basis is independent, so its indices 0, ..., h.dim - 1 all pivot
-    picks = [walk[i - h.dim] for i in pivot_indices(h.basis + tuple(b for _, b in walk))
-             if i >= h.dim]
-    return [b for _, b in picks], [lam for lam, _ in picks]
+    labels = sorted(eigen, reverse=True)
+    walk, d = _common([(eigen[lam]._num, eigen[lam]._den) for lam in labels])
+    lams = [lam for lam in labels for _ in range(eigen[lam].dim)]
+    # h's rows are independent, so its indices 0, ..., h.dim - 1 all pivot
+    picks = [i - h.dim for i in pivot_indices(list(h._num) + walk) if i >= h.dim]
+    return Subspace.from_integers(g, [walk[i] for i in picks], d, name), [lams[i] for i in picks]
 
 
-def _levi_projection(h: Subalgebra, p: ParabolicData) -> list[Vec]:
-    """Basis of the projection of h to l0 along n0."""
-    proj = [p.l0.from_coords(p._split.coords_strict(b)[: p.l0.dim]) for b in h.basis]
-    return [proj[i] for i in pivot_indices(proj)]
+def _levi_projection(h: Subalgebra, p: ParabolicData) -> tuple[list[list[int]], int]:
+    """The projection of h to l0 along n0 in l0's basis: rows over one
+    denominator, for the basis vectors of h whose images are independent."""
+    split, k = p._split, p.l0.dim
+    # b / h._den = sum_j c_j S_j / (s h._den) for the split's integer rows S_j and
+    # c = eliminate(b), and l0's basis is the first k of the S_j / split._den
+    proj = [[split._den * e for e in split._coord.eliminate(b)[:k]] for b in h._num]
+    return [proj[i] for i in pivot_indices(proj)], split._coord.s * h._den
 
 
-def _levi_complement(h: Subalgebra, p: ParabolicData) -> list[Vec]:
+def _levi_complement(g: LieAlgebra, h: Subalgebra, p: ParabolicData) -> Subspace:
     """l1: the coordinate-orthogonal complement of pr_l0(h) inside l0."""
-    proj = _levi_projection(h, p)
-    if not proj:
-        return list(p.l0.basis)
-    rows = [p.l0.coords_strict(v) for v in proj]
-    coeffs = kernel(RatMat(rows, ncols=p.l0.dim))
-    return [p.l0.from_coords(c) for c in coeffs]
+    coeffs, d = _null_space(_levi_projection(h, p)[0], p.l0.dim)
+    return Subspace.from_integers(g, _int_matmul(coeffs, p.l0._num), d * p.l0._den, "l1")
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +245,13 @@ def check_mt_bounded(witness: DecayWitness) -> bool:
     maps each eigenspace g^lam into the sum of the g^mu with mu >= lam,
     which is decided here on exact rationals.
     """
-    grading = grading_of(witness.algebra, witness.parabolic.x)
-    return all(mu >= lam for lam, part in grading.parts.items() for b in part.basis
-               for mu in grading.components_of(witness.project_v(b)))
+    grading = _grading(witness.algebra, witness.parabolic.ad_x)
+    pi = witness.projection.num
+    for lam, part in grading.parts.items():
+        upper = grading.at_least(lam)
+        if not all(upper._holds([sum(map(mul, r, b)) for r in pi]) for b in part._num):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +282,15 @@ class UnipotentWitness:
         if self.gamma <= 0:
             raise InvariantViolation("decay rate must be positive")
 
-    def __repr__(self):
-        kind = "averaged" if self.averaged else "direct"
-        return f"UnipotentWitness(gamma={self.gamma}, {kind})"
 
-
-def _normalizing_rate(g: LieAlgebra, n: Subalgebra, x: Vec) -> Fraction | None:
+def _normalizing_rate(n: Subalgebra, ad_x: RatMat) -> Fraction | None:
     """tr(ad x | n) when x normalizes n with all-positive exact spectrum."""
-    ad_x = g.ad(x)
     try:
         m = n.restriction_matrix(ad_x)
     except InvariantViolation:  # x does not normalize n
         return None
     try:
-        eigen = rational_eigen_decomposition(m)
+        eigen = _eigenspaces(m)
     except (NotSemisimple, IrrationalSpectrum):
         return None
     return m.trace() if all(lam > 0 for lam in eigen) else None
@@ -317,17 +312,17 @@ def unipotent_witness(g: LieAlgebra, n: Subalgebra) -> UnipotentWitness:
     z = center(n)
     if z.dim == 0:
         raise NoNormalizer("nilpotent subalgebra with trivial center")
-    u = z.basis[0]
-    triple = jacobson_morozov(g, u)
+    triple = _jacobson_morozov(g, z._num[0], z._den)
     if not verify_nonnegative_grading(g, n, triple):
         raise NoNormalizer(
             "the sl2-triple through the central element does not dominate n")
-    rate = _normalizing_rate(g, n, triple.x)
+    ad_x = g._int_ad(triple.xuv.num[0], triple.xuv.den)
+    rate = _normalizing_rate(n, ad_x)
     if rate is not None:
         return UnipotentWitness(g, n, triple.x, rate, averaged=False,
                                 triple=triple)
-    n1 = Subspace(g, [u], name="n1")
-    line_rate = n1.restriction_matrix(g.ad(triple.x)).trace()
+    n1 = Subspace.from_integers(g, z._num[:1], z._den, "n1")
+    line_rate = n1.restriction_matrix(ad_x).trace()
     return UnipotentWitness(g, n, triple.x, line_rate, averaged=True,
                             triple=triple, n1=n1)
 
@@ -354,17 +349,14 @@ class LowerBoundCert:
         self.eigenvalues = list(eigenvalues)
         if len(self.eigenvalues) != vx.dim:
             raise InvariantViolation("one eigenvalue per vx basis vector")
-        split = h.basis + vx.basis
+        split = h._num + vx._num
         if len(split) != g.dim or len(pivot_indices(split)) < g.dim:
             raise InvariantViolation("vx + h does not split the algebra")
-        for lam, b in zip(self.eigenvalues, vx.basis):
-            if g.bracket(self.x, b) != vec_scale(lam, b):
-                raise InvariantViolation("vx basis is not an ad-x eigenbasis")
+        ad_x = g.ad(self.x)
+        if not all(_is_eigenvector(ad_x, lam, b) for lam, b in zip(self.eigenvalues, vx._num)):
+            raise InvariantViolation("vx basis is not an ad-x eigenbasis")
         self.lam = -sum((e for e in self.eigenvalues if e > 0), Fraction(0))
         self.cosh_exponent = abs(self.lam)
-
-    def __repr__(self):
-        return f"LowerBoundCert(lambda={self.lam}, vx={self.vx.dim})"
 
 
 def predict_lower_bound(g: LieAlgebra, h: Subalgebra, cartan,
@@ -376,14 +368,14 @@ def predict_lower_bound(g: LieAlgebra, h: Subalgebra, cartan,
     for such x is kappa(x, b); the complement vx is assembled from ad-x
     eigenvectors in descending eigenvalue order.
     """
-    x = vec(x)
-    if cartan.theta.apply(x) != vec_scale(Fraction(-1), x):
+    xs, dx = _integer_row(vec(x))
+    if not _is_eigenvector(cartan.theta, Fraction(-1), xs):
         raise InputError("direction must be flipped by the involution")
-    kappa = g.killing_form()
-    if any(kappa.value(x, b) != 0 for b in h.basis):
+    kx = [sum(map(mul, r, xs)) for r in g.killing_form().gram.num]
+    if any(sum(map(mul, kx, b)) for b in h._num):
         raise InputError("direction must be orthogonal to h")
-    chosen, eigenvalues = _greedy_complement(h, rational_eigen_decomposition(g.ad(x)))
-    vx = Subspace(g, chosen, name="vx")
+    parts = _grading(g, g._int_ad(xs, dx)).parts
+    vx, eigenvalues = _greedy_complement(g, h, parts, "vx")
     return LowerBoundCert(g, h, x, vx, eigenvalues)
 
 

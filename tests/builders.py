@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from vaikit.catalog import data_path, rat_to_str
-from vaikit.exact import RatMat, vec, zero_vec
+from vaikit.exact import RatMat, vec
 from vaikit.lie import LieAlgebra, Subalgebra
 
 
@@ -28,12 +28,18 @@ def _mat_to_json(m: RatMat) -> list[list[str]]:
     return [[rat_to_str(e) for e in row] for row in m.rows]
 
 
+def structure(alg: LieAlgebra) -> tuple:
+    """The structure tensor c[i][j] = [e_i, e_j] of alg, as Fraction vectors."""
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    return tuple(tuple(alg.bracket(a, b) for b in basis) for a in basis)
+
+
 def algebra_to_dict(alg: LieAlgebra) -> dict:
     out = {"name": alg.name, "dim": alg.dim}
     if alg.realization is not None:
         out["basis"] = [_mat_to_json(m) for m in alg.realization]
     else:
-        out["sc"] = [[[rat_to_str(c) for c in row] for row in plane] for plane in alg.sc]
+        out["sc"] = [[[rat_to_str(c) for c in row] for row in plane] for plane in structure(alg)]
     return out
 
 
@@ -104,7 +110,7 @@ def sl3_so3(g: LieAlgebra) -> Subalgebra:
     n = 3
     basis = []
     for i, j in ((1, 2), (0, 2), (0, 1)):
-        v = list(zero_vec(g.dim))
+        v = [Fraction(0)] * g.dim
         v[_upper_index(n, i, j)] = Fraction(-1)
         v[_lower_index(n, i, j)] = Fraction(1)
         basis.append(tuple(v))
@@ -156,10 +162,10 @@ def sl5_nilpotent_pair(g: LieAlgebra) -> Subalgebra:
     normalizer-based decay certificates.
     """
     n = 5
-    u = list(zero_vec(g.dim))
+    u = [Fraction(0)] * g.dim
     for i in range(4):
         u[_upper_index(n, i, i + 1)] = Fraction(1)
-    w = list(zero_vec(g.dim))
+    w = [Fraction(0)] * g.dim
     for i in range(3):
         w[_upper_index(n, i, i + 2)] = Fraction(1)
     for i in range(2):

@@ -75,11 +75,12 @@ def phi_jacobian_sandwich(witness, q_box=0.1, samples=2000, seed=7, claimed_gamm
     b = witness.l1.dim
 
     v_f = np.array([[float(e) for e in col] for col in witness.v.basis]).T
-    ext = to_floats(witness._vh_inv)[:m]
+    # the v block of the coordinates in (v | h)
+    ext = to_floats(RatMat(witness.v.basis + witness.h.basis).transpose().inverse())[:m]
     ad_cols = [to_floats(g.ad(col)) for col in witness.v.basis]
     # Ad(exp(t x))^{-1} = c diag(e^(-t lam)) c^{-1}, c the ad-x eigenvectors
     grading = grading_of(g, p.x)
-    c = RatMat.from_cols([v for part in grading.parts.values() for v in part.basis])
+    c = RatMat([v for part in grading.parts.values() for v in part.basis]).transpose()
     c_f, c_inv_f = to_floats(c), to_floats(c.inverse())
     lams = np.array([float(lam) for lam, part in grading.parts.items() for _ in part.basis])
 

@@ -160,9 +160,12 @@ def test_criterion_03_triples_and_grading(sl2, sl3, sl5):
     triple5 = jacobson_morozov(sl5, pair.basis[0])
     ok &= verify_nonnegative_grading(sl5, pair, triple5)
     grading = grading_of(sl5, triple5.x)
+    # b has a g^lam component exactly when it leaves the sum of the other parts
+    others = {lam: Subspace(sl5, [v for mu, p in grading.parts.items() if mu != lam
+                                  for v in p.basis]) for lam in grading.parts}
     seen = set()
     for b in pair.basis:
-        seen.update(grading.components_of(b).keys())
+        seen.update(lam for lam, rest in others.items() if not rest.contains(b))
     ok &= seen == {Fraction(2), Fraction(4), Fraction(6)}
     verdict_line(3, "exact sl2-triples and nonnegative grading",
                  ok, f"eigencomponents {sorted(int(s) for s in seen)}")

@@ -52,7 +52,7 @@ def test_parse_rational_strings():
 def test_algebra_roundtrip_through_dict(sl3):
     d = builders.algebra_to_dict(sl3)
     g2 = catalog.parse_algebra(d)
-    assert g2.sc == sl3.sc
+    assert builders.structure(g2) == builders.structure(sl3)
 
 
 def test_parse_algebra_requires_exactly_one_source():
@@ -95,7 +95,7 @@ def test_negative_transpose_matrix(sl2):
     assert theta.apply(vec([0, 1, 0])) == vec([0, 0, -1])
     assert theta.apply(vec([0, 0, 1])) == vec([0, -1, 0])
     assert theta @ theta == RatMat.identity(3)
-    bare = LieAlgebra(sl2.sc, name="bare")
+    bare = LieAlgebra(builders.structure(sl2), name="bare")
     with pytest.raises(InputError, match="^theta: .*realization"):
         catalog.parse_theta({"kind": "negative-transpose"}, bare)
 

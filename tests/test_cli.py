@@ -771,7 +771,7 @@ def _broken_sc(rng, text):
     """The algebra of `text` written with its structure tensor "sc", in a
     shape that is not dim x dim x dim lists."""
     alg = parse_algebra(json.loads(text))
-    data = builders.algebra_to_dict(type(alg)(alg.sc, name=alg.name))
+    data = builders.algebra_to_dict(type(alg)(builders.structure(alg), name=alg.name))
     sc = data["sc"]
     i, j = rng.randrange(len(sc)), rng.randrange(len(sc[0]))
     kind = rng.randrange(6)

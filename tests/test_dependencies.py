@@ -64,13 +64,15 @@ def test_no_unused_imports():
 
 def _definitions(tree: ast.Module):
     """(node, is_method) for the top-level defs and classes, and for the
-    non-dunder methods of those classes."""
+    methods of those classes other than dunders; ``__repr__`` and
+    ``__str__`` count too, as nothing but a caller's text shows them."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node, False
         if isinstance(node, ast.ClassDef):
             yield from ((m, True) for m in node.body if isinstance(m, ast.FunctionDef)
-                        and not (m.name.startswith("__") and m.name.endswith("__")))
+                        and (m.name in ("__repr__", "__str__")
+                             or not (m.name.startswith("__") and m.name.endswith("__"))))
 
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

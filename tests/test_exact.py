@@ -395,14 +395,18 @@ def test_pivot_indices_match_fraction_span():
     rng = random.Random(103)
     for m in _random_matrices(107, 1200):
         ref = _RefSpan()
-        assert pivot_indices(m.rows) == [i for i, row in enumerate(m.rows) if ref.add(row)]
+        rows = list(m.num)  # the rows scaled to integers, as pivot_indices takes them
+        assert pivot_indices(rows) == [i for i, row in enumerate(m.rows) if ref.add(row)]
         probes = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.ncols))]
         if m.rows:  # a combination of the rows lies in the span
             coeffs = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in m.rows]
             probes.append(tuple(sum((c * row[j] for c, row in zip(coeffs, m.rows)), F(0))
                                 for j in range(m.ncols)))
         for v in probes:  # v enlarges the span exactly when its residual is nonzero
-            assert (m.nrows in pivot_indices(m.rows + (v,))) == any(e != 0 for e in ref.reduce(v))
+            scaled = [e * lcm(*[x.denominator for x in v]) for e in v]
+            assert all(e.denominator == 1 for e in scaled)
+            assert (m.nrows in pivot_indices(rows + [[int(e) for e in scaled]])) == \
+                any(e != 0 for e in ref.reduce(v))
 
 
 def test_char_poly_and_det_match_fraction_references():
@@ -421,7 +425,7 @@ def test_positive_definite_matches_sylvester():
         shift = F(rng.randint(-3, 3), rng.randint(1, 2))
         gram = [[sum((b[k][i] * b[k][j] for k in range(n)), F(0)) + (shift if i == j else 0)
                  for j in range(n)] for i in range(n)]
-        algebra = LieAlgebra([[[0] * n] * n] * n, _validate=False)
+        algebra = LieAlgebra.from_integers([[0] * n] * (n * n), 1, "")
         verdict = BilinearForm(algebra, RatMat(gram, ncols=n)).is_positive_definite()
         assert verdict == _ref_positive_definite(gram)
         verdicts.append(verdict)

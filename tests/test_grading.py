@@ -16,7 +16,7 @@ from vaikit.errors import (
     NotNilpotent,
     NotSemisimple,
 )
-from vaikit.exact import vec, vec_scale
+from vaikit.exact import RatMat, vec
 from vaikit.grading import (
     Grading,
     SL2Triple,
@@ -36,7 +36,7 @@ def test_grading_sl2_by_h(sl2, assert_bracket_compatible):
     assert gr.parts[2].same_span(Subspace(sl2, [vec([0, 1, 0])]))
     assert gr.parts[0].same_span(Subspace(sl2, [vec([1, 0, 0])]))
     assert gr.parts[-2].same_span(Subspace(sl2, [vec([0, 0, 1])]))
-    assert gr.nonnegative_part().dim == 2
+    assert gr.at_least(0).dim == 2
 
 
 def test_grading_sl3_by_block_element(sl3, assert_bracket_compatible):
@@ -80,14 +80,15 @@ def test_grading_validates_labels(sl2):
         Grading(sl2, vec([1, 0, 0]), parts)
 
 
-def test_components_of(sl2, assert_bracket_compatible):
+def test_at_least_sums_the_upper_parts(sl2, assert_bracket_compatible):
     gr = grading_of(sl2, vec([1, 0, 0]))
     assert_bracket_compatible(gr)
-    comps = gr.components_of(vec([5, -1, 7]))
-    assert comps[Fraction(0)] == vec([5, 0, 0])
-    assert comps[Fraction(2)] == vec([0, -1, 0])
-    assert comps[Fraction(-2)] == vec([0, 0, 7])
-    assert sorted(gr.components_of(vec([0, 3, 0]))) == [Fraction(2)]
+    assert gr.at_least(Fraction(3)).dim == 0
+    assert gr.at_least(Fraction(2)).same_span(gr.parts[2])
+    assert gr.at_least(Fraction(1, 2)).same_span(gr.parts[2])
+    assert gr.at_least(Fraction(0)).same_span(Subspace(sl2, [vec([5, -1, 0]), vec([0, 1, 0])]))
+    assert gr.at_least(Fraction(-2)).dim == 3
+    assert not gr.at_least(Fraction(0)).contains(vec([5, -1, 7]))
 
 
 def test_jacobson_morozov_sl2_standard(sl2):
@@ -117,7 +118,7 @@ def test_jacobson_morozov_x_depends_on_line_only(sl3):
     u = sl3.basis_vector(2)
     base = jacobson_morozov(sl3, u).x
     for c in (Fraction(2), Fraction(-1), Fraction(1, 3)):
-        assert jacobson_morozov(sl3, vec_scale(c, u)).x == base
+        assert jacobson_morozov(sl3, tuple(c * e for e in u)).x == base
 
 
 def test_jacobson_morozov_rejects_non_nilpotent(sl2):
@@ -129,9 +130,11 @@ def test_jacobson_morozov_rejects_non_nilpotent(sl2):
 
 def test_sl2_triple_validation(sl2):
     with pytest.raises(InvariantViolation):
-        SL2Triple(sl2, vec([-1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1]))
+        SL2Triple(sl2, RatMat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    with pytest.raises(InvariantViolation, match="3 vectors with 3 entries"):
+        SL2Triple(sl2, RatMat([[1, 0, 0], [0, 1, 0]]))
     # the standard one passes
-    SL2Triple(sl2, vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1]))
+    SL2Triple(sl2, RatMat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_is_ad_nilpotent(sl2):
@@ -159,9 +162,11 @@ def test_verify_nonnegative_grading_sl5(sl5, assert_bracket_compatible):
     assert verify_nonnegative_grading(sl5, h, t)
     gr = grading_of(sl5, t.x)
     assert_bracket_compatible(gr)
-    comps = gr.components_of(h.basis[1])
-    assert sorted(comps) == [4, 6]
-    assert sorted(gr.components_of(h.basis[0])) == [2]
+    # h.basis[1] = U^2 + U^3 has components in g^4 and g^6, U lies in g^2
+    assert gr.at_least(Fraction(4)).contains(h.basis[1])
+    assert not gr.at_least(Fraction(6)).contains(h.basis[1])
+    assert not gr.parts[4].contains(h.basis[1])
+    assert gr.parts[2].contains(h.basis[0])
 
 
 def test_verify_rejects_foreign_triple(sl3):
@@ -181,4 +186,4 @@ def test_triple_scaling_property_random(sl4):
             continue
         t = jacobson_morozov(sl4, u)
         c = Fraction(rng.randint(1, 4))
-        assert jacobson_morozov(sl4, vec_scale(c, u)).x == t.x
+        assert jacobson_morozov(sl4, tuple(c * e for e in u)).x == t.x

@@ -12,7 +12,7 @@ import pytest
 import builders
 from vaikit import catalog
 from vaikit.errors import InputError, InvariantViolation
-from vaikit.exact import RatMat, kernel, vec
+from vaikit.exact import RatMat, kernel, solve, vec
 from vaikit.lie import LieAlgebra, Subalgebra, Subspace
 from vaikit.reductivity import (
     VAI_FAILS,
@@ -25,7 +25,13 @@ from vaikit.reductivity import (
     is_symmetric_pair,
     vai_verdict,
 )
-from vaikit.witness import unipotent_witness
+from vaikit.witness import (
+    ParabolicData,
+    build_n1,
+    predict_lower_bound,
+    predict_symmetric_exponent,
+    unipotent_witness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +176,7 @@ def test_verdict_requires_reductive_ambient():
 
 
 def test_default_cartan_without_realization(sl2):
-    bare = LieAlgebra(sl2.sc, name="sl2-bare")
+    bare = LieAlgebra(builders.structure(sl2), name="sl2-bare")
     assert default_cartan(bare) is None
     h = Subalgebra(bare, [vec([0, 1, -1])], name="so2")
     rep = vai_verdict(bare, h)
@@ -227,6 +233,15 @@ def _random_sl(n: int, rng: random.Random) -> tuple[RatMat, RatMat]:
     return p, p.inverse()
 
 
+def _ad_p(g, rng: random.Random) -> RatMat:
+    """The coordinate matrix of Ad(P) for a random P of ``_random_sl``:
+    column j holds the coordinates of P m_j P^-1, m_j g's realization."""
+    p, p_inv = _random_sl(g.realization[0].nrows, rng)
+    flat = RatMat([[e for r in m.rows for e in r] for m in g.realization]).transpose()
+    return RatMat([solve(flat, tuple(e for r in (p @ m @ p_inv).rows for e in r))
+                   for m in g.realization]).transpose()
+
+
 @pytest.mark.parametrize("algebra,subalgebra", [
     ("sl2.json", "sl2-so2.json"), ("sl2.json", "sl2-so11.json"),
     ("sl2.json", "sl2-n.json"), ("sl2.json", "sl2-borel.json"),
@@ -241,13 +256,83 @@ def test_verdict_invariant_under_conjugation(algebra, subalgebra):
     rep = vai_verdict(g, h)
     gamma = unipotent_witness(g, h).gamma if rep.vai == VAI_FAILS else None
     rng = random.Random(f"{algebra}/{subalgebra}")
-    n = g.realization[0].nrows
     for _ in range(3):
-        p, p_inv = _random_sl(n, rng)
-        basis = [g.realization_coords(p @ g.realize(b) @ p_inv) for b in h.basis]
-        hp = Subalgebra(g, basis, name=f"Ad(P) {h.name}")
+        a = _ad_p(g, rng)
+        hp = Subalgebra(g, [a.apply(b) for b in h.basis], name=f"Ad(P) {h.name}")
         got = vai_verdict(g, hp)
         assert (got.vai, got.unimodular, got.reductive_in_g, got.symmetric_pair) == \
             (rep.vai, rep.unimodular, rep.reductive_in_g, rep.symmetric_pair)
         if gamma is not None:
             assert unipotent_witness(g, hp).gamma == gamma
+
+
+@pytest.mark.parametrize("algebra,subalgebra,parabolic", [
+    ("sl2", "sl2-n", "sl2-borel-parabolic"), ("sl3", "sl3-e12", "sl3-flag-parabolic"),
+])
+def test_parabolic_gamma_invariant_under_conjugation(algebra, subalgebra, parabolic):
+    # gamma is a trace gap of ad x, so Ad(P) applied to h, p0, l0, n0, nbar0
+    # and x keeps it; mt_bounded is not compared, as l1 is a
+    # coordinate-orthogonal complement, which Ad(P) does not preserve
+    g = catalog.load_algebra_file(catalog.data_path(f"{algebra}.json"))
+    h = catalog.load_subalgebra_file(catalog.data_path(f"{subalgebra}.json"), g)
+    fields = catalog.parse_parabolic(
+        catalog.load_json(catalog.data_path(f"{parabolic}.json")), g)
+    keys = ("p0", "l0", "n0", "nbar0")
+    gamma = build_n1(g, h, ParabolicData(g, *[fields[k] for k in keys], fields["x"])).gamma
+    rng = random.Random(f"{algebra}/{parabolic}")
+    for _ in range(3):
+        a = _ad_p(g, rng)
+        hp = Subalgebra(g, [a.apply(b) for b in h.basis], name=f"Ad(P) {h.name}")
+        par = ParabolicData(g, *[[a.apply(b) for b in fields[k]] for k in keys],
+                            a.apply(fields["x"]))
+        assert build_n1(g, hp, par).gamma == gamma
+
+
+def test_symmetric_exponent_invariant_under_conjugation(sl2, sl2_subs):
+    u, x = sl2.basis_vector(1), sl2.basis_vector(0)
+    want = predict_symmetric_exponent(sl2, sl2_subs["so2"], Subspace(sl2, [u]), x)
+    assert want == 2
+    rng = random.Random(29)
+    for _ in range(3):
+        a = _ad_p(sl2, rng)
+        hp = Subalgebra(sl2, [a.apply(b) for b in sl2_subs["so2"].basis])
+        got = predict_symmetric_exponent(sl2, hp, Subspace(sl2, [a.apply(u)]), a.apply(x))
+        assert got == want
+
+
+def test_lower_bound_exponent_invariant_under_conjugation(sl2, sl2_subs):
+    # under theta_P = Ad(P) theta Ad(P)^-1 the direction Ad(P) x is flipped
+    # and orthogonal to Ad(P) h, and the ad-x spectrum is kept
+    theta = default_cartan(sl2).theta
+    x = vec([0, 1, 1])
+    want = predict_lower_bound(sl2, sl2_subs["so11"], default_cartan(sl2), x)
+    rng = random.Random(31)
+    for _ in range(3):
+        a = _ad_p(sl2, rng)
+        cartan = CartanData(sl2, a @ theta @ a.inverse())
+        hp = Subalgebra(sl2, [a.apply(b) for b in sl2_subs["so11"].basis])
+        got = predict_lower_bound(sl2, hp, cartan, a.apply(x))
+        assert (got.cosh_exponent, got.eigenvalues) == (want.cosh_exponent, want.eigenvalues)
+
+
+def test_cartan_data_with_non_integral_theta(sl3):
+    # theta_P = Ad(P) theta Ad(P)^-1 is a Cartan involution with a denominator;
+    # changing one entry breaks theta^2 = 1, and the involution
+    # Ad(P) D Ad(P)^-1, D theta with its first diagonal entry negated, is
+    # no automorphism
+    theta = default_cartan(sl3).theta
+    a = _ad_p(sl3, random.Random(37))
+    theta_p = a @ theta @ a.inverse()
+    assert theta_p.den > 1
+    CartanData(sl3, theta_p)
+    rows = [list(r) for r in theta_p.rows]
+    rows[2][5] += 1
+    with pytest.raises(InvariantViolation, match="^involution does not square to the identity$"):
+        CartanData(sl3, RatMat(rows))
+    flip = [list(r) for r in theta.rows]
+    flip[0][0] = -flip[0][0]
+    bad = a @ RatMat(flip) @ a.inverse()
+    assert bad @ bad == RatMat.identity(8) and bad.den > 1
+    with pytest.raises(InvariantViolation,
+                       match=r"^involution is not an automorphism at basis pair \(0, 1\)$"):
+        CartanData(sl3, bad)
