@@ -438,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = list(argv)
     try:
         report, code = args.func(args)
-    except (VaikitError, OSError, json.JSONDecodeError) as exc:
+    except (VaikitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -279,29 +279,19 @@ def _gauss_jordan(rows: list[list[int]], nc: int) -> list[int]:
 
 
 def _bareiss(rows: list[list[int]]):
-    """Fraction-free elimination of a square integer matrix (Bareiss 1968).
-
-    Yields ``(pivot, sign)`` per column, sign the parity of the row
-    exchanges so far, and stops after a zero pivot; the last pivot times
-    its sign is the determinant.  Before the first exchange the k-th
-    pivot is the k-th leading principal minor.
-    """
-    n = len(rows)
-    prev, sign = 1, 1
-    for k in range(n):
-        if rows[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
-            if piv is None:
-                yield 0, sign
-                return
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pk, tail = rows[k][k], rows[k][k + 1:]
+    """Leading principal minors of a square integer matrix: the pivots of
+    fraction-free elimination without row exchanges (Bareiss 1968), up
+    to the first zero one, as the next exact division would be by it."""
+    prev = 1
+    for k, rk in enumerate(rows):
+        pk, tail = rk[k], rk[k + 1:]
+        yield pk
+        if pk == 0:
+            return
         for ri in rows[k + 1:]:
             f = ri[k]
             ri[k + 1:] = [(pk * x - f * y) // prev for x, y in zip(ri[k + 1:], tail)]
         prev = pk
-        yield pk, sign
 
 
 def rref(m: RatMat) -> tuple[RatMat, list[int]]:

@@ -32,9 +32,11 @@ from .lie import LieAlgebra, Subspace, _direct_sum
 class Grading:
     """Exact decomposition of g into ad-x eigenspaces.
 
-    parts maps each rational eigenvalue to its eigenspace.  The labels
-    and the dimension fill are checked, and labels are distinct, so each
-    part is the whole ad-x eigenspace.  Bracket compatibility
+    parts maps each rational eigenvalue, ascending, to its eigenspace.
+    The constructor checks the labels and the fill; ``grading_of`` skips
+    both, as ``_eigenspaces`` returns the kernels of ad x - lam for the
+    ascending roots lam and raises unless they fill g.  Labels are
+    distinct, so each part is the whole ad-x eigenspace.  Bracket compatibility
     [g^lam, g^mu] in g^{lam+mu} follows: every LieAlgebra satisfies
     Jacobi (validated, read off matrices, or restricted by abstract()),
     so ad x is a derivation and [a, b] lies in the (lam+mu)-eigenspace,
@@ -42,20 +44,11 @@ class Grading:
     """
 
     def __init__(self, g: LieAlgebra, x: Vec, parts: dict[Fraction, Subspace]):
-        self._set(g, g.ad(vec(x)), parts)
-
-    @classmethod
-    def from_ad(cls, g: LieAlgebra, ad: RatMat, parts: dict[Fraction, Subspace]) -> "Grading":
-        """The grading by x with ``ad = g.ad(x)``; the parts are checked as in the constructor."""
-        grading = cls.__new__(cls)
-        grading._set(g, ad, parts)
-        return grading
-
-    def _set(self, g: LieAlgebra, ad: RatMat, parts: dict[Fraction, Subspace]):
         self.algebra = g
         self.parts = dict(sorted(parts.items()))
         if sum(p.dim for p in self.parts.values()) != g.dim:
             raise InvariantViolation("eigenspaces do not fill the algebra")
+        ad = g.ad(vec(x))
         for lam, p in self.parts.items():
             if not all(_is_eigenvector(ad, lam, b) for b in p._num):
                 raise InvariantViolation(
@@ -101,10 +94,12 @@ def grading_of(g: LieAlgebra, x: Vec) -> Grading:
 
 
 def _grading(g: LieAlgebra, ad: RatMat) -> Grading:
-    """``grading_of`` the x with ``ad = g.ad(x)``."""
-    parts = {lam: Subspace.from_integers(g, basis, d, f"g^{lam}")
-             for lam, (basis, d) in _eigenspaces(ad).items()}
-    return Grading.from_ad(g, ad, parts)
+    """``grading_of`` the x with ``ad = g.ad(x)``, unchecked (see Grading)."""
+    grading = Grading.__new__(Grading)
+    grading.algebra = g
+    grading.parts = {lam: Subspace.from_integers(g, basis, d, f"g^{lam}")
+                     for lam, (basis, d) in _eigenspaces(ad).items()}
+    return grading
 
 
 def is_ad_nilpotent(g: LieAlgebra, u: Vec) -> bool:

@@ -284,24 +284,20 @@ class _Coordinatizer:
 
 
 class BilinearForm:
-    """Symmetric bilinear form on an algebra, stored as a Gram matrix."""
+    """Symmetric bilinear form on an algebra, stored as a square Gram matrix.
+
+    Symmetry is proved, not checked: ``killing_form`` fills (i, j) and
+    (j, i) with one sum, and ``CartanData`` checks theta^T K theta = K
+    and theta^2 = 1 before it forms the symmetric -theta^T K.
+    """
 
     def __init__(self, algebra: LieAlgebra, gram: RatMat):
-        if gram.nrows != algebra.dim or gram.ncols != algebra.dim:
-            raise InvariantViolation("Gram matrix shape mismatch")
-        if gram != gram.transpose():
-            raise InvariantViolation("form is not symmetric")
         self.algebra = algebra
         self.gram = gram
 
     def is_positive_definite(self) -> bool:
-        """Sylvester criterion: all leading principal minors positive.
-
-        They are the pivots of one Bareiss pass (times positive row
-        scales); a row exchange means a zero minor.
-        """
-        rows = [list(r) for r in self.gram.num]
-        return all(sign > 0 and pivot > 0 for pivot, sign in _bareiss(rows))
+        """Sylvester's criterion on the integer rows, whose minors are den^k times the Gram's."""
+        return all(m > 0 for m in _bareiss([list(r) for r in self.gram.num]))
 
 
 class Subspace:

@@ -18,13 +18,12 @@ reductive in g; every verdict ships a checkable certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import InputError, InvariantViolation
 from .exact import (
     RatMat,
-    Vec,
     _gauss_jordan,
     _null_space,
     is_squarefree,
@@ -80,17 +79,10 @@ class CartanData:
         return cls(g, negative_transpose_involution(g))
 
 
-@dataclass
-class ReductivityReport:
+class ReductivityReport(namedtuple("ReductivityReport", (
+        "algebra", "subalgebra", "unimodular", "reductive_in_g", "certificate",
+        "symmetric_pair", "trace_witness"), defaults=(None,))):
     """Exact verdict for one (g, h) pair, with certificates."""
-
-    algebra: str
-    subalgebra: str
-    unimodular: bool
-    reductive_in_g: bool
-    certificate: dict | None
-    symmetric_pair: bool
-    trace_witness: Vec | None = None
 
     @property
     def vai(self) -> str:

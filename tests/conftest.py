@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import builders
+from vaikit.grading import Grading
 from vaikit.lie import Subspace
 
 # pytest puts src/ on this process's path (pyproject.toml); the tests that
@@ -53,4 +54,36 @@ def assert_bracket_compatible():
                 for a in pl.basis:
                     for b in pm.basis:
                         assert target.contains(g.bracket(a, b)), (lam, mu)
+    return check
+
+
+@pytest.fixture(scope="session")
+def assert_checked_grading():
+    """Assert that a ``grading_of`` result passes the checked constructor.
+
+    ``grading_of`` skips ``Grading``'s label and fill checks, as
+    ``_eigenspaces`` proves both, so the tests run them on its output,
+    together with the ascending label order.
+    """
+    def check(grading, x):
+        assert list(grading.parts) == sorted(grading.parts)
+        Grading(grading.algebra, x, grading.parts)  # raises InvariantViolation
+    return check
+
+
+@pytest.fixture(scope="session")
+def assert_lower_bound_split():
+    """Assert h + vx = g, direct, with each vx vector an ad-x eigenvector.
+
+    ``LowerBoundCert`` takes both from ``predict_lower_bound`` unchecked,
+    so the tests check them on its output.
+    """
+    def check(cert):
+        g, vx = cert.algebra, cert.vx
+        assert len(cert.eigenvalues) == vx.dim
+        # the constructor raises on a dependent basis
+        assert Subspace(g, [*cert.h.basis, *vx.basis]).dim == g.dim
+        ad = g.ad(cert.x)
+        for lam, b in zip(cert.eigenvalues, vx.basis):
+            assert ad.apply(b) == tuple(lam * e for e in b), lam
     return check

@@ -326,7 +326,7 @@ def _random_nilpotent(rng, n, g):
     return tuple(coords)
 
 
-def test_criterion_10_randomized_instances(assert_bracket_compatible):
+def test_criterion_10_randomized_instances(assert_bracket_compatible, assert_checked_grading):
     """1000 random (nilpotent, basis change) instances in sl3/sl4:
     transformed structure constants pass Jacobi validation, the Killing
     form transforms by congruence, the triple grading stays bracket
@@ -359,6 +359,7 @@ def test_criterion_10_randomized_instances(assert_bracket_compatible):
         nu2 = sinv.apply(nu)
         triple = jacobson_morozov(g, nu)
         base = grading_of(g, triple.x)
+        assert_checked_grading(base, triple.x)
         parts2 = {lam: Subspace(g2, [sinv.apply(b) for b in part.basis])
                   for lam, part in base.parts.items()}
         assert_bracket_compatible(Grading(g2, sinv.apply(triple.x), parts2))

@@ -701,12 +701,13 @@ class TestConsoleEntryPoint:
         assert report["result"]["vai"] == "fails"
 
     def test_check_never_loads_numpy(self):
-        """Neither numpy nor the estimator's process pool is imported by
-        check or witness."""
+        """Neither numpy, nor the estimator's process pool, nor dataclasses
+        and the inspect module it imports, is imported by check or witness."""
         script = (
             "import contextlib, io, sys\n"
             "def unloaded(where):\n"
-            "    for name in ('numpy', 'multiprocessing', 'concurrent.futures'):\n"
+            "    for name in ('numpy', 'multiprocessing', 'concurrent.futures',\n"
+            "                 'dataclasses', 'inspect'):\n"
             "        assert name not in sys.modules, f'{where} imports {name}'\n"
             "import vaikit.cli\n"
             "unloaded('import vaikit.cli')\n"

@@ -10,7 +10,6 @@ from vaikit import exact
 from vaikit.errors import IrrationalSpectrum, NotSemisimple
 from vaikit.exact import (
     RatMat,
-    _bareiss,
     _sturm_of,
     _sturm_roots,
     char_poly,
@@ -43,12 +42,24 @@ def rational_roots(p):
 
 
 def det(m):
-    """m's determinant: the last pivot, times its sign, of a Bareiss pass on
-    m's integer rows, over den^n."""
-    pivot, sign = 1, 1
-    for pivot, sign in _bareiss([list(r) for r in m.num]):
-        pass
-    return F(sign * pivot, m.den ** m.nrows)
+    """m's determinant by fraction-free elimination with row exchanges
+    (Bareiss 1968) on m's integer rows: the last pivot, times the sign of
+    the exchanges, over den^n.  ``_ref_det`` eliminates on Fractions."""
+    rows = [list(r) for r in m.num]
+    n, prev, sign = len(rows), 1, 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if piv is None:
+                return F(0)
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pk, tail = rows[k][k], rows[k][k + 1:]
+        for ri in rows[k + 1:]:
+            f = ri[k]
+            ri[k + 1:] = [(pk * x - f * y) // prev for x, y in zip(ri[k + 1:], tail)]
+        prev = pk
+    return F(sign * prev, m.den ** n)
 
 
 def poly_mul(a, b):

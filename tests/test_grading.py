@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import builders
+from vaikit import catalog
 from vaikit.errors import (
     InvariantViolation,
     IrrationalSpectrum,
@@ -26,7 +27,7 @@ from vaikit.grading import (
     jacobson_morozov,
     verify_nonnegative_grading,
 )
-from vaikit.lie import Subalgebra, Subspace
+from vaikit.lie import Subalgebra, Subspace, center
 
 
 def test_grading_sl2_by_h(sl2, assert_bracket_compatible):
@@ -78,6 +79,29 @@ def test_grading_validates_labels(sl2):
     # true eigenvalues of ad H are (2, 0, -2), not (1, 0, -1)
     with pytest.raises(InvariantViolation):
         Grading(sl2, vec([1, 0, 0]), parts)
+
+
+@pytest.mark.parametrize("algebra,parabolics,nilpotents", [
+    ("sl2", ["sl2-borel-parabolic"], ["sl2-n"]),
+    ("sl3", ["sl3-flag-parabolic"], ["sl3-e12"]),
+    ("sl4", [], []),
+    ("sl5", [], ["sl5-nilpair"]),
+])
+def test_grading_of_catalog_elements_passes_the_checks(algebra, parabolics, nilpotents,
+                                                       assert_checked_grading):
+    # the catalog's grading elements: its semisimple basis vectors, its
+    # parabolics' x, and the triple x through each nilpotent subalgebra's center
+    g = catalog.load_algebra_file(catalog.data_path(f"{algebra}.json"))
+    elements = [x for x in map(g.basis_vector, range(g.dim)) if not is_ad_nilpotent(g, x)]
+    assert len(elements) == int(algebra[2:]) - 1  # the diagonal basis vectors
+    for name in parabolics:
+        elements.append(catalog.parse_parabolic(
+            catalog.load_json(catalog.data_path(f"{name}.json")), g)["x"])
+    for name in nilpotents:
+        h = catalog.load_subalgebra_file(catalog.data_path(f"{name}.json"), g)
+        elements.append(jacobson_morozov(g, center(h).basis[0]).x)
+    for x in elements:
+        assert_checked_grading(grading_of(g, x), x)
 
 
 def test_at_least_sums_the_upper_parts(sl2, assert_bracket_compatible):

@@ -300,19 +300,47 @@ def test_symmetric_exponent_invariant_under_conjugation(sl2, sl2_subs):
         assert got == want
 
 
-def test_lower_bound_exponent_invariant_under_conjugation(sl2, sl2_subs):
+def test_lower_bound_exponent_invariant_under_conjugation(sl2, sl2_subs,
+                                                         assert_lower_bound_split):
     # under theta_P = Ad(P) theta Ad(P)^-1 the direction Ad(P) x is flipped
     # and orthogonal to Ad(P) h, and the ad-x spectrum is kept
     theta = default_cartan(sl2).theta
     x = vec([0, 1, 1])
     want = predict_lower_bound(sl2, sl2_subs["so11"], default_cartan(sl2), x)
+    assert_lower_bound_split(want)
     rng = random.Random(31)
     for _ in range(3):
         a = _ad_p(sl2, rng)
         cartan = CartanData(sl2, a @ theta @ a.inverse())
         hp = Subalgebra(sl2, [a.apply(b) for b in sl2_subs["so11"].basis])
         got = predict_lower_bound(sl2, hp, cartan, a.apply(x))
+        assert_lower_bound_split(got)
         assert (got.cosh_exponent, got.eigenvalues) == (want.cosh_exponent, want.eigenvalues)
+
+
+@pytest.mark.parametrize("algebra,subalgebras", [
+    ("sl2", ["sl2-so2", "sl2-so11", "sl2-n", "sl2-borel"]),
+    ("sl3", ["sl3-so3", "sl3-e12"]),
+    ("sl4", []),
+    ("sl5", ["sl5-nilpair"]),
+])
+def test_killing_and_cartan_pairings_are_symmetric(algebra, subalgebras):
+    # BilinearForm takes the Gram matrices of killing_form and of the
+    # CartanData pairing -theta^T K as symmetric without a check
+    g = catalog.load_algebra_file(catalog.data_path(f"{algebra}.json"))
+    hs = [catalog.load_subalgebra_file(catalog.data_path(f"{name}.json"), g)
+          for name in subalgebras]
+    for a in [g] + [h.abstract() for h in hs]:
+        gram = a.killing_form().gram
+        assert gram == gram.transpose(), a.name
+    theta = default_cartan(g).theta
+    thetas = [theta, catalog.parse_theta(catalog.load_json(
+        catalog.data_path("theta-negative-transpose.json")), g)]
+    p = _ad_p(g, random.Random(algebra))
+    thetas.append(CartanData(g, p @ theta @ p.inverse()).theta)
+    for t in thetas:
+        pairing = -(t.transpose() @ g.killing_form().gram)
+        assert pairing == pairing.transpose()
 
 
 def test_cartan_data_with_non_integral_theta(sl3):

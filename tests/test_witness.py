@@ -8,6 +8,7 @@ import pytest
 
 import builders
 from float_checks import beta_series, phi_jacobian_sandwich, to_floats
+from vaikit import catalog
 from vaikit.errors import (
     GammaNotPositive,
     InputError,
@@ -355,6 +356,14 @@ class TestUnipotentWitness:
         realized = sl5.realize(w.x)
         assert all(realized.rows[i][i] == diag[i] for i in range(5))
 
+    @pytest.mark.parametrize("algebra,subalgebra", [
+        ("sl2", "sl2-n"), ("sl3", "sl3-e12"), ("sl5", "sl5-nilpair")])
+    def test_catalog_rates_are_positive(self, algebra, subalgebra):
+        # UnipotentWitness takes gamma > 0 from unipotent_witness unchecked
+        g = catalog.load_algebra_file(catalog.data_path(f"{algebra}.json"))
+        h = catalog.load_subalgebra_file(catalog.data_path(f"{subalgebra}.json"), g)
+        assert unipotent_witness(g, h).gamma > 0
+
     def test_non_nilpotent_rejected(self, sl2, sl2_subs):
         with pytest.raises(NotNilpotent):
             unipotent_witness(sl2, sl2_subs["borel"])
@@ -363,25 +372,28 @@ class TestUnipotentWitness:
 
 
 class TestLowerBound:
-    def test_so11_cosh_rate(self, sl2, sl2_subs):
+    def test_so11_cosh_rate(self, sl2, sl2_subs, assert_lower_bound_split):
         cart = default_cartan(sl2)
         x = vec([0, 1, 1])  # E + F
         cert = predict_lower_bound(sl2, sl2_subs["so11"], cart, x)
+        assert_lower_bound_split(cert)
         assert cert.lam == -2
         assert cert.cosh_exponent == 2
         assert cert.eigenvalues == [F(2), F(0)]
         assert cert.vx.basis[0] == vec([1, -1, 1])
 
-    def test_so2_cosh_rate(self, sl2, sl2_subs):
+    def test_so2_cosh_rate(self, sl2, sl2_subs, assert_lower_bound_split):
         cart = default_cartan(sl2)
         cert = predict_lower_bound(sl2, sl2_subs["so2"], cart, sl2.basis_vector(0))
+        assert_lower_bound_split(cert)
         assert cert.cosh_exponent == 2
         assert [b for b in cert.vx.basis] == [sl2.basis_vector(1),
                                               sl2.basis_vector(0)]
 
-    def test_zero_direction(self, sl2, sl2_subs):
+    def test_zero_direction(self, sl2, sl2_subs, assert_lower_bound_split):
         cart = default_cartan(sl2)
         cert = predict_lower_bound(sl2, sl2_subs["so2"], cart, vec([0, 0, 0]))
+        assert_lower_bound_split(cert)
         assert cert.lam == 0
         assert cert.cosh_exponent == 0
 
