@@ -287,8 +287,9 @@ class BilinearForm:
     """Symmetric bilinear form on an algebra, stored as a square Gram matrix.
 
     Symmetry is proved, not checked: ``killing_form`` fills (i, j) and
-    (j, i) with one sum, and ``CartanData`` checks theta^T K theta = K
-    and theta^2 = 1 before it forms the symmetric -theta^T K.
+    (j, i) with one sum.  ``CartanData`` forms -theta^T K after checking
+    that theta is an involutive automorphism, so theta^T K theta = K and
+    -theta^T K is symmetric; ``default_cartan`` never forms the pairing.
     """
 
     def __init__(self, algebra: LieAlgebra, gram: RatMat):

@@ -49,8 +49,9 @@ class CartanData:
     """A Cartan involution of g.
 
     theta must be an involutive automorphism whose twisted Killing
-    pairing <x, y> = -kappa(theta x, y) is positive definite; all three
-    conditions are verified exactly at construction.
+    pairing <x, y> = -kappa(theta x, y) is positive definite.  All three
+    are checked here, on outside matrices (``--theta`` files, tests);
+    ``default_cartan`` proves them for X -> -X^T and skips this check.
     """
 
     def __init__(self, g: LieAlgebra, theta: RatMat):
@@ -73,10 +74,6 @@ class CartanData:
             raise InvariantViolation("twisted Killing pairing is not positive definite")
         self.algebra = g
         self.theta = theta
-
-    @classmethod
-    def negative_transpose(cls, g: LieAlgebra) -> "CartanData":
-        return cls(g, negative_transpose_involution(g))
 
 
 class ReductivityReport(namedtuple("ReductivityReport", (
@@ -169,16 +166,26 @@ def _brackets_into(g: LieAlgebra, h: Subalgebra, q: Subspace | None) -> bool:
 
 
 def default_cartan(g: LieAlgebra) -> CartanData | None:
-    """Negative-transpose involution when a realization permits one.
+    """X -> -X^T if a Cartan involution of the realized g; cached, None too.
 
-    Cached on the algebra, None included, like its Killing form.
+    ``negative_transpose_involution`` raises unless the realized span is
+    transpose-stable.  The rest is proved, and only kappa's rank tested:
+    * -(XY - YX)^T = [-X^T, -Y^T], so theta is an involutive automorphism.
+    * <Y, Z> = tr(Y^T Z) is positive definite and <[X, Y], Z> = <Y, [X^T, Z]>,
+      so -kappa(theta X, X) = tr(ad(X)* ad X) >= 0, zero only where ad X = 0.
+    * kappa(X, X^T) = 0 forces ad X = 0 for every X in ker kappa, so the
+      pairing is positive definite exactly when kappa is nondegenerate.
     """
     if not g._cartan:
+        g._cartan = (None,)
         try:
-            cartan = None if g.realization is None else CartanData.negative_transpose(g)
+            theta = negative_transpose_involution(g)
         except InvariantViolation:
-            cartan = None
-        g._cartan = (cartan,)
+            return None
+        if len(_gauss_jordan([list(r) for r in g.killing_form().gram.num], g.dim)) == g.dim:
+            cartan = CartanData.__new__(CartanData)
+            cartan.algebra, cartan.theta = g, theta
+            g._cartan = (cartan,)
     return g._cartan[0]
 
 

@@ -128,8 +128,10 @@ class DecayWitness:
     """Certificate that ball volumes decay like e^{t gamma} on the curve.
 
     Verified exactly at construction: p0 = l1 + h + n1 as a direct sum,
-    n1 a proper ad-x stable subspace of n0, and gamma the positive trace
-    gap.  ParabolicData gives g = n̄0 + p0, so g = h + v is direct for
+    n1 a proper ad-x stable subspace of n0, and gamma the trace gap,
+    then positive: ``ParabolicData`` proves ad x semisimple and positive
+    on n0, so the gap is a sum of its eigenvalues on n0 / n1 != 0.
+    ParabolicData gives g = n̄0 + p0, so g = h + v is direct for
     v = n̄0 + l1 + n1 and the (v | h) coordinate matrix is invertible.
     ``projection`` is the matrix of the projection onto v along h.
     """
@@ -154,8 +156,6 @@ class DecayWitness:
         n1_trace = self.n1.restriction_matrix(p.ad_x).trace()
         if self.gamma != p.n0_trace - n1_trace:
             raise InvariantViolation("gamma must be the ad-x trace gap")
-        if self.gamma <= 0:
-            raise InvariantViolation("gamma must be positive")
         parts = self.l1._num + h._num + self.n1._num
         if len(pivot_indices(parts)) < len(parts):
             raise InvariantViolation("l1, h, n1 are not independent")

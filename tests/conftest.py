@@ -1,11 +1,12 @@
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import builders
 from vaikit.grading import Grading
-from vaikit.lie import Subspace
+from vaikit.lie import LieAlgebra, Subspace
 
 # pytest puts src/ on this process's path (pyproject.toml); the tests that
 # run `python -m vaikit.cli` in a subprocess need it there too
@@ -31,6 +32,17 @@ def sl4():
 @pytest.fixture(scope="session")
 def sl5():
     return builders.sl(5)
+
+
+@pytest.fixture(scope="session")
+def sheared_sl3():
+    """sl3 in the basis M_i + M_{i+1}/2 + M_{i+2}/3 of its catalog matrices."""
+    mats = builders.sl_basis_matrices(3)
+    g = LieAlgebra.from_realization(
+        [mats[i] + mats[(i + 1) % 8].scale(Fraction(1, 2))
+         + mats[(i + 2) % 8].scale(Fraction(1, 3)) for i in range(8)], name="sl3-sheared")
+    assert g._den > 1
+    return g
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +80,21 @@ def assert_checked_grading():
     def check(grading, x):
         assert list(grading.parts) == sorted(grading.parts)
         Grading(grading.algebra, x, grading.parts)  # raises InvariantViolation
+    return check
+
+
+@pytest.fixture(scope="session")
+def assert_sl2_triple():
+    """Assert [x, u] = 2u, [x, v] = -2v and [u, v] = x for an SL2Triple.
+
+    ``SL2Triple`` takes the relations from ``_jacobson_morozov``
+    unchecked, so the tests check them on its output.
+    """
+    def check(triple):
+        g, x, u, v = triple.algebra, triple.x, triple.u, triple.v
+        assert g.bracket(x, u) == tuple(2 * c for c in u)
+        assert g.bracket(x, v) == tuple(-2 * c for c in v)
+        assert g.bracket(u, v) == x
     return check
 
 

@@ -326,11 +326,12 @@ def _random_nilpotent(rng, n, g):
     return tuple(coords)
 
 
-def test_criterion_10_randomized_instances(assert_bracket_compatible, assert_checked_grading):
+def test_criterion_10_randomized_instances(assert_bracket_compatible, assert_checked_grading,
+                                           assert_sl2_triple):
     """1000 random (nilpotent, basis change) instances in sl3/sl4:
     transformed structure constants pass Jacobi validation, the Killing
-    form transforms by congruence, the triple grading stays bracket
-    compatible, the minimal polynomial annihilates exactly, and the
+    form transforms by congruence, the triple satisfies the sl2
+    relations and its grading stays bracket compatible, the minimal polynomial annihilates exactly, and the
     verdict never depends on the basis."""
     algebras = {3: builders.sl(3), 4: builders.sl(4)}
     for g in algebras.values():
@@ -358,6 +359,7 @@ def test_criterion_10_randomized_instances(assert_bracket_compatible, assert_che
 
         nu2 = sinv.apply(nu)
         triple = jacobson_morozov(g, nu)
+        assert_sl2_triple(triple)
         base = grading_of(g, triple.x)
         assert_checked_grading(base, triple.x)
         parts2 = {lam: Subspace(g2, [sinv.apply(b) for b in part.basis])

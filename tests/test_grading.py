@@ -17,10 +17,9 @@ from vaikit.errors import (
     NotNilpotent,
     NotSemisimple,
 )
-from vaikit.exact import RatMat, vec
+from vaikit.exact import vec
 from vaikit.grading import (
     Grading,
-    SL2Triple,
     acts_nilpotently,
     grading_of,
     is_ad_nilpotent,
@@ -150,15 +149,6 @@ def test_jacobson_morozov_rejects_non_nilpotent(sl2):
         jacobson_morozov(sl2, vec([1, 0, 0]))
     with pytest.raises(NotNilpotent):
         jacobson_morozov(sl2, vec([0, 0, 0]))
-
-
-def test_sl2_triple_validation(sl2):
-    with pytest.raises(InvariantViolation):
-        SL2Triple(sl2, RatMat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    with pytest.raises(InvariantViolation, match="3 vectors with 3 entries"):
-        SL2Triple(sl2, RatMat([[1, 0, 0], [0, 1, 0]]))
-    # the standard one passes
-    SL2Triple(sl2, RatMat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_is_ad_nilpotent(sl2):

@@ -355,17 +355,6 @@ def _ref_structure(mats):
                                for x, y in zip(ra, rb)]) for mj in mats) for mi in mats)
 
 
-@pytest.fixture(scope="module")
-def sheared_sl3():
-    """sl3 in the basis M_i + M_{i+1}/2 + M_{i+2}/3 of its catalog matrices."""
-    mats = builders.sl_basis_matrices(3)
-    g = LieAlgebra.from_realization(
-        [mats[i] + mats[(i + 1) % 8].scale(Fraction(1, 2))
-         + mats[(i + 2) % 8].scale(Fraction(1, 3)) for i in range(8)], name="sl3-sheared")
-    assert g._den > 1
-    return g
-
-
 @pytest.mark.parametrize("algebra", ["sl2", "sl3", "sl4", "sl5", "sheared_sl3"])
 def test_integer_constants_match_fraction_references(algebra, request):
     g = request.getfixturevalue(algebra)

@@ -13,7 +13,7 @@ import builders
 from vaikit import catalog
 from vaikit.errors import InputError, InvariantViolation
 from vaikit.exact import RatMat, kernel, solve, vec
-from vaikit.lie import LieAlgebra, Subalgebra, Subspace
+from vaikit.lie import LieAlgebra, Subalgebra, Subspace, negative_transpose_involution
 from vaikit.reductivity import (
     VAI_FAILS,
     VAI_HOLDS,
@@ -36,12 +36,12 @@ from vaikit.witness import (
 
 @pytest.fixture(scope="module")
 def cartan2(sl2):
-    return CartanData.negative_transpose(sl2)
+    return default_cartan(sl2)
 
 
 @pytest.fixture(scope="module")
 def cartan3(sl3):
-    return CartanData.negative_transpose(sl3)
+    return default_cartan(sl3)
 
 
 def test_cartan_split_sl2(sl2, cartan2):
@@ -183,6 +183,42 @@ def test_default_cartan_without_realization(sl2):
     # verdict still decided; no involution certificate available
     assert rep.vai == VAI_HOLDS
     assert rep.certificate is None
+
+
+def _realized(name, *mats):
+    return LieAlgebra.from_realization([RatMat(m) for m in mats], name=name)
+
+
+_SL2_BLOCK = [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+              [[0, 0, 0], [1, 0, 0], [0, 0, 0]]]
+_DOMAIN = {
+    "gl2": builders.gl2,  # its center lies in ker kappa
+    "diag2": lambda: _realized("diag2", [[1, 0], [0, 0]], [[0, 0], [0, 1]]),
+    "b2": lambda: _realized("b2", [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]),
+    "so3": lambda: _realized("so3", [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+                             [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                             [[0, 0, 0], [0, 0, 1], [0, -1, 0]]),  # theta = 1
+    "sl2+gl1": lambda: _realized("sl2+gl1", *_SL2_BLOCK, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("algebra,is_cartan", [
+    ("sl2", True), ("sl3", True), ("sl4", True), ("sl5", True), ("sheared_sl3", True),
+    ("gl2", False), ("diag2", False), ("b2", False), ("so3", True), ("sl2+gl1", False)])
+def test_default_cartan_matches_checked_constructor(algebra, is_cartan, request):
+    # default_cartan proves what CartanData checks: it gives theta exactly
+    # where the checked constructor accepts X -> -X^T, and that theta
+    g = _DOMAIN[algebra]() if algebra in _DOMAIN else request.getfixturevalue(algebra)
+    try:
+        want = CartanData(g, negative_transpose_involution(g)).theta
+    except InvariantViolation:  # b2 is not transpose-stable; the rest fail a check
+        want = None
+    assert (want is not None) == is_cartan
+    cartan = default_cartan(g)
+    if want is None:
+        assert cartan is None
+    else:
+        assert cartan.algebra is g and cartan.theta == want
 
 
 def test_theta_stable_consistency_catalog(sl2, sl3, sl5, sl2_subs):

@@ -182,10 +182,12 @@ class TestDecayWitnessValidation:
                          builders.sl3_flag_parabolic()["l0"], gamma=4)
 
     def test_n1_must_be_proper(self, sl3, sl3_parabolic):
-        h = builders.sl3_e12(sl3)
-        with pytest.raises(InvariantViolation):
-            DecayWitness(sl3, h, sl3_parabolic,
-                         [sl3.basis_vector(2), sl3.basis_vector(3)],
+        # n1 = n0 is the only way to a zero trace gap, and the proper-subspace
+        # check rejects it before gamma is read: no gamma > 0 check is needed
+        h, n0 = builders.sl3_e12(sl3), [sl3.basis_vector(2), sl3.basis_vector(3)]
+        assert sl3_parabolic.n0.same_span(Subspace(sl3, n0))
+        with pytest.raises(InvariantViolation, match="proper subspace"):
+            DecayWitness(sl3, h, sl3_parabolic, n0,
                          builders.sl3_flag_parabolic()["l0"], gamma=0)
 
 
@@ -358,11 +360,14 @@ class TestUnipotentWitness:
 
     @pytest.mark.parametrize("algebra,subalgebra", [
         ("sl2", "sl2-n"), ("sl3", "sl3-e12"), ("sl5", "sl5-nilpair")])
-    def test_catalog_rates_are_positive(self, algebra, subalgebra):
-        # UnipotentWitness takes gamma > 0 from unipotent_witness unchecked
+    def test_catalog_rates_are_positive(self, algebra, subalgebra, assert_sl2_triple):
+        # UnipotentWitness takes gamma > 0, and SL2Triple its relations,
+        # from unipotent_witness unchecked
         g = catalog.load_algebra_file(catalog.data_path(f"{algebra}.json"))
         h = catalog.load_subalgebra_file(catalog.data_path(f"{subalgebra}.json"), g)
-        assert unipotent_witness(g, h).gamma > 0
+        w = unipotent_witness(g, h)
+        assert w.gamma > 0
+        assert_sl2_triple(w.triple)
 
     def test_non_nilpotent_rejected(self, sl2, sl2_subs):
         with pytest.raises(NotNilpotent):
