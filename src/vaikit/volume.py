@@ -43,6 +43,7 @@ from .exact import real_root_count
 
 BATCH = 16384
 MAX_SAMPLES = 100_000_000  # per grid point: about 30 s of membership on one core
+MAX_CALL_SAMPLES = 1_000_000_000  # per call: bounds its list of (point, batch) tasks
 
 
 def _dyadic(values):
@@ -70,12 +71,11 @@ _GAMMA = 16 * 2.0 ** -53 / (1 - 16 * 2.0 ** -53)  # Higham's gamma_16, u = 2^-53
 
 
 @np.errstate(all="ignore")
-def _conic_bounds(k, a, b, starts, circle, r2):
+def _conic_bounds(a, b, starts, circle, r2):
     """Certified floor and ceiling, per sample, of the least value of
-    f(v) = k + v.A v + b.v on a conic v.C v = 1: the unit circle (C = I)
+    f(v) = 2 + v.A v + b.v on a conic v.C v = 1: the unit circle (C = I)
     or both branches of the hyperbola v1 v2 = 1 (C = [[0, 1/2], [1/2, 0]]).
-    `a` is (a11, a12, a22) of the symmetric A, `b` is (b1, b2); on the
-    hyperbola A must be diagonal, and its a12 terms are skipped.
+    `a` is (a11, a12, a22) of the symmetric A, `b` is (b1, b2).
 
     The point, in stages: the best of `starts` (points on the conic), where
     the bounds decide almost every sample against `r2`; then, only for the
@@ -85,11 +85,11 @@ def _conic_bounds(k, a, b, starts, circle, r2):
     -f'/|f''| and is kept only where f drops.  The bounds below hold at any
     float point v, so each stage's are certified.  With m = v.C v at v and
     q = v.A v, l = b.v:
-    - ceiling: f at the conic point v / sqrt(m) is k + q/m + l/sqrt(m),
+    - ceiling: f at the conic point v / sqrt(m) is 2 + q/m + l/sqrt(m),
       within (|q| + |l|) d / (1 - d) <= 2 d |f| of f(v) for any
       d >= |1 - m|, d <= 1/2;
     - floor: for any multiplier mu with M = A - mu C positive definite,
-      the Lagrangian dual g(mu) = min_w k + mu + w.M w + b.w is at most f
+      the Lagrangian dual g(mu) = min_w 2 + mu + w.M w + b.w is at most f
       everywhere on the conic, and g(mu) = f(v) + mu (1 - m) - r.M^-1 r
       with r = M v + b/2.  mu = q + l/2 makes r vanish where v is
       stationary, and the dual gap r.M^-1 r is second order in the
@@ -101,19 +101,17 @@ def _conic_bounds(k, a, b, starts, circle, r2):
     (`_conic_hits`), and every stage decides the f those entries define.
     - The coefficients carry at most 6 roundings on any term's path.
       a11 = |M1|^2 and a22 = |M2|^2 are sums of four squares, summed in
-      pairs, so each is within gamma_3 of itself.  M1.M2 (a12 on the
-      circle, half of k - 2 on the hyperbola) is within gamma_3 of
-      sum |M1_ij M2_ij|, and 2 |v1 v2| |M1_ij M2_ij| <= v1^2 M1_ij^2 +
-      v2^2 M2_ij^2 (AM-GM; on the hyperbola at the conic point, v1 v2 = 1)
-      bounds its error in f by gamma_3 (a11 v1^2 + a22 v2^2), terms the
-      bounds already count.  Each trace, so each b_i, carries one
-      rounding, and so does k = 2 + 2 M1.M2 on the hyperbola.
+      pairs, so each is within gamma_3 of itself.  a12 = M1.M2 is within
+      gamma_3 of sum |M1_ij M2_ij|, and 2 |v1 v2| |M1_ij M2_ij| <= v1^2
+      M1_ij^2 + v2^2 M2_ij^2 (AM-GM, at every v) bounds its error in f by
+      gamma_3 (a11 v1^2 + a22 v2^2), terms the bounds already count.  Each
+      trace, so each b_i, carries one rounding.
     - The code evaluates f, m, r_i = (A v - mu C v + b/2)_i, det M and
       w = r.adj(M) r from the coefficients as sums of products with at
       most 6 roundings on any term's path (C's entries 0, 1/2, 1 make
-      mu C exact, so each entry of M carries one rounding), so each is
-      within gamma_6 of its exact value times |.|, the same sum in
-      absolute values (Lemma 3.1, eq. (3.4)).
+      mu C exact, so each entry of M carries at most one rounding), so
+      each is within gamma_6 of its exact value times |.|, the same sum
+      in absolute values (Lemma 3.1, eq. (3.4)).
     Hence |f - f~| <= gamma_12 |f|, d = |1 - m~| + gamma_6 |m| >= |1 - m|,
     M > 0 where m11 > 0 and det~ > gamma_6 |det|, and, adj(M) <= tr(M) I
     making sqrt(r.adj(M) r) a norm, r.adj(M) r <= (sqrt(w~ + gamma_6 |w|)
@@ -142,13 +140,11 @@ def _conic_bounds(k, a, b, starts, circle, r2):
         return e * v1, v2 / e
 
     def times_a(v1, v2):
-        if circle:
-            return a11 * v1 + a12 * v2, a12 * v1 + a22 * v2
-        return a11 * v1, a22 * v2
+        return a11 * v1 + a12 * v2, a12 * v1 + a22 * v2
 
     def value(v1, v2):
         av1, av2 = times_a(v1, v2)
-        return k + (v1 * av1 + v2 * av2) + (b1 * v1 + b2 * v2)
+        return 2.0 + (v1 * av1 + v2 * av2) + (b1 * v1 + b2 * v2)
 
     def newton_step(v1, v2):  # along K: Kv, and K^2 = -1 or +1
         kv1, kv2, sign = (-v2, v1, -1.0) if circle else (v1, -v2, 1.0)
@@ -161,23 +157,18 @@ def _conic_bounds(k, a, b, starts, circle, r2):
     def bounds(v1, v2):
         av1, av2 = times_a(v1, v2)
         q, l = v1 * av1 + v2 * av2, b1 * v1 + b2 * v2
-        f = k + q + l
-        if circle:
-            s1 = np.abs(a11 * v1) + np.abs(a12 * v2)
-            s2 = np.abs(a12 * v1) + np.abs(a22 * v2)
-        else:
-            s1, s2 = np.abs(av1), np.abs(av2)
-        f_abs = (np.abs(k) + np.abs(v1) * s1 + np.abs(v2) * s2
+        f = 2.0 + q + l
+        s1 = np.abs(a11 * v1) + np.abs(a12 * v2)
+        s2 = np.abs(a12 * v1) + np.abs(a22 * v2)
+        f_abs = (2.0 + np.abs(v1) * s1 + np.abs(v2) * s2
                  + np.abs(b1 * v1) + np.abs(b2 * v2))
-        m = v1 * v1 + v2 * v2 if circle else v1 * v2
+        cv1, cv2 = (v1, v2) if circle else (v2 / 2.0, v1 / 2.0)
+        m = v1 * cv1 + v2 * cv2
         defect = np.abs(1.0 - m) + _GAMMA * np.abs(m)
         ceiling = np.where(defect <= 0.5, f + (_GAMMA + 2.0 * defect) * f_abs, np.inf)
 
         mu = q + l / 2.0
-        if circle:
-            m11, m12, m22, cv1, cv2 = a11 - mu, a12, a22 - mu, v1, v2
-        else:
-            m11, m12, m22, cv1, cv2 = a11, -mu / 2.0, a22, v2 / 2.0, v1 / 2.0
+        m11, m12, m22 = (a11 - mu, a12, a22 - mu) if circle else (a11, a12 - mu / 2.0, a22)
         res1, res2 = av1 - mu * cv1 + b1 / 2.0, av2 - mu * cv2 + b2 / 2.0
         r_err = _GAMMA * (s1 + s2 + np.abs(mu) * (np.abs(cv1) + np.abs(cv2))
                           + (np.abs(b1) + np.abs(b2)) / 2.0)
@@ -202,8 +193,8 @@ def _conic_bounds(k, a, b, starts, circle, r2):
     floor, ceiling = bounds(v1, v2)
     undecided = np.flatnonzero(~((ceiling < r2) | (floor > r2)))
     if undecided.size:
-        k, a11, a12, a22, b1, b2, v1, v2, fv = (
-            x[undecided] if np.ndim(x) else x for x in (k, a11, a12, a22, b1, b2, v1, v2, fv))
+        a11, a12, a22, b1, b2, v1, v2, fv = (
+            x[undecided] for x in (a11, a12, a22, b1, b2, v1, v2, fv))
         for _ in range(2):
             v1, v2, fv = keep_better(v1, v2, fv, newton_step(v1, v2))
         floor[undecided], ceiling[undecided] = bounds(v1, v2)
@@ -216,13 +207,11 @@ def _conic_hits(m1, m2, circle, r2):
     on a conic: the unit circle, or the hyperbola v1 v2 = 1.  m1 and m2 are
     the float entries (11, 12, 21, 22) of M1 and M2, an array each.
 
-    f = k + v.A v + b.v with the Gram coefficients b = -2 (tr M1, tr M2)
-    and, on the circle, k = 2 and A = [[|M1|^2, M1.M2], [M1.M2, |M2|^2]];
-    on the hyperbola, where 2 v1 v2 M1.M2 is the constant 2 M1.M2,
-    k = 2 + 2 M1.M2 and A = diag(|M1|^2, |M2|^2).  Every stage decides the
-    f that the eight float entries define.
+    f = 2 + v.A v + b.v at every v, with the Gram coefficients
+    A = [[|M1|^2, M1.M2], [M1.M2, |M2|^2]] and b = -2 (tr M1, tr M2).
+    Every stage decides the f that the eight float entries define.
     - Pre-floor, circle only: f >= k0 - amp2 - amp1 at every angle, where
-      k0 = k + (a11 + a22)/2 and amp2 = |((a11 - a22)/2, a12)| and
+      k0 = 2 + (a11 + a22)/2 and amp2 = |((a11 - a22)/2, a12)| and
       amp1 = |b| are the amplitudes of f's second and first harmonics.
       On the circle, a11 v1^2 + a22 v2^2 <= max(a11, a22) <= k0 + amp2
       and |b1 v1| + |b2 v2| <= amp1, so the coefficients' rounding (see
@@ -233,32 +222,35 @@ def _conic_hits(m1, m2, circle, r2):
       root halves the error it is given), and the two subtractions.  So
       subtracting `_GAMMA` S leaves a certified floor, and a sample where
       it exceeds r2 is a miss.
-    - Bounds: `_conic_bounds` from the best of the starts, the two minima
-      of v.A v and the minimum of b.v on the circle, the minima of v.A v
-      on both branches of the hyperbola.
+    - Bounds: `_conic_bounds` from the best of the starts.  v.A v takes
+      its least value on the conic at two points +-u, the unit eigenvector
+      of A's smaller eigenvalue on the circle and (x, 1/x), x^4 = a22/a11,
+      on the hyperbola; of these, the start is the one with b.u <= 0, and
+      the circle adds -b/|b|, the minimum of b.v.
     - Exact stage (`_exact_hits`), for the samples the bounds leave
       undecided.
     """
     (p11, p12, p21, p22), (q11, q12, q21, q22) = m1, m2
     a11 = (p11 * p11 + p12 * p12) + (p21 * p21 + p22 * p22)
     a22 = (q11 * q11 + q12 * q12) + (q21 * q21 + q22 * q22)
-    cross = (p11 * q11 + p12 * q12) + (p21 * q21 + p22 * q22)
+    a12 = (p11 * q11 + p12 * q12) + (p21 * q21 + p22 * q22)
     b1, b2 = -2.0 * (p11 + p22), -2.0 * (q11 + q22)
     if circle:
         k0, p2 = 2.0 + (a11 + a22) / 2.0, (a11 - a22) / 2.0
-        amp2, amp1 = np.sqrt(p2 * p2 + cross * cross), np.sqrt(b1 * b1 + b2 * b2)
+        amp2, amp1 = np.sqrt(p2 * p2 + a12 * a12), np.sqrt(b1 * b1 + b2 * b2)
         pre_floor = k0 - amp2 - amp1 - _GAMMA * (k0 + amp2 + amp1)
         rest = np.flatnonzero(pre_floor <= r2)
         a11, a12, a22, b1, b2, p2, amp1 = (
-            x[rest] for x in (a11, cross, a22, b1, b2, p2, amp1))
+            x[rest] for x in (a11, a12, a22, b1, b2, p2, amp1))
         half = np.arctan2(a12, p2) / 2.0
-        c, s = -np.sin(half), np.cos(half)
-        k, starts = 2.0, [(c, s), (-c, -s), (-b1 / amp1, -b2 / amp1)]
+        u1, u2, extra = -np.sin(half), np.cos(half), [(-b1 / amp1, -b2 / amp1)]
     else:
-        rest, k, a12 = np.arange(len(a11)), 2.0 + 2.0 * cross, 0.0
-        x = np.sqrt(np.sqrt(a22 / a11))
-        starts = [(x, 1.0 / x), (-x, -1.0 / x)]
-    floor, ceiling = _conic_bounds(k, (a11, a12, a22), (b1, b2), starts, circle, r2)
+        rest, extra = np.arange(len(a11)), []
+        u1 = np.sqrt(np.sqrt(a22 / a11))
+        u2 = 1.0 / u1
+    sign = np.where(b1 * u1 + b2 * u2 <= 0.0, 1.0, -1.0)
+    floor, ceiling = _conic_bounds((a11, a12, a22), (b1, b2),
+                                   [(sign * u1, sign * u2), *extra], circle, r2)
     hit = np.zeros(len(p11), dtype=bool)
     hit[rest] = ceiling < r2
     band = rest[~((ceiling < r2) | (floor > r2))]
@@ -657,9 +649,9 @@ def _keep_freed_pages():
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD is -1
 
 
-def _box(model: SpaceModel, z, radius: float, samples: int, seed: int):
-    """The sampling parameters checked, and the chart box (lo, hi) around
-    z with its measure."""
+def _box(model: SpaceModel, z, radius: float, samples: int, seed: int, points: int = 1):
+    """The sampling parameters of a call on `points` grid points checked,
+    and the chart box (lo, hi) around z with its measure."""
     if not (math.isfinite(radius) and radius > 0.0):
         raise InputError("radius must be positive and finite")
     if seed < 0:
@@ -668,6 +660,9 @@ def _box(model: SpaceModel, z, radius: float, samples: int, seed: int):
         raise InputError("need at least 1000 samples")
     if samples > MAX_SAMPLES:
         raise InputError(f"need at most {MAX_SAMPLES} samples, got {samples}")
+    if points * samples > MAX_CALL_SAMPLES:
+        raise InputError(f"need at most {MAX_CALL_SAMPLES} samples in one call, "
+                         f"got {points} points x {samples}")
     lo, hi = model.chart_box(z, radius)
     with np.errstate(over="ignore"):
         box_measure = float(np.prod(hi - lo))
@@ -799,7 +794,7 @@ def volume_along_curve(model: SpaceModel, t_grid=(), radius: float = 0.3,
         except OverflowError:
             raise InputError(
                 f"{model.name}: t = {t:g} is outside the model's float range") from None
-        points.append((i, z, *_box(model, z, radius, samples, seed)))
+        points.append((i, z, *_box(model, z, radius, samples, seed, len(t_values))))
     results = _estimates(model, points, radius, samples, seed)
     series = VolumeSeries(t_values, [est for est, _ in results], [err for _, err in results],
                           samples, seed, radius, model.name)

@@ -454,6 +454,14 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert err == f"error: need at most 100000000 samples, got {samples}\n"
 
+    def test_samples_over_the_call_limit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate", "--space", "sl2-mod-n", "--t-range", "0:10:1",
+            "--radius", "0.3", "--samples", "100000000", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: need at most 1000000000 samples in one call, "
+                       "got 11 points x 100000000\n")
+
     def test_worker_refusal_exits_2_with_one_line(self, capsys, monkeypatch):
         # two usable CPUs, so the second point's refusal comes from a worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

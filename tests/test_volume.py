@@ -57,7 +57,7 @@ class _Handed(Exception):
 
 
 def _handed(m1, m2, circle):
-    """(k, a, b, starts, circle): what `_conic_hits` hands `_conic_bounds`
+    """(a, b, starts, circle): what `_conic_hits` hands `_conic_bounds`
     for the float entries m1, m2, taken from a call at r^2 = inf, where the
     circle's pre-floor passes every sample on."""
     def hand(*args):
@@ -134,9 +134,10 @@ def _closest_calls(model, z, coords, count):
 
 def _component_hits(coefs, sign, r2):
     """Exact decisions of the +1 or the -1 stabilizer component alone, from
-    the float Gram coefficients (k, a11, a22, b1, b2) on the hyperbola:
-    whether u^2 (f - r2), f = k + a11 x^2 + a22 / x^2 + b1 x + b2 / x at
-    x = sign u, has a root u > 0, by V(0) - V(+inf) of its Sturm sequence."""
+    the float Gram coefficients (k, a11, a22, b1, b2) on the hyperbola,
+    where 2 a12 v1 v2 is the constant in k = 2 + 2 a12: whether u^2 (f -
+    r2), f = k + a11 x^2 + a22 / x^2 + b1 x + b2 / x at x = sign u, has a
+    root u > 0, by V(0) - V(+inf) of its Sturm sequence."""
     def changes(signs):
         return sum(x != y for x, y in zip(signs, signs[1:]))
 
@@ -292,8 +293,8 @@ class TestSPD2Model:
         hits = self.model.membership_chart(z, coords, R03)
         assert hits.any()
 
-        k, (a11, a12, a22), (b1, b2), *_ = _handed(*self.model._matrices(z, coords), True)
-        k0 = k + (a11 + a22) / 2.0
+        (a11, a12, a22), (b1, b2), *_ = _handed(*self.model._matrices(z, coords), True)
+        k0 = 2.0 + (a11 + a22) / 2.0
         amp2, amp1 = np.hypot((a11 - a22) / 2.0, a12), np.hypot(b1, b2)
         floor = k0 - amp2 - amp1 - volume._GAMMA * (k0 + amp2 + amp1)
         rejected = floor > R03 * R03
@@ -436,8 +437,8 @@ class TestHyperboloidModel:
         lo, hi = self.model.chart_box(z, R03)
         coords = np.random.default_rng(37).uniform(lo, hi, size=(16384, 2))
         closest = _closest_calls(self.model, z, coords, 128)
-        k, (a11, _, a22), (b1, b2), *_ = _handed(*self.model._matrices(z, coords[closest]), False)
-        coefs = (k, a11, a22, b1, b2)
+        (a11, a12, a22), (b1, b2), *_ = _handed(*self.model._matrices(z, coords[closest]), False)
+        coefs = (2.0 + 2.0 * a12, a11, a22, b1, b2)
         reference = (_component_hits(coefs, 1, R03 * R03)
                      | _component_hits(coefs, -1, R03 * R03))
         assert reference.any() and not reference.all()
@@ -473,8 +474,8 @@ class TestHyperboloidModel:
         closest = _closest_calls(self.model, z, coords, 128)
         assert (volume._exact_hits(*(tuple(e[closest] for e in m) for m in minus), False, R03 * R03)
                 == hits[closest]).all()
-        k, (a11, _, a22), (b1, b2), *_ = _handed(*minus, False)
-        minus = tuple(c[hits] for c in (k, a11, a22, b1, b2))
+        (a11, a12, a22), (b1, b2), *_ = _handed(*minus, False)
+        minus = tuple(c[hits] for c in (2.0 + 2.0 * a12, a11, a22, b1, b2))
         plus = _component_hits(minus, 1, R03 * R03)
         assert (plus | _component_hits(minus, -1, R03 * R03)).all()
         assert (~plus).sum() > 1000
@@ -569,6 +570,24 @@ def test_membership_decisions_are_frozen(model, digest):
         for _ in range(4):
             coords = rng.uniform(lo, hi, size=(volume.BATCH, 2))
             sha.update(np.packbits(model.membership_chart(z, coords, R03)).tobytes())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("model, ts, digest", [
+    (SPD2Model(), (8.0, 10.0), "eb472a4b4ea593cc36e7138f94f9fe0db1ebb4578339c4d808128c8a6d7b088f"),
+    (HyperboloidModel(), (8.0, 8.35),
+     "a74d39e240aedf9efc5e0894b91c186c9cc1476a1b72f68b581110776ebc751b"),
+], ids=["spd2", "hyperboloid"])
+def test_large_t_decisions_are_frozen(model, ts, digest):
+    # at large t the bounds leave the most samples to the exact stage, so a
+    # change to the bounds moves load there: the packed decisions on one
+    # seeded batch at each of the model's largest points hash as before
+    sha = hashlib.sha256()
+    for t in ts:
+        z = model.curve(t)
+        lo, hi = model.chart_box(z, R03)
+        coords = np.random.default_rng(53).uniform(lo, hi, size=(volume.BATCH, 2))
+        sha.update(np.packbits(model.membership_chart(z, coords, R03)).tobytes())
     assert sha.hexdigest() == digest
 
 
@@ -910,6 +929,24 @@ class TestEstimator:
         # a refused later point stops the grid before the first is sampled
         with pytest.raises(InputError, match="t = 400"):
             volume_along_curve(model, [0.0, 400.0], R03, 20_000, 0)
+
+    def test_call_sample_cap_is_checked_before_any_box_or_fork(self, monkeypatch):
+        # the (point, batch) task list is built only for a call of at most
+        # 10^9 samples over the grid, so a larger call builds no box first
+        self._usable_cpus(monkeypatch, 2)
+        self._refuse_fork(monkeypatch)
+        model = SPD2Model()
+
+        def chart_box(z, radius):
+            raise AssertionError("a box was built")
+
+        monkeypatch.setattr(model, "chart_box", chart_box)
+        for points, samples in ((11, 10 ** 8), (100_000, 10_001)):
+            with pytest.raises(InputError, match=rf"^need at most 1000000000 samples in one "
+                                                 rf"call, got {points} points x {samples}$"):
+                volume_along_curve(model, [0.0] * points, R03, samples, 0)
+        with pytest.raises(AssertionError, match="a box was built"):
+            volume_along_curve(model, [0.0] * 10, R03, 10 ** 8, 0)
 
     def test_rotation_invariance_plane_and_spd2(self):
         for model, z in ((PlaneModel(), np.array([0.5, -0.8])),
