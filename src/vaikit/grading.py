@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantViolation, NotNilpotent
+from .errors import InvariantViolation, NoNormalizer, NotNilpotent
 from .exact import (
     RatMat,
     Vec,
@@ -20,7 +20,6 @@ from .exact import (
     _eigenspaces,
     _integer_row,
     _is_eigenvector,
-    _null_space,
     _primitive,
     _solve,
     pivot_indices,
@@ -78,8 +77,8 @@ def grading_of(g: LieAlgebra, x: Vec) -> Grading:
     """The ad-x eigenspaces of g as a Grading.
 
     ad x must be semisimple with rational spectrum: the eigenspaces of
-    ``rational_eigen_decomposition``, which raises NotSemisimple or
-    IrrationalSpectrum otherwise.
+    ``_eigenspaces``, which raises NotSemisimple or IrrationalSpectrum
+    otherwise.
     """
     return _grading(g, g.ad(x))
 
@@ -108,16 +107,14 @@ def acts_nilpotently(g: LieAlgebra, n) -> bool:
     as primitive integer rows, as scaling a vector changes no span.
     """
     current = RatMat.identity(g.dim).num
-    for _ in range(g.dim + 1):
-        if not current:
-            return True
+    while current:
         images = [g._int_bracket(b, w) for b in n._num for w in current]
         nxt = [_primitive(images[i]) for i in pivot_indices(images)]
         if len(nxt) >= len(current):
             # series stalled above zero
             return False
         current = nxt
-    return not current
+    return True
 
 
 def jacobson_morozov(g: LieAlgebra, u: Vec) -> SL2Triple:
@@ -127,9 +124,10 @@ def jacobson_morozov(g: LieAlgebra, u: Vec) -> SL2Triple:
     x = [u, w], so that [x, u] = 2u with x in the image of ad u; then
     solve the joint linear system [u, v] = x, [x, v] = -2v for v.  Both
     systems use the rref parametrization with free variables at zero,
-    so equal inputs give identical triples.  Solvability is a classical
-    theorem for nilpotent u in a reductive algebra; an unsolvable
-    system therefore signals corrupted input.
+    so equal inputs give identical triples.  In a reductive algebra the
+    first system fails exactly when u has a component in the center,
+    as the image of ad u lies in [g, g]; that raises NoNormalizer.  For
+    nilpotent u in [g, g] both are solvable (Jacobson-Morozov).
     """
     u = vec(u)
     if not any(u):
@@ -145,7 +143,8 @@ def _jacobson_morozov(g: LieAlgebra, us: list[int], du: int) -> SL2Triple:
     adu = g._int_ad(us, du)
     w = _solve(adu @ adu, [-2 * e for e in us], du)
     if w is None:
-        raise InvariantViolation("(ad u)^2 w = -2u is unsolvable; input corrupted")
+        raise NoNormalizer("(ad u)^2 w = -2u is unsolvable: u has a component "
+                           "in the center of g, so no sl2-triple passes through u")
     xs, dx = g._int_bracket(us, w[0]), du * w[1] * g._den  # x = [u, w]
     low = g._int_ad(xs, dx) + RatMat.identity(g.dim).scale(2)
     stacked = RatMat.from_integers(*_common([(m.num, m.den) for m in (adu, low)]), g.dim)
@@ -159,10 +158,12 @@ def _jacobson_morozov(g: LieAlgebra, us: list[int], du: int) -> SL2Triple:
 def verify_nonnegative_grading(g: LieAlgebra, n, triple: SL2Triple) -> bool:
     """Does n sit inside the nonnegative part of the triple's grading?
 
-    Checks n in g^+ + g^0 for the grading by triple.x, and the
-    companion containment of the centralizer of triple.u.  Both are the
-    structural facts that let a nilpotent direction be pushed to
-    infinity with controlled volume distortion.
+    Checks n in g^+ + g^0 for the grading by triple.x, the structural
+    fact that lets a nilpotent direction be pushed to infinity with
+    controlled volume distortion.  The centralizer of triple.u lies in
+    that part for every sl2-triple: g is a sum of irreducible
+    ad-sl2 modules, and ker ad u is spanned by their highest-weight
+    vectors, whose ad-x weights are >= 0.
 
     A triple whose u is missing from the center of n certifies nothing
     and yields False outright.
@@ -173,7 +174,4 @@ def verify_nonnegative_grading(g: LieAlgebra, n, triple: SL2Triple) -> bool:
     if any(any(g._int_bracket(u, b)) for b in n._num):
         return False
     nonneg = _grading(g, g._int_ad(x, d)).at_least(0)
-    if not all(nonneg._holds(b) for b in n._num):
-        return False
-    centralizer, _ = _null_space([list(r) for r in g._int_ad(u, d).num], g.dim)
-    return all(nonneg._holds(z) for z in centralizer)
+    return all(nonneg._holds(b) for b in n._num)

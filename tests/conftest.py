@@ -99,6 +99,29 @@ def assert_sl2_triple():
 
 
 @pytest.fixture(scope="session")
+def assert_decay_witness():
+    """Assert n1 a proper ad-x stable subspace of n0, gamma the ad-x trace
+    gap gamma = tr(ad x | n0) - tr(ad x | n1) > 0, and p0 = l1 + h + n1,
+    direct, for a DecayWitness.
+
+    ``DecayWitness`` takes all of them from ``build_n1`` unchecked, so the
+    tests check them on its output.
+    """
+    def check(w):
+        g, p = w.algebra, w.parabolic
+        ad = g.ad(p.x)
+        assert w.n1.dim < p.n0.dim
+        assert all(p.n0.contains(b) and w.n1.contains(ad.apply(b)) for b in w.n1.basis)
+        gap = p.n0.restriction_matrix(ad).trace() - w.n1.restriction_matrix(ad).trace()
+        assert w.gamma == gap > 0
+        parts = [*w.l1.basis, *w.h.basis, *w.n1.basis]
+        # the constructor raises on a dependent basis
+        assert Subspace(g, parts).dim == p.p0.dim
+        assert all(p.p0.contains(b) for b in parts)
+    return check
+
+
+@pytest.fixture(scope="session")
 def assert_lower_bound_split():
     """Assert h + vx = g, direct, with each vx vector an ad-x eigenvector.
 

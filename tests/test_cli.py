@@ -319,6 +319,24 @@ class TestWitness:
         assert code == 2
         assert "no-invariant-measure" in err
 
+    def test_central_component_is_no_normalizer(self, capsys, tmp_path):
+        # gl2 in the basis E11, E12, E21, E22 and h = span(E12 + I): ad u is
+        # nilpotent, but u has a component in the center, so no sl2-triple
+        # passes through it
+        units = [[["1" if (i, j) == (a, b) else "0" for j in range(2)] for i in range(2)]
+                 for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        algebra, sub = tmp_path / "gl2.json", tmp_path / "line.json"
+        algebra.write_text(json.dumps({"name": "gl2", "dim": 4, "basis": units}))
+        sub.write_text(json.dumps({"name": "span(E + I)", "basis": [["1", "1", "0", "1"]]}))
+        argv = ["--algebra", str(algebra), "--subalgebra", str(sub)]
+        code, report = run_report(capsys, "check", *argv)
+        assert (code, report["result"]["vai"]) == (3, "fails")
+        code, report = run_report(capsys, "witness", *argv)
+        assert code == 3
+        result = report["result"]
+        assert (result["type"], result["error"]) == ("error", "NoNormalizer")
+        assert "center of g" in result["message"]
+
     def test_non_nilpotent_needs_parabolic(self, capsys, tmp_path):
         mixed = tmp_path / "mixed.json"
         mixed.write_text(json.dumps({

@@ -17,7 +17,7 @@ from vaikit.errors import (
     NotNilpotent,
     NotSemisimple,
 )
-from vaikit.exact import vec
+from vaikit.exact import RatMat, kernel, rref, vec
 from vaikit.grading import (
     Grading,
     acts_nilpotently,
@@ -190,14 +190,50 @@ def test_verify_rejects_foreign_triple(sl3):
     assert not verify_nonnegative_grading(sl3, n13, t12)
 
 
-def test_triple_scaling_property_random(sl4):
+def seeded_nilpotents(g, n: int) -> list[tuple]:
+    """(u, c) for ten seeded draws of u in the strictly upper triangular
+    part of sl(n), each nonzero u with a scale c in 1..4."""
     rng = random.Random(23)
-    uppers = [sl4.basis_vector(i) for i in range(3, 9)]  # strictly upper part
+    uppers = [g.basis_vector(i) for i in range(n - 1, n - 1 + n * (n - 1) // 2)]
+    draws = []
     for _ in range(10):
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in uppers]
-        u = vec([sum(c * b[i] for c, b in zip(coeffs, uppers)) for i in range(15)])
-        if not any(u):
-            continue
+        u = vec([sum(c * b[i] for c, b in zip(coeffs, uppers)) for i in range(g.dim)])
+        if any(u):
+            draws.append((u, Fraction(rng.randint(1, 4))))
+    return draws
+
+
+def generated_subalgebra(g, gens) -> Subalgebra:
+    """The span of gens closed under brackets."""
+    basis, vectors = [], list(gens)
+    while True:
+        r, pivots = rref(RatMat(vectors))
+        if len(pivots) == len(basis):
+            return Subalgebra(g, basis)
+        basis = list(r.rows[:len(pivots)])
+        vectors = basis + [g.bracket(a, b) for a in basis for b in basis]
+
+
+def test_triple_scaling_property_random(sl4):
+    for u, c in seeded_nilpotents(sl4, 4):
         t = jacobson_morozov(sl4, u)
-        c = Fraction(rng.randint(1, 4))
         assert jacobson_morozov(sl4, tuple(c * e for e in u)).x == t.x
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_seeded_triples_and_their_nilpotent_algebras(request, n, assert_sl2_triple):
+    # verify_nonnegative_grading skips ker ad u in g^(>=0), true for every
+    # sl2-triple, and unipotent_witness skips center(n) != 0, true for every
+    # nonzero n acting nilpotently: both are checked here on seeded input
+    g = request.getfixturevalue(f"sl{n}")
+    us = [u for u, _ in seeded_nilpotents(g, n)]
+    for u in us:
+        t = jacobson_morozov(g, u)
+        assert_sl2_triple(t)
+        nonneg = grading_of(g, t.x).at_least(0)
+        assert all(nonneg.contains(z) for z in kernel(g.ad(u)))
+    for a, b in zip(us, us[1:]):
+        nil = generated_subalgebra(g, [a, b])
+        assert acts_nilpotently(g, nil)
+        assert center(nil).dim > 0

@@ -15,7 +15,7 @@ from vaikit.errors import (
     InvariantViolation,
     NotNilpotent,
 )
-from vaikit.exact import RatMat, pivot_indices, vec
+from vaikit.exact import RatMat, pivot_indices, rref, vec
 from vaikit.grading import grading_of
 from vaikit.lie import Subalgebra, Subspace
 from vaikit.reductivity import default_cartan
@@ -174,21 +174,56 @@ class TestBuildN1:
         assert any("infinity" in a for a in sl2_witness.assumptions)
 
 
-class TestDecayWitnessValidation:
-    def test_wrong_gamma_rejected(self, sl3, sl3_parabolic):
-        h = builders.sl3_e12(sl3)
-        with pytest.raises(InvariantViolation):
-            DecayWitness(sl3, h, sl3_parabolic, [sl3.basis_vector(3)],
-                         builders.sl3_flag_parabolic()["l0"], gamma=4)
+def rank(vectors):
+    return len(rref(RatMat(vectors))[1])
 
-    def test_n1_must_be_proper(self, sl3, sl3_parabolic):
-        # n1 = n0 is the only way to a zero trace gap, and the proper-subspace
-        # check rejects it before gamma is read: no gamma > 0 check is needed
-        h, n0 = builders.sl3_e12(sl3), [sl3.basis_vector(2), sl3.basis_vector(3)]
-        assert sl3_parabolic.n0.same_span(Subspace(sl3, n0))
-        with pytest.raises(InvariantViolation, match="proper subspace"):
-            DecayWitness(sl3, h, sl3_parabolic, n0,
-                         builders.sl3_flag_parabolic()["l0"], gamma=0)
+
+def seeded_borel_subalgebras(sl3):
+    """Seeded random subalgebras of the sl3 Borel subalgebra: span(y), its
+    n0 part alone, and that part beside E13, for 20 integer vectors y."""
+    rng = np.random.default_rng(0)
+    subalgebras = []
+    for _ in range(20):
+        y = [int(c) for c in rng.integers(-2, 3, size=5)]
+        for basis in ([y], [[0, 0] + y[2:]], [[0, 0] + y[2:], [0, 0, 0, 1, 0]]):
+            basis = [b + [0, 0, 0] for b in basis]
+            if len(pivot_indices(basis)) == len(basis):
+                subalgebras.append(Subalgebra(sl3, basis))
+    return subalgebras
+
+
+BOREL_GRADINGS = [vec([1, 1, 0, 0, 0, 0, 0, 0]),   # diag(1, 0, -1)
+                  vec([2, 3, 0, 0, 0, 0, 0, 0])]   # diag(2, 1, -3)
+
+
+class TestBuildN1Properties:
+    @pytest.mark.parametrize("algebra,parabolic,subalgebras", [
+        ("sl2", "sl2-borel-parabolic", ["sl2-n", "sl2-borel"]),
+        ("sl3", "sl3-flag-parabolic", ["sl3-e12"]),
+    ])
+    def test_catalog_witnesses(self, algebra, parabolic, subalgebras, assert_decay_witness):
+        g = catalog.load_algebra_file(catalog.data_path(f"{algebra}.json"))
+        fields = catalog.parse_parabolic(
+            catalog.load_json(catalog.data_path(f"{parabolic}.json")), g)
+        par = ParabolicData(g, fields["p0"], fields["l0"], fields["n0"],
+                            fields["nbar0"], fields["x"])
+        for name in subalgebras:
+            h = catalog.load_subalgebra_file(catalog.data_path(f"{name}.json"), g)
+            assert_decay_witness(build_n1(g, h, par))
+
+    @pytest.mark.parametrize("x", BOREL_GRADINGS)
+    def test_seeded_borel_witnesses(self, sl3, x, assert_decay_witness):
+        # build_n1 refuses exactly the h that meet n0 trivially
+        par = borel_parabolic(sl3, x)
+        built = 0
+        for h in seeded_borel_subalgebras(sl3):
+            if rank([*h.basis, *par.n0.basis]) == h.dim + par.n0.dim:
+                with pytest.raises(GammaNotPositive):
+                    build_n1(sl3, h, par)
+                continue
+            assert_decay_witness(build_n1(sl3, h, par))
+            built += 1
+        assert built > 0
 
 
 def _float_growth(w, t):
@@ -252,8 +287,7 @@ class TestMtBounded:
         assert w.n1.same_span(Subspace(sl3, [e12, e13]))
         assert check_mt_bounded(w)
 
-    @pytest.mark.parametrize("x", [vec([1, 1, 0, 0, 0, 0, 0, 0]),   # diag(1, 0, -1)
-                                   vec([2, 3, 0, 0, 0, 0, 0, 0])])  # diag(2, 1, -3)
+    @pytest.mark.parametrize("x", BOREL_GRADINGS)
     def test_matches_float_growth(self, sl3, x):
         # every admissible (n1, l1) from the n0 eigenbasis and the l0
         # basis, for seeded random h in p0: the verdict is False exactly
@@ -261,27 +295,19 @@ class TestMtBounded:
         par = borel_parabolic(sl3, x)
         lams = [lam for lam, part in par.n0_eigen.items() for _ in part.basis]
         eigvecs = [b for part in par.n0_eigen.values() for b in part.basis]
-        rng = np.random.default_rng(0)
-        subalgebras = []
-        for _ in range(20):
-            y = [int(c) for c in rng.integers(-2, 3, size=5)]
-            # span(y), its n0 part alone, and that part beside E13
-            for basis in ([y], [[0, 0] + y[2:]], [[0, 0] + y[2:], [0, 0, 0, 1, 0]]):
-                basis = [b + [0, 0, 0] for b in basis]
-                if len(pivot_indices(basis)) == len(basis):
-                    subalgebras.append(Subalgebra(sl3, basis))
         verdicts = []
-        for h in subalgebras:
+        for h in seeded_borel_subalgebras(sl3):
             for picks in itertools.product((0, 1), repeat=3):
                 if sum(picks) == 3:
                     continue
                 n1 = [b for b, keep in zip(eigvecs, picks) if keep]
                 gamma = par.n0_trace - sum(lam for lam, keep in zip(lams, picks) if keep)
                 for l1 in ([], [par.l0.basis[0]], [par.l0.basis[1]], list(par.l0.basis)):
-                    try:
-                        w = DecayWitness(sl3, h, par, n1, l1, gamma)
-                    except InvariantViolation:
+                    # admissible: p0 = l1 + h + n1, direct (h, n1 and l1 lie in p0)
+                    parts = [*l1, *h.basis, *n1]
+                    if len(parts) != par.p0.dim or rank(parts) < len(parts):
                         continue
+                    w = DecayWitness(sl3, h, par, n1, l1, gamma)
                     bounded = check_mt_bounded(w)
                     assert bounded == (_float_growth(w, -30.0) <= 1e6), (h.basis, picks, l1)
                     verdicts.append(bounded)
