@@ -12,9 +12,10 @@ The plane and the cone decide membership in closed form.  spd2 and the
 hyperboloid ask one question: is the least value of ||v1 M1 + v2 M2 -
 1||_F^2 on a conic, the unit circle or the hyperbola v1 v2 = 1, at most
 r^2?  Each builds the float entries of its two matrices M1 and M2 per
-sample and names its conic; `_conic_hits` answers for both, by certified
-bounds and, where they leave a sample undecided, an exact count of the
-real roots of an integer quartic.
+sample and names its conic; `_conic_hits` answers for both: a certified
+floor on the plane span(M1, M2) rejects the clear misses, certified
+bounds on the conic decide almost all the rest, and an exact count of
+the real roots of an integer quartic decides what they leave.
 
 Estimation is hit-or-miss: every chart carries the invariant measure
 as Lebesgue measure, so sample the box uniformly, count hits and
@@ -201,6 +202,34 @@ def _conic_bounds(a, b, starts, circle, r2):
     return floor, ceiling
 
 
+def _plane_floor(m1, m2, a11, a22):
+    """Certified floor, per sample, of f's least value on the plane
+    span(M1, M2), so on either conic, for `_conic_hits` (a11 = |M1|^2,
+    a22 = |M2|^2).  With the entries p of M1 and q of M2 ordered 11, 12,
+    21, 22, so 1 = (1, 0, 0, 1), and the minors d_ij = p_i q_j - p_j q_i,
+    that value is N / D by Cauchy-Binet: D = det A = sum d_ij^2 and N = det
+    Gram(M1, M2, 1) = 2 d_23^2 + (d_12 + d_24)^2 + (d_13 + d_34)^2; where
+    D = 0, N = 0 too.  Overflow gives nan, which `_conic_hits` passes on.
+
+    Rounding (as in `_conic_bounds`).  E = |M1| |M2| >= |p_i q_j| + |p_j
+    q_i|, so the float d_ij are within gamma_2 E and the two sums within
+    2 gamma_3 E: the float vectors n~, d~ lie within sqrt10 gamma_3 E and
+    sqrt6 gamma_2 E of n = (sqrt2 d_23, d_12 + d_24, d_13 + d_34) and d =
+    (d_ij), of norms sqrt N <= 1.42 E and sqrt D <= E (Hadamard).  The
+    float norms n' and d' are within gamma_3 of |n~| and |d~|, so sqrt N
+    >= n' - 4.6 gamma_3 E and sqrt D <= d' + 2.7 gamma_3 E, both within s
+    = `_GAMMA` sqrt(a11 a22) >= 15.9 u E (a11, a22 within gamma_3).  The 7
+    roundings of (max(n' - s, 0) / (d' + s))^2, each relative to a
+    nonnegative result, are taken off by the factor 1 - `_GAMMA`."""
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = m1, m2
+    d12, d13, d14 = p1 * q2 - p2 * q1, p1 * q3 - p3 * q1, p1 * q4 - p4 * q1
+    d23, d24, d34 = p2 * q3 - p3 * q2, p2 * q4 - p4 * q2, p3 * q4 - p4 * q3
+    n = np.sqrt((2.0 * (d23 * d23) + (d12 + d24) ** 2) + (d13 + d34) ** 2)
+    d = np.sqrt(((d12 * d12 + d13 * d13) + (d14 * d14 + d23 * d23)) + (d24 * d24 + d34 * d34))
+    s = _GAMMA * np.sqrt(a11 * a22)
+    return (np.maximum(n - s, 0.0) / (d + s)) ** 2 * (1.0 - _GAMMA)
+
+
 @np.errstate(all="ignore")
 def _conic_hits(m1, m2, circle, r2):
     """Per sample, whether f(v) = ||v1 M1 + v2 M2 - 1||_F^2 <= r2 somewhere
@@ -210,18 +239,8 @@ def _conic_hits(m1, m2, circle, r2):
     f = 2 + v.A v + b.v at every v, with the Gram coefficients
     A = [[|M1|^2, M1.M2], [M1.M2, |M2|^2]] and b = -2 (tr M1, tr M2).
     Every stage decides the f that the eight float entries define.
-    - Pre-floor, circle only: f >= k0 - amp2 - amp1 at every angle, where
-      k0 = 2 + (a11 + a22)/2 and amp2 = |((a11 - a22)/2, a12)| and
-      amp1 = |b| are the amplitudes of f's second and first harmonics.
-      On the circle, a11 v1^2 + a22 v2^2 <= max(a11, a22) <= k0 + amp2
-      and |b1 v1| + |b2 v2| <= amp1, so the coefficients' rounding (see
-      `_conic_bounds`) is within gamma_6 of S = k0 + amp2 + amp1
-      everywhere on it.  The float value carries at most 5 roundings
-      relative to S: two in k0, one in a11 - a22, which moves amp2 by at
-      most u k0, the square, sum and square root in each amplitude (the
-      root halves the error it is given), and the two subtractions.  So
-      subtracting `_GAMMA` S leaves a certified floor, and a sample where
-      it exceeds r2 is a miss.
+    - Plane floor (`_plane_floor`): the conic lies in span(M1, M2), so a
+      sample whose floor there, dist(1, span)^2, exceeds r2 is a miss.
     - Bounds: `_conic_bounds` from the best of the starts.  v.A v takes
       its least value on the conic at two points +-u, the unit eigenvector
       of A's smaller eigenvalue on the circle and (x, 1/x), x^4 = a22/a11,
@@ -230,28 +249,24 @@ def _conic_hits(m1, m2, circle, r2):
     - Exact stage (`_exact_hits`), for the samples the bounds leave
       undecided.
     """
-    (p11, p12, p21, p22), (q11, q12, q21, q22) = m1, m2
-    a11 = (p11 * p11 + p12 * p12) + (p21 * p21 + p22 * p22)
-    a22 = (q11 * q11 + q12 * q12) + (q21 * q21 + q22 * q22)
+    a11, a22 = ((x11 * x11 + x12 * x12) + (x21 * x21 + x22 * x22)
+                for x11, x12, x21, x22 in (m1, m2))
+    rest = np.flatnonzero(~(_plane_floor(m1, m2, a11, a22) > r2))
+    (p11, p12, p21, p22), (q11, q12, q21, q22) = (tuple(e[rest] for e in m) for m in (m1, m2))
+    a11, a22 = a11[rest], a22[rest]
     a12 = (p11 * q11 + p12 * q12) + (p21 * q21 + p22 * q22)
     b1, b2 = -2.0 * (p11 + p22), -2.0 * (q11 + q22)
     if circle:
-        k0, p2 = 2.0 + (a11 + a22) / 2.0, (a11 - a22) / 2.0
-        amp2, amp1 = np.sqrt(p2 * p2 + a12 * a12), np.sqrt(b1 * b1 + b2 * b2)
-        pre_floor = k0 - amp2 - amp1 - _GAMMA * (k0 + amp2 + amp1)
-        rest = np.flatnonzero(pre_floor <= r2)
-        a11, a12, a22, b1, b2, p2, amp1 = (
-            x[rest] for x in (a11, a12, a22, b1, b2, p2, amp1))
-        half = np.arctan2(a12, p2) / 2.0
+        half = np.arctan2(a12, (a11 - a22) / 2.0) / 2.0
+        amp1 = np.sqrt(b1 * b1 + b2 * b2)
         u1, u2, extra = -np.sin(half), np.cos(half), [(-b1 / amp1, -b2 / amp1)]
     else:
-        rest, extra = np.arange(len(a11)), []
-        u1 = np.sqrt(np.sqrt(a22 / a11))
+        extra, u1 = [], np.sqrt(np.sqrt(a22 / a11))
         u2 = 1.0 / u1
     sign = np.where(b1 * u1 + b2 * u2 <= 0.0, 1.0, -1.0)
     floor, ceiling = _conic_bounds((a11, a12, a22), (b1, b2),
                                    [(sign * u1, sign * u2), *extra], circle, r2)
-    hit = np.zeros(len(p11), dtype=bool)
+    hit = np.zeros(len(m1[0]), dtype=bool)
     hit[rest] = ceiling < r2
     band = rest[~((ceiling < r2) | (floor > r2))]
     if band.size:

@@ -52,7 +52,7 @@ from .grading import (
     acts_nilpotently,
     verify_nonnegative_grading,
 )
-from .lie import LieAlgebra, Subalgebra, Subspace, _direct_sum, center
+from .lie import LieAlgebra, Subalgebra, Subspace, _direct_sum, center, derived_subalgebra
 
 # the base point's escape along the contracted direction is a geometric
 # fact about the group, not decidable from structure constants; every
@@ -289,11 +289,12 @@ def _normalizing_rate(n: Subalgebra, ad_x: RatMat) -> Fraction | None:
 def unipotent_witness(g: LieAlgebra, n: Subalgebra) -> UnipotentWitness:
     """Decay certificate for a nonzero ad-nilpotent subalgebra.
 
-    A central element u of n is completed to an sl2-triple; if the
-    triple's grading element normalizes n the direct rate is used, and
-    if not the certificate degrades to the central line span(u) with
-    rate 2, flagged as averaged.  The center is nonzero: n acts
-    nilpotently on g, which contains n, so n is a nilpotent Lie algebra
+    A central element u of n is completed to an sl2-triple: the first
+    basis vector of z(n), or one in [g, g] if that has a component in the
+    center of g.  If the triple's grading element normalizes n the direct
+    rate is used, and if not the certificate degrades to the central line
+    span(u) with rate 2, flagged as averaged.  The center is nonzero: n
+    acts nilpotently on g, which contains n, so n is a nilpotent Lie algebra
     (Engel), and a nonzero nilpotent Lie algebra has a nonzero center.
     """
     if n.dim == 0:
@@ -302,7 +303,19 @@ def unipotent_witness(g: LieAlgebra, n: Subalgebra) -> UnipotentWitness:
         raise NotNilpotent("subalgebra does not act nilpotently")
 
     z = center(n)
-    triple = _jacobson_morozov(g, z._num[0], z._den)
+    us = z._num[0]
+    try:
+        triple = _jacobson_morozov(g, us, z._den)
+    except NoNormalizer:
+        # us has a component in the center of g, an element of z(n) in
+        # [g, g] has a triple; z(n) and [g, g] have independent rows, so
+        # the z(n) part of a null vector of their columns gives one
+        derived = derived_subalgebra(Subalgebra.from_integers(g, RatMat.identity(g.dim).num, 1, g.name))
+        null, _ = _null_space([list(r) for r in zip(*z._num, *derived._num)], z.dim + derived.dim)
+        if not null:
+            raise
+        us = _int_matmul([null[0][:z.dim]], z._num)[0]
+        triple = _jacobson_morozov(g, us, z._den)
     if not verify_nonnegative_grading(g, n, triple):
         raise NoNormalizer(
             "the sl2-triple through the central element does not dominate n")
@@ -311,7 +324,7 @@ def unipotent_witness(g: LieAlgebra, n: Subalgebra) -> UnipotentWitness:
     if rate is not None:
         return UnipotentWitness(g, n, triple.x, rate, averaged=False,
                                 triple=triple)
-    n1 = Subspace.from_integers(g, z._num[:1], z._den, "n1")
+    n1 = Subspace.from_integers(g, [us], z._den, "n1")
     line_rate = n1.restriction_matrix(ad_x).trace()
     return UnipotentWitness(g, n, triple.x, line_rate, averaged=True,
                             triple=triple, n1=n1)

@@ -337,6 +337,24 @@ class TestWitness:
         assert (result["type"], result["error"]) == ("error", "NoNormalizer")
         assert "center of g" in result["message"]
 
+    def test_center_vector_central_in_g_is_passed_over(self, capsys, tmp_path):
+        # gl2 and h = span(I, E12): the first center vector, I, is central
+        # in g; E12, the element of z(h) in [g, g], carries the triple
+        units = [[["1" if (i, j) == (a, b) else "0" for j in range(2)] for i in range(2)]
+                 for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        algebra, sub = tmp_path / "gl2.json", tmp_path / "plane.json"
+        algebra.write_text(json.dumps({"name": "gl2", "dim": 4, "basis": units}))
+        sub.write_text(json.dumps({"name": "span(I, E)",
+                                   "basis": [["1", "0", "0", "1"], ["0", "1", "0", "0"]]}))
+        code, report = run_report(capsys, "witness", "--algebra", str(algebra),
+                                  "--subalgebra", str(sub))
+        assert code == 0
+        result = report["result"]
+        assert (result["type"], result["path"], result["gamma"]) == ("decay-witness", "unipotent", "2")
+        u = result["triple"]["u"]
+        assert u[1] != "0" and u[0] == u[2] == u[3] == "0"
+        assert (result["averaged"], result["n1"]) == (True, [u])
+
     def test_non_nilpotent_needs_parabolic(self, capsys, tmp_path):
         mixed = tmp_path / "mixed.json"
         mixed.write_text(json.dumps({
