@@ -282,6 +282,28 @@ class TestSPD2Model:
         # every grid-certified hit is found
         assert (hits | (best > R03 * R03 - 1e-9)).all()
 
+    @pytest.mark.parametrize("t", [0.0, 2.0, 4.0])
+    def test_floor_keeps_every_decision(self, t):
+        # membership skips the bounds where the plane floor already proves
+        # a miss; the exact stage must miss just below that floor, checked
+        # on the samples where it lies nearest the conic ceiling
+        z = self.model.curve(t)
+        lo, hi = self.model.chart_box(z, R03)
+        coords = np.random.default_rng(31).uniform(lo, hi, size=(16384, 2))
+        hits = self.model.membership_chart(z, coords, R03)
+        assert hits.any()
+
+        m1, m2 = self.model._matrices(z, coords)
+        (a11, _, a22), *_ = _handed(m1, m2, True)
+        floor = volume._plane_floor(m1, m2, a11, a22)
+        rejected = floor > R03 * R03
+        assert rejected.any() and not hits[rejected].any()
+        _, ceiling = _bounds(self.model, z, coords)
+        tight = np.argsort(ceiling - floor)[:200]
+        assert not _exact(self.model, z, coords[tight], np.nextafter(floor[tight], -np.inf)).any()
+        tight = np.flatnonzero(rejected)[np.argsort((ceiling - floor)[rejected])[:200]]
+        assert not _exact(self.model, z, coords[tight], R03 * R03).any()
+
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 6.0, 8.0])
     def test_membership_matches_the_exact_stage(self, t):
         # the exact stage, run alone on the 128 hits and 128 misses that
