@@ -14,8 +14,9 @@ hyperboloid ask one question: is the least value of ||v1 M1 + v2 M2 -
 r^2?  Each builds the float entries of its two matrices M1 and M2 per
 sample and names its conic; `_conic_hits` answers for both: a certified
 floor on the plane span(M1, M2) rejects the clear misses, certified
-bounds on the conic decide almost all the rest, and an exact count of
-the real roots of an integer quartic decides what they leave.
+bounds at the plane's minimizer, scaled onto the conic, decide almost
+all the rest, and an exact count of the real roots of an integer
+quartic decides what they leave.
 
 Estimation is hit-or-miss: every chart carries the invariant measure
 as Lebesgue measure, so sample the box uniformly, count hits and
@@ -72,20 +73,14 @@ _GAMMA = 16 * 2.0 ** -53 / (1 - 16 * 2.0 ** -53)  # Higham's gamma_16, u = 2^-53
 
 
 @np.errstate(all="ignore")
-def _conic_bounds(a, b, starts, circle, r2):
+def _conic_bounds(a, b, v, circle):
     """Certified floor and ceiling, per sample, of the least value of
     f(v) = 2 + v.A v + b.v on a conic v.C v = 1: the unit circle (C = I)
     or both branches of the hyperbola v1 v2 = 1 (C = [[0, 1/2], [1/2, 0]]).
-    `a` is (a11, a12, a22) of the symmetric A, `b` is (b1, b2).
-
-    The point, in stages: the best of `starts` (points on the conic), where
-    the bounds decide almost every sample against `r2`; then, only for the
-    samples whose [floor, ceiling] still holds r2, two safeguarded Newton
-    steps in the conic's group parameter, the angle of v -> R(s) v or the s
-    of v -> (e^s v1, e^-s v2), and the bounds again there.  A step goes
-    -f'/|f''| and is kept only where f drops.  The bounds below hold at any
-    float point v, so each stage's are certified.  With m = v.C v at v and
-    q = v.A v, l = b.v:
+    `a` is (a11, a12, a22) of the symmetric A, `b` is (b1, b2), and `v` is
+    (v1, v2), one float point per sample, which `_conic_hits` puts near
+    the conic's minimizer.  The bounds hold at any float point v; with m =
+    v.C v at v and q = v.A v, l = b.v:
     - ceiling: f at the conic point v / sqrt(m) is 2 + q/m + l/sqrt(m),
       within (|q| + |l|) d / (1 - d) <= 2 d |f| of f(v) for any
       d >= |1 - m|, d <= 1/2;
@@ -99,7 +94,7 @@ def _conic_bounds(a, b, starts, circle, r2):
 
     Rounding (Higham 2002, §3; u = 2^-53, gamma_n = nu / (1 - nu)).  The
     caller computes the coefficients from the float entries of M1 and M2
-    (`_conic_hits`), and every stage decides the f those entries define.
+    (`_conic_hits`), and the bounds decide the f those entries define.
     - The coefficients carry at most 6 roundings on any term's path.
       a11 = |M1|^2 and a22 = |M2|^2 are sums of four squares, summed in
       pairs, so each is within gamma_3 of itself.  a12 = M1.M2 is within
@@ -130,76 +125,32 @@ def _conic_bounds(a, b, starts, circle, r2):
     """
     a11, a12, a22 = a
     b1, b2 = b
-    # the helpers read these names when called, so the Newton stage's
-    # rebinding to the undecided samples reaches them
+    v1, v2 = v
+    av1, av2 = a11 * v1 + a12 * v2, a12 * v1 + a22 * v2
+    q, l = v1 * av1 + v2 * av2, b1 * v1 + b2 * v2
+    f = 2.0 + q + l
+    s1 = np.abs(a11 * v1) + np.abs(a12 * v2)
+    s2 = np.abs(a12 * v1) + np.abs(a22 * v2)
+    f_abs = (2.0 + np.abs(v1) * s1 + np.abs(v2) * s2
+             + np.abs(b1 * v1) + np.abs(b2 * v2))
+    cv1, cv2 = (v1, v2) if circle else (v2 / 2.0, v1 / 2.0)
+    m = v1 * cv1 + v2 * cv2
+    defect = np.abs(1.0 - m) + _GAMMA * np.abs(m)
+    ceiling = np.where(defect <= 0.5, f + (_GAMMA + 2.0 * defect) * f_abs, np.inf)
 
-    def along(v1, v2, s):  # exp(s K) v, K the conic's group generator
-        if circle:
-            c, sn = np.cos(s), np.sin(s)
-            return c * v1 - sn * v2, sn * v1 + c * v2
-        e = np.exp(s)
-        return e * v1, v2 / e
-
-    def times_a(v1, v2):
-        return a11 * v1 + a12 * v2, a12 * v1 + a22 * v2
-
-    def value(v1, v2):
-        av1, av2 = times_a(v1, v2)
-        return 2.0 + (v1 * av1 + v2 * av2) + (b1 * v1 + b2 * v2)
-
-    def newton_step(v1, v2):  # along K: Kv, and K^2 = -1 or +1
-        kv1, kv2, sign = (-v2, v1, -1.0) if circle else (v1, -v2, 1.0)
-        (av1, av2), (akv1, akv2) = times_a(v1, v2), times_a(kv1, kv2)
-        slope = 2.0 * (kv1 * av1 + kv2 * av2) + b1 * kv1 + b2 * kv2
-        curve = (2.0 * (kv1 * akv1 + kv2 * akv2)
-                 + sign * (2.0 * (v1 * av1 + v2 * av2) + b1 * v1 + b2 * v2))
-        return along(v1, v2, -slope / np.abs(curve))
-
-    def bounds(v1, v2):
-        av1, av2 = times_a(v1, v2)
-        q, l = v1 * av1 + v2 * av2, b1 * v1 + b2 * v2
-        f = 2.0 + q + l
-        s1 = np.abs(a11 * v1) + np.abs(a12 * v2)
-        s2 = np.abs(a12 * v1) + np.abs(a22 * v2)
-        f_abs = (2.0 + np.abs(v1) * s1 + np.abs(v2) * s2
-                 + np.abs(b1 * v1) + np.abs(b2 * v2))
-        cv1, cv2 = (v1, v2) if circle else (v2 / 2.0, v1 / 2.0)
-        m = v1 * cv1 + v2 * cv2
-        defect = np.abs(1.0 - m) + _GAMMA * np.abs(m)
-        ceiling = np.where(defect <= 0.5, f + (_GAMMA + 2.0 * defect) * f_abs, np.inf)
-
-        mu = q + l / 2.0
-        m11, m12, m22 = (a11 - mu, a12, a22 - mu) if circle else (a11, a12 - mu / 2.0, a22)
-        res1, res2 = av1 - mu * cv1 + b1 / 2.0, av2 - mu * cv2 + b2 / 2.0
-        r_err = _GAMMA * (s1 + s2 + np.abs(mu) * (np.abs(cv1) + np.abs(cv2))
-                          + (np.abs(b1) + np.abs(b2)) / 2.0)
-        w = m22 * res1 * res1 - 2.0 * m12 * res1 * res2 + m11 * res2 * res2
-        w_abs = (np.abs(m22) * res1 * res1 + 2.0 * np.abs(m12 * res1 * res2)
-                 + np.abs(m11) * res2 * res2)
-        det_lo = m11 * m22 - m12 * m12 - _GAMMA * (np.abs(m11 * m22) + m12 * m12)
-        tr = (m11 + m22) * (1.0 + _GAMMA)
-        gap = (np.sqrt(w + _GAMMA * w_abs) + np.sqrt(tr) * r_err) ** 2 / det_lo
-        floor = f - _GAMMA * f_abs - np.abs(mu) * defect - gap
-        return np.where((m11 > 0.0) & (det_lo > 0.0), floor, -np.inf), ceiling
-
-    def keep_better(v1, v2, fv, step):  # step where f drops, else v
-        f_step = value(*step)
-        better = f_step < fv
-        return (np.where(better, step[0], v1), np.where(better, step[1], v2),
-                np.where(better, f_step, fv))
-
-    (v1, v2), fv = starts[0], value(*starts[0])
-    for start in starts[1:]:
-        v1, v2, fv = keep_better(v1, v2, fv, start)
-    floor, ceiling = bounds(v1, v2)
-    undecided = np.flatnonzero(~((ceiling < r2) | (floor > r2)))
-    if undecided.size:
-        a11, a12, a22, b1, b2, v1, v2, fv = (
-            x[undecided] for x in (a11, a12, a22, b1, b2, v1, v2, fv))
-        for _ in range(2):
-            v1, v2, fv = keep_better(v1, v2, fv, newton_step(v1, v2))
-        floor[undecided], ceiling[undecided] = bounds(v1, v2)
-    return floor, ceiling
+    mu = q + l / 2.0
+    m11, m12, m22 = (a11 - mu, a12, a22 - mu) if circle else (a11, a12 - mu / 2.0, a22)
+    res1, res2 = av1 - mu * cv1 + b1 / 2.0, av2 - mu * cv2 + b2 / 2.0
+    r_err = _GAMMA * (s1 + s2 + np.abs(mu) * (np.abs(cv1) + np.abs(cv2))
+                      + (np.abs(b1) + np.abs(b2)) / 2.0)
+    w = m22 * res1 * res1 - 2.0 * m12 * res1 * res2 + m11 * res2 * res2
+    w_abs = (np.abs(m22) * res1 * res1 + 2.0 * np.abs(m12 * res1 * res2)
+             + np.abs(m11) * res2 * res2)
+    det_lo = m11 * m22 - m12 * m12 - _GAMMA * (np.abs(m11 * m22) + m12 * m12)
+    tr = (m11 + m22) * (1.0 + _GAMMA)
+    gap = (np.sqrt(w + _GAMMA * w_abs) + np.sqrt(tr) * r_err) ** 2 / det_lo
+    floor = f - _GAMMA * f_abs - np.abs(mu) * defect - gap
+    return np.where((m11 > 0.0) & (det_lo > 0.0), floor, -np.inf), ceiling
 
 
 def _plane_floor(m1, m2, a11, a22):
@@ -241,11 +192,11 @@ def _conic_hits(m1, m2, circle, r2):
     Every stage decides the f that the eight float entries define.
     - Plane floor (`_plane_floor`): the conic lies in span(M1, M2), so a
       sample whose floor there, dist(1, span)^2, exceeds r2 is a miss.
-    - Bounds: `_conic_bounds` from the best of the starts.  v.A v takes
-      its least value on the conic at two points +-u, the unit eigenvector
-      of A's smaller eigenvalue on the circle and (x, 1/x), x^4 = a22/a11,
-      on the hyperbola; of these, the start is the one with b.u <= 0, and
-      the circle adds -b/|b|, the minimum of b.v.
+    - Bounds: `_conic_bounds` at one start, the plane's minimizer
+      -A^-1 b / 2 scaled onto the conic: v = w / sqrt(w.C w) with w =
+      -adj(A) b, so w.C w is w1^2 + w2^2 on the circle and w1 w2 on the
+      hyperbola.  Where w.C w <= 0 the start is nan or infinite, and its
+      bounds decide nothing.
     - Exact stage (`_exact_hits`), for the samples the bounds leave
       undecided.
     """
@@ -256,16 +207,9 @@ def _conic_hits(m1, m2, circle, r2):
     a11, a22 = a11[rest], a22[rest]
     a12 = (p11 * q11 + p12 * q12) + (p21 * q21 + p22 * q22)
     b1, b2 = -2.0 * (p11 + p22), -2.0 * (q11 + q22)
-    if circle:
-        half = np.arctan2(a12, (a11 - a22) / 2.0) / 2.0
-        amp1 = np.sqrt(b1 * b1 + b2 * b2)
-        u1, u2, extra = -np.sin(half), np.cos(half), [(-b1 / amp1, -b2 / amp1)]
-    else:
-        extra, u1 = [], np.sqrt(np.sqrt(a22 / a11))
-        u2 = 1.0 / u1
-    sign = np.where(b1 * u1 + b2 * u2 <= 0.0, 1.0, -1.0)
-    floor, ceiling = _conic_bounds((a11, a12, a22), (b1, b2),
-                                   [(sign * u1, sign * u2), *extra], circle, r2)
+    w1, w2 = a12 * b2 - a22 * b1, a12 * b1 - a11 * b2
+    scale = np.sqrt(w1 * w1 + w2 * w2) if circle else np.sqrt(w1 * w2)
+    floor, ceiling = _conic_bounds((a11, a12, a22), (b1, b2), (w1 / scale, w2 / scale), circle)
     hit = np.zeros(len(m1[0]), dtype=bool)
     hit[rest] = ceiling < r2
     band = rest[~((ceiling < r2) | (floor > r2))]
@@ -386,8 +330,8 @@ class SPD2Model:
 
     The float range is tr P <= 4.9e8 (|t| <= 10 on the curve), the domain
     the decisions are checked on: there the tests match them with an
-    80-digit oracle on the samples nearest r^2, up to t = 10 itself.  A
-    point past it is refused.  The radius domain is r < 1, where
+    80-digit oracle on the samples nearest r^2, up to t = 10 itself.
+    `chart_box` refuses a point past it.  The radius domain is r < 1, where
     `chart_box` is proved to hold every ball image.
     """
 
@@ -417,6 +361,9 @@ class SPD2Model:
             raise InputError(f"{self.name}: radius {radius:g} is outside the model's "
                              "radius domain r < 1")
         p = np.asarray(z, dtype=float)
+        if not p[0, 0] + p[1, 1] <= 4.9e8:
+            raise InputError(f"{self.name}: the base point is outside the model's float "
+                             "range tr P <= 4.9e8 (|t| <= 10 on the curve)")
         evals = np.linalg.eigvalsh(p)
         sig = math.sqrt(float(evals[-1]))
         lam_min = float(evals[0])
@@ -439,9 +386,6 @@ class SPD2Model:
         """The float entries of M1 = q p^{-1/2} and M2 = q J p^{-1/2} per
         chart sample, q = sqrt(W) = (W + 1)/sqrt(tr W + 2)."""
         p = np.asarray(z, dtype=float)
-        if not p[0, 0] + p[1, 1] <= 4.9e8:
-            raise InputError(f"{self.name}: the base point is outside the model's float "
-                             "range tr P <= 4.9e8 (|t| <= 10 on the curve)")
         (i11, i12), (i21, i22) = np.linalg.inv(self._sqrt_spd(p))
         u, tau = coords[:, 0], coords[:, 1]
         w22 = np.exp(tau)
@@ -531,10 +475,10 @@ class HyperboloidModel:
     The float range is rho = sqrt(a^2 + beta^2) <= 9.0e6 (t <= 8.35 on
     the curve, where beta = 0 and rho = |a|), the domain the decisions are
     checked on: there the tests match them with an 80-digit oracle on the
-    samples nearest r^2, up to t = 8.35 itself.  A point past it is
-    refused.  rho, unlike |a|, is unchanged by the rotations R(theta),
-    which turn (a, beta) and keep delta, so a rotated curve point meets
-    the same bound.  The radius domain is r <= 1.2, where
+    samples nearest r^2, up to t = 8.35 itself.  `chart_box` refuses a
+    point past it.  rho, unlike |a|, is unchanged by the rotations
+    R(theta), which turn (a, beta) and keep delta, so a rotated curve
+    point meets the same bound.  The radius domain is r <= 1.2, where
     `chart_box` is proved to hold every ball image.
     """
 
@@ -573,6 +517,9 @@ class HyperboloidModel:
                              "radius domain r <= 1.2")
         a, b, c = (float(x) for x in z)
         beta = (b + c) / 2.0
+        if not math.hypot(a, beta) <= 9.0e6:
+            raise InputError(f"{self.name}: the point is outside the model's float range "
+                             "rho = sqrt(a^2 + beta^2) <= 9.0e6 (t <= 8.35 on the curve)")
         delta = (b - c) / 2.0
         rho2 = a * a + beta * beta
         # norms of the bracket rows u -> [u, X] measured in ||u||_F
@@ -597,10 +544,6 @@ class HyperboloidModel:
         (sinh t_w, cosh t_w), e1^T q_z^{-1} = (cosh t_z, -sinh t_z)
         R(-psi_z/2) and e2^T q_z^{-1} = (-sinh t_z, cosh t_z) R(-psi_z/2):
         each entry is one product of two factors a few roundings each."""
-        a, b, c = (float(x) for x in z)
-        if not math.hypot(a, (b + c) / 2.0) <= 9.0e6:
-            raise InputError(f"{self.name}: the point is outside the model's float range "
-                             "rho = sqrt(a^2 + beta^2) <= 9.0e6 (t <= 8.35 on the curve)")
         psi_z, delta_z = self.to_chart(z)
         t_z = -math.asinh(delta_z) / 2.0
         cz, sz = math.cos(psi_z / 2.0), math.sin(psi_z / 2.0)

@@ -53,6 +53,7 @@ from .grading import (
     verify_nonnegative_grading,
 )
 from .lie import LieAlgebra, Subalgebra, Subspace, _direct_sum, center, derived_subalgebra
+from .reductivity import is_symmetric_pair
 
 # the base point's escape along the contracted direction is a geometric
 # fact about the group, not decidable from structure constants; every
@@ -386,8 +387,6 @@ def predict_symmetric_exponent(g: LieAlgebra, h: Subalgebra,
     (catalog-supplied); the trace of ad x on it is the exact exponent
     of vol(B exp(t x) z0) in both directions.
     """
-    from .reductivity import is_symmetric_pair
-
     if not is_symmetric_pair(g, h):
         raise InputError("the pair is not symmetric")
     return u_sub.restriction_matrix(g.ad(vec(x))).trace()

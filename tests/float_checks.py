@@ -4,13 +4,16 @@ These are sanity checks of what the exact certificates predict, not
 certificates: the Jacobian sandwich measures the decay rate of a
 ``DecayWitness`` chart, and ``chi_partial`` the weighted patch norms of
 the plane model's step-function counterexample.  ``act`` is the group
-action on each space model, which the membership tests move points by.
+action on each space model, which the membership tests move points by,
+and ``refuse_in_workers`` a fault the estimator's error-path tests raise
+on the far side of the fork.
 """
 
 import math
 
 import numpy as np
 
+from vaikit.errors import InputError
 from vaikit.exact import RatMat
 from vaikit.grading import grading_of
 from vaikit.volume import PlaneModel, SPD2Model, estimate_volume
@@ -27,6 +30,20 @@ def act(model, g, point) -> np.ndarray:
     a, b, c = (float(x) for x in point)
     m = g @ np.array([[a, b], [c, -a]]) @ np.linalg.inv(g)
     return np.array([m[0, 0], m[0, 1], m[1, 0]])
+
+
+def refuse_in_workers(monkeypatch):
+    """Make spd2's matrices raise an InputError for base points off the
+    identity: a fault that forked workers inherit and that only they meet,
+    since the parent builds no matrices."""
+    matrices = SPD2Model._matrices
+
+    def refuse_off_identity(self, z, coords):
+        if z[0, 0] > 2.0:
+            raise InputError("spd2: refused in a worker")
+        return matrices(self, z, coords)
+
+    monkeypatch.setattr(SPD2Model, "_matrices", refuse_off_identity)
 
 
 def to_floats(m: RatMat) -> np.ndarray:

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import builders
+from float_checks import refuse_in_workers
 from vaikit.catalog import data_path, parse_algebra
 from vaikit.cli import _parse_t_range, main
 from vaikit.volume import get_model, volume_along_curve
@@ -499,14 +500,15 @@ class TestEstimate:
                        "got 11 points x 100000000\n")
 
     def test_worker_refusal_exits_2_with_one_line(self, capsys, monkeypatch):
-        # two usable CPUs, so the second point's refusal comes from a worker
+        # two usable CPUs, so the second point's refusal, a fault put into
+        # the model's matrices, comes from a worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        refuse_in_workers(monkeypatch)
         code, out, err = run_cli(
-            capsys, "estimate", "--space", "spd2", "--t-range", "0:10.01:10.01",
+            capsys, "estimate", "--space", "spd2", "--t-range", "0:1:1",
             "--radius", "0.3", "--samples", "20000", "--seed", "1")
         assert (code, out) == (2, "")
-        assert err == ("error: spd2: the base point is outside the model's float range "
-                       "tr P <= 4.9e8 (|t| <= 10 on the curve)\n")
+        assert err == "error: spd2: refused in a worker\n"
         assert multiprocessing.active_children() == []
 
     def test_unknown_space(self, capsys):
