@@ -158,20 +158,15 @@ def _jacobson_morozov(g: LieAlgebra, us: list[int], du: int) -> SL2Triple:
 def verify_nonnegative_grading(g: LieAlgebra, n, triple: SL2Triple) -> bool:
     """Does n sit inside the nonnegative part of the triple's grading?
 
-    Checks n in g^+ + g^0 for the grading by triple.x, the structural
+    That is n in g^+ + g^0 for the grading by triple.x, the structural
     fact that lets a nilpotent direction be pushed to infinity with
-    controlled volume distortion.  The centralizer of triple.u lies in
-    that part for every sl2-triple: g is a sum of irreducible
-    ad-sl2 modules, and ker ad u is spanned by their highest-weight
-    vectors, whose ad-x weights are >= 0.
-
-    A triple whose u is missing from the center of n certifies nothing
-    and yields False outright.
+    controlled volume distortion.  It is read off two guards, u =
+    triple.u in n and u central in n, and not off a grading of g.  With
+    both, n lies in ker ad u, and ker ad u lies in g^(>=0) for every
+    sl2-triple: g is a sum of irreducible ad-sl2 modules, ad u raises the
+    ad-x weight by 2, so ker ad u is spanned by their highest-weight
+    vectors, whose weights are >= 0 (Humphreys 1972, 7.2).  A triple
+    failing either guard certifies nothing and yields False.
     """
-    (x, u, _), d = triple.xuv.num, triple.xuv.den
-    if not n._holds(u):
-        return False
-    if any(any(g._int_bracket(u, b)) for b in n._num):
-        return False
-    nonneg = _grading(g, g._int_ad(x, d)).at_least(0)
-    return all(nonneg._holds(b) for b in n._num)
+    u = triple.xuv.num[1]
+    return n._holds(u) and not any(any(g._int_bracket(u, b)) for b in n._num)

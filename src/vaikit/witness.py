@@ -37,6 +37,7 @@ from .exact import (
     _common,
     _eigenspaces,
     _fraction_row,
+    _gauss_jordan,
     _int_matmul,
     _integer_row,
     _is_eigenvector,
@@ -45,13 +46,7 @@ from .exact import (
     rat,
     vec,
 )
-from .grading import (
-    SL2Triple,
-    _grading,
-    _jacobson_morozov,
-    acts_nilpotently,
-    verify_nonnegative_grading,
-)
+from .grading import SL2Triple, _grading, _jacobson_morozov, acts_nilpotently
 from .lie import LieAlgebra, Subalgebra, Subspace, _direct_sum, center, derived_subalgebra
 from .reductivity import is_symmetric_pair
 
@@ -254,9 +249,10 @@ class UnipotentWitness:
     and gamma = tr(ad x | n) is the decay exponent of the volume along
     exp(t x).  When true, the certificate instead covers the central
     line n1 = span(u) inside n (rate 2), the two-step construction for
-    subalgebras no semisimple element normalizes.  Either way
-    ``unipotent_witness`` proves gamma > 0: a trace of positive
-    eigenvalues on n != 0, or the eigenvalue 2 of [x, u] = 2u.
+    subalgebras no semisimple element normalizes.  ``unipotent_witness``,
+    the only producer, proves n in g^(>=0) for the grading by x and
+    gamma > 0: a trace of positive eigenvalues on n != 0, or the
+    eigenvalue 2 of [x, u] = 2u on n1.
     """
 
     def __init__(self, g: LieAlgebra, n: Subalgebra, x: Vec, gamma,
@@ -273,18 +269,19 @@ class UnipotentWitness:
 
 
 def _normalizing_rate(n: Subalgebra, ad_x: RatMat) -> Fraction | None:
-    """tr(ad x | n) when x normalizes n with all-positive exact spectrum.
+    """tr(ad x | n) when x normalizes n with all-positive spectrum.
 
-    x is the grading element of an sl2-triple, so ad x is semisimple
-    with integer spectrum (g is a finite-dimensional sl2-module); its
-    restriction m to the ad-x stable n is semisimple too, with spectrum
-    inside ad x's, and ``_eigenspaces`` cannot raise.
+    n lies in g^(>=0) for the grading by x (``unipotent_witness``), so
+    when n is ad-x stable its restriction m has its spectrum inside that
+    of ad x on g^(>=0), which is >= 0.  Every eigenvalue of m is then
+    positive exactly when none is 0, that is when m is nonsingular: one
+    rank test, and no eigenspaces.
     """
     try:
         m = n.restriction_matrix(ad_x)
     except InvariantViolation:  # x does not normalize n
         return None
-    return m.trace() if all(lam > 0 for lam in _eigenspaces(m)) else None
+    return m.trace() if len(_gauss_jordan([list(r) for r in m.num], n.dim)) == n.dim else None
 
 
 def unipotent_witness(g: LieAlgebra, n: Subalgebra) -> UnipotentWitness:
@@ -294,9 +291,15 @@ def unipotent_witness(g: LieAlgebra, n: Subalgebra) -> UnipotentWitness:
     basis vector of z(n), or one in [g, g] if that has a component in the
     center of g.  If the triple's grading element normalizes n the direct
     rate is used, and if not the certificate degrades to the central line
-    span(u) with rate 2, flagged as averaged.  The center is nonzero: n
-    acts nilpotently on g, which contains n, so n is a nilpotent Lie algebra
-    (Engel), and a nonzero nilpotent Lie algebra has a nonzero center.
+    span(u) with rate 2 = tr(ad x | n1), as [x, u] = 2u, flagged as
+    averaged.  The center is nonzero: n acts nilpotently on g, which
+    contains n, so n is a nilpotent Lie algebra (Engel), and a nonzero
+    nilpotent Lie algebra has a nonzero center.
+
+    n lies in g^(>=0) for the grading by x: on both paths u is taken
+    from z(n), so u is in n and central there, the two guards of
+    ``verify_nonnegative_grading``, whose sl2 argument then gives n in
+    ker ad u in g^(>=0).  ``_normalizing_rate`` rests on that.
     """
     if n.dim == 0:
         raise NotNilpotent("empty subalgebra carries no decay direction")
@@ -317,17 +320,12 @@ def unipotent_witness(g: LieAlgebra, n: Subalgebra) -> UnipotentWitness:
             raise
         us = _int_matmul([null[0][:z.dim]], z._num)[0]
         triple = _jacobson_morozov(g, us, z._den)
-    if not verify_nonnegative_grading(g, n, triple):
-        raise NoNormalizer(
-            "the sl2-triple through the central element does not dominate n")
-    ad_x = g._int_ad(triple.xuv.num[0], triple.xuv.den)
-    rate = _normalizing_rate(n, ad_x)
+    rate = _normalizing_rate(n, g._int_ad(triple.xuv.num[0], triple.xuv.den))
     if rate is not None:
         return UnipotentWitness(g, n, triple.x, rate, averaged=False,
                                 triple=triple)
     n1 = Subspace.from_integers(g, [us], z._den, "n1")
-    line_rate = n1.restriction_matrix(ad_x).trace()
-    return UnipotentWitness(g, n, triple.x, line_rate, averaged=True,
+    return UnipotentWitness(g, n, triple.x, Fraction(2), averaged=True,
                             triple=triple, n1=n1)
 
 

@@ -12,11 +12,12 @@ E_ji in the same order.
 """
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 from vaikit.catalog import data_path, rat_to_str
-from vaikit.exact import RatMat, vec
+from vaikit.exact import RatMat, rref, vec
 from vaikit.lie import LieAlgebra, Subalgebra
 
 
@@ -81,6 +82,13 @@ def sl(n: int) -> LieAlgebra:
 def gl2() -> LieAlgebra:
     mats = sl_basis_matrices(2) + [RatMat([[1, 0], [0, 1]])]
     return LieAlgebra.from_realization(mats, name="gl2")
+
+
+def gl2_units() -> LieAlgebra:
+    """gl2 in the basis E11, E12, E21, E22, in which span(I, E12) has the
+    first center vector I, central in gl2."""
+    units = [RatMat(_elementary(2, i, j)) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    return LieAlgebra.from_realization(units, name="gl2")
 
 
 def _upper_index(n: int, i: int, j: int) -> int:
@@ -171,6 +179,36 @@ def sl5_nilpotent_pair(g: LieAlgebra) -> Subalgebra:
     for i in range(2):
         w[_upper_index(n, i, i + 3)] = Fraction(1)
     return Subalgebra(g, [tuple(u), tuple(w)], name="span{U, U^2+U^3}")
+
+
+def positive_root_vectors(g: LieAlgebra, n: int) -> list[tuple]:
+    """The E_ij with i < j of sl(n), in the catalog basis order."""
+    return [g.basis_vector(i) for i in range(n - 1, n - 1 + n * (n - 1) // 2)]
+
+
+def seeded_nilpotents(g: LieAlgebra, n: int) -> list[tuple]:
+    """(u, c) for ten seeded draws of u in the strictly upper triangular
+    part of sl(n), each nonzero u with a scale c in 1..4."""
+    rng = random.Random(23)
+    uppers = positive_root_vectors(g, n)
+    draws = []
+    for _ in range(10):
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in uppers]
+        u = vec([sum(c * b[i] for c, b in zip(coeffs, uppers)) for i in range(g.dim)])
+        if any(u):
+            draws.append((u, Fraction(rng.randint(1, 4))))
+    return draws
+
+
+def generated_subalgebra(g: LieAlgebra, gens) -> Subalgebra:
+    """The span of gens closed under brackets."""
+    basis, vectors = [], list(gens)
+    while True:
+        r, pivots = rref(RatMat(vectors))
+        if len(pivots) == len(basis):
+            return Subalgebra(g, basis)
+        basis = list(r.rows[:len(pivots)])
+        vectors = basis + [g.bracket(a, b) for a in basis for b in basis]
 
 
 def write_data_files(directory) -> list[Path]:

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 import builders
-from vaikit.grading import Grading
+from vaikit.errors import InvariantViolation
+from vaikit.exact import rational_eigen_decomposition
+from vaikit.grading import Grading, grading_of
 from vaikit.lie import LieAlgebra, Subspace
 
 # pytest puts src/ on this process's path (pyproject.toml); the tests that
@@ -136,4 +138,36 @@ def assert_lower_bound_split():
         ad = g.ad(cert.x)
         for lam, b in zip(cert.eigenvalues, vx.basis):
             assert ad.apply(b) == tuple(lam * e for e in b), lam
+    return check
+
+
+@pytest.fixture(scope="session")
+def assert_unipotent_witness():
+    """Assert n in g^(>=0) for the grading by x, and gamma, for a
+    UnipotentWitness.  A direct certificate has every ad-x eigenvalue on
+    n > 0 and gamma their trace; an averaged one has gamma = 2, the trace
+    of ad x on n1 = span(u), and x fails to normalize n or has the
+    eigenvalue 0 there.
+
+    ``unipotent_witness`` reads n in g^(>=0) off the sl2-triple and the
+    sign of the spectrum off one rank test, so the tests decompose g and
+    n by ad x here.
+    """
+    def check(w):
+        g, n, t = w.algebra, w.n, w.triple
+        assert w.x == t.x
+        nonneg = grading_of(g, w.x).at_least(0)
+        assert all(nonneg.contains(b) for b in n.basis)
+        ad = g.ad(w.x)
+        try:
+            spectrum = rational_eigen_decomposition(n.restriction_matrix(ad))
+        except InvariantViolation:  # x does not normalize n
+            spectrum = None
+        if w.averaged:
+            assert w.n1.same_span(Subspace(g, [t.u]))
+            assert w.gamma == w.n1.restriction_matrix(ad).trace() == 2
+            assert spectrum is None or 0 in spectrum
+        else:
+            assert w.n1 is None and all(lam > 0 for lam in spectrum)
+            assert w.gamma == n.restriction_matrix(ad).trace()
     return check

@@ -19,9 +19,10 @@ import pytest
 
 import builders
 from float_checks import refuse_in_workers
-from vaikit.catalog import data_path, parse_algebra
+from vaikit.catalog import data_path, load_algebra_file, load_subalgebra_file, parse_algebra
 from vaikit.cli import _parse_t_range, main
 from vaikit.volume import get_model, volume_along_curve
+from vaikit.witness import unipotent_witness
 
 
 def _pin_to_one_cpu():
@@ -338,7 +339,8 @@ class TestWitness:
         assert (result["type"], result["error"]) == ("error", "NoNormalizer")
         assert "center of g" in result["message"]
 
-    def test_center_vector_central_in_g_is_passed_over(self, capsys, tmp_path):
+    def test_center_vector_central_in_g_is_passed_over(self, capsys, tmp_path,
+                                                       assert_unipotent_witness):
         # gl2 and h = span(I, E12): the first center vector, I, is central
         # in g; E12, the element of z(h) in [g, g], carries the triple
         units = [[["1" if (i, j) == (a, b) else "0" for j in range(2)] for i in range(2)]
@@ -355,6 +357,8 @@ class TestWitness:
         u = result["triple"]["u"]
         assert u[1] != "0" and u[0] == u[2] == u[3] == "0"
         assert (result["averaged"], result["n1"]) == (True, [u])
+        g = load_algebra_file(algebra)
+        assert_unipotent_witness(unipotent_witness(g, load_subalgebra_file(sub, g)))
 
     def test_non_nilpotent_needs_parabolic(self, capsys, tmp_path):
         mixed = tmp_path / "mixed.json"

@@ -4,7 +4,6 @@ Triple components and eigenvalue tables were solved by hand from the
 matrix realizations before the implementation existed.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from vaikit.errors import (
     NotNilpotent,
     NotSemisimple,
 )
-from vaikit.exact import RatMat, kernel, rref, vec
+from vaikit.exact import kernel, vec
 from vaikit.grading import (
     Grading,
     acts_nilpotently,
@@ -190,50 +189,48 @@ def test_verify_rejects_foreign_triple(sl3):
     assert not verify_nonnegative_grading(sl3, n13, t12)
 
 
-def seeded_nilpotents(g, n: int) -> list[tuple]:
-    """(u, c) for ten seeded draws of u in the strictly upper triangular
-    part of sl(n), each nonzero u with a scale c in 1..4."""
-    rng = random.Random(23)
-    uppers = [g.basis_vector(i) for i in range(n - 1, n - 1 + n * (n - 1) // 2)]
-    draws = []
-    for _ in range(10):
-        coeffs = [Fraction(rng.randint(-2, 2)) for _ in uppers]
-        u = vec([sum(c * b[i] for c, b in zip(coeffs, uppers)) for i in range(g.dim)])
-        if any(u):
-            draws.append((u, Fraction(rng.randint(1, 4))))
-    return draws
-
-
-def generated_subalgebra(g, gens) -> Subalgebra:
-    """The span of gens closed under brackets."""
-    basis, vectors = [], list(gens)
-    while True:
-        r, pivots = rref(RatMat(vectors))
-        if len(pivots) == len(basis):
-            return Subalgebra(g, basis)
-        basis = list(r.rows[:len(pivots)])
-        vectors = basis + [g.bracket(a, b) for a in basis for b in basis]
-
-
 def test_triple_scaling_property_random(sl4):
-    for u, c in seeded_nilpotents(sl4, 4):
+    for u, c in builders.seeded_nilpotents(sl4, 4):
         t = jacobson_morozov(sl4, u)
         assert jacobson_morozov(sl4, tuple(c * e for e in u)).x == t.x
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_seeded_triples_and_their_nilpotent_algebras(request, n, assert_sl2_triple):
-    # verify_nonnegative_grading skips ker ad u in g^(>=0), true for every
-    # sl2-triple, and unipotent_witness skips center(n) != 0, true for every
-    # nonzero n acting nilpotently: both are checked here on seeded input
+    # verify_nonnegative_grading and unipotent_witness read n in g^(>=0) off
+    # ker ad u in g^(>=0), true for every sl2-triple, and unipotent_witness
+    # skips center(n) != 0, true for every nonzero n acting nilpotently:
+    # both are checked here on seeded input
     g = request.getfixturevalue(f"sl{n}")
-    us = [u for u, _ in seeded_nilpotents(g, n)]
+    us = [u for u, _ in builders.seeded_nilpotents(g, n)]
     for u in us:
         t = jacobson_morozov(g, u)
         assert_sl2_triple(t)
         nonneg = grading_of(g, t.x).at_least(0)
         assert all(nonneg.contains(z) for z in kernel(g.ad(u)))
     for a, b in zip(us, us[1:]):
-        nil = generated_subalgebra(g, [a, b])
+        nil = builders.generated_subalgebra(g, [a, b])
         assert acts_nilpotently(g, nil)
         assert center(nil).dim > 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_nonnegative_grading_is_the_containment(request, n):
+    # the answer is read off the two u-guards; whenever they pass it must
+    # be the explicit containment of n in g^(>=0) for the triple's x
+    g = request.getfixturevalue(f"sl{n}")
+    us = [u for u, _ in builders.seeded_nilpotents(g, n)]
+    algebras = [builders.generated_subalgebra(g, [a, b]) for a, b in zip(us, us[1:])]
+    triples = ([jacobson_morozov(g, u) for u in us]
+               + [jacobson_morozov(g, center(nil).basis[0]) for nil in algebras])
+    guarded = 0
+    for t in triples:
+        nonneg = grading_of(g, t.x).at_least(0)
+        for nil in algebras:
+            guards = nil.contains(t.u) and not any(any(g.bracket(t.u, b)) for b in nil.basis)
+            result = verify_nonnegative_grading(g, nil, t)
+            assert result == guards
+            if guards:
+                guarded += 1
+                assert result == all(nonneg.contains(b) for b in nil.basis)
+    assert guarded >= len(algebras)

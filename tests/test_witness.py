@@ -1,6 +1,8 @@
 """Decay witnesses, boundedness checks, and growth exponents."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +32,8 @@ from vaikit.witness import (
 )
 
 F = Fraction
+
+SWEEP_DIGEST = "afff7ea5bfe58ebcaa7a374ac17f741165ba70ad8088993f1f185523357a252a"
 
 
 @pytest.fixture(scope="module")
@@ -348,35 +352,39 @@ class TestJacobianSandwich:
 
 
 class TestUnipotentWitness:
-    def test_sl2_direct(self, sl2, sl2_subs):
+    def test_sl2_direct(self, sl2, sl2_subs, assert_unipotent_witness):
         w = unipotent_witness(sl2, sl2_subs["n"])
+        assert_unipotent_witness(w)
         assert w.gamma == 2
         assert not w.averaged
         assert w.x == sl2.basis_vector(0)
 
-    def test_auto_falls_back_to_triple(self, sl3):
+    def test_auto_falls_back_to_triple(self, sl3, assert_unipotent_witness):
         # the search goes through the sl2-triple of a central vector;
         # diag(1,-1,0) normalizes span(E12, E13) with eigenvalues 2 and 1
         n = Subalgebra(sl3, [sl3.basis_vector(2), sl3.basis_vector(3)])
         w = unipotent_witness(sl3, n)
+        assert_unipotent_witness(w)
         assert not w.averaged
         assert w.gamma == 3
         assert w.x == sl3.basis_vector(0)
 
-    def test_rate_is_log_derivative_of_jacobian(self, sl3):
+    def test_rate_is_log_derivative_of_jacobian(self, sl3, assert_unipotent_witness):
         # det Ad(exp(tx))|_n = e^{t gamma}: check at t = 1 in floats
         expm = pytest.importorskip("scipy.linalg").expm
         n = Subalgebra(sl3, [sl3.basis_vector(2), sl3.basis_vector(3)])
         w = unipotent_witness(sl3, n)
+        assert_unipotent_witness(w)
         assert w.x == sl3.basis_vector(0)
         assert w.gamma == 3
         ad_n = to_floats(n.restriction_matrix(sl3.ad(w.x)))
         det = np.linalg.det(expm(ad_n))
         assert abs(det - np.exp(float(w.gamma))) < 1e-9
 
-    def test_sl5_averaged(self, sl5):
+    def test_sl5_averaged(self, sl5, assert_unipotent_witness):
         pair = builders.sl5_nilpotent_pair(sl5)
         w = unipotent_witness(sl5, pair)
+        assert_unipotent_witness(w)
         assert w.averaged
         assert w.gamma == 2
         assert w.n1.basis == (pair.basis[0],)
@@ -386,14 +394,59 @@ class TestUnipotentWitness:
 
     @pytest.mark.parametrize("algebra,subalgebra", [
         ("sl2", "sl2-n"), ("sl3", "sl3-e12"), ("sl5", "sl5-nilpair")])
-    def test_catalog_rates_are_positive(self, algebra, subalgebra, assert_sl2_triple):
-        # UnipotentWitness takes gamma > 0, and SL2Triple its relations,
-        # from unipotent_witness unchecked
+    def test_catalog_rates_are_positive(self, algebra, subalgebra, assert_sl2_triple,
+                                        assert_unipotent_witness):
+        # UnipotentWitness takes gamma > 0 and n in g^(>=0), and SL2Triple
+        # its relations, from unipotent_witness unchecked
         g = catalog.load_algebra_file(catalog.data_path(f"{algebra}.json"))
         h = catalog.load_subalgebra_file(catalog.data_path(f"{subalgebra}.json"), g)
         w = unipotent_witness(g, h)
         assert w.gamma > 0
         assert_sl2_triple(w.triple)
+        assert_unipotent_witness(w)
+
+    def test_seeded_sweep_is_frozen(self, sl3, sl4, assert_unipotent_witness):
+        # in sl3 and sl4, the lines and generated subalgebras of pairs of
+        # seeded nilpotents, and those of pairs of positive root vectors, such
+        # as span(E12, E34), which x normalizes with the eigenvalue 0: 128
+        # algebras, 47 of them averaged.  The digest is of the witnesses the
+        # route gave while it built the ad-x eigenspaces of g and n, so the
+        # route is pinned to that reference.
+        records = []
+        for g, n in ((sl3, 3), (sl4, 4)):
+            us = [u for u, _ in builders.seeded_nilpotents(g, n)]
+            roots = builders.positive_root_vectors(g, n)
+            generators = [[u] for u in us] + [list(p) for p in itertools.combinations(us, 2)]
+            generators += [list(p) for p in itertools.combinations(roots, 2)]
+            for gens in generators:
+                w = unipotent_witness(g, builders.generated_subalgebra(g, gens))
+                assert_unipotent_witness(w)
+                records.append([str(w.gamma), w.averaged, [list(map(str, r)) for r in (
+                    w.triple.x, w.triple.u, w.triple.v, *(w.n1.basis if w.averaged else ()))]])
+        assert sum(averaged for _, averaged, _ in records) == 47
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == SWEEP_DIGEST
+
+    def test_route_decomposes_nothing(self, monkeypatch, sl2, sl2_subs, sl3, sl5,
+                                      assert_unipotent_witness):
+        # n in g^(>=0) comes from the sl2-triple and the spectrum's sign from
+        # a rank test, so no grading of g and no eigenspaces of n are built
+        def refuse(*args):
+            raise AssertionError("the unipotent route decomposed by ad x")
+
+        gl2 = builders.gl2_units()
+        cases = [(sl2, sl2_subs["n"]), (sl3, builders.sl3_e12(sl3)),
+                 (sl5, builders.sl5_nilpotent_pair(sl5)),
+                 (gl2, Subalgebra(gl2, [vec([1, 0, 0, 1]), vec([0, 1, 0, 0])]))]  # I, E12
+        with monkeypatch.context() as m:
+            for target in ("grading._grading", "witness._grading", "witness._eigenspaces"):
+                m.setattr(f"vaikit.{target}", refuse)
+            ws = [unipotent_witness(g, h) for g, h in cases]
+        for w in ws:
+            assert_unipotent_witness(w)
+        assert [w.averaged for w in ws] == [False, False, True, True]
+        u = ws[-1].triple.u  # the triple passes over I and goes through E12
+        assert u[1] and not any(u[i] for i in (0, 2, 3))
 
     def test_non_nilpotent_rejected(self, sl2, sl2_subs):
         with pytest.raises(NotNilpotent):
