@@ -21,11 +21,13 @@ quartic decides what they leave.
 Estimation is hit-or-miss: every chart carries the invariant measure
 as Lebesgue measure, so sample the box uniformly, count hits and
 multiply the hit rate by box measure.  Sampling is batched with
-substreams keyed by (seed, point index, batch index).  The parent checks
-the inputs and builds every grid point's box; then the batches of all
-points run at once on forked worker processes, one per usable CPU, and
-their integer hit counts are summed per point, so results are
-bit-identical for a fixed seed at any worker count.
+substreams keyed by (seed, point index, batch index), each drawn as
+numpy's `uniform` draws it, but column by column.  The parent checks the
+inputs and builds every grid point's box; then it deals the batches of
+all points into one share per usable CPU, runs the first share itself
+and the others in forked children, and reaps every child before it
+returns or raises.  The integer hit counts are summed per point, so
+results are bit-identical for a fixed seed at any worker count.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import cache, partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -596,8 +598,8 @@ def _keep_freed_pages():
     block larger than the threshold was mmapped; below that, every batch
     faults its working set in again.  64 MiB is the most glibc's own rule
     reaches (twice its 32 MiB mmap threshold maximum).  The estimator
-    calls it before it forks, so the workers inherit the setting; set in
-    a worker, it would be lost with the worker.  Elsewhere, no-op.
+    calls it before it forks, so the children inherit the setting; set in
+    a child, it would be lost with the child.  Elsewhere, no-op.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -630,10 +632,37 @@ def _box(model: SpaceModel, z, radius: float, samples: int, seed: int, points: i
 
 
 def _batch_hits(model, radius, seed, z, lo, hi, point_index, batch_index, count):
+    """Hits among `count` uniform samples of the box [lo, hi].
+
+    The samples are `rng.uniform(lo, hi, size=(count, dim))` bit for bit:
+    that computes lo + (hi - lo) * u from unit draws u in C order, but its
+    broadcast of array bounds over rows of dim elements costs more than
+    the draw.  `_box` has checked the finite range `uniform` would.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, point_index, batch_index]))
-    coords = rng.uniform(lo, hi, size=(count, model.chart_dim))
+    coords = rng.random((count, model.chart_dim))
+    for k in range(model.chart_dim):
+        coords[:, k] *= hi[k] - lo[k]
+        coords[:, k] += lo[k]
     return int(np.count_nonzero(model.membership_chart(z, coords, radius)))
+
+
+def _run_child(run, share, pipe) -> None:
+    """In a forked child: pickle the share's hit counts, or the exception
+    that stopped them, into `pipe`, and leave by `os._exit` on every path,
+    so the child never returns into the parent's code."""
+    status = 1
+    try:
+        try:
+            payload = [run(*task) for task in share]
+        except Exception as exc:
+            payload = exc
+        with os.fdopen(pipe, "wb") as out:
+            pickle.dump(payload, out)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _estimates(model: SpaceModel, points, radius: float, samples: int,
@@ -641,13 +670,19 @@ def _estimates(model: SpaceModel, points, radius: float, samples: int,
     """(estimate, stderr) per (point index, z, lo, hi, box measure) in
     `points`, each box from `_box`.
 
-    Every (point, batch) task of the call goes to one pool of forked
-    workers at once, one per CPU this process may use and at most one per
-    task; with one worker the tasks run here and nothing forks.  A forked
-    worker starts from the parent's memory, imports included; spawned
-    workers would import numpy and vaikit again on every call.  The hit
-    counts are integers, summed per point in task order, so the results
-    are the same at any worker count.
+    The (point, batch) tasks are dealt into W shares, W the number of
+    CPUs this process may use and at most the number of tasks: task i
+    goes to share i mod W, so every point's batches spread over all
+    shares.  The parent forks a child for each share but the first, which
+    it runs itself, rather than leave a CPU idle while it waits.  A forked
+    child starts from the parent's memory, imports included, so it costs
+    far less than a pool's.  With W = 1 the tasks run here and nothing
+    forks.  The parent reads each child's pipe to EOF, then reaps it; on
+    any error here (its own share's, a child's, an interrupt) the
+    children not yet read are killed and reaped before the error goes
+    on, so no call leaves a child behind.  The hit counts are integers,
+    summed per point in task order, so the results are the same at any
+    worker count.
     """
     counts = [BATCH] * (samples // BATCH) + ([samples % BATCH] if samples % BATCH else [])
     tasks = [(z, lo, hi, index, batch, count) for index, z, lo, hi, _ in points
@@ -657,16 +692,38 @@ def _estimates(model: SpaceModel, points, radius: float, samples: int,
             else os.cpu_count() or 1)
     workers = min(cpus, len(tasks))
     _keep_freed_pages()
-    if workers <= 1:
-        hits = [run(*task) for task in tasks]
-    else:
-        # the pool forks every worker on the first submit, before it
-        # starts its own threads; leaving the block joins them all.  About
-        # four chunks per worker: each chunk is one round trip through the
-        # parent, and the last leaves a quarter of a share unbalanced
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            hits = list(pool.map(run, *zip(*tasks),
-                                 chunksize=-(-len(tasks) // (4 * workers))))
+    hits = [0] * len(tasks)
+    children = {}  # pid -> (share index, read end of its pipe), until read
+    try:
+        for share in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _run_child(run, tasks[share::workers], write_end)
+            children[pid] = share, os.fdopen(read_end, "rb")
+            os.close(write_end)
+        hits[::workers] = [run(*task) for task in tasks[::workers]]
+        for pid, (share, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            del children[pid]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise RuntimeError(f"an estimator worker ended with exit code {code}")
+            payload = pickle.loads(data)  # written by this program's child
+            if isinstance(payload, Exception):
+                raise payload
+            hits[share::workers] = payload
+    finally:
+        for pid, (_, pipe) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
     results = []
     for i, (*_, box_measure) in enumerate(points):
         # each sample scores 0 or 1, so its second moment equals the mean

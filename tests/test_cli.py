@@ -7,7 +7,6 @@ entry point and byte-level determinism across worker counts.
 
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import subprocess
@@ -513,7 +512,8 @@ class TestEstimate:
             "--radius", "0.3", "--samples", "20000", "--seed", "1")
         assert (code, out) == (2, "")
         assert err == "error: spd2: refused in a worker\n"
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_unknown_space(self, capsys):
         code, _, err = run_cli(
@@ -751,8 +751,9 @@ class TestConsoleEntryPoint:
         assert report["result"]["vai"] == "fails"
 
     def test_check_never_loads_numpy(self):
-        """Neither numpy, nor the estimator's process pool, nor dataclasses
-        and the inspect module it imports, is imported by check or witness."""
+        """Neither numpy, nor multiprocessing and concurrent.futures, nor
+        dataclasses and the inspect module it imports, is imported by check
+        or witness."""
         script = (
             "import contextlib, io, sys\n"
             "def unloaded(where):\n"
@@ -775,6 +776,30 @@ class TestConsoleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_estimator_loads_no_process_pool(self, tmp_path):
+        """The estimator forks its workers itself: neither `import
+        vaikit.volume` nor an estimate command, whose four batches fork one
+        worker on a host with two usable CPUs, loads multiprocessing or
+        concurrent.futures."""
+        script = (
+            "import sys\n"
+            "def unloaded(where):\n"
+            "    for name in ('multiprocessing', 'concurrent.futures'):\n"
+            "        assert name not in sys.modules, f'{where} imports {name}'\n"
+            "import vaikit.volume\n"
+            "unloaded('import vaikit.volume')\n"
+            "import contextlib, io, vaikit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = vaikit.cli.main(['estimate', '--space', 'spd2', '--t-range', '0:1:1',\n"
+            "                            '--samples', '20000', '--seed', '1',\n"
+            f"                            '--out', {str(tmp_path / 'spd2.csv')!r}])\n"
+            "assert code == 0\n"
+            "unloaded('estimate spd2')\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "spd2.csv").read_text().count("\n") == 3
 
     # two batches per grid point, so the workers share one model; the
     # child runs once pinned to one CPU (one worker) and once unpinned

@@ -3,8 +3,8 @@ values, determinism, and the fitting/counterexample helpers."""
 
 import hashlib
 import math
-import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -932,17 +932,17 @@ class TestEstimator:
         assert a == b
 
     @staticmethod
-    def _record_pools(monkeypatch):
-        """Worker counts of the pools the estimator opens, in order."""
-        workers = []
+    def _record_forks(monkeypatch):
+        """A list that grows by one entry per child the estimator forks."""
+        forks = []
+        fork = os.fork
 
-        class RecordingPool(volume.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def recording_fork():
+            forks.append(os.getpid())
+            return fork()
 
-        monkeypatch.setattr(volume, "ProcessPoolExecutor", RecordingPool)
-        return workers
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return forks
 
     @staticmethod
     def _usable_cpus(monkeypatch, count):
@@ -955,11 +955,35 @@ class TestEstimator:
             raise AssertionError("the estimator forked")
         monkeypatch.setattr(os, "fork", fork)
 
+    @pytest.mark.parametrize("seed", [0, 5, 42, 2 ** 40 + 3])
+    def test_batch_draw_is_numpy_uniform_bit_for_bit(self, seed, monkeypatch):
+        """The coords `_batch_hits` hands a model are the doubles of
+        rng.uniform(lo, hi, size=(count, dim)) on the batch's substream."""
+        boxes = [model.chart_box(model.curve(t), R03)
+                 for model in (PlaneModel(), SPD2Model(), ConeModel(), HyperboloidModel())
+                 for t in (-2.0, 0.0, 3.5)]
+        boxes += [(np.array(lo), np.array(hi)) for lo, hi in [
+            ([0.0, 1.0], [5e-324, 1.0 + EPS]),  # tiny
+            ([-1e307, 1e300], [1e307, 1e308]),  # huge
+            ([-7.5, -3.0], [-2.25, -1e-9])]]  # negative
+        handed = []
+        monkeypatch.setattr(PlaneModel, "membership_chart",
+                            lambda self, z, coords, radius: handed.append(coords) or coords[:, 0] > 0)
+        for point, (lo, hi) in enumerate(boxes):
+            for batch, count in enumerate((volume.BATCH, 1000, 1)):  # 1000, 1: short last batches
+                volume._batch_hits(PlaneModel(), R03, seed, None, lo, hi, point, batch, count)
+                rng = np.random.default_rng(np.random.SeedSequence([seed, point, batch]))
+                expected = rng.uniform(lo, hi, size=(count, 2))
+                assert handed[-1].shape == (count, 2)
+                assert np.array_equal(handed[-1].view(np.int64), expected.view(np.int64))
+        assert len(handed) == 3 * len(boxes)
+
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
-        """The pool takes one worker per usable CPU, at most one per
-        (point, batch) task, and the CSV is the same at 1 and 4 usable
-        CPUs on any host; one CPU runs the tasks in this process."""
-        workers = self._record_pools(monkeypatch)
+        """The call takes one share per usable CPU, at most one per
+        (point, batch) task, and runs the first itself: W shares fork W - 1
+        children.  The CSV is the same at 1 and 4 usable CPUs on any host;
+        one CPU runs the tasks in this process."""
+        forks = self._record_forks(monkeypatch)
         csvs = []
         for cpus in (1, 4):
             self._usable_cpus(monkeypatch, cpus)
@@ -970,26 +994,73 @@ class TestEstimator:
                 csvs.append(volume_along_curve(SPD2Model(), [0.0, 0.5, 1.0],
                                                R03, 70_000, 42).to_csv())
         assert csvs[0] == csvs[1]
-        assert workers == [4]
-        # two tasks: two workers, not four; one task runs inline
+        assert len(forks) == 3
+        # two tasks: two shares, so one child, not three; one task runs inline
         estimate_volume(SPD2Model(), SPD2Model().curve(0.0), R03, 20_000, 42)
-        assert workers == [4, 2]
+        assert len(forks) == 4
         self._refuse_fork(monkeypatch)
         estimate_volume(SPD2Model(), SPD2Model().curve(0.0), R03, 16_384, 42)
-        assert workers == [4, 2]
+        assert len(forks) == 4
 
-    def test_pool_leaves_no_child_process(self, monkeypatch):
-        workers = self._record_pools(monkeypatch)
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _by_process(monkeypatch, in_parent, in_child):
+        """Call in_parent() in this process, or in_child() in a forked one,
+        before spd2 builds its matrices."""
+        matrices = SPD2Model._matrices
+        parent = os.getpid()
+
+        def split(self, z, coords):
+            (in_parent if os.getpid() == parent else in_child)()
+            return matrices(self, z, coords)
+
+        monkeypatch.setattr(SPD2Model, "_matrices", split)
+
+    def test_no_child_process_is_left(self, monkeypatch):
+        """Every child is reaped, whether the call returns or raises."""
+        forks = self._record_forks(monkeypatch)
         self._usable_cpus(monkeypatch, 2)
         volume_along_curve(PlaneModel(), [0.0, 1.0], R03, 20_000, 3)
-        assert multiprocessing.active_children() == []
-        # the second point's refusal is raised in a worker: a fault put into
-        # the model's matrices, which the forked workers inherit
-        refuse_in_workers(monkeypatch)
-        with pytest.raises(InputError, match="^spd2: refused in a worker$"):
-            volume_along_curve(SPD2Model(), [0.0, 1.0], R03, 20_000, 3)
-        assert multiprocessing.active_children() == []
-        assert workers == [2, 2]
+        self._no_child_left()
+        # the second point's refusal is raised in a child: a fault put into
+        # the model's matrices, which the forked children inherit
+        with monkeypatch.context() as fault:
+            refuse_in_workers(fault)
+            with pytest.raises(InputError, match="^spd2: refused in a worker$"):
+                volume_along_curve(SPD2Model(), [0.0, 1.0], R03, 20_000, 3)
+        self._no_child_left()
+
+        # the parent's own share raises while its child sleeps: the child
+        # is killed, not waited for
+        def refuse():
+            raise InputError("spd2: refused in the parent")
+
+        with monkeypatch.context() as fault:
+            self._by_process(fault, refuse, lambda: time.sleep(60.0))
+            start = time.monotonic()
+            with pytest.raises(InputError, match="^spd2: refused in the parent$"):
+                volume_along_curve(SPD2Model(), [0.0, 1.0], R03, 20_000, 3)
+            assert time.monotonic() - start < 30.0
+        self._no_child_left()
+
+        # a child's exception that pickle cannot send ends the call with an
+        # error instead of a hang
+        class Unpicklable(Exception):
+            pass
+
+        def raise_unpicklable():
+            raise Unpicklable("a local class pickles by a name that does not resolve")
+
+        with monkeypatch.context() as fault:
+            self._by_process(fault, lambda: None, raise_unpicklable)
+            with pytest.raises(RuntimeError, match="^an estimator worker ended with exit code 1$"):
+                volume_along_curve(SPD2Model(), [0.0, 1.0], R03, 20_000, 3)
+        self._no_child_left()
+        assert len(forks) == 4
 
     @pytest.mark.parametrize("model, t, message", [
         (SPD2Model(), 10.01, r"float range tr P <= 4\.9e8"),
